@@ -26,6 +26,7 @@ from .entanglement import (
     ReducedState,
     X_TOLERANCE,
     concurrence_general,
+    concurrence_x_series,
     concurrence_x_state,
     independent_decay_concurrence,
     independent_decay_death_time,
@@ -75,6 +76,7 @@ __all__ = [
     "build_hamiltonian",
     "build_space",
     "concurrence_general",
+    "concurrence_x_series",
     "concurrence_x_state",
     "creation",
     "detect_esd_intervals",

@@ -81,7 +81,6 @@ _OPTIONS: dict[str, tuple] = {
     "out": (str, None),
     "emit_grid": (_parse_bool, False),
     "esd_threshold": (float, DEFAULT_ESD_THRESHOLD),
-    "method": (str, "fixed"),
     "step_size": (float, 1e-3),
     "workers": (int, 1),
     "initial_state_file": (str, None),
@@ -126,10 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--esd-threshold", type=float,
                    help="dark-interval threshold for the summary "
                         "(default 1e-6)")
-    p.add_argument("--method", choices=("fixed", "adaptive"),
-                   help="integrator (default fixed)")
     p.add_argument("--step-size", type=float,
-                   help="fixed integrator step in scaled time (default 1e-3)")
+                   help="RK4 step in scaled time (default 1e-3)")
     p.add_argument("--workers", type=int,
                    help="process count for sweep cells (default 1)")
     p.add_argument("--initial-state-file", metavar="FILE",
@@ -203,7 +200,6 @@ def _config_from_options(opt: dict) -> SweepConfig:
         t_max=opt["t_max"],
         n_steps=opt["steps"],
         step_size=opt["step_size"],
-        method=opt["method"],
         esd_threshold=opt["esd_threshold"],
         workers=opt["workers"],
         initial_state_path=opt["initial_state_file"],

@@ -12,16 +12,22 @@ with D[L] rho = L rho L^dag - (L^dag L rho + rho L^dag L) / 2. Everything is
 linear, so the equation is integrated in vectorized form v = vec(rho) with
 v' = M v for a constant matrix M.
 
-The default integrator is classic fixed-step RK4. For a linear autonomous
-system the four stages collapse into a single degree-4 polynomial in (h M);
-that matrix is built once per step size and applied as one matvec per step,
-which is exactly the RK4 update but much cheaper than four fresh stage
-evaluations. An embedded adaptive pair is available as an alternative.
+The integrator is classic fixed-step RK4. For a linear autonomous system the
+four stages collapse into a single degree-4 polynomial S in (h M). A sample
+interval of n substeps is then one matvec with P = S^n, built once per
+(step, n) and still exactly RK4 at step h up to rounding. The trace is
+checked at every RK4 step: with the propagator comes the table of trace
+rows T[k] = e^T S^(k+1), e marking the diagonal of vec(rho), so T @ v holds
+the trace after each substep of the interval. The remaining invariants are
+checked at the sample times, SAMPLE_CHUNK samples at a time as array
+operations; the earliest violating sample is reported, as a per-sample
+check would report it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -41,6 +47,13 @@ EIG_FLOOR = -1e-8
 EXCITATION_GAIN_TOL = 1e-8
 
 DEFAULT_STEP = 1e-3
+
+# Samples whose invariants are checked in one batch of array operations.
+SAMPLE_CHUNK = 128
+# Most substeps one propagator covers; longer intervals take several. This
+# bounds the trace-row table at MAX_SEGMENT x dim^2 entries (9.4 MB at
+# n_fock = 3) however far apart the sample times are.
+MAX_SEGMENT = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -87,21 +100,26 @@ class FullState:
 
 @dataclass
 class IntegrationDiagnostics:
-    """Health record of one integration run.
+    """Health and cost record of one integration run.
 
-    max_trace_error is tracked at every accepted step, not just at sample
-    times; the remaining extrema are tracked at sample times, where the full
-    matrix is materialized.
+    max_trace_error is tracked at every RK4 step, not just at sample times;
+    the remaining extrema are tracked at sample times, where the full
+    matrix is materialized. step_count is the number of RK4 steps taken,
+    propagator_builds the number of interval propagators built. propagate_s
+    is the time spent building and applying propagators, including the
+    per-step trace check; check_s the time spent on the per-sample checks
+    and the partial trace (perf_counter seconds).
     """
 
-    method: str
     step_count: int = 0
-    rejected_steps: int = 0
     max_trace_error: float = 0.0
     max_hermiticity_error: float = 0.0
     min_eigenvalue: float = 1.0
     max_excitation_gain: float = 0.0
     max_sector_leakage: float = 0.0
+    propagator_builds: int = 0
+    propagate_s: float = 0.0
+    check_s: float = 0.0
 
 
 @dataclass
@@ -182,33 +200,45 @@ def _excitation_weights(space: CompositeSpace) -> np.ndarray:
     return w
 
 
-# Dormand-Prince 5(4) tableau for the optional adaptive mode.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
+def interval_propagator(m: np.ndarray, h: float,
+                        n_sub: int) -> tuple[np.ndarray, np.ndarray]:
+    """Propagator over n_sub RK4 steps of size h, plus its trace rows.
+
+    Returns P = S^n_sub, with S = rk4_step_matrix(m, h), and the
+    (n_sub, dim^2) table T[k] = e^T S^(k+1), where e marks the diagonal
+    entries of the row-major vec(rho). T @ v is the trace after each of the
+    n_sub steps started from v.
+    """
+    s = rk4_step_matrix(m, h)
+    dim = math.isqrt(m.shape[0])
+    rows = np.empty((n_sub, m.shape[0]), dtype=complex)
+    rows[0] = s[:: dim + 1].sum(axis=0)
+    for k in range(1, n_sub):
+        rows[k] = rows[k - 1] @ s
+    return np.linalg.matrix_power(s, n_sub), rows
 
 
 class _Sampler:
-    """Shared per-sample bookkeeping for both integration modes."""
+    """Buffers the sampled states and checks them SAMPLE_CHUNK at a time.
 
-    def __init__(self, space: CompositeSpace, n_samples: int,
+    Within a chunk the invariants are array operations; the earliest
+    violating sample raises, and within one sample the order is finite,
+    hermiticity, positivity, excitation_monotone.
+    """
+
+    def __init__(self, space: CompositeSpace, times: np.ndarray,
                  store_full: bool, diag: IntegrationDiagnostics):
         self.space = space
+        self.times = times
         self.dim = space.dim_total
         self.n_weights = _excitation_weights(space)
         self.leak_mask = self.n_weights > 2
         self.diag = diag
-        self.idx = 0
+        self.buffer = np.empty((SAMPLE_CHUNK, self.dim ** 2), dtype=complex)
+        self.n_buffered = 0
+        self.n_done = 0
         self.prev_expect_n = math.inf
+        n_samples = len(times)
         self.reduced = np.empty((n_samples, 4, 4), dtype=complex)
         self.expect_n = np.empty(n_samples)
         self.trace_error = np.empty(n_samples)
@@ -217,122 +247,116 @@ class _Sampler:
         self.sector_leakage = np.empty(n_samples)
         self.full_states: list[FullState] | None = [] if store_full else None
 
-    def record(self, v: np.ndarray, t: float) -> None:
+    def record(self, v: np.ndarray) -> None:
+        """Queue the state at the next sample time."""
+        self.buffer[self.n_buffered] = v
+        self.n_buffered += 1
+        if self.n_buffered == SAMPLE_CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Check the queued samples; store them if none breaks an invariant."""
+        n = self.n_buffered
+        if n == 0:
+            return
+        start = perf_counter()
         dim = self.dim
-        rho = v.reshape(dim, dim)
-        if not np.all(np.isfinite(rho.view(float))):
-            raise IntegrationError("finite", t, math.inf, 0.0)
+        first = self.n_done
+        rho = self.buffer[:n].reshape(n, dim, dim)
+        finite = np.isfinite(rho.view(float)).all(axis=(1, 2))
+        # eigvalsh rejects non-finite input, so check only up to the first
+        # non-finite sample; it raises below unless an earlier one does
+        n_ok = n if finite.all() else int(np.argmin(finite))
+        ok = rho[:n_ok]
+        ok_h = ok.conj().transpose(0, 2, 1)
+        herm = np.abs(ok - ok_h).max(axis=(1, 2))
+        tr_err = np.abs(np.trace(ok, axis1=1, axis2=2) - 1.0)
+        min_eig = np.linalg.eigvalsh(0.5 * (ok + ok_h))[:, 0]
+        pops = np.real(ok.diagonal(axis1=1, axis2=2))
+        expn = pops @ self.n_weights
+        gain = np.diff(expn, prepend=self.prev_expect_n)
 
-        herm = float(np.abs(rho - rho.conj().T).max())
-        if herm > HERM_TOL:
-            raise IntegrationError("hermiticity", t, herm, HERM_TOL)
-        tr_err = abs(complex(np.trace(rho)) - 1.0)
-        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-        if min_eig < EIG_FLOOR:
-            raise IntegrationError("positivity", t, min_eig, EIG_FLOOR)
+        checks = (("hermiticity", herm, herm > HERM_TOL, HERM_TOL),
+                  ("positivity", min_eig, min_eig < EIG_FLOOR, EIG_FLOOR),
+                  ("excitation_monotone", gain, gain > EXCITATION_GAIN_TOL,
+                   EXCITATION_GAIN_TOL))
+        bad = np.logical_or.reduce([flags for _, _, flags, _ in checks])
+        if bad.any():
+            i = int(np.argmax(bad))
+            for invariant, values, flags, limit in checks:
+                if flags[i]:
+                    raise IntegrationError(invariant,
+                                           float(self.times[first + i]),
+                                           float(values[i]), limit)
+        if n_ok < n:
+            raise IntegrationError("finite", float(self.times[first + n_ok]),
+                                   math.inf, 0.0)
 
-        pops = np.real(np.diag(rho))
-        expn = float(self.n_weights @ pops)
-        gain = expn - self.prev_expect_n
-        if gain > EXCITATION_GAIN_TOL:
-            raise IntegrationError("excitation_monotone", t, gain,
-                                   EXCITATION_GAIN_TOL)
-        self.prev_expect_n = expn
-
+        leak = pops[:, self.leak_mask].sum(axis=1)
         d = self.diag
-        d.max_trace_error = max(d.max_trace_error, tr_err)
-        d.max_hermiticity_error = max(d.max_hermiticity_error, herm)
-        d.min_eigenvalue = min(d.min_eigenvalue, min_eig)
-        d.max_excitation_gain = max(d.max_excitation_gain, gain)
-        leak = float(pops[self.leak_mask].sum())
-        d.max_sector_leakage = max(d.max_sector_leakage, abs(leak))
+        d.max_trace_error = max(d.max_trace_error, float(tr_err.max()))
+        d.max_hermiticity_error = max(d.max_hermiticity_error,
+                                      float(herm.max()))
+        d.min_eigenvalue = min(d.min_eigenvalue, float(min_eig.min()))
+        d.max_excitation_gain = max(d.max_excitation_gain, float(gain.max()))
+        d.max_sector_leakage = max(d.max_sector_leakage,
+                                   float(np.abs(leak).max()))
 
-        i = self.idx
-        self.reduced[i] = partial_trace_cavity(rho, self.space).rho
-        self.expect_n[i] = expn
-        self.trace_error[i] = tr_err
-        self.hermiticity_error[i] = herm
-        self.min_eigenvalue[i] = min_eig
-        self.sector_leakage[i] = leak
+        span = slice(first, first + n)
+        self.reduced[span] = partial_trace_cavity(rho, self.space).rho
+        self.expect_n[span] = expn
+        self.trace_error[span] = tr_err
+        self.hermiticity_error[span] = herm
+        self.min_eigenvalue[span] = min_eig
+        self.sector_leakage[span] = leak
         if self.full_states is not None:
-            self.full_states.append(FullState(rho.copy(), t))
-        self.idx += 1
-
-
-def _check_step_trace(v: np.ndarray, dim: int, t: float,
-                      diag: IntegrationDiagnostics) -> None:
-    err = abs(v[:: dim + 1].sum() - 1.0)
-    # a NaN trace must abort too, hence the inverted comparison
-    if not err <= TRACE_TOL:
-        raise IntegrationError("trace", t, float(err), TRACE_TOL)
-    if err > diag.max_trace_error:
-        diag.max_trace_error = float(err)
+            self.full_states.extend(
+                FullState(r.copy(), t) for r, t in zip(rho, self.times[span]))
+        self.prev_expect_n = expn[-1]
+        self.n_done += n
+        self.n_buffered = 0
+        d.check_s += perf_counter() - start
 
 
 def _evolve_fixed(v: np.ndarray, m: np.ndarray, times: np.ndarray,
                   t0: float, step_size: float, sampler: _Sampler,
                   diag: IntegrationDiagnostics) -> None:
-    dim = sampler.dim
-    cache: dict[int, np.ndarray] = {}
+    cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     t = t0
     for t_target in times:
         dt = t_target - t
         if dt > 1e-12:
+            start = perf_counter()
             n_sub = max(1, math.ceil(dt / step_size - 1e-9))
             h = dt / n_sub
-            key = round(h * 1e15)
-            prop = cache.get(key)
-            if prop is None:
-                prop = rk4_step_matrix(m, h)
-                cache[key] = prop
-            for k in range(n_sub):
-                v[:] = prop @ v
-                diag.step_count += 1
-                _check_step_trace(v, dim, t + (k + 1) * h, diag)
+            done = 0
+            while done < n_sub:
+                n = min(MAX_SEGMENT, n_sub - done)
+                key = (round(h * 1e15), n)
+                if key not in cache:
+                    cache[key] = interval_propagator(m, h, n)
+                    diag.propagator_builds += 1
+                prop, trace_rows = cache[key]
+                err = np.abs(trace_rows @ v - 1.0)
+                worst = float(err.max())
+                # a NaN trace must abort too, hence the inverted comparisons
+                if not worst <= TRACE_TOL:
+                    k = int(np.argmax(~(err <= TRACE_TOL)))
+                    sampler.flush()  # an earlier sample's violation wins
+                    raise IntegrationError("trace", t + (done + k + 1) * h,
+                                           float(err[k]), TRACE_TOL)
+                diag.max_trace_error = max(diag.max_trace_error, worst)
+                v = prop @ v
+                done += n
+            diag.step_count += n_sub
+            diag.propagate_s += perf_counter() - start
         t = t_target
-        sampler.record(v, t)
-
-
-def _evolve_adaptive(v: np.ndarray, m: np.ndarray, times: np.ndarray,
-                     t0: float, step_size: float, atol: float,
-                     sampler: _Sampler, diag: IntegrationDiagnostics) -> None:
-    dim = sampler.dim
-    t = t0
-    h = step_size
-    k = [np.empty_like(v) for _ in range(7)]
-    for t_target in times:
-        while t_target - t > 1e-12:
-            h = min(h, t_target - t)
-            k[0] = m @ v
-            for i in range(1, 7):
-                vi = v.copy()
-                for j, a in enumerate(_DP_A[i]):
-                    if a != 0.0:
-                        vi += (h * a) * k[j]
-                k[i] = m @ vi
-            err_vec = np.zeros_like(v)
-            for b5, b4, ki in zip(_DP_B5, _DP_B4, k):
-                if b5 != b4:
-                    err_vec += (h * (b5 - b4)) * ki
-            err = float(np.sqrt(np.mean(np.abs(err_vec) ** 2))) / atol
-            if err <= 1.0:
-                for b5, ki in zip(_DP_B5, k):
-                    if b5 != 0.0:
-                        v += (h * b5) * ki
-                t += h
-                diag.step_count += 1
-                _check_step_trace(v, dim, t, diag)
-            else:
-                diag.rejected_steps += 1
-            factor = 0.9 * (1.0 / max(err, 1e-10)) ** 0.2
-            h *= min(5.0, max(0.2, factor))
-        t = t_target
-        sampler.record(v, t)
+        sampler.record(v)
+    sampler.flush()
 
 
 def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
-           times: np.ndarray, *, method: str = "fixed",
-           step_size: float = DEFAULT_STEP, atol: float = 1e-10,
+           times: np.ndarray, *, step_size: float = DEFAULT_STEP,
            store_full: bool = False) -> Trajectory:
     """Propagate `initial` and sample it at the given absolute times.
 
@@ -341,8 +365,6 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     monitored (not enforced); a violation aborts with IntegrationError so a
     too-coarse step or too-small Fock cutoff cannot silently corrupt results.
     """
-    if method not in ("fixed", "adaptive"):
-        raise ValueError(f"unknown method {method!r}")
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
     times = np.asarray(times, dtype=float)
@@ -360,16 +382,12 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         raise IntegrationError("initial_state", initial.time, math.nan,
                                math.nan) from exc
 
-    diag = IntegrationDiagnostics(method=method)
-    sampler = _Sampler(space, len(times), store_full, diag)
+    diag = IntegrationDiagnostics()
+    sampler = _Sampler(space, times, store_full, diag)
     m = liouvillian_matrix(space, params)
-    v = initial.rho_tilde.astype(complex).reshape(-1).copy()
+    v = initial.rho_tilde.astype(complex).reshape(-1)
 
-    if method == "fixed":
-        _evolve_fixed(v, m, times, initial.time, step_size, sampler, diag)
-    else:
-        _evolve_adaptive(v, m, times, initial.time, step_size, atol,
-                         sampler, diag)
+    _evolve_fixed(v, m, times, initial.time, step_size, sampler, diag)
 
     return Trajectory(
         times=times.copy(),

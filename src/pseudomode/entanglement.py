@@ -22,6 +22,10 @@ closed-form branches read
 The general path computes Wootters concurrence for any two-qubit state; its
 lambdas, the square roots of the eigenvalues of
 R = rho (sy x sy) rho* (sy x sy), come from a singular value decomposition.
+
+partial_trace_cavity, x_form_deviation and concurrence_x_series also take
+stacks of matrices, so a whole trajectory is reduced and evaluated with
+array operations.
 """
 from __future__ import annotations
 
@@ -79,16 +83,19 @@ def _as_rho4(reduced) -> np.ndarray:
 
 
 def _validate_rho4(rho: np.ndarray, check_psd: bool = False) -> None:
-    if rho.shape != (4, 4):
+    """Hermiticity, trace and optionally positivity of one (4, 4) matrix or
+    of every matrix in a (..., 4, 4) stack; the worst value is reported."""
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    herm = float(np.abs(rho - rho.conj().T).max())
+    rho_h = np.swapaxes(rho, -1, -2).conj()
+    herm = float(np.abs(rho - rho_h).max())
     if herm > _HERM_TOL:
         raise ValueError(f"matrix not Hermitian: deviation {herm:.3g}")
-    tr_err = abs(complex(np.trace(rho)) - 1.0)
+    tr_err = float(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max())
     if tr_err > _TRACE_TOL:
         raise ValueError(f"matrix trace off by {tr_err:.3g}")
     if check_psd:
-        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho_h))[..., 0].min())
         if min_eig < _EIG_FLOOR:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.3g}")
 
@@ -96,24 +103,56 @@ def _validate_rho4(rho: np.ndarray, check_psd: bool = False) -> None:
 def partial_trace_cavity(state, space) -> ReducedState:
     """Trace out the mode: rho[(i,j),(k,l)] = sum_n rho_full[(i,j,n),(k,l,n)].
 
-    Accepts a FullState or a bare composite-space matrix; `space` may be a
+    Accepts a FullState, a bare composite-space matrix, or a (..., d, d)
+    stack of them, which gives a (..., 4, 4) stack; `space` may be a
     CompositeSpace or the integer Fock cutoff.
     """
     rho_full = np.asarray(getattr(state, "rho_tilde", state))
     n_fock = getattr(space, "n_fock", space)
     dim = 4 * n_fock
-    if rho_full.shape != (dim, dim):
+    if rho_full.shape[-2:] != (dim, dim):
         raise ValueError(
             f"state shape {rho_full.shape} does not match cutoff {n_fock}")
-    t = rho_full.reshape(2, 2, n_fock, 2, 2, n_fock)
-    r = np.einsum("abncdn->abcd", t)
+    lead = rho_full.shape[:-2]
+    t = rho_full.reshape(*lead, 2, 2, n_fock, 2, 2, n_fock)
+    r = np.einsum("...abncdn->...abcd", t)
     # kron layout is A-major; reorder to the documented i_a + 2*i_b basis
-    return ReducedState(rho=r.transpose(1, 0, 3, 2).reshape(4, 4).copy())
+    r = r.swapaxes(-4, -3).swapaxes(-2, -1)
+    return ReducedState(rho=r.reshape(*lead, 4, 4).copy())
 
 
 def x_form_deviation(rho) -> float:
-    """Largest magnitude among the eight entries an X state must not have."""
-    return float(np.abs(_as_rho4(rho)[~_X_MASK]).max())
+    """Largest magnitude among the eight entries an X state must not have,
+    over one (4, 4) matrix or a whole (..., 4, 4) stack."""
+    rho = np.asarray(getattr(rho, "rho", rho))
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrices, got shape {rho.shape}")
+    return float(np.abs(rho[..., ~_X_MASK]).max())
+
+
+def _x_branches(rho: np.ndarray):
+    """Closed-form (C, C1, C2) of (..., 4, 4) X states, elementwise."""
+    d = np.maximum(rho[..., 0, 0].real, 0.0)
+    c_mid = np.maximum(rho[..., 1, 1].real, 0.0)
+    b_mid = np.maximum(rho[..., 2, 2].real, 0.0)
+    a = np.maximum(rho[..., 3, 3].real, 0.0)
+    c1 = 2.0 * (np.abs(rho[..., 3, 0]) - np.sqrt(b_mid * c_mid))
+    c2 = 2.0 * (np.abs(rho[..., 1, 2]) - np.sqrt(a * d))
+    c = np.minimum(np.maximum(np.maximum(c1, c2), 0.0), 1.0)
+    return c, c1, c2
+
+
+def concurrence_x_series(reduced) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form concurrence and branches (C, C1, C2) of an (n, 4, 4) stack.
+
+    Hermiticity and trace are checked on the whole stack. The X pattern is
+    not: check it with x_form_deviation first.
+    """
+    rho = np.asarray(getattr(reduced, "rho", reduced))
+    if rho.ndim != 3:
+        raise ValueError(f"expected an (n, 4, 4) stack, got shape {rho.shape}")
+    _validate_rho4(rho)
+    return _x_branches(rho)
 
 
 def concurrence_general(reduced) -> ConcurrenceReport:
@@ -145,21 +184,14 @@ def concurrence_x_state(reduced, x_tolerance: float = X_TOLERANCE) -> Concurrenc
     """Closed-form concurrence for X states; rejects anything off-pattern."""
     rho = _as_rho4(reduced)
     _validate_rho4(rho)
-    dev = float(np.abs(rho[~_X_MASK]).max())
+    dev = x_form_deviation(rho)
     if dev > x_tolerance:
         raise ValueError(
             f"not an X state: off-pattern entry of magnitude {dev:.3g} "
             f"exceeds tolerance {x_tolerance:.3g}")
-    d = max(rho[0, 0].real, 0.0)
-    c_mid = max(rho[1, 1].real, 0.0)
-    b_mid = max(rho[2, 2].real, 0.0)
-    a = max(rho[3, 3].real, 0.0)
-    w = rho[3, 0]
-    z = rho[1, 2]
-    c1 = 2.0 * (abs(w) - math.sqrt(b_mid * c_mid))
-    c2 = 2.0 * (abs(z) - math.sqrt(a * d))
-    c = min(max(0.0, c1, c2), 1.0)
-    return ConcurrenceReport(c=c, path="x_state", c1=float(c1), c2=float(c2))
+    c, c1, c2 = _x_branches(rho)
+    return ConcurrenceReport(c=float(c), path="x_state", c1=float(c1),
+                             c2=float(c2))
 
 
 def independent_decay_concurrence(alpha2: float, gamma_s: float, times):

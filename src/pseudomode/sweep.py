@@ -40,6 +40,7 @@ from .dynamics import (
 from .entanglement import (
     X_TOLERANCE,
     concurrence_general,
+    concurrence_x_series,
     concurrence_x_state,
     x_form_deviation,
 )
@@ -87,7 +88,6 @@ class SweepConfig:
     t_max: float = 200.0
     n_steps: int = 2000
     step_size: float = DEFAULT_STEP
-    method: str = "fixed"
     store_full: bool = False
     esd_threshold: float = DEFAULT_ESD_THRESHOLD
     workers: int = 1
@@ -126,7 +126,9 @@ class SweepConfig:
 @dataclass
 class CellResult:
     """One (gamma_s, alpha2) cell. gamma_s is in gamma0 units; alpha2 is nan
-    when the initial state came from a raw file."""
+    when the initial state came from a raw file. step_count,
+    propagator_builds, propagate_s and check_s are copied from the
+    integration's IntegrationDiagnostics."""
 
     gamma_s: float
     alpha2: float
@@ -142,6 +144,9 @@ class CellResult:
     min_eigenvalue_seen: float = 1.0
     max_sector_leakage: float = 0.0
     step_count: int = 0
+    propagator_builds: int = 0
+    propagate_s: float = 0.0
+    check_s: float = 0.0
 
     @property
     def failed(self) -> bool:
@@ -188,8 +193,7 @@ def _cell_concurrence(traj: Trajectory) -> tuple[np.ndarray, np.ndarray,
     """
     n = len(traj.times)
     reduced = traj.reduced
-    deviation = max(x_form_deviation(reduced[i]) for i in range(n))
-    use_x = deviation <= X_TOLERANCE
+    use_x = x_form_deviation(reduced) <= X_TOLERANCE
     if use_x:
         for i in {0, n // 2, n - 1}:
             gap = abs(concurrence_x_state(reduced[i]).c
@@ -197,19 +201,11 @@ def _cell_concurrence(traj: Trajectory) -> tuple[np.ndarray, np.ndarray,
             if gap > DUAL_PATH_TOL:
                 use_x = False
                 break
-    conc = np.empty(n)
-    c1 = np.full(n, math.nan)
-    c2 = np.full(n, math.nan)
     if use_x:
-        for i in range(n):
-            rep = concurrence_x_state(reduced[i])
-            conc[i] = rep.c
-            c1[i] = rep.c1
-            c2[i] = rep.c2
+        conc, c1, c2 = concurrence_x_series(reduced)
         return conc, c1, c2, "x_state"
-    for i in range(n):
-        conc[i] = concurrence_general(reduced[i]).c
-    return conc, c1, c2, "general"
+    conc = np.array([concurrence_general(rho).c for rho in reduced])
+    return conc, np.full(n, math.nan), np.full(n, math.nan), "general"
 
 
 def _run_cell(config: SweepConfig, gamma_s: float, alpha2: float) -> CellResult:
@@ -229,21 +225,25 @@ def _run_cell(config: SweepConfig, gamma_s: float, alpha2: float) -> CellResult:
             gamma_s, omega=config.omega, gamma_cavity=config.gamma_cavity,
             gamma0=config.gamma0, n_fock=config.n_fock)
         initial = _cell_initial(config, alpha2, space)
-        traj = evolve(initial, space, params, times, method=config.method,
+        traj = evolve(initial, space, params, times,
                       step_size=config.step_size,
                       store_full=config.store_full)
         conc, c1, c2, path = _cell_concurrence(traj)
     except (IntegrationError, ValueError, ArithmeticError, OSError) as exc:
         return failed(f"{type(exc).__name__}: {exc}")
+    diag = traj.diagnostics
     return CellResult(
         gamma_s=gamma_s, alpha2=alpha2, times=traj.times,
         concurrence=conc, c1=c1, c2=c2,
         trace_error=traj.trace_error,
         min_eigenvalue=traj.min_eigenvalue, path=path,
-        max_trace_error=traj.diagnostics.max_trace_error,
-        min_eigenvalue_seen=traj.diagnostics.min_eigenvalue,
-        max_sector_leakage=traj.diagnostics.max_sector_leakage,
-        step_count=traj.diagnostics.step_count)
+        max_trace_error=diag.max_trace_error,
+        min_eigenvalue_seen=diag.min_eigenvalue,
+        max_sector_leakage=diag.max_sector_leakage,
+        step_count=diag.step_count,
+        propagator_builds=diag.propagator_builds,
+        propagate_s=diag.propagate_s,
+        check_s=diag.check_s)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

@@ -14,7 +14,18 @@ from pseudomode import (
     liouvillian_matrix,
     make_initial,
 )
-from pseudomode.dynamics import rk4_step_matrix
+from pseudomode.dynamics import (
+    EIG_FLOOR,
+    EXCITATION_GAIN_TOL,
+    HERM_TOL,
+    MAX_SEGMENT,
+    SAMPLE_CHUNK,
+    IntegrationDiagnostics,
+    _evolve_fixed,
+    _Sampler,
+    interval_propagator,
+    rk4_step_matrix,
+)
 from pseudomode.states import InitialStateSpec
 
 
@@ -93,6 +104,173 @@ def test_expm_cross_check(space3):
     assert np.abs(traj.reduced[-1] - ref).max() <= 1e-9
 
 
+@pytest.mark.parametrize("gamma_s", [0.02, 2.0])
+def test_interval_propagator_matches_substep_loop(space3, gamma_s):
+    # evolve applies one propagator per sample interval; a literal loop of
+    # single RK4 steps, one matvec each as the integrator used to run it,
+    # is the reference for the sampled states and for the trace after
+    # every step
+    params = SystemParams.symmetric(gamma_s)
+    m = liouvillian_matrix(space3, params)
+    times = np.linspace(0.0, 150.0, 1501)
+    n_sub = 100
+    h = (times[1] - times[0]) / n_sub
+    step = rk4_step_matrix(m, h)
+    _, trace_rows = interval_propagator(m, h, n_sub)
+    diag = slice(None, None, space3.dim_total + 1)
+    for spec in (InitialStateSpec("psi", 0.3, theta=0.4),
+                 InitialStateSpec("phi", 0.3),
+                 InitialStateSpec("werner_psi", 0.3, r=0.6)):
+        init = make_initial(spec, space3)
+        sampled = evolve(init, space3, params, times,
+                         store_full=True).full_states
+        substeps = np.empty((n_sub + 1, space3.dim_total ** 2), dtype=complex)
+        substeps[-1] = init.rho_tilde.reshape(-1)
+        worst_state = worst_trace = 0.0
+        for i in range(1, len(times)):
+            substeps[0] = substeps[-1]
+            for k in range(n_sub):
+                np.matmul(step, substeps[k], out=substeps[k + 1])
+            traces = substeps[1:, diag].sum(axis=1)
+            worst_trace = max(worst_trace, float(
+                np.abs(trace_rows @ substeps[0] - traces).max()))
+            worst_state = max(worst_state, float(np.abs(
+                sampled[i].rho_tilde.reshape(-1) - substeps[-1]).max()))
+        assert worst_state <= 1e-12, spec
+        assert worst_trace <= 1e-12, spec
+
+
+def test_long_interval_takes_several_propagators(space3):
+    # an interval longer than MAX_SEGMENT steps is split into segments,
+    # which must give the same RK4 result as shorter sample intervals
+    params = SystemParams.symmetric(0.2)
+    init = make_initial(InitialStateSpec("psi", 0.3), space3)
+    one = evolve(init, space3, params, np.array([0.0, 10.0]))
+    ten = evolve(init, space3, params, np.linspace(0.0, 10.0, 11))
+    assert 10000 > MAX_SEGMENT
+    assert one.diagnostics.step_count == ten.diagnostics.step_count == 10000
+    assert one.diagnostics.propagator_builds == len(
+        {MAX_SEGMENT, 10000 % MAX_SEGMENT} - {0})
+    assert ten.diagnostics.propagator_builds == 1
+    assert np.abs(one.reduced[-1] - ten.reduced[-1]).max() <= 1e-12
+
+
+def test_trace_rows_follow_each_step():
+    # a physical generator preserves the trace, so every row of the table
+    # is e^T up to rounding; a generic generator tells the rows apart
+    rng = np.random.default_rng(5)
+    m = (rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144))) / 12
+    v = rng.normal(size=144) + 1j * rng.normal(size=144)
+    h, n_sub = 1e-2, 37
+    prop, trace_rows = interval_propagator(m, h, n_sub)
+    step = rk4_step_matrix(m, h)
+    traces = []
+    w = v
+    for _ in range(n_sub):
+        w = step @ w
+        traces.append(w[::13].sum())
+    traces = np.array(traces)
+    scale = np.abs(traces).max()
+    assert np.abs(trace_rows @ v - traces).max() <= 1e-12 * scale
+    assert np.abs(prop @ v - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def _first_violation(states, times, space):
+    """Per-sample reference order: (invariant, time) of the first failure."""
+    weights = np.array([sum(space.unflatten(f))
+                        for f in range(space.dim_total)])
+    prev = math.inf
+    for rho, t in zip(states, times):
+        if not np.all(np.isfinite(rho.view(float))):
+            return "finite", t
+        if np.abs(rho - rho.conj().T).max() > HERM_TOL:
+            return "hermiticity", t
+        if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] < EIG_FLOOR:
+            return "positivity", t
+        expn = weights @ np.real(np.diag(rho))
+        if expn - prev > EXCITATION_GAIN_TOL:
+            return "excitation_monotone", t
+        prev = expn
+    return None
+
+
+def _non_hermitian(rho):
+    rho = rho.copy()
+    rho[0, 1] += 1e-6
+    return rho
+
+
+def _negative(rho):
+    # move weight 1e-6 from the smallest eigenvalue (zero for these
+    # rank-deficient states) to the largest: trace and hermiticity stay
+    w, u = np.linalg.eigh(rho)
+    w[0] -= 1e-6
+    w[-1] += 1e-6
+    return (u * w) @ u.conj().T
+
+
+def _nan(rho):
+    rho = rho.copy()
+    rho[3, 3] = math.nan
+    return rho
+
+
+C = SAMPLE_CHUNK
+# sample index -> how to corrupt it: a function of the state, or the index
+# of an earlier (more excited) state to repeat there
+CHUNK_CASES = {
+    "hermiticity_in_second_chunk": {C + 5: _non_hermitian},
+    "positivity_in_second_chunk": {C + 9: _negative},
+    "gain_straddles_boundary": {C: C - 3},
+    "gain_at_first_of_third_chunk": {2 * C: 2},
+    "hermiticity_before_positivity": {
+        C + 7: lambda rho: _negative(_non_hermitian(rho))},
+    "earlier_gain_wins": {C + 2: C - 10, C + 20: _non_hermitian},
+    "finite_first": {C + 3: _nan, C + 7: _non_hermitian},
+    "hermiticity_before_later_nan": {C + 3: _non_hermitian, C + 4: _nan},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_chunked_checks_report_the_per_sample_first_violation(space3, case):
+    params = SystemParams.symmetric(0.2)
+    init = make_initial(InitialStateSpec("psi", 0.3), space3)
+    times = np.linspace(0.0, 30.0, 3 * C + 1)
+    states = [s.rho_tilde for s in
+              evolve(init, space3, params, times, store_full=True).full_states]
+    for i, plant in CHUNK_CASES[case].items():
+        states[i] = states[plant] if isinstance(plant, int) else plant(
+            states[i])
+    expected = _first_violation(states, times, space3)
+    assert expected is not None and expected[1] >= times[C - 1]
+
+    sampler = _Sampler(space3, times, False, IntegrationDiagnostics())
+    with pytest.raises(IntegrationError) as err:
+        for rho in states:
+            sampler.record(rho.reshape(-1))
+        sampler.flush()
+    assert (err.value.invariant, err.value.time) == expected
+
+
+def test_trace_failure_waits_for_earlier_samples(space3):
+    # a sample still buffered when a later step breaks the trace must be
+    # reported first, as it would have been had it been checked at once
+    rho = make_initial(InitialStateSpec("psi", 0.3), space3).rho_tilde
+    v = _non_hermitian(rho).reshape(-1)
+    m = -0.1 * np.eye(space3.dim_total ** 2)  # loses trace every step
+    times = np.array([0.0, 1.0])
+    diag = IntegrationDiagnostics()
+    sampler = _Sampler(space3, times, False, diag)
+    with pytest.raises(IntegrationError) as err:
+        _evolve_fixed(v, m, times, 0.0, 1e-3, sampler, diag)
+    assert (err.value.invariant, err.value.time) == ("hermiticity", 0.0)
+    sampler = _Sampler(space3, times, False, diag)
+    with pytest.raises(IntegrationError) as err:
+        _evolve_fixed(rho.reshape(-1), m, times, 0.0, 1e-3, sampler, diag)
+    assert err.value.invariant == "trace"
+    assert err.value.time == pytest.approx(1e-3)
+
+
 def _damping_kraus(p: float):
     return (np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=complex),
             np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex))
@@ -135,8 +313,6 @@ class TestEvolveValidation:
     def test_bad_method_and_step(self, space3):
         params = SystemParams.symmetric(0.1)
         init = make_initial(InitialStateSpec("psi", 0.5), space3)
-        with pytest.raises(ValueError):
-            evolve(init, space3, params, np.array([0.0, 1.0]), method="euler")
         with pytest.raises(ValueError):
             evolve(init, space3, params, np.array([0.0, 1.0]), step_size=0.0)
 
@@ -200,18 +376,6 @@ def test_store_full_round_trip(space3):
         assert state.time == t
         state.validate()
     assert np.abs(traj.full_states[0].rho_tilde - init.rho_tilde).max() == 0.0
-
-
-def test_adaptive_agrees_with_fixed(space3):
-    params = SystemParams.symmetric(0.2)
-    init = make_initial(InitialStateSpec("psi", 0.3), space3)
-    times = np.linspace(0.0, 20.0, 81)
-    fixed = evolve(init, space3, params, times, method="fixed")
-    adaptive = evolve(init, space3, params, times, method="adaptive")
-    gap = np.abs(fixed.reduced - adaptive.reduced).max()
-    assert gap <= 1e-8
-    # the embedded pair should take far fewer steps at this tolerance
-    assert adaptive.diagnostics.step_count < fixed.diagnostics.step_count / 10
 
 
 def test_full_state_validation():

@@ -8,6 +8,7 @@ from pseudomode.dynamics import evolve
 from pseudomode.entanglement import (
     ReducedState,
     concurrence_general,
+    concurrence_x_series,
     concurrence_x_state,
     independent_decay_concurrence,
     independent_decay_death_time,
@@ -213,6 +214,36 @@ def test_x_form_deviation():
     assert x_form_deviation(rho) == 0.0
     rho[1, 3] = 1e-4
     assert x_form_deviation(rho) == pytest.approx(1e-4)
+
+
+def test_stacked_forms_equal_the_per_matrix_loop(space3):
+    # the sweep and the sampler reduce and evaluate whole stacks; each
+    # stacked result must be bit-for-bit the per-matrix one
+    rng = np.random.default_rng(11)
+    full = np.stack([random_density_matrix(rng, space3.dim_total)
+                     for _ in range(6)])
+    reduced = partial_trace_cavity(full, space3).rho
+    assert reduced.shape == (6, 4, 4)
+    for rho, one in zip(full, reduced):
+        assert np.array_equal(partial_trace_cavity(rho, space3).rho, one)
+
+    xs = np.stack([random_x_state(rng) for _ in range(50)])
+    c, c1, c2 = concurrence_x_series(xs)
+    for i, rho in enumerate(xs):
+        rep = concurrence_x_state(rho)
+        assert (rep.c, rep.c1, rep.c2) == (c[i], c1[i], c2[i])
+    off = xs.copy()
+    off[17, 1, 3] = 1e-4
+    assert x_form_deviation(off) == max(x_form_deviation(r) for r in off)
+
+    bad = xs.copy()
+    bad[31, 0, 1] += 1e-6  # one non-Hermitian matrix rejects the stack
+    with pytest.raises(ValueError, match="Hermitian"):
+        concurrence_x_series(bad)
+    bad = xs.copy()
+    bad[40, 0, 0] += 1e-6
+    with pytest.raises(ValueError, match="trace"):
+        concurrence_x_series(bad)
 
 
 class TestIndependentDecayOracle:
