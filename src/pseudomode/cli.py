@@ -6,9 +6,17 @@ Usage example:
         --rate-unit gamma0 --t-max 150 --steps 1500 --out rows.csv
 
 Every flag can also be supplied through --config FILE as flat key=value
-lines (keys are the flag names with dashes or underscores); flags given on
-the command line override the file. The rate unit for --gamma-s is never
-guessed: --rate-unit gamma0 or omega must come from the flag or the file.
+lines (keys are the flag names with dashes or underscores). Each line
+becomes a --flag=value token (emit_grid = true|false becomes the bare
+--emit-grid switch or nothing), parsed by the same parser ahead of the
+command line, so flags given on the command line override the file. An
+option set nowhere keeps its SweepConfig default. The rate unit for
+--gamma-s is never guessed: --rate-unit gamma0 or omega must come from the
+flag or the file.
+
+Exit codes: 0 success, 1 some grid cell failed integration, 2 usage or
+configuration error (including a Fock cutoff too small for the chosen
+state family).
 """
 from __future__ import annotations
 
@@ -18,9 +26,8 @@ import sys
 
 import numpy as np
 
-from .operators import DEFAULT_GAMMA_CAVITY, DEFAULT_OMEGA
 from .sweep import (
-    DEFAULT_ESD_THRESHOLD,
+    RATE_UNITS,
     SweepConfig,
     detect_esd_intervals,
     run_sweep,
@@ -36,22 +43,25 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ValueError(f"expected comma-separated floats, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated floats, got {text!r}") from None
     if not values:
-        raise ValueError(f"expected at least one value, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected at least one value, got {text!r}")
     return values
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must be lo:hi:n, got {text!r}")
+        raise argparse.ArgumentTypeError(f"grid must be lo:hi:n, got {text!r}")
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise ValueError(f"grid must be lo:hi:n with numeric fields, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"grid must be lo:hi:n with numeric fields, got {text!r}") from None
     if n < 1:
-        raise ValueError("grid point count must be >= 1")
+        raise argparse.ArgumentTypeError("grid point count must be >= 1")
     return tuple(float(x) for x in np.linspace(lo, hi, n))
 
 
@@ -64,84 +74,75 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# key -> (converter from config-file string, default value)
-_OPTIONS: dict[str, tuple] = {
-    "state": (str, "psi"),
-    "alpha2": (float, None),
-    "alpha2_grid": (str, None),
-    "theta": (float, 0.0),
-    "r": (float, 1.0),
-    "omega": (float, DEFAULT_OMEGA),
-    "gamma_cavity": (float, DEFAULT_GAMMA_CAVITY),
-    "gamma_s": (_parse_float_list, (0.0,)),
-    "rate_unit": (str, None),
-    "t_max": (float, 200.0),
-    "steps": (int, 2000),
-    "fock_cutoff": (int, 3),
-    "out": (str, None),
-    "emit_grid": (_parse_bool, False),
-    "esd_threshold": (float, DEFAULT_ESD_THRESHOLD),
-    "step_size": (float, 1e-3),
-    "workers": (int, 1),
-    "initial_state_file": (str, None),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """Flags whose dests are SweepConfig fields, apart from --state and
+    --alpha2 (translated in _sweep_config) and the CLI-only --config, --out
+    and --emit-grid. An unset flag is absent from the namespace."""
+    d = SweepConfig()
     p = argparse.ArgumentParser(
         prog="pseudomode",
         description="Sweep two-qubit concurrence under a common damped mode "
-                    "with independent spontaneous emission.")
+                    "with independent spontaneous emission.",
+        argument_default=argparse.SUPPRESS)
     p.add_argument("--config", metavar="FILE",
                    help="flat key=value file; flags override it")
     p.add_argument("--state", choices=_STATE_CHOICES,
-                   help="initial state family (default psi)")
+                   help=f"initial state family (default {d.family})")
     p.add_argument("--alpha2", type=float,
-                   help="single alpha^2 value (default 0.5)")
-    p.add_argument("--alpha2-grid", metavar="LO:HI:N",
+                   help=f"single alpha^2 value (default {d.alpha2_grid[0]:g})")
+    p.add_argument("--alpha2-grid", metavar="LO:HI:N", type=_parse_grid,
                    help="inclusive linspace over alpha^2; excludes --alpha2")
-    p.add_argument("--theta", type=float, help="relative phase (default 0)")
+    p.add_argument("--theta", type=float,
+                   help=f"relative phase (default {d.theta:g})")
     p.add_argument("--r", type=float,
-                   help="purity weight for the werner family (default 1)")
+                   help=f"purity weight for the werner family "
+                        f"(default {d.r:g})")
     p.add_argument("--omega", type=float,
-                   help="qubit-mode coupling in gamma0 units (default 0.2)")
+                   help=f"qubit-mode coupling in gamma0 units "
+                        f"(default {d.omega:g})")
     p.add_argument("--gamma-cavity", type=float,
-                   help="mode decay rate in gamma0 units (default sqrt(0.05))")
-    p.add_argument("--gamma-s", metavar="G[,G...]",
+                   help=f"mode decay rate in gamma0 units "
+                        f"(default {d.gamma_cavity:g})")
+    p.add_argument("--gamma-s", dest="gamma_s_list", metavar="G[,G...]",
+                   type=_parse_float_list,
                    help="spontaneous emission rate(s), comma separated "
-                        "(default 0)")
-    p.add_argument("--rate-unit", choices=("gamma0", "omega"),
+                        f"(default {','.join(f'{g:g}' for g in d.gamma_s_list)})")
+    p.add_argument("--rate-unit", choices=RATE_UNITS,
                    help="unit for --gamma-s values; required, never inferred")
-    p.add_argument("--t-max", type=float, help="final scaled time (default 200)")
-    p.add_argument("--steps", type=int,
+    p.add_argument("--t-max", type=float,
+                   help=f"final scaled time (default {d.t_max:g})")
+    p.add_argument("--steps", dest="n_steps", metavar="N", type=int,
                    help="number of grid intervals; steps+1 samples "
-                        "(default 2000)")
-    p.add_argument("--fock-cutoff", type=int,
-                   help="mode truncation (default 3)")
+                        f"(default {d.n_steps})")
+    p.add_argument("--fock-cutoff", dest="n_fock", metavar="N", type=int,
+                   help=f"mode truncation; must exceed the initial state's "
+                        f"excitation count (default {d.n_fock})")
     p.add_argument("--out", metavar="FILE", help="CSV output path")
-    p.add_argument("--emit-grid", action="store_true", default=None,
+    p.add_argument("--emit-grid", action="store_true",
                    help="write a dense (time, alpha2) grid instead of rows; "
                         "single gamma_s only")
     p.add_argument("--esd-threshold", type=float,
                    help="dark-interval threshold for the summary "
-                        "(default 1e-6)")
+                        f"(default {d.esd_threshold:g})")
     p.add_argument("--step-size", type=float,
-                   help="RK4 step in scaled time (default 1e-3)")
-    p.add_argument("--workers", type=int,
-                   help="process count for sweep cells (default 1)")
-    p.add_argument("--initial-state-file", metavar="FILE",
+                   help=f"RK4 step in scaled time (default {d.step_size:g})")
+    p.add_argument("--initial-state-file", dest="initial_state_path",
+                   metavar="FILE",
                    help="raw state file to evolve instead of a built-in "
                         "family; alpha2 is recorded as nan")
     return p
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def _config_tokens(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The file's key=value lines as --flag=value tokens for `parser`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
+    flags = ({s for a in parser._actions for s in a.option_strings}
+             - {"-h", "--help", "--config"})
+    tokens = []
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,60 +151,45 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key not in _OPTIONS:
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        entries[key] = value.strip()
-    return entries
-
-
-def _merge_options(args: argparse.Namespace,
-                   file_entries: dict[str, str]) -> dict:
-    merged = {}
-    for key, (convert, default) in _OPTIONS.items():
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in file_entries:
-            merged[key] = convert(file_entries[key])
+        if flag == "--emit-grid":  # a switch, given or not as the file says
+            if _parse_bool(value):
+                tokens.append(flag)
         else:
-            merged[key] = default
-    return merged
+            tokens.append(f"{flag}={value.strip()}")
+    return tokens
 
 
-def _config_from_options(opt: dict) -> SweepConfig:
-    if opt["rate_unit"] is None:
+def _sweep_config(opts: dict) -> SweepConfig:
+    """SweepConfig from the options that were set; the rest keep the
+    dataclass defaults."""
+    if "rate_unit" not in opts:
         raise ValueError("--rate-unit {gamma0|omega} is required (flag or "
                          "config file); rate units are never inferred")
-    if opt["alpha2"] is not None and opt["alpha2_grid"] is not None:
-        raise ValueError("give either --alpha2 or --alpha2-grid, not both")
-    if opt["alpha2_grid"] is not None:
-        alpha2_grid = _parse_grid(opt["alpha2_grid"])
-    elif opt["alpha2"] is not None:
-        alpha2_grid = (opt["alpha2"],)
-    else:
-        alpha2_grid = (0.5,)
-    if opt["state"] not in _STATE_CHOICES:
-        raise ValueError(f"state must be one of {_STATE_CHOICES}")
-    gamma_s = opt["gamma_s"]
-    if isinstance(gamma_s, str):
-        gamma_s = _parse_float_list(gamma_s)
-    return SweepConfig(
-        family=_FAMILY_BY_STATE[opt["state"]],
-        theta=opt["theta"],
-        r=opt["r"],
-        alpha2_grid=alpha2_grid,
-        gamma_s_list=tuple(gamma_s),
-        rate_unit=opt["rate_unit"],
-        omega=opt["omega"],
-        gamma_cavity=opt["gamma_cavity"],
-        n_fock=opt["fock_cutoff"],
-        t_max=opt["t_max"],
-        n_steps=opt["steps"],
-        step_size=opt["step_size"],
-        esd_threshold=opt["esd_threshold"],
-        workers=opt["workers"],
-        initial_state_path=opt["initial_state_file"],
-    )
+    if "alpha2" in opts:
+        if "alpha2_grid" in opts:
+            raise ValueError("give either --alpha2 or --alpha2-grid, not both")
+        opts["alpha2_grid"] = (opts.pop("alpha2"),)
+    if "state" in opts:
+        opts["family"] = _FAMILY_BY_STATE[opts.pop("state")]
+    return SweepConfig(**opts)
+
+
+def _parse(argv: list[str]) -> tuple[SweepConfig, str | None, bool]:
+    """(config, out path, emit_grid) from argv and any --config file, whose
+    lines are parsed ahead of argv so that flags win. argparse errors raise
+    SystemExit; configuration errors raise ValueError."""
+    parser = _build_parser()
+    opts = vars(parser.parse_args(argv))
+    if "config" in opts:
+        tokens = _config_tokens(opts["config"], parser)
+        opts = vars(parser.parse_args(tokens + argv))
+    opts.pop("config", None)
+    out = opts.pop("out", None)
+    emit_grid = opts.pop("emit_grid", False)
+    return _sweep_config(opts), out, emit_grid
 
 
 def _format_intervals(intervals) -> str:
@@ -217,17 +203,12 @@ def _format_intervals(intervals) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        config, out, emit_grid = _parse(argv)
+        config.validate()
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    try:
-        file_entries = _read_config_file(args.config) if args.config else {}
-        opt = _merge_options(args, file_entries)
-        config = _config_from_options(opt)
-        config.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -244,11 +225,10 @@ def main(argv=None) -> int:
               f"path={cell.path} max_concurrence={cell.concurrence.max():.6g} "
               f"dark_intervals={_format_intervals(intervals)}")
 
-    out = opt["out"]
     if out is not None:
         # rows for healthy cells are still written when some cells failed
         try:
-            if opt["emit_grid"]:
+            if emit_grid:
                 write_grid_csv(result, out)
             else:
                 write_rows_csv(result, out)

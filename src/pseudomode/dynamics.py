@@ -45,6 +45,9 @@ TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
 EIG_FLOOR = -1e-8
 EXCITATION_GAIN_TOL = 1e-8
+# Population above which an excitation sector of the initial state counts
+# as occupied when the Fock cutoff is checked.
+OCCUPATION_TOL = 1e-12
 
 DEFAULT_STEP = 1e-3
 
@@ -198,6 +201,24 @@ def _excitation_weights(space: CompositeSpace) -> np.ndarray:
         i_a, i_b, n = space.unflatten(flat)
         w[flat] = i_a + i_b + n
     return w
+
+
+def check_fock_cutoff(initial: FullState, space: CompositeSpace) -> None:
+    """Raise ValueError unless the mode truncation holds the whole evolution.
+
+    H conserves the total excitation number and every dissipator lowers it,
+    so a state whose highest occupied sector has N excitations never needs
+    a Fock level above N. Levels 0 .. n_fock-1 are kept, so the truncation
+    is exact if and only if N <= n_fock - 1; otherwise the cut-off ladder
+    operator changes the physics without breaking any monitored invariant.
+    """
+    pops = np.real(np.diagonal(initial.rho_tilde))
+    occupied = _excitation_weights(space)[pops > OCCUPATION_TOL]
+    top = int(occupied.max()) if occupied.size else 0
+    if top > space.n_fock - 1:
+        raise ValueError(
+            f"initial state occupies {top} excitations, which needs "
+            f"n_fock >= {top + 1}; got n_fock = {space.n_fock}")
 
 
 def interval_propagator(m: np.ndarray, h: float,
@@ -363,7 +384,9 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     times must be non-decreasing and start at or after initial.time. The
     positivity, hermiticity, trace and excitation-number invariants are
     monitored (not enforced); a violation aborts with IntegrationError so a
-    too-coarse step or too-small Fock cutoff cannot silently corrupt results.
+    too-coarse step cannot silently corrupt results. A Fock cutoff too small
+    for the initial state's excitations is rejected up front with
+    ValueError (see check_fock_cutoff).
     """
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
@@ -381,6 +404,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     except ValueError as exc:
         raise IntegrationError("initial_state", initial.time, math.nan,
                                math.nan) from exc
+    check_fock_cutoff(initial, space)
 
     diag = IntegrationDiagnostics()
     sampler = _Sampler(space, times, store_full, diag)

@@ -1,9 +1,8 @@
 """Sweep orchestration over (gamma_s, alpha^2) grids plus file formats.
 
-Produces one evolved trajectory per grid cell and serializes concurrence
-rows to CSV. Cells are independent computations; they may run in a process
-pool, but row order and file bytes are identical for any worker count
-because every cell is deterministic and results are merged in config order.
+Produces one evolved trajectory per grid cell, in config order, and
+serializes concurrence rows to CSV. Every cell is deterministic, so a
+repeated run writes identical bytes.
 
 File formats
 ------------
@@ -24,8 +23,7 @@ row-major order over the composite-space flat index.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -33,8 +31,10 @@ import numpy as np
 from .dynamics import (
     DEFAULT_STEP,
     FullState,
+    IntegrationDiagnostics,
     IntegrationError,
     Trajectory,
+    check_fock_cutoff,
     evolve,
 )
 from .entanglement import (
@@ -88,9 +88,7 @@ class SweepConfig:
     t_max: float = 200.0
     n_steps: int = 2000
     step_size: float = DEFAULT_STEP
-    store_full: bool = False
     esd_threshold: float = DEFAULT_ESD_THRESHOLD
-    workers: int = 1
     initial_state_path: str | None = None
 
     def validate(self) -> None:
@@ -100,24 +98,36 @@ class SweepConfig:
             raise ValueError("gamma_s_list must be non-empty")
         if self.rate_unit not in RATE_UNITS:
             raise ValueError(f"rate_unit must be one of {RATE_UNITS}")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be > 0")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError("t_max must be finite and > 0")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.esd_threshold < 0:
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError("step_size must be finite and > 0")
+        if not self.esd_threshold >= 0:  # NaN fails too
             raise ValueError("esd_threshold must be >= 0")
+        # constructing the parameters validates the rates and n_fock
+        for gamma_s in self.resolved_gamma_s():
+            self.system_params(gamma_s)
         if self.initial_state_path is None:
             # constructing a spec validates family/alpha2/theta/r ranges
+            space = build_space(self.n_fock)
             for alpha2 in self.alpha2_grid:
-                InitialStateSpec(self.family, alpha2, self.theta, self.r)
+                spec = InitialStateSpec(self.family, alpha2, self.theta,
+                                        self.r)
+                check_fock_cutoff(make_initial(spec, space), space)
 
     def resolved_gamma_s(self) -> tuple[float, ...]:
         """gamma_s values converted to gamma0 units."""
         if self.rate_unit == "omega":
             return tuple(g * self.omega for g in self.gamma_s_list)
         return tuple(self.gamma_s_list)
+
+    def system_params(self, gamma_s: float) -> SystemParams:
+        """Parameters of one cell; gamma_s is in gamma0 units."""
+        return SystemParams.symmetric(
+            gamma_s, omega=self.omega, gamma_cavity=self.gamma_cavity,
+            gamma0=self.gamma0, n_fock=self.n_fock)
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_steps + 1)
@@ -126,9 +136,8 @@ class SweepConfig:
 @dataclass
 class CellResult:
     """One (gamma_s, alpha2) cell. gamma_s is in gamma0 units; alpha2 is nan
-    when the initial state came from a raw file. step_count,
-    propagator_builds, propagate_s and check_s are copied from the
-    integration's IntegrationDiagnostics."""
+    when the initial state came from a raw file. diagnostics is the
+    integration's record, left at its defaults for a failed cell."""
 
     gamma_s: float
     alpha2: float
@@ -140,13 +149,8 @@ class CellResult:
     min_eigenvalue: np.ndarray
     path: str
     error: str | None = None
-    max_trace_error: float = 0.0
-    min_eigenvalue_seen: float = 1.0
-    max_sector_leakage: float = 0.0
-    step_count: int = 0
-    propagator_builds: int = 0
-    propagate_s: float = 0.0
-    check_s: float = 0.0
+    diagnostics: IntegrationDiagnostics = field(
+        default_factory=IntegrationDiagnostics)
 
     @property
     def failed(self) -> bool:
@@ -221,29 +225,18 @@ def _run_cell(config: SweepConfig, gamma_s: float, alpha2: float) -> CellResult:
 
     try:
         space = build_space(config.n_fock)
-        params = SystemParams.symmetric(
-            gamma_s, omega=config.omega, gamma_cavity=config.gamma_cavity,
-            gamma0=config.gamma0, n_fock=config.n_fock)
         initial = _cell_initial(config, alpha2, space)
-        traj = evolve(initial, space, params, times,
-                      step_size=config.step_size,
-                      store_full=config.store_full)
+        traj = evolve(initial, space, config.system_params(gamma_s), times,
+                      step_size=config.step_size)
         conc, c1, c2, path = _cell_concurrence(traj)
     except (IntegrationError, ValueError, ArithmeticError, OSError) as exc:
         return failed(f"{type(exc).__name__}: {exc}")
-    diag = traj.diagnostics
     return CellResult(
         gamma_s=gamma_s, alpha2=alpha2, times=traj.times,
         concurrence=conc, c1=c1, c2=c2,
         trace_error=traj.trace_error,
         min_eigenvalue=traj.min_eigenvalue, path=path,
-        max_trace_error=diag.max_trace_error,
-        min_eigenvalue_seen=diag.min_eigenvalue,
-        max_sector_leakage=diag.max_sector_leakage,
-        step_count=diag.step_count,
-        propagator_builds=diag.propagator_builds,
-        propagate_s=diag.propagate_s,
-        check_s=diag.check_s)
+        diagnostics=traj.diagnostics)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -258,17 +251,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         alpha2_values = (math.nan,)
     else:
         alpha2_values = config.alpha2_grid
-    jobs = [(gs, a2) for gs in config.resolved_gamma_s()
-            for a2 in alpha2_values]
-
-    if config.workers == 1 or len(jobs) == 1:
-        cells = [_run_cell(config, gs, a2) for gs, a2 in jobs]
-    else:
-        serial_config = replace(config, workers=1)
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_cell, serial_config, gs, a2)
-                       for gs, a2 in jobs]
-            cells = [f.result() for f in futures]
+    cells = [_run_cell(config, gs, a2) for gs in config.resolved_gamma_s()
+             for a2 in alpha2_values]
     return SweepResult(config=config, cells=cells)
 
 

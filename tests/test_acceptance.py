@@ -327,13 +327,6 @@ def test_criterion_09_numerical_health(
         oracle_runs, unitary_run, no_emission_runs, one_excitation_runs,
         one_excitation_fast_decay_runs, theta_runs, werner_runs,
         halving_runs):
-    worst_trace, worst_eig, worst_leak = 0.0, 1.0, 0.0
-    for result in (low_emission_sweep, high_emission_sweep,
-                   mid_emission_sweep):
-        for cell in result.cells:
-            worst_trace = max(worst_trace, cell.max_trace_error)
-            worst_eig = min(worst_eig, cell.min_eigenvalue_seen)
-            worst_leak = max(worst_leak, cell.max_sector_leakage)
     trajectories = [unitary_run, *halving_runs,
                     *oracle_runs[0].values(),
                     *no_emission_runs[0].values(),
@@ -341,11 +334,14 @@ def test_criterion_09_numerical_health(
                     *one_excitation_fast_decay_runs[0].values(),
                     *theta_runs.values(),
                     *werner_runs[0].values()]
-    for traj in trajectories:
-        diag = traj.diagnostics
-        worst_trace = max(worst_trace, diag.max_trace_error)
-        worst_eig = min(worst_eig, diag.min_eigenvalue)
-        worst_leak = max(worst_leak, diag.max_sector_leakage)
+    records = [cell.diagnostics
+               for result in (low_emission_sweep, high_emission_sweep,
+                              mid_emission_sweep)
+               for cell in result.cells]
+    records += [traj.diagnostics for traj in trajectories]
+    worst_trace = max(diag.max_trace_error for diag in records)
+    worst_eig = min(diag.min_eigenvalue for diag in records)
+    worst_leak = max(diag.max_sector_leakage for diag in records)
     assert worst_trace <= 1e-9, f"trace error {worst_trace:.3e}"
     assert worst_eig >= -1e-8, f"eigenvalue floor {worst_eig:.3e}"
     assert worst_leak <= 1e-12, f"sector leakage {worst_leak:.3e}"

@@ -9,6 +9,7 @@ from pseudomode import (
     FullState,
     IntegrationError,
     SystemParams,
+    build_space,
     evolve,
     lindblad_rhs,
     liouvillian_matrix,
@@ -328,6 +329,27 @@ class TestEvolveValidation:
         with pytest.raises(IntegrationError) as err:
             evolve(bad, space3, params, np.array([0.0, 1.0]))
         assert err.value.invariant == "initial_state"
+
+    def test_fock_cutoff_must_hold_the_initial_excitations(self):
+        # psi reaches |00,2>, so it needs three Fock levels; phi (one
+        # excitation) is exact with two and has no coupling left with one
+        times = np.linspace(0.0, 20.0, 201)
+        excitations = {"psi": 2, "phi": 1}
+        runs = {}
+        for n_fock in (1, 2, 3):
+            space = build_space(n_fock)
+            params = SystemParams.symmetric(0.1, n_fock=n_fock)
+            for family, top in excitations.items():
+                init = make_initial(InitialStateSpec(family, 0.3), space)
+                if top > n_fock - 1:
+                    with pytest.raises(ValueError, match="n_fock >="):
+                        evolve(init, space, params, times)
+                else:
+                    runs[family, n_fock] = evolve(init, space, params, times)
+        assert set(runs) == {("phi", 2), ("phi", 3), ("psi", 3)}
+        two, three = runs["phi", 2], runs["phi", 3]
+        assert np.abs(two.reduced - three.reduced).max() <= 1e-12
+        assert np.abs(two.expect_n - three.expect_n).max() <= 1e-12
 
 
 def test_unstable_step_aborts_with_diagnostic(space3):

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pseudomode import make_initial
-from pseudomode.cli import main
+from pseudomode import build_space, make_initial
+from pseudomode.cli import _parse, main
 from pseudomode.states import InitialStateSpec
 from pseudomode.sweep import (
     GRID_SCHEMA,
@@ -36,11 +36,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             replace(SMALL, n_steps=0).validate()
         with pytest.raises(ValueError):
-            replace(SMALL, workers=0).validate()
-        with pytest.raises(ValueError):
             replace(SMALL, alpha2_grid=(1.5,)).validate()
         with pytest.raises(ValueError):
             replace(SMALL, family="ghz").validate()
+        with pytest.raises(ValueError, match="step_size"):
+            replace(SMALL, step_size=math.inf).validate()
+        with pytest.raises(ValueError, match="gamma_cavity"):
+            replace(SMALL, gamma_cavity=-1.0).validate()
+        with pytest.raises(ValueError, match="n_fock >= 3"):
+            replace(SMALL, n_fock=2).validate()
+        replace(SMALL, family="phi", n_fock=2).validate()
         SMALL.validate()
 
     def test_rate_unit_conversion(self):
@@ -82,14 +87,6 @@ class TestRunSweep:
         rows = list(result.iter_rows())
         assert len(rows) == 3 * 11
         assert all("trace" in c.error or "finite" in c.error for c in bad)
-
-    def test_worker_pool_matches_serial(self, tmp_path):
-        serial = run_sweep(SMALL)
-        pooled = run_sweep(replace(SMALL, workers=3))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_rows_csv(serial, str(p1))
-        write_rows_csv(pooled, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -257,6 +254,49 @@ class TestCli:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_workers_is_gone(self, tmp_path, capsys):
+        assert main(["--workers", "2", "--rate-unit", "gamma0"]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\n")
+        rc = main(["--config", str(cfg), "--rate-unit", "gamma0"])
+        assert rc == 2
+        assert "unknown key" in capsys.readouterr().err
+
+    def test_unset_options_keep_config_defaults(self):
+        config, out, emit_grid = _parse(["--rate-unit", "gamma0"])
+        assert config == SweepConfig(rate_unit="gamma0")
+        assert out is None and emit_grid is False
+
+    def test_config_file_tokens(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta = -0.5\n"
+                       "emit_grid = true\n"
+                       "fock-cutoff = 4\n"
+                       "gamma_s = 0.1,0.2\n"
+                       "rate_unit = omega\n")
+        config, _, emit_grid = _parse(["--config", str(cfg)])
+        assert config == SweepConfig(theta=-0.5, n_fock=4,
+                                     gamma_s_list=(0.1, 0.2),
+                                     rate_unit="omega")
+        assert emit_grid is True
+        cfg.write_text("emit_grid = off\nrate_unit = gamma0\n")
+        assert _parse(["--config", str(cfg)])[2] is False
+        assert _parse(["--config", str(cfg), "--emit-grid"])[2] is True
+
+    @pytest.mark.parametrize("flags", [
+        ["--step-size", "0"], ["--step-size", "-1"], ["--step-size", "nan"],
+        ["--t-max", "nan"], ["--t-max", "inf"], ["--esd-threshold", "nan"],
+        ["--gamma-s", "-0.5"], ["--gamma-cavity", "-1"],
+        ["--fock-cutoff", "2"], ["--fock-cutoff", "1"],
+        ["--state", "phi", "--fock-cutoff", "1"],
+        ["--state", "werner", "--r", "0.5", "--fock-cutoff", "2"],
+    ], ids="_".join)
+    def test_configuration_errors_exit_2(self, flags, capsys):
+        rc = main(["--alpha2", "0.3", "--rate-unit", "gamma0",
+                   "--t-max", "1", "--steps", "4", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_emit_grid(self, tmp_path):
         out = tmp_path / "grid.csv"
         rc = main(["--alpha2-grid", "0.2:0.8:4", "--gamma-s", "0.2",
@@ -284,6 +324,16 @@ class TestCli:
         assert rc == 0
         row = out.read_text().splitlines()[2].split(",")
         assert row[1] == "nan"  # alpha2 unknown for raw input
+
+    def test_raw_state_beyond_the_cutoff_fails_its_cell(self, tmp_path,
+                                                         capsys):
+        raw = tmp_path / "state.txt"
+        save_raw_state(make_initial(InitialStateSpec("psi", 0.4),
+                                    build_space(2)), str(raw))
+        rc = main(["--initial-state-file", str(raw), "--fock-cutoff", "2",
+                   "--rate-unit", "gamma0", "--t-max", "1", "--steps", "4"])
+        assert rc == 1
+        assert "n_fock >= 3" in capsys.readouterr().err
 
     def test_failed_cell_exit_code(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
