@@ -13,15 +13,19 @@ linear, so the equation is integrated in vectorized form v = vec(rho) with
 v' = M v for a constant matrix M.
 
 The integrator is classic fixed-step RK4. For a linear autonomous system the
-four stages collapse into a single degree-4 polynomial S in (h M). A sample
-interval of n substeps is then one matvec with P = S^n, built once per
-(step, n) and still exactly RK4 at step h up to rounding. The trace is
-checked at every RK4 step: with the propagator comes the table of trace
-rows T[k] = e^T S^(k+1), e marking the diagonal of vec(rho), so T @ v holds
-the trace after each substep of the interval. The remaining invariants are
-checked at the sample times, SAMPLE_CHUNK samples at a time as array
-operations; the earliest violating sample is reported, as a per-sample
-check would report it.
+four stages collapse into a single degree-4 polynomial S in (h M). The
+samples are evenly spaced, so every sample interval takes the same n
+substeps and is one matvec with P = S^n, built once per run and still
+exactly RK4 at step h up to rounding; an interval longer than MAX_SEGMENT
+steps is cut into equal segments, each checked like a sample. The states
+are propagated SAMPLE_CHUNK points at a time. The trace is checked at every
+RK4 step: with the propagator comes the table of trace rows
+T[k] = e^T S^(k+1), e marking the diagonal of vec(rho), so T @ V holds the
+trace after each substep of every interval started from the columns of V.
+The remaining invariants are checked at the sample times, one block at a
+time as array operations. The earliest event is reported, as a step-by-step
+check would report it: a failing step before any violation at the sample
+that ends its interval.
 """
 from __future__ import annotations
 
@@ -53,9 +57,9 @@ DEFAULT_STEP = 1e-3
 
 # Samples whose invariants are checked in one batch of array operations.
 SAMPLE_CHUNK = 128
-# Most substeps one propagator covers; longer intervals take several. This
-# bounds the trace-row table at MAX_SEGMENT x dim^2 entries (9.4 MB at
-# n_fock = 3) however far apart the sample times are.
+# Most substeps one propagator covers; longer intervals are cut into equal
+# segments. This bounds the trace-row table at MAX_SEGMENT x dim^2 entries
+# (9.4 MB at n_fock = 3) however far apart the sample times are.
 MAX_SEGMENT = 4096
 
 
@@ -107,11 +111,10 @@ class IntegrationDiagnostics:
 
     max_trace_error is tracked at every RK4 step, not just at sample times;
     the remaining extrema are tracked at sample times, where the full
-    matrix is materialized. step_count is the number of RK4 steps taken,
-    propagator_builds the number of interval propagators built. propagate_s
-    is the time spent building and applying propagators, including the
-    per-step trace check; check_s the time spent on the per-sample checks
-    and the partial trace (perf_counter seconds).
+    matrix is materialized. step_count is the number of RK4 steps taken.
+    propagate_s is the time spent building and applying the propagator,
+    including the per-step trace check; check_s the time spent on the
+    per-sample checks and the partial trace (perf_counter seconds).
     """
 
     step_count: int = 0
@@ -120,7 +123,6 @@ class IntegrationDiagnostics:
     min_eigenvalue: float = 1.0
     max_excitation_gain: float = 0.0
     max_sector_leakage: float = 0.0
-    propagator_builds: int = 0
     propagate_s: float = 0.0
     check_s: float = 0.0
 
@@ -239,164 +241,87 @@ def interval_propagator(m: np.ndarray, h: float,
     return np.linalg.matrix_power(s, n_sub), rows
 
 
-class _Sampler:
-    """Buffers the sampled states and checks them SAMPLE_CHUNK at a time.
+def _check_samples(rho: np.ndarray, times: np.ndarray, weights: np.ndarray,
+                   prev_expect_n: float,
+                   diag: IntegrationDiagnostics) -> tuple[np.ndarray, ...]:
+    """Check a block of states (b, d, d) sampled at `times`, in time order.
 
-    Within a chunk the invariants are array operations; the earliest
-    violating sample raises, and within one sample the order is finite,
-    hermiticity, positivity, excitation_monotone.
+    The earliest violating sample raises IntegrationError; within one
+    sample the order is finite, hermiticity, positivity,
+    excitation_monotone. prev_expect_n is <N> at the sample before the
+    block (inf for none). Otherwise the block's extrema are folded into diag
+    and the per-sample <N>, trace error, hermiticity error, smallest
+    eigenvalue and sector leakage are returned, in the order of the
+    Trajectory fields.
     """
+    finite = np.isfinite(rho.view(float)).all(axis=(1, 2))
+    # eigvalsh rejects non-finite input, so check only up to the first
+    # non-finite sample; it raises below unless an earlier one does
+    n_ok = len(rho) if finite.all() else int(np.argmin(finite))
+    ok = rho[:n_ok]
+    ok_h = ok.conj().transpose(0, 2, 1)
+    herm = np.abs(ok - ok_h).max(axis=(1, 2))
+    tr_err = np.abs(np.trace(ok, axis1=1, axis2=2) - 1.0)
+    min_eig = np.linalg.eigvalsh(0.5 * (ok + ok_h))[:, 0]
+    pops = np.real(ok.diagonal(axis1=1, axis2=2))
+    expn = pops @ weights
+    gain = np.diff(expn, prepend=prev_expect_n)
 
-    def __init__(self, space: CompositeSpace, times: np.ndarray,
-                 store_full: bool, diag: IntegrationDiagnostics):
-        self.space = space
-        self.times = times
-        self.dim = space.dim_total
-        self.n_weights = _excitation_weights(space)
-        self.leak_mask = self.n_weights > 2
-        self.diag = diag
-        self.buffer = np.empty((SAMPLE_CHUNK, self.dim ** 2), dtype=complex)
-        self.n_buffered = 0
-        self.n_done = 0
-        self.prev_expect_n = math.inf
-        n_samples = len(times)
-        self.reduced = np.empty((n_samples, 4, 4), dtype=complex)
-        self.expect_n = np.empty(n_samples)
-        self.trace_error = np.empty(n_samples)
-        self.hermiticity_error = np.empty(n_samples)
-        self.min_eigenvalue = np.empty(n_samples)
-        self.sector_leakage = np.empty(n_samples)
-        self.full_states: list[FullState] | None = [] if store_full else None
+    checks = (("hermiticity", herm, herm > HERM_TOL, HERM_TOL),
+              ("positivity", min_eig, min_eig < EIG_FLOOR, EIG_FLOOR),
+              ("excitation_monotone", gain, gain > EXCITATION_GAIN_TOL,
+               EXCITATION_GAIN_TOL))
+    bad = np.logical_or.reduce([flags for _, _, flags, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        for invariant, values, flags, limit in checks:
+            if flags[i]:
+                raise IntegrationError(invariant, float(times[i]),
+                                       float(values[i]), limit)
+    if n_ok < len(rho):
+        raise IntegrationError("finite", float(times[n_ok]), math.inf, 0.0)
 
-    def record(self, v: np.ndarray) -> None:
-        """Queue the state at the next sample time."""
-        self.buffer[self.n_buffered] = v
-        self.n_buffered += 1
-        if self.n_buffered == SAMPLE_CHUNK:
-            self.flush()
-
-    def flush(self) -> None:
-        """Check the queued samples; store them if none breaks an invariant."""
-        n = self.n_buffered
-        if n == 0:
-            return
-        start = perf_counter()
-        dim = self.dim
-        first = self.n_done
-        rho = self.buffer[:n].reshape(n, dim, dim)
-        finite = np.isfinite(rho.view(float)).all(axis=(1, 2))
-        # eigvalsh rejects non-finite input, so check only up to the first
-        # non-finite sample; it raises below unless an earlier one does
-        n_ok = n if finite.all() else int(np.argmin(finite))
-        ok = rho[:n_ok]
-        ok_h = ok.conj().transpose(0, 2, 1)
-        herm = np.abs(ok - ok_h).max(axis=(1, 2))
-        tr_err = np.abs(np.trace(ok, axis1=1, axis2=2) - 1.0)
-        min_eig = np.linalg.eigvalsh(0.5 * (ok + ok_h))[:, 0]
-        pops = np.real(ok.diagonal(axis1=1, axis2=2))
-        expn = pops @ self.n_weights
-        gain = np.diff(expn, prepend=self.prev_expect_n)
-
-        checks = (("hermiticity", herm, herm > HERM_TOL, HERM_TOL),
-                  ("positivity", min_eig, min_eig < EIG_FLOOR, EIG_FLOOR),
-                  ("excitation_monotone", gain, gain > EXCITATION_GAIN_TOL,
-                   EXCITATION_GAIN_TOL))
-        bad = np.logical_or.reduce([flags for _, _, flags, _ in checks])
-        if bad.any():
-            i = int(np.argmax(bad))
-            for invariant, values, flags, limit in checks:
-                if flags[i]:
-                    raise IntegrationError(invariant,
-                                           float(self.times[first + i]),
-                                           float(values[i]), limit)
-        if n_ok < n:
-            raise IntegrationError("finite", float(self.times[first + n_ok]),
-                                   math.inf, 0.0)
-
-        leak = pops[:, self.leak_mask].sum(axis=1)
-        d = self.diag
-        d.max_trace_error = max(d.max_trace_error, float(tr_err.max()))
-        d.max_hermiticity_error = max(d.max_hermiticity_error,
-                                      float(herm.max()))
-        d.min_eigenvalue = min(d.min_eigenvalue, float(min_eig.min()))
-        d.max_excitation_gain = max(d.max_excitation_gain, float(gain.max()))
-        d.max_sector_leakage = max(d.max_sector_leakage,
-                                   float(np.abs(leak).max()))
-
-        span = slice(first, first + n)
-        self.reduced[span] = partial_trace_cavity(rho, self.space).rho
-        self.expect_n[span] = expn
-        self.trace_error[span] = tr_err
-        self.hermiticity_error[span] = herm
-        self.min_eigenvalue[span] = min_eig
-        self.sector_leakage[span] = leak
-        if self.full_states is not None:
-            self.full_states.extend(
-                FullState(r.copy(), t) for r, t in zip(rho, self.times[span]))
-        self.prev_expect_n = expn[-1]
-        self.n_done += n
-        self.n_buffered = 0
-        d.check_s += perf_counter() - start
-
-
-def _evolve_fixed(v: np.ndarray, m: np.ndarray, times: np.ndarray,
-                  t0: float, step_size: float, sampler: _Sampler,
-                  diag: IntegrationDiagnostics) -> None:
-    cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    t = t0
-    for t_target in times:
-        dt = t_target - t
-        if dt > 1e-12:
-            start = perf_counter()
-            n_sub = max(1, math.ceil(dt / step_size - 1e-9))
-            h = dt / n_sub
-            done = 0
-            while done < n_sub:
-                n = min(MAX_SEGMENT, n_sub - done)
-                key = (round(h * 1e15), n)
-                if key not in cache:
-                    cache[key] = interval_propagator(m, h, n)
-                    diag.propagator_builds += 1
-                prop, trace_rows = cache[key]
-                err = np.abs(trace_rows @ v - 1.0)
-                worst = float(err.max())
-                # a NaN trace must abort too, hence the inverted comparisons
-                if not worst <= TRACE_TOL:
-                    k = int(np.argmax(~(err <= TRACE_TOL)))
-                    sampler.flush()  # an earlier sample's violation wins
-                    raise IntegrationError("trace", t + (done + k + 1) * h,
-                                           float(err[k]), TRACE_TOL)
-                diag.max_trace_error = max(diag.max_trace_error, worst)
-                v = prop @ v
-                done += n
-            diag.step_count += n_sub
-            diag.propagate_s += perf_counter() - start
-        t = t_target
-        sampler.record(v)
-    sampler.flush()
+    leak = pops[:, weights > 2].sum(axis=1)
+    d = diag
+    d.max_trace_error = float(tr_err.max(initial=d.max_trace_error))
+    d.max_hermiticity_error = float(herm.max(initial=d.max_hermiticity_error))
+    d.min_eigenvalue = float(min_eig.min(initial=d.min_eigenvalue))
+    d.max_excitation_gain = float(gain.max(initial=d.max_excitation_gain))
+    d.max_sector_leakage = float(np.abs(leak).max(
+        initial=d.max_sector_leakage))
+    return expn, tr_err, herm, min_eig, leak
 
 
 def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
            times: np.ndarray, *, step_size: float = DEFAULT_STEP,
            store_full: bool = False) -> Trajectory:
-    """Propagate `initial` and sample it at the given absolute times.
+    """Propagate `initial` and sample it on an evenly spaced time grid.
 
-    times must be non-decreasing and start at or after initial.time. The
-    positivity, hermiticity, trace and excitation-number invariants are
-    monitored (not enforced); a violation aborts with IntegrationError so a
-    too-coarse step cannot silently corrupt results. A Fock cutoff too small
-    for the initial state's excitations is rejected up front with
-    ValueError (see check_fock_cutoff).
+    times must be finite, start at initial.time and, with more than one
+    sample, increase in equal steps (within 1e-12 of np.linspace over the
+    same ends); anything else raises ValueError, as does a step_size that
+    is not finite and > 0. Every sample interval takes the same RK4 steps
+    of size at most step_size. The positivity, hermiticity, trace and
+    excitation-number invariants are monitored (not enforced); the earliest
+    violation aborts with IntegrationError so a too-coarse step cannot
+    silently corrupt results. A Fock cutoff too small for the initial
+    state's excitations is rejected up front with ValueError (see
+    check_fock_cutoff).
     """
-    if step_size <= 0:
-        raise ValueError("step_size must be > 0")
+    if not (math.isfinite(step_size) and step_size > 0):
+        raise ValueError("step_size must be finite and > 0")
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("times must be a non-empty 1d array")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing")
-    if times[0] < initial.time - 1e-12:
-        raise ValueError("times start before the initial state's time")
+    if times.ndim != 1 or len(times) == 0 or not np.isfinite(times).all():
+        raise ValueError("times must be a finite, non-empty 1d array")
+    n = len(times)
+    # the comparisons are written so that NaN fails them
+    if not abs(times[0] - initial.time) <= 1e-12:
+        raise ValueError("times must start at the initial state's time")
+    if n > 1 and not (np.diff(times) > 0).all():
+        raise ValueError("times must be increasing")
+    spacing = np.abs(times - np.linspace(times[0], times[-1], n)).max()
+    if not spacing <= 1e-12 * max(1.0, abs(times[-1])):
+        raise ValueError("times must be evenly spaced")
     if initial.dim() != space.dim_total:
         raise ValueError("initial state dimension does not match the space")
     try:
@@ -406,21 +331,78 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
                                math.nan) from exc
     check_fock_cutoff(initial, space)
 
-    diag = IntegrationDiagnostics()
-    sampler = _Sampler(space, times, store_full, diag)
+    # Every interval takes `total` steps, or past MAX_SEGMENT `refine` equal
+    # segments of n_sub steps whose ends are checked like samples. Point p
+    # of this grid is sample p // refine when refine divides p.
+    dt = (times[-1] - times[0]) / max(n - 1, 1)
+    total = max(1, math.ceil(dt / step_size - 1e-9))
+    refine = math.ceil(total / MAX_SEGMENT)
+    n_sub = math.ceil(total / refine)
+    h = dt / (refine * n_sub)
+    n_points = (n - 1) * refine + 1
+    point_times = np.append(
+        (times[:-1, None] + np.arange(refine) * (n_sub * h)).ravel(),
+        times[-1])
+
+    dim = space.dim_total
+    # block[1:b + 1] holds the states at points first .. first + b - 1 and
+    # block[0] the state before them; the initial state takes no step
+    block = np.empty((SAMPLE_CHUNK + 1, dim * dim), dtype=complex)
+    block[1] = initial.rho_tilde.reshape(-1)
+    reduced = np.empty((n, 4, 4), dtype=complex)
+    series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
+    full_states: list[FullState] | None = [] if store_full else None
+    weights = _excitation_weights(space)
+    prev_expect_n = math.inf
+
+    diag = IntegrationDiagnostics(step_count=(n_points - 1) * n_sub)
     m = liouvillian_matrix(space, params)
-    v = initial.rho_tilde.astype(complex).reshape(-1)
+    clock = perf_counter()
+    prop, trace_rows = interval_propagator(m, h, n_sub)
+    diag.propagate_s += perf_counter() - clock
+    first, unstepped = 0, 1
+    while first < n_points:
+        b = min(SAMPLE_CHUNK, n_points - first)
+        clock = perf_counter()
+        # past an unstable step the states may overflow; the trace check
+        # catches that, so the floating-point warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(unstepped, b):
+                np.matmul(prop, block[i], out=block[i + 1])
+            err = np.abs(trace_rows @ block[unstepped:b].T - 1.0)
+        # column c holds the steps ending at point first + unstepped + c;
+        # a NaN trace must abort too, hence the inverted comparison
+        held = (err <= TRACE_TOL).all(axis=0)
+        stop = b if held.all() else unstepped + int(np.argmin(held))
+        diag.propagate_s += perf_counter() - clock
 
-    _evolve_fixed(v, m, times, initial.time, step_size, sampler, diag)
+        clock = perf_counter()
+        rho = block[1:stop + 1].reshape(stop, dim, dim)
+        # a violation at an earlier sample wins over a failing step
+        checked = _check_samples(rho, point_times[first:first + stop],
+                                 weights, prev_expect_n, diag)
+        if stop < b:
+            col = err[:, stop - unstepped]
+            k = int(np.argmax(~(col <= TRACE_TOL)))
+            raise IntegrationError(
+                "trace", float(point_times[first + stop - 1]) + (k + 1) * h,
+                float(col[k]), TRACE_TOL)
+        diag.max_trace_error = float(err.max(initial=diag.max_trace_error))
+        prev_expect_n = checked[0][-1]
+        keep = slice(-first % refine, b, refine)
+        kept = rho[keep]
+        j = (first + keep.start) // refine
+        samples = slice(j, j + len(kept))
+        for out, values in zip(series, checked):
+            out[samples] = values[keep]
+        reduced[samples] = partial_trace_cavity(kept, space).rho
+        if full_states is not None:
+            full_states.extend(FullState(r.copy(), t)
+                               for r, t in zip(kept, times[samples]))
+        diag.check_s += perf_counter() - clock
+        block[0] = block[b]
+        first += b
+        unstepped = 0
 
-    return Trajectory(
-        times=times.copy(),
-        reduced=sampler.reduced,
-        expect_n=sampler.expect_n,
-        trace_error=sampler.trace_error,
-        hermiticity_error=sampler.hermiticity_error,
-        min_eigenvalue=sampler.min_eigenvalue,
-        sector_leakage=sampler.sector_leakage,
-        diagnostics=diag,
-        full_states=sampler.full_states,
-    )
+    return Trajectory(times.copy(), reduced, *series, diagnostics=diag,
+                      full_states=full_states)

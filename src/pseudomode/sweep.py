@@ -106,8 +106,11 @@ class SweepConfig:
             raise ValueError("step_size must be finite and > 0")
         if not self.esd_threshold >= 0:  # NaN fails too
             raise ValueError("esd_threshold must be >= 0")
-        # constructing the parameters validates the rates and n_fock
         for gamma_s in self.resolved_gamma_s():
+            if not (math.isfinite(gamma_s) and gamma_s >= 0):
+                raise ValueError(f"gamma_s must be finite and >= 0, got "
+                                 f"{gamma_s:g} in gamma0 units")
+            # constructing the parameters validates the other rates and n_fock
             self.system_params(gamma_s)
         if self.initial_state_path is None:
             # constructing a spec validates family/alpha2/theta/r ranges

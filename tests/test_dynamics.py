@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,15 +16,17 @@ from pseudomode import (
     liouvillian_matrix,
     make_initial,
 )
+from pseudomode import dynamics
 from pseudomode.dynamics import (
     EIG_FLOOR,
     EXCITATION_GAIN_TOL,
     HERM_TOL,
     MAX_SEGMENT,
     SAMPLE_CHUNK,
+    TRACE_TOL,
     IntegrationDiagnostics,
-    _evolve_fixed,
-    _Sampler,
+    _check_samples,
+    _excitation_weights,
     interval_propagator,
     rk4_step_matrix,
 )
@@ -141,19 +144,81 @@ def test_interval_propagator_matches_substep_loop(space3, gamma_s):
         assert worst_trace <= 1e-12, spec
 
 
-def test_long_interval_takes_several_propagators(space3):
-    # an interval longer than MAX_SEGMENT steps is split into segments,
-    # which must give the same RK4 result as shorter sample intervals
+@pytest.fixture()
+def builds(monkeypatch):
+    """Step of every RK4 step matrix evolve builds, rows of every trace
+    table it builds."""
+    record = SimpleNamespace(steps=[], rows=[])
+    step, propagator = dynamics.rk4_step_matrix, dynamics.interval_propagator
+
+    def recording_step(m, h):
+        record.steps.append(h)
+        return step(m, h)
+
+    def recording_propagator(m, h, n_sub):
+        prop, rows = propagator(m, h, n_sub)
+        record.rows.append(len(rows))
+        return prop, rows
+
+    monkeypatch.setattr(dynamics, "rk4_step_matrix", recording_step)
+    monkeypatch.setattr(dynamics, "interval_propagator", recording_propagator)
+    return record
+
+
+@pytest.fixture()
+def checked_blocks(monkeypatch):
+    """(times, <N> carried in) of every block evolve checks."""
+    calls = []
+    check = dynamics._check_samples
+
+    def recording(rho, times, weights, prev_expect_n, diag):
+        calls.append((times.copy(), prev_expect_n))
+        return check(rho, times, weights, prev_expect_n, diag)
+
+    monkeypatch.setattr(dynamics, "_check_samples", recording)
+    return calls
+
+
+def test_dense_grid_builds_one_propagator(space3, builds, checked_blocks):
+    # linspace spacing jitters by ~1e-15 between intervals; one run still
+    # builds exactly one RK4 step matrix, and each block of SAMPLE_CHUNK
+    # samples starts from the <N> the block before it ended on
+    params = SystemParams.symmetric(0.2)
+    init = make_initial(InitialStateSpec("psi", 0.3), space3)
+    times = np.linspace(0.0, 10.0, 10001)
+    traj = evolve(init, space3, params, times)
+    assert len(builds.steps) == 1
+    assert traj.diagnostics.step_count == 10000
+    assert [t[0] for t, _ in checked_blocks] == list(times[::SAMPLE_CHUNK])
+    assert [n for _, n in checked_blocks] == [
+        math.inf, *traj.expect_n[SAMPLE_CHUNK - 1:-1:SAMPLE_CHUNK]]
+
+
+def test_long_interval_is_cut_into_equal_segments(space3, builds,
+                                                 checked_blocks):
+    # an interval longer than MAX_SEGMENT steps becomes equal segments of
+    # one propagator, each end checked like a sample; only the requested
+    # samples come back, and they agree with shorter sample intervals
     params = SystemParams.symmetric(0.2)
     init = make_initial(InitialStateSpec("psi", 0.3), space3)
     one = evolve(init, space3, params, np.array([0.0, 10.0]))
+    assert len(builds.steps) == len(builds.rows) == 1
+    h, n_sub = builds.steps[0], builds.rows[0]
+    assert 10000 > MAX_SEGMENT >= n_sub and h <= 1e-3
+    assert one.diagnostics.step_count == 3 * n_sub
+    checked = np.concatenate([t for t, _ in checked_blocks])
+    assert np.abs(checked - np.arange(4) * n_sub * h).max() <= 1e-12
+    assert checked[-1] == 10.0 and len(one) == 2
     ten = evolve(init, space3, params, np.linspace(0.0, 10.0, 11))
-    assert 10000 > MAX_SEGMENT
-    assert one.diagnostics.step_count == ten.diagnostics.step_count == 10000
-    assert one.diagnostics.propagator_builds == len(
-        {MAX_SEGMENT, 10000 % MAX_SEGMENT} - {0})
-    assert ten.diagnostics.propagator_builds == 1
+    assert max(builds.rows) <= MAX_SEGMENT and max(builds.steps) <= 1e-3
     assert np.abs(one.reduced[-1] - ten.reduced[-1]).max() <= 1e-12
+    # past the first block (SAMPLE_CHUNK is not a multiple of 3) the
+    # samples are still every third segment end
+    coarse = evolve(init, space3, params, np.linspace(0.0, 490.0, 50))
+    fine = evolve(init, space3, params, np.linspace(0.0, 490.0, 148))
+    assert SAMPLE_CHUNK % 3 and len(fine) > SAMPLE_CHUNK
+    assert np.abs(coarse.reduced - fine.reduced[::3]).max() <= 1e-12
+    assert np.abs(coarse.expect_n - fine.expect_n[::3]).max() <= 1e-12
 
 
 def test_trace_rows_follow_each_step():
@@ -245,31 +310,71 @@ def test_chunked_checks_report_the_per_sample_first_violation(space3, case):
     expected = _first_violation(states, times, space3)
     assert expected is not None and expected[1] >= times[C - 1]
 
-    sampler = _Sampler(space3, times, False, IntegrationDiagnostics())
+    # the blocks evolve checks, with <N> carried from one to the next
+    rho = np.array(states)
+    weights = _excitation_weights(space3)
+    prev_expect_n = math.inf
     with pytest.raises(IntegrationError) as err:
-        for rho in states:
-            sampler.record(rho.reshape(-1))
-        sampler.flush()
+        for lo in range(0, len(rho), C):
+            prev_expect_n = _check_samples(
+                rho[lo:lo + C], times[lo:lo + C], weights, prev_expect_n,
+                IntegrationDiagnostics())[0][-1]
     assert (err.value.invariant, err.value.time) == expected
 
 
-def test_trace_failure_waits_for_earlier_samples(space3):
-    # a sample still buffered when a later step breaks the trace must be
-    # reported first, as it would have been had it been checked at once
+def _generator(monkeypatch, m):
+    monkeypatch.setattr(dynamics, "liouvillian_matrix",
+                        lambda space, params: m)
+
+
+def test_trace_failure_waits_for_earlier_samples(space3, monkeypatch):
+    # a violation at a sample before the interval whose step breaks the
+    # trace is reported first, as it would have been had it been checked
+    # at once; the failing step comes before the sample that ends it
     rho = make_initial(InitialStateSpec("psi", 0.3), space3).rho_tilde
-    v = _non_hermitian(rho).reshape(-1)
-    m = -0.1 * np.eye(space3.dim_total ** 2)  # loses trace every step
+    params = SystemParams.symmetric(0.1)
+    _generator(monkeypatch, -0.1 * np.eye(space3.dim_total ** 2))
     times = np.array([0.0, 1.0])
-    diag = IntegrationDiagnostics()
-    sampler = _Sampler(space3, times, False, diag)
+    monkeypatch.setattr(FullState, "validate", lambda self: None)
     with pytest.raises(IntegrationError) as err:
-        _evolve_fixed(v, m, times, 0.0, 1e-3, sampler, diag)
+        evolve(FullState(_non_hermitian(rho)), space3, params, times)
     assert (err.value.invariant, err.value.time) == ("hermiticity", 0.0)
-    sampler = _Sampler(space3, times, False, diag)
     with pytest.raises(IntegrationError) as err:
-        _evolve_fixed(rho.reshape(-1), m, times, 0.0, 1e-3, sampler, diag)
+        evolve(FullState(rho), space3, params, times)
     assert err.value.invariant == "trace"
     assert err.value.time == pytest.approx(1e-3)
+
+
+@pytest.mark.parametrize("n_samples,step", [
+    (3 * C + 1, 1270),  # last step of the first block
+    (3 * C + 1, 1271),  # first step of the second block
+    (3 * C + 1, 1280),  # last step into the second block's first sample
+    (3 * C + 1, 1281),
+    (2, 3335),          # first step of the second of three segments
+    (2, 5000),
+])
+def test_trace_failure_time_across_blocks_and_segments(space3, monkeypatch,
+                                                       n_samples, step):
+    # the ground-state population eps grows by r = exp(0.1) per RK4 step
+    # and nothing else moves, so the trace error after q steps is
+    # eps (r^q - 1); eps puts TRACE_TOL half a step before `step`
+    times = np.linspace(0.0, 10.0 if n_samples == 2 else 3.84, n_samples)
+    total = round((times[1] - times[0]) / 1e-3)
+    refine = math.ceil(total / MAX_SEGMENT)
+    h = (times[1] - times[0]) / (refine * math.ceil(total / refine))
+    ground = space3.flat_index(0, 0, 0) * (space3.dim_total + 1)
+    m = np.zeros((space3.dim_total ** 2,) * 2)
+    m[ground, ground] = 0.1 / h
+    r = rk4_step_matrix(m, h)[ground, ground].real
+    eps = TRACE_TOL / (r ** (step - 0.5) - 1.0)
+    rho = np.zeros((space3.dim_total,) * 2, dtype=complex)
+    rho[0, 0], rho[1, 1] = eps, 1.0 - eps
+    assert rho.reshape(-1)[ground] == eps
+    _generator(monkeypatch, m)
+    with pytest.raises(IntegrationError) as err:
+        evolve(FullState(rho), space3, SystemParams.symmetric(0.1), times)
+    assert err.value.invariant == "trace"
+    assert err.value.time == pytest.approx(step * h, rel=1e-12)
 
 
 def _damping_kraus(p: float):
@@ -314,8 +419,24 @@ class TestEvolveValidation:
     def test_bad_method_and_step(self, space3):
         params = SystemParams.symmetric(0.1)
         init = make_initial(InitialStateSpec("psi", 0.5), space3)
-        with pytest.raises(ValueError):
-            evolve(init, space3, params, np.array([0.0, 1.0]), step_size=0.0)
+        for step in (0.0, -1e-3, math.inf, math.nan):
+            with pytest.raises(ValueError, match="step_size"):
+                evolve(init, space3, params, np.array([0.0, 1.0]),
+                       step_size=step)
+
+    def test_times_must_be_evenly_spaced_from_the_initial_time(self, space3):
+        params = SystemParams.symmetric(0.1)
+        init = make_initial(InitialStateSpec("psi", 0.5), space3)
+        for times in ([0.0, 1.0, 3.0], [0.5, 1.0, 1.5], [0.0, math.nan],
+                      [0.0, 1.0, math.nan], [0.0, math.inf], [math.nan],
+                      [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="times"):
+                evolve(init, space3, params, np.array(times))
+        traj = evolve(init, space3, params, np.array([0.0, 0.1, 0.2, 0.3]))
+        assert traj.diagnostics.step_count == 300
+        one = evolve(init, space3, params, np.array([0.0]))
+        assert one.diagnostics.step_count == 0
+        assert np.abs(one.reduced[0] - traj.reduced[0]).max() == 0.0
 
     def test_dimension_mismatch(self, space3):
         params = SystemParams.symmetric(0.1)
@@ -361,6 +482,19 @@ def test_unstable_step_aborts_with_diagnostic(space3):
     assert err.value.invariant in ("trace", "finite", "hermiticity",
                                    "positivity")
     assert err.value.time > 0.0
+
+
+def test_overflow_past_an_unstable_step_reports_the_first_violation(space3):
+    # a whole block is propagated before it is checked, so the states
+    # overflow past the first bad sample; that sample must still be
+    # reported, as a sample-by-sample run reports it, without a
+    # floating-point warning
+    params = SystemParams.symmetric(6.0, gamma_cavity=4.0)
+    init = make_initial(InitialStateSpec("psi", 0.5), space3)
+    times = np.linspace(0.0, 2.0 * C, 2 * C + 1)
+    with pytest.raises(IntegrationError) as err:
+        evolve(init, space3, params, times, step_size=1.0)
+    assert (err.value.invariant, err.value.time) == ("positivity", 1.0)
 
 
 def test_unitary_limit_conserves_purity(space3):

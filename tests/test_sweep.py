@@ -287,6 +287,7 @@ class TestCli:
         ["--step-size", "0"], ["--step-size", "-1"], ["--step-size", "nan"],
         ["--t-max", "nan"], ["--t-max", "inf"], ["--esd-threshold", "nan"],
         ["--gamma-s", "-0.5"], ["--gamma-cavity", "-1"],
+        ["--rate-unit", "omega", "--omega", "-0.2", "--gamma-s", "1"],
         ["--fock-cutoff", "2"], ["--fock-cutoff", "1"],
         ["--state", "phi", "--fock-cutoff", "1"],
         ["--state", "werner", "--r", "0.5", "--fock-cutoff", "2"],
@@ -295,7 +296,10 @@ class TestCli:
         rc = main(["--alpha2", "0.3", "--rate-unit", "gamma0",
                    "--t-max", "1", "--steps", "4", *flags])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if "--gamma-s" in flags:  # the option set, not an internal field
+            assert "gamma_s" in err and "gamma_a" not in err
 
     def test_emit_grid(self, tmp_path):
         out = tmp_path / "grid.csv"
