@@ -16,7 +16,8 @@ flag or the file.
 
 Exit codes: 0 success, 1 some grid cell failed integration, 2 usage or
 configuration error (including a Fock cutoff too small for the chosen
-state family).
+state family, and --emit-grid with more than one gamma_s); configuration
+errors exit before any cell runs.
 """
 from __future__ import annotations
 
@@ -207,6 +208,8 @@ def main(argv=None) -> int:
     try:
         config, out, emit_grid = _parse(argv)
         config.validate()
+        if emit_grid and len(set(config.resolved_gamma_s())) != 1:
+            raise ValueError("grid output requires exactly one gamma_s value")
     except SystemExit as exc:
         return int(exc.code or 0)
     except ValueError as exc:

@@ -15,17 +15,28 @@ v' = M v for a constant matrix M.
 The integrator is classic fixed-step RK4. For a linear autonomous system the
 four stages collapse into a single degree-4 polynomial S in (h M). The
 samples are evenly spaced, so every sample interval takes the same n
-substeps and is one matvec with P = S^n, built once per run and still
-exactly RK4 at step h up to rounding; an interval longer than MAX_SEGMENT
-steps is cut into equal segments, each checked like a sample. The states
-are propagated SAMPLE_CHUNK points at a time. The trace is checked at every
-RK4 step: with the propagator comes the table of trace rows
-T[k] = e^T S^(k+1), e marking the diagonal of vec(rho), so T @ V holds the
-trace after each substep of every interval started from the columns of V.
-The remaining invariants are checked at the sample times, one block at a
-time as array operations. The earliest event is reported, as a step-by-step
-check would report it: a failing step before any violation at the sample
-that ends its interval.
+substeps and is one matvec with P = S^n, built once per run (powered as
+S^k - I, so the small increment keeps its precision) and still exactly
+RK4 at step h up to rounding; an interval longer than MAX_SEGMENT
+steps is cut into equal segments, each checked like a sample.
+
+The model conserves the excitation number up to losses (a weak U(1)
+symmetry of M), so a trajectory fills only the entries of vec(rho) that M
+can reach from the initial state's nonzero entries (reachable_entries):
+34 of 144 for psi at n_fock = 3. S, P and the trace rows are built on
+M restricted to those entries; every other entry stays exactly 0. With
+the power table Q[k] = P^(k+1), built once per run, a block of points is
+one product Q[:b] @ v; the block length b is the number of table rows
+that fit in TABLE_BYTES, at most SAMPLE_CHUNK. The trace is checked at
+every RK4 step: with the propagator comes the table of trace rows
+T[k] = e^T S^(k+1), e marking the diagonal entries of vec(rho), so T @ V
+holds the trace after each substep of every interval started from the
+columns of V. Each block is scattered back to full width and the
+remaining invariants are checked at the sample times as array
+operations; positivity is taken per diagonal block of rho
+(diagonal_blocks). The earliest event is reported, as a step-by-step
+check would report it: a failing step before any violation at the
+sample that ends its interval.
 """
 from __future__ import annotations
 
@@ -55,8 +66,12 @@ OCCUPATION_TOL = 1e-12
 
 DEFAULT_STEP = 1e-3
 
-# Samples whose invariants are checked in one batch of array operations.
+# Most points propagated and checked in one block of array operations.
 SAMPLE_CHUNK = 128
+# Bytes the power table P^1 .. P^b of one run may take; the block length b
+# is the number of rows that fit, at most SAMPLE_CHUNK (2.4 MB for the 34
+# entries psi reaches at n_fock = 3; 25 rows at a width of 144 entries).
+TABLE_BYTES = 8 * 2**20
 # Most substeps one propagator covers; longer intervals are cut into equal
 # segments. This bounds the trace-row table at MAX_SEGMENT x dim^2 entries
 # (9.4 MB at n_fock = 3) however far apart the sample times are.
@@ -223,28 +238,106 @@ def check_fock_cutoff(initial: FullState, space: CompositeSpace) -> None:
             f"n_fock >= {top + 1}; got n_fock = {space.n_fock}")
 
 
-def interval_propagator(m: np.ndarray, h: float,
-                        n_sub: int) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator over n_sub RK4 steps of size h, plus its trace rows.
+def _closure(linked: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Sorted indices reached from the True entries of seed by following
+    linked[i, j] from j to i until nothing new is reached."""
+    reached = seed
+    while True:
+        grown = reached | linked[:, reached].any(axis=1)
+        if (grown == reached).all():
+            return np.flatnonzero(reached)
+        reached = grown
 
-    Returns P = S^n_sub, with S = rk4_step_matrix(m, h), and the
-    (n_sub, dim^2) table T[k] = e^T S^(k+1), where e marks the diagonal
-    entries of the row-major vec(rho). T @ v is the trace after each of the
-    n_sub steps started from v.
+
+def reachable_entries(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Indices of the entries of vec(rho) that v' = M v can make nonzero.
+
+    Starts from the nonzero entries of the row-major vec(rho) and grows the
+    set by the nonzero pattern of M until nothing new is reached, so M
+    maps the set into itself and every other entry stays exactly 0 under
+    RK4, which only multiplies by polynomials in M.
     """
-    s = rk4_step_matrix(m, h)
+    return _closure(m != 0, rho.reshape(-1) != 0)
+
+
+def diagonal_blocks(entries: np.ndarray, dim: int) -> list[np.ndarray]:
+    """Basis states of each diagonal block of a rho supported on `entries`.
+
+    Entry (r, c) of vec(rho) links basis states r and c; rho is
+    block-diagonal over the connected components of these links. Its
+    eigenvalues are those of the blocks plus an exact 0 for each basis
+    state that no entry touches.
+    """
+    linked = np.zeros((dim, dim), dtype=bool)
+    rows, cols = np.divmod(entries, dim)
+    linked[rows, cols] = linked[cols, rows] = True
+    left = linked.any(axis=0)
+    blocks = []
+    while left.any():
+        block = _closure(linked, np.arange(dim) == np.argmax(left))
+        blocks.append(block)
+        left[block] = False
+    return blocks
+
+
+def interval_propagator(m: np.ndarray, h: float, n_sub: int,
+                        entries: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Propagator over n_sub RK4 steps of size h on `entries` of vec(rho),
+    plus its trace rows.
+
+    M must map the entries into themselves (see reachable_entries). Returns
+    P = S^n_sub, with S = rk4_step_matrix(M[entries][:, entries], h), and
+    the (n_sub, len(entries)) table T[k] = e^T S^(k+1), where e marks the
+    entries on the diagonal of the row-major rho. T @ v is the trace after
+    each of the n_sub steps started from v.
+    """
+    s = rk4_step_matrix(m[np.ix_(entries, entries)], h)
     dim = math.isqrt(m.shape[0])
-    rows = np.empty((n_sub, m.shape[0]), dtype=complex)
-    rows[0] = s[:: dim + 1].sum(axis=0)
+    rows = np.empty((n_sub, len(entries)), dtype=complex)
+    rows[0] = s[entries % (dim + 1) == 0].sum(axis=0)
     for k in range(1, n_sub):
         rows[k] = rows[k - 1] @ s
-    return np.linalg.matrix_power(s, n_sub), rows
+    return _near_identity_power(s, n_sub), rows
+
+
+def _near_identity_power(s: np.ndarray, n: int) -> np.ndarray:
+    """S^n for n >= 1 by binary powering, carried as S^k - I.
+
+    An RK4 step matrix is the identity plus a small increment. Multiplying
+    S itself rounds that increment against the 1s of the diagonal at every
+    product; (I + A)(I + B) - I = A + B + A B keeps it at its own relative
+    precision, so the 1s are added back once, at the end.
+    """
+    eye = np.eye(len(s))
+    base = s - eye
+    acc = None
+    while True:
+        if n & 1:
+            acc = base if acc is None else acc + base + acc @ base
+        n >>= 1
+        if not n:
+            return eye + acc
+        base = 2 * base + base @ base
+
+
+def power_table(p: np.ndarray, n: int) -> np.ndarray:
+    """(n, w, w) table Q[k] = P^(k+1): Q[:b] @ v holds P v, .., P^b v."""
+    table = np.empty((n, *p.shape), dtype=complex)
+    if n:
+        table[0] = p
+    for k in range(1, n):
+        np.matmul(p, table[k - 1], out=table[k])
+    return table
 
 
 def _check_samples(rho: np.ndarray, times: np.ndarray, weights: np.ndarray,
-                   prev_expect_n: float,
+                   blocks: list[np.ndarray], prev_expect_n: float,
                    diag: IntegrationDiagnostics) -> tuple[np.ndarray, ...]:
     """Check a block of states (b, d, d) sampled at `times`, in time order.
+
+    The states must be block-diagonal over `blocks` (see diagonal_blocks);
+    their smallest eigenvalue is taken block by block.
 
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, positivity,
@@ -262,7 +355,14 @@ def _check_samples(rho: np.ndarray, times: np.ndarray, weights: np.ndarray,
     ok_h = ok.conj().transpose(0, 2, 1)
     herm = np.abs(ok - ok_h).max(axis=(1, 2))
     tr_err = np.abs(np.trace(ok, axis1=1, axis2=2) - 1.0)
-    min_eig = np.linalg.eigvalsh(0.5 * (ok + ok_h))[:, 0]
+    mins = []
+    for blk in blocks:
+        sub = ok[:, blk[:, None], blk]
+        mins.append(np.linalg.eigvalsh(
+            0.5 * (sub + sub.conj().transpose(0, 2, 1)))[:, 0])
+    if sum(map(len, blocks)) < rho.shape[1]:
+        mins.append(np.zeros(n_ok))  # a basis state no block holds
+    min_eig = np.min(mins, axis=0)
     pops = np.real(ok.diagonal(axis1=1, axis2=2))
     expn = pops @ weights
     gain = np.diff(expn, prepend=prev_expect_n)
@@ -301,7 +401,11 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     sample, increase in equal steps (within 1e-12 of np.linspace over the
     same ends); anything else raises ValueError, as does a step_size that
     is not finite and > 0. Every sample interval takes the same RK4 steps
-    of size at most step_size. The positivity, hermiticity, trace and
+    of size at most step_size. Only the entries of vec(rho) that M can
+    reach from the initial state's nonzero entries are propagated (see
+    reachable_entries); the others stay exactly 0, as they would at full
+    width, so the results differ from full-width propagation by rounding
+    only. The positivity, hermiticity, trace and
     excitation-number invariants are monitored (not enforced); the earliest
     violation aborts with IntegrationError so a too-coarse step cannot
     silently corrupt results. A Fock cutoff too small for the initial
@@ -345,10 +449,19 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         times[-1])
 
     dim = space.dim_total
-    # block[1:b + 1] holds the states at points first .. first + b - 1 and
-    # block[0] the state before them; the initial state takes no step
-    block = np.empty((SAMPLE_CHUNK + 1, dim * dim), dtype=complex)
-    block[1] = initial.rho_tilde.reshape(-1)
+    m = liouvillian_matrix(space, params)
+    entries = reachable_entries(m, initial.rho_tilde)
+    width = len(entries)
+    row_bytes = np.dtype(complex).itemsize * width * width
+    chunk = max(1, min(SAMPLE_CHUNK, TABLE_BYTES // row_bytes))
+    # sub[1:b + 1] holds the reachable entries at points first .. first +
+    # b - 1 and sub[0] those of the point before them; the initial state
+    # takes no step. full[:b] holds the same states at full width, where
+    # the entries outside `entries` stay 0.
+    sub = np.empty((chunk + 1, width), dtype=complex)
+    sub[1] = initial.rho_tilde.reshape(-1)[entries]
+    full = np.zeros((chunk, dim * dim), dtype=complex)
+    blocks = diagonal_blocks(entries, dim)
     reduced = np.empty((n, 4, 4), dtype=complex)
     series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
     full_states: list[FullState] | None = [] if store_full else None
@@ -356,20 +469,21 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     prev_expect_n = math.inf
 
     diag = IntegrationDiagnostics(step_count=(n_points - 1) * n_sub)
-    m = liouvillian_matrix(space, params)
     clock = perf_counter()
-    prop, trace_rows = interval_propagator(m, h, n_sub)
+    prop, trace_rows = interval_propagator(m, h, n_sub, entries)
+    # past an unstable step the states may overflow; the checks catch
+    # that, so the floating-point warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = power_table(prop, min(chunk, n_points - 1))
     diag.propagate_s += perf_counter() - clock
     first, unstepped = 0, 1
     while first < n_points:
-        b = min(SAMPLE_CHUNK, n_points - first)
+        b = min(chunk, n_points - first)
         clock = perf_counter()
-        # past an unstable step the states may overflow; the trace check
-        # catches that, so the floating-point warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(unstepped, b):
-                np.matmul(prop, block[i], out=block[i + 1])
-            err = np.abs(trace_rows @ block[unstepped:b].T - 1.0)
+            np.matmul(table[:b - unstepped].reshape(-1, width), sub[unstepped],
+                      out=sub[unstepped + 1:b + 1].reshape(-1))
+            err = np.abs(trace_rows @ sub[unstepped:b].T - 1.0)
         # column c holds the steps ending at point first + unstepped + c;
         # a NaN trace must abort too, hence the inverted comparison
         held = (err <= TRACE_TOL).all(axis=0)
@@ -377,10 +491,11 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         diag.propagate_s += perf_counter() - clock
 
         clock = perf_counter()
-        rho = block[1:stop + 1].reshape(stop, dim, dim)
+        full[:stop, entries] = sub[1:stop + 1]
+        rho = full[:stop].reshape(stop, dim, dim)
         # a violation at an earlier sample wins over a failing step
         checked = _check_samples(rho, point_times[first:first + stop],
-                                 weights, prev_expect_n, diag)
+                                 weights, blocks, prev_expect_n, diag)
         if stop < b:
             col = err[:, stop - unstepped]
             k = int(np.argmax(~(col <= TRACE_TOL)))
@@ -400,7 +515,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
             full_states.extend(FullState(r.copy(), t)
                                for r, t in zip(kept, times[samples]))
         diag.check_s += perf_counter() - clock
-        block[0] = block[b]
+        sub[0] = sub[b]
         first += b
         unstepped = 0
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -296,12 +297,19 @@ def _fmt(x: float) -> str:
 
 
 def write_rows_csv(result: SweepResult, path: str) -> None:
-    lines = [f"# schema={ROWS_SCHEMA}", ",".join(CSV_COLUMNS)]
-    for row in result.iter_rows():
-        *floats, pathname = row
-        lines.append(",".join([_fmt(x) for x in floats] + [pathname]))
+    """Rows of the healthy cells, written cell by cell as they are
+    formatted; the same bytes as _fmt applied to each value of iter_rows."""
+    line = ",".join(["%.17g"] * 8 + ["%s"]) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# schema={ROWS_SCHEMA}\n{','.join(CSV_COLUMNS)}\n")
+        for cell in result.cells:
+            if cell.failed:
+                continue
+            columns = (cell.times, cell.concurrence, cell.c1, cell.c2,
+                       cell.trace_error, cell.min_eigenvalue)
+            rows = zip(repeat(cell.gamma_s), repeat(cell.alpha2),
+                       *(c.tolist() for c in columns), repeat(cell.path))
+            fh.writelines(line % row for row in rows)
 
 
 def write_grid_csv(result: SweepResult, path: str) -> None:

@@ -23,11 +23,14 @@ from pseudomode.dynamics import (
     HERM_TOL,
     MAX_SEGMENT,
     SAMPLE_CHUNK,
+    TABLE_BYTES,
     TRACE_TOL,
     IntegrationDiagnostics,
     _check_samples,
     _excitation_weights,
+    diagonal_blocks,
     interval_propagator,
+    reachable_entries,
     rk4_step_matrix,
 )
 from pseudomode.states import InitialStateSpec
@@ -120,7 +123,7 @@ def test_interval_propagator_matches_substep_loop(space3, gamma_s):
     n_sub = 100
     h = (times[1] - times[0]) / n_sub
     step = rk4_step_matrix(m, h)
-    _, trace_rows = interval_propagator(m, h, n_sub)
+    _, trace_rows = interval_propagator(m, h, n_sub, np.arange(len(m)))
     diag = slice(None, None, space3.dim_total + 1)
     for spec in (InitialStateSpec("psi", 0.3, theta=0.4),
                  InitialStateSpec("phi", 0.3),
@@ -144,6 +147,120 @@ def test_interval_propagator_matches_substep_loop(space3, gamma_s):
         assert worst_trace <= 1e-12, spec
 
 
+def _raw_state(space, top):
+    """Random full-rank state on the basis states with at most `top`
+    excitations."""
+    low = np.flatnonzero(_excitation_weights(space) <= top)
+    rho = np.zeros((space.dim_total,) * 2, dtype=complex)
+    rho[np.ix_(low, low)] = random_density_matrix(np.random.default_rng(11),
+                                                  len(low))
+    return FullState(rho)
+
+
+def _test_states(space):
+    return {
+        "phi": make_initial(InitialStateSpec("phi", 0.3, theta=0.4), space),
+        "psi": make_initial(InitialStateSpec("psi", 0.3, theta=0.4), space),
+        "werner": make_initial(InitialStateSpec("werner_psi", 0.3, r=0.6),
+                               space),
+        "raw": _raw_state(space, space.n_fock - 1),
+    }
+
+
+def test_reachable_entries_are_closed_under_the_generator(space3):
+    # the excitation number is conserved up to losses, so each state fills
+    # a few sectors of fixed N_row - N_col with N <= 2, and M maps them
+    # into themselves exactly
+    m = liouvillian_matrix(space3, SystemParams.symmetric(0.2))
+    sizes, blocks = {}, {}
+    for name, init in _test_states(space3).items():
+        entries = reachable_entries(m, init.rho_tilde)
+        outside = np.setdiff1d(np.arange(len(m)), entries)
+        assert not m[np.ix_(outside, entries)].any(), name
+        assert not init.rho_tilde.reshape(-1)[outside].any(), name
+        sizes[name] = len(entries)
+        blocks[name] = sorted(len(b) for b in diagonal_blocks(entries, 12))
+    assert sizes == {"phi": 10, "psi": 34, "werner": 34, "raw": 64}
+    # psi: the N = 1 block and the {N = 0, N = 2} block; phi: |00,0> and
+    # the one-excitation sector
+    assert blocks == {"phi": [1, 3], "psi": [3, 5], "werner": [3, 5],
+                      "raw": [8]}
+
+
+@pytest.mark.parametrize("n_fock", [3, 4])
+def test_sliced_evolution_matches_the_full_width_loop(n_fock):
+    # only the reachable entries are propagated; a full-width loop of
+    # single RK4 steps is the reference, and every other entry of the
+    # returned states is exactly 0
+    space = build_space(n_fock)
+    params = SystemParams.symmetric(0.2, n_fock=n_fock)
+    m = liouvillian_matrix(space, params)
+    times = np.linspace(0.0, 4.0, 41)
+    n_sub = 100
+    step = rk4_step_matrix(m, (times[1] - times[0]) / n_sub)
+    for name, init in _test_states(space).items():
+        outside = np.setdiff1d(np.arange(len(m)),
+                               reachable_entries(m, init.rho_tilde))
+        sampled = evolve(init, space, params, times,
+                         store_full=True).full_states
+        v = init.rho_tilde.reshape(-1)
+        worst = 0.0
+        for state in sampled[1:]:
+            for _ in range(n_sub):
+                v = step @ v
+            got = state.rho_tilde.reshape(-1)
+            worst = max(worst, float(np.abs(got - v).max()))
+            assert not got[outside].any(), name
+        assert worst <= 1e-12, name
+
+
+def test_positivity_per_block_matches_full_eigvalsh(space3):
+    params = SystemParams.symmetric(0.2)
+    times = np.linspace(0.0, 20.0, 201)
+    for name, init in _test_states(space3).items():
+        traj = evolve(init, space3, params, times, store_full=True)
+        rho = np.array([s.rho_tilde for s in traj.full_states])
+        full = np.linalg.eigvalsh(
+            0.5 * (rho + rho.conj().transpose(0, 2, 1)))[:, 0]
+        assert np.abs(traj.min_eigenvalue - full).max() <= 1e-14, name
+
+
+def test_block_products_match_a_per_point_loop(space3):
+    # each block is one product with the table of powers of P; one matvec
+    # per point on the same entries is the reference
+    params = SystemParams.symmetric(0.2)
+    init = make_initial(InitialStateSpec("psi", 0.3), space3)
+    times = np.linspace(0.0, 10.0, 10001)
+    m = liouvillian_matrix(space3, params)
+    entries = reachable_entries(m, init.rho_tilde)
+    prop, _ = interval_propagator(m, times[1] - times[0], 1, entries)
+    traj = evolve(init, space3, params, times, store_full=True)
+    v = init.rho_tilde.reshape(-1)[entries]
+    worst = 0.0
+    for state in traj.full_states[1:]:
+        v = prop @ v
+        worst = max(worst, float(np.abs(
+            state.rho_tilde.reshape(-1)[entries] - v).max()))
+    assert worst <= 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("gamma_s", [0.02, 2.0])
+def test_propagator_is_the_rounded_power_of_the_step(space3, gamma_s):
+    # S^n is powered as S^k - I, so P is the exact n-th power of the double
+    # step matrix rounded once, up to about one ulp of the diagonal's 1s
+    m = liouvillian_matrix(space3, SystemParams.symmetric(gamma_s))
+    for family in ("psi", "phi"):
+        init = make_initial(InitialStateSpec(family, 0.3), space3)
+        entries = reachable_entries(m, init.rho_tilde)
+        step = rk4_step_matrix(m[np.ix_(entries, entries)], 1e-3)
+        for n_sub in (37, 100):
+            prop, _ = interval_propagator(m, 1e-3, n_sub, entries)
+            exact = np.linalg.matrix_power(step.astype(np.clongdouble), n_sub)
+            assert np.abs(prop - exact).max() <= np.finfo(float).eps
+
+
 @pytest.fixture()
 def builds(monkeypatch):
     """Step of every RK4 step matrix evolve builds, rows of every trace
@@ -155,8 +272,8 @@ def builds(monkeypatch):
         record.steps.append(h)
         return step(m, h)
 
-    def recording_propagator(m, h, n_sub):
-        prop, rows = propagator(m, h, n_sub)
+    def recording_propagator(m, h, n_sub, entries):
+        prop, rows = propagator(m, h, n_sub, entries)
         record.rows.append(len(rows))
         return prop, rows
 
@@ -171,9 +288,9 @@ def checked_blocks(monkeypatch):
     calls = []
     check = dynamics._check_samples
 
-    def recording(rho, times, weights, prev_expect_n, diag):
+    def recording(rho, times, weights, blocks, prev_expect_n, diag):
         calls.append((times.copy(), prev_expect_n))
-        return check(rho, times, weights, prev_expect_n, diag)
+        return check(rho, times, weights, blocks, prev_expect_n, diag)
 
     monkeypatch.setattr(dynamics, "_check_samples", recording)
     return calls
@@ -192,6 +309,37 @@ def test_dense_grid_builds_one_propagator(space3, builds, checked_blocks):
     assert [t[0] for t, _ in checked_blocks] == list(times[::SAMPLE_CHUNK])
     assert [n for _, n in checked_blocks] == [
         math.inf, *traj.expect_n[SAMPLE_CHUNK - 1:-1:SAMPLE_CHUNK]]
+
+
+def test_power_table_stays_within_its_byte_budget(space3, monkeypatch,
+                                                  checked_blocks):
+    # a generic state at n_fock = 4 reaches 144 of 256 entries, where a
+    # SAMPLE_CHUNK-row table would take 42 MB; the blocks shrink instead
+    tables = []
+    build = dynamics.power_table
+
+    def recording(p, n):
+        tables.append(build(p, n))
+        return tables[-1]
+
+    monkeypatch.setattr(dynamics, "power_table", recording)
+    space = build_space(4)
+    params = SystemParams.symmetric(0.2, n_fock=4)
+    init = _raw_state(space, 3)
+    m = liouvillian_matrix(space, params)
+    assert len(reachable_entries(m, init.rho_tilde)) == 144
+    evolve(init, space, params, np.linspace(0.0, 1.0, 101))
+    rows = TABLE_BYTES // (16 * 144 ** 2)
+    assert 0 < rows < SAMPLE_CHUNK
+    assert [t.shape for t in tables] == [(rows, 144, 144)]
+    assert tables[0].nbytes <= TABLE_BYTES
+    assert [len(t) for t, _ in checked_blocks] == [rows] * 4 + [1]
+    # psi at n_fock = 3 reaches 34 entries: full blocks
+    tables.clear()
+    evolve(make_initial(InitialStateSpec("psi", 0.3), space3), space3,
+           SystemParams.symmetric(0.2), np.linspace(0.0, 1.0, 201))
+    assert [t.shape for t in tables] == [(SAMPLE_CHUNK, 34, 34)]
+    assert tables[0].nbytes <= TABLE_BYTES
 
 
 def test_long_interval_is_cut_into_equal_segments(space3, builds,
@@ -228,7 +376,7 @@ def test_trace_rows_follow_each_step():
     m = (rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144))) / 12
     v = rng.normal(size=144) + 1j * rng.normal(size=144)
     h, n_sub = 1e-2, 37
-    prop, trace_rows = interval_propagator(m, h, n_sub)
+    prop, trace_rows = interval_propagator(m, h, n_sub, np.arange(144))
     step = rk4_step_matrix(m, h)
     traces = []
     w = v
@@ -310,15 +458,18 @@ def test_chunked_checks_report_the_per_sample_first_violation(space3, case):
     expected = _first_violation(states, times, space3)
     assert expected is not None and expected[1] >= times[C - 1]
 
-    # the blocks evolve checks, with <N> carried from one to the next
+    # the blocks evolve checks, with <N> carried from one to the next and
+    # positivity taken over the diagonal blocks of the states' support
     rho = np.array(states)
+    support = np.flatnonzero((rho.reshape(len(rho), -1) != 0).any(axis=0))
+    blocks = diagonal_blocks(support, space3.dim_total)
     weights = _excitation_weights(space3)
     prev_expect_n = math.inf
     with pytest.raises(IntegrationError) as err:
         for lo in range(0, len(rho), C):
             prev_expect_n = _check_samples(
-                rho[lo:lo + C], times[lo:lo + C], weights, prev_expect_n,
-                IntegrationDiagnostics())[0][-1]
+                rho[lo:lo + C], times[lo:lo + C], weights, blocks,
+                prev_expect_n, IntegrationDiagnostics())[0][-1]
     assert (err.value.invariant, err.value.time) == expected
 
 

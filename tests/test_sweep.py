@@ -4,13 +4,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pseudomode import build_space, make_initial
+from conftest import random_density_matrix
+from pseudomode import (
+    FullState,
+    IntegrationError,
+    build_space,
+    evolve,
+    make_initial,
+)
+from pseudomode import cli
 from pseudomode.cli import _parse, main
 from pseudomode.states import InitialStateSpec
 from pseudomode.sweep import (
+    CSV_COLUMNS,
     GRID_SCHEMA,
     ROWS_SCHEMA,
     SweepConfig,
+    SweepResult,
     detect_esd_intervals,
     load_raw_state,
     run_sweep,
@@ -76,7 +86,10 @@ class TestRunSweep:
             assert not np.isnan(cell.c1).any()
 
     def test_failed_cell_is_isolated(self):
-        # second gamma value puts RK4 far outside its stability region
+        # second gamma value puts RK4 far outside its stability region:
+        # with h = 1e-3 the doubly excited population decays at rate
+        # 2 gamma_s = 4000, h lambda = -4, and each step multiplies it by
+        # |R(-4)| = 5, so the state is unphysical by the first sample
         cfg = replace(SMALL, gamma_s_list=(0.0, 2000.0), t_max=0.1, n_steps=10)
         result = run_sweep(cfg)
         assert result.failed
@@ -86,7 +99,16 @@ class TestRunSweep:
         assert [c.gamma_s for c in good] == [0.0, 0.0, 0.0]
         rows = list(result.iter_rows())
         assert len(rows) == 3 * 11
-        assert all("trace" in c.error or "finite" in c.error for c in bad)
+        space = build_space(cfg.n_fock)
+        for cell in bad:
+            init = make_initial(InitialStateSpec("psi", cell.alpha2), space)
+            with pytest.raises(IntegrationError) as err:
+                evolve(init, space, cfg.system_params(2000.0), cfg.times())
+            exc = err.value
+            assert cell.error == f"IntegrationError: {exc}"
+            assert exc.invariant in ("trace", "finite", "positivity")
+            assert 0.0 < exc.time <= cfg.times()[1]
+            assert abs(exc.value) > abs(exc.limit)
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -142,6 +164,32 @@ class TestCsv:
         last = body[-1].split(",")
         assert float(last[2]) == rows[-1][2]
         assert float(last[3]) == rows[-1][3]
+
+    def test_rows_bytes_match_the_line_by_line_writer(self, tmp_path,
+                                                      space3):
+        # a raw non-X state (alpha2 nan) takes the general path (c1, c2
+        # nan), its gamma_s = 2000 twin fails, and SMALL adds closed-form
+        # cells; the streamed file must equal one _fmt per value
+        low = [f for f in range(space3.dim_total)
+               if sum(space3.unflatten(f)) <= 2]
+        rho = np.zeros((space3.dim_total,) * 2, dtype=complex)
+        rho[np.ix_(low, low)] = random_density_matrix(
+            np.random.default_rng(4), len(low))
+        raw = tmp_path / "state.txt"
+        save_raw_state(FullState(rho), str(raw))
+        mixed = run_sweep(replace(SMALL, initial_state_path=str(raw),
+                                  gamma_s_list=(0.1, 2000.0), t_max=0.1))
+        result = SweepResult(SMALL, mixed.cells + run_sweep(SMALL).cells)
+        general, failed = mixed.cells
+        assert general.path == "general" and math.isnan(general.alpha2)
+        assert np.isnan(general.c1).all() and failed.failed
+
+        lines = [f"# schema={ROWS_SCHEMA}", ",".join(CSV_COLUMNS)]
+        for *floats, pathname in result.iter_rows():
+            lines.append(",".join([f"{x:.17g}" for x in floats] + [pathname]))
+        path = tmp_path / "rows.csv"
+        write_rows_csv(result, str(path))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
     def test_grid_output(self, tmp_path):
         result = run_sweep(replace(SMALL, gamma_s_list=(0.2,)))
@@ -311,11 +359,21 @@ class TestCli:
         assert lines[0] == f"# schema={GRID_SCHEMA}"
         assert len(lines[1].split(",")) == 5
 
-    def test_emit_grid_needs_single_gamma(self, tmp_path, capsys):
+    def test_emit_grid_needs_single_gamma(self, tmp_path, capsys,
+                                          monkeypatch):
+        # a configuration error: rejected before any cell runs
+        def no_sweep(config):
+            raise AssertionError("run_sweep was called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
         rc = main(["--alpha2", "0.5", "--gamma-s", "0.1,0.2",
                    "--rate-unit", "gamma0", "--t-max", "1", "--steps", "4",
                    "--emit-grid", "--out", str(tmp_path / "g.csv")])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert "gamma_s=" not in captured.out
+        assert "exactly one gamma_s" in captured.err
+        assert not (tmp_path / "g.csv").exists()
 
     def test_initial_state_file(self, tmp_path, space3):
         state = make_initial(InitialStateSpec("psi", 0.4), space3)
