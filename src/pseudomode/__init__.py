@@ -23,10 +23,8 @@ from .dynamics import (
 )
 from .entanglement import (
     ConcurrenceReport,
-    ReducedState,
     X_TOLERANCE,
     concurrence_general,
-    concurrence_x_series,
     concurrence_x_state,
     independent_decay_concurrence,
     independent_decay_death_time,
@@ -66,7 +64,6 @@ __all__ = [
     "InitialStateSpec",
     "IntegrationDiagnostics",
     "IntegrationError",
-    "ReducedState",
     "SweepConfig",
     "SweepResult",
     "SystemParams",
@@ -76,7 +73,6 @@ __all__ = [
     "build_hamiltonian",
     "build_space",
     "concurrence_general",
-    "concurrence_x_series",
     "concurrence_x_state",
     "creation",
     "detect_esd_intervals",

@@ -52,6 +52,7 @@ from .operators import (
     SystemParams,
     annihilation,
     build_hamiltonian,
+    number_operator,
     sigma,
 )
 
@@ -212,14 +213,6 @@ def rk4_step_matrix(m: np.ndarray, h: float) -> np.ndarray:
     return p
 
 
-def _excitation_weights(space: CompositeSpace) -> np.ndarray:
-    w = np.empty(space.dim_total)
-    for flat in range(space.dim_total):
-        i_a, i_b, n = space.unflatten(flat)
-        w[flat] = i_a + i_b + n
-    return w
-
-
 def check_fock_cutoff(initial: FullState, space: CompositeSpace) -> None:
     """Raise ValueError unless the mode truncation holds the whole evolution.
 
@@ -230,7 +223,7 @@ def check_fock_cutoff(initial: FullState, space: CompositeSpace) -> None:
     operator changes the physics without breaking any monitored invariant.
     """
     pops = np.real(np.diagonal(initial.rho_tilde))
-    occupied = _excitation_weights(space)[pops > OCCUPATION_TOL]
+    occupied = number_operator(space).diagonal().real[pops > OCCUPATION_TOL]
     top = int(occupied.max()) if occupied.size else 0
     if top > space.n_fock - 1:
         raise ValueError(
@@ -465,7 +458,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     reduced = np.empty((n, 4, 4), dtype=complex)
     series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
     full_states: list[FullState] | None = [] if store_full else None
-    weights = _excitation_weights(space)
+    weights = number_operator(space).diagonal().real
     prev_expect_n = math.inf
 
     diag = IntegrationDiagnostics(step_count=(n_points - 1) * n_sub)
@@ -510,7 +503,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         samples = slice(j, j + len(kept))
         for out, values in zip(series, checked):
             out[samples] = values[keep]
-        reduced[samples] = partial_trace_cavity(kept, space).rho
+        reduced[samples] = partial_trace_cavity(kept, space)
         if full_states is not None:
             full_states.extend(FullState(r.copy(), t)
                                for r, t in zip(kept, times[samples]))

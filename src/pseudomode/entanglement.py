@@ -23,9 +23,10 @@ The general path computes Wootters concurrence for any two-qubit state; its
 lambdas, the square roots of the eigenvalues of
 R = rho (sy x sy) rho* (sy x sy), come from a singular value decomposition.
 
-partial_trace_cavity, x_form_deviation and concurrence_x_series also take
-stacks of matrices, so a whole trajectory is reduced and evaluated with
-array operations.
+partial_trace_cavity, x_form_deviation and both concurrence paths take one
+matrix or a stack of them as a plain array, so a whole trajectory is
+reduced and evaluated with array operations; a single matrix is the same
+computation on a stack of one.
 """
 from __future__ import annotations
 
@@ -49,63 +50,51 @@ _X_MASK = np.logical_or(np.eye(4, dtype=bool), np.eye(4, dtype=bool)[::-1])
 
 
 @dataclass
-class ReducedState:
-    """4x4 two-qubit density matrix in the basis documented above."""
-
-    rho: np.ndarray
-
-    def validate(self) -> None:
-        _validate_rho4(self.rho, check_psd=True)
-
-
-@dataclass
 class ConcurrenceReport:
-    """Concurrence c plus per-path detail.
+    """Concurrence c plus per-path detail, for one matrix or a stack.
 
     c1, c2 are the closed-form branch values (X-state path only); lambdas
     are the four Wootters lambdas (square roots of the eigenvalues of R) in
-    decreasing order (general path only).
+    decreasing order (general path only). For a single matrix c, c1 and c2
+    are floats and lambdas has shape (4,); for an (n, 4, 4) stack they are
+    arrays of shape (n,) and lambdas has shape (n, 4).
     """
 
-    c: float
+    c: float | np.ndarray
     path: str
-    c1: float | None = None
-    c2: float | None = None
+    c1: float | np.ndarray | None = None
+    c2: float | np.ndarray | None = None
     lambdas: np.ndarray | None = None
 
 
-def _as_rho4(reduced) -> np.ndarray:
-    rho = getattr(reduced, "rho", reduced)
+def _dagger(rho: np.ndarray) -> np.ndarray:
+    return np.swapaxes(rho, -1, -2).conj()
+
+
+def _checked_rho4(rho) -> np.ndarray:
+    """rho as a (4, 4) or (..., 4, 4) array, after checking that every
+    matrix is finite, Hermitian and of unit trace; the worst value is
+    reported. The comparisons are written so that NaN fails them."""
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrices, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix contains non-finite entries")
+    herm = float(np.abs(rho - _dagger(rho)).max())
+    if not herm <= _HERM_TOL:
+        raise ValueError(f"matrix not Hermitian: deviation {herm:.3g}")
+    tr_err = float(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max())
+    if not tr_err <= _TRACE_TOL:
+        raise ValueError(f"matrix trace off by {tr_err:.3g}")
     return rho
 
 
-def _validate_rho4(rho: np.ndarray, check_psd: bool = False) -> None:
-    """Hermiticity, trace and optionally positivity of one (4, 4) matrix or
-    of every matrix in a (..., 4, 4) stack; the worst value is reported."""
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    rho_h = np.swapaxes(rho, -1, -2).conj()
-    herm = float(np.abs(rho - rho_h).max())
-    if herm > _HERM_TOL:
-        raise ValueError(f"matrix not Hermitian: deviation {herm:.3g}")
-    tr_err = float(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max())
-    if tr_err > _TRACE_TOL:
-        raise ValueError(f"matrix trace off by {tr_err:.3g}")
-    if check_psd:
-        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho_h))[..., 0].min())
-        if min_eig < _EIG_FLOOR:
-            raise ValueError(f"matrix has negative eigenvalue {min_eig:.3g}")
-
-
-def partial_trace_cavity(state, space) -> ReducedState:
+def partial_trace_cavity(state, space) -> np.ndarray:
     """Trace out the mode: rho[(i,j),(k,l)] = sum_n rho_full[(i,j,n),(k,l,n)].
 
     Accepts a FullState, a bare composite-space matrix, or a (..., d, d)
-    stack of them, which gives a (..., 4, 4) stack; `space` may be a
-    CompositeSpace or the integer Fock cutoff.
+    stack of them, and returns the (4, 4) matrix or (..., 4, 4) stack;
+    `space` may be a CompositeSpace or the integer Fock cutoff.
     """
     rho_full = np.asarray(getattr(state, "rho_tilde", state))
     n_fock = getattr(space, "n_fock", space)
@@ -118,45 +107,20 @@ def partial_trace_cavity(state, space) -> ReducedState:
     r = np.einsum("...abncdn->...abcd", t)
     # kron layout is A-major; reorder to the documented i_a + 2*i_b basis
     r = r.swapaxes(-4, -3).swapaxes(-2, -1)
-    return ReducedState(rho=r.reshape(*lead, 4, 4).copy())
+    return r.reshape(*lead, 4, 4).copy()
 
 
 def x_form_deviation(rho) -> float:
     """Largest magnitude among the eight entries an X state must not have,
     over one (4, 4) matrix or a whole (..., 4, 4) stack."""
-    rho = np.asarray(getattr(rho, "rho", rho))
-    if rho.shape[-2:] != (4, 4):
+    rho = np.asarray(rho)
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 matrices, got shape {rho.shape}")
     return float(np.abs(rho[..., ~_X_MASK]).max())
 
 
-def _x_branches(rho: np.ndarray):
-    """Closed-form (C, C1, C2) of (..., 4, 4) X states, elementwise."""
-    d = np.maximum(rho[..., 0, 0].real, 0.0)
-    c_mid = np.maximum(rho[..., 1, 1].real, 0.0)
-    b_mid = np.maximum(rho[..., 2, 2].real, 0.0)
-    a = np.maximum(rho[..., 3, 3].real, 0.0)
-    c1 = 2.0 * (np.abs(rho[..., 3, 0]) - np.sqrt(b_mid * c_mid))
-    c2 = 2.0 * (np.abs(rho[..., 1, 2]) - np.sqrt(a * d))
-    c = np.minimum(np.maximum(np.maximum(c1, c2), 0.0), 1.0)
-    return c, c1, c2
-
-
-def concurrence_x_series(reduced) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form concurrence and branches (C, C1, C2) of an (n, 4, 4) stack.
-
-    Hermiticity and trace are checked on the whole stack. The X pattern is
-    not: check it with x_form_deviation first.
-    """
-    rho = np.asarray(getattr(reduced, "rho", reduced))
-    if rho.ndim != 3:
-        raise ValueError(f"expected an (n, 4, 4) stack, got shape {rho.shape}")
-    _validate_rho4(rho)
-    return _x_branches(rho)
-
-
-def concurrence_general(reduced) -> ConcurrenceReport:
-    """Wootters concurrence of any two-qubit state.
+def concurrence_general(rho) -> ConcurrenceReport:
+    """Wootters concurrence of any two-qubit state, or of each in a stack.
 
     The Wootters lambdas (square roots of the eigenvalues of
     R = rho (sy x sy) rho* (sy x sy)) are taken as the singular values of
@@ -165,33 +129,45 @@ def concurrence_general(reduced) -> ConcurrenceReport:
     of a near-zero eigenvalue of R is taken: rounding of size eps there
     would become an error of size sqrt(eps) in a lambda. Rank-deficient
     input (pure states, evolved states with populations near zero)
-    therefore keeps double precision.
+    therefore keeps double precision. One matrix with an eigenvalue below
+    -1e-8 rejects the whole stack.
     """
-    rho = _as_rho4(reduced)
-    _validate_rho4(rho)
-    mu, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    if float(mu[0]) < _EIG_FLOOR:
-        raise ValueError(f"matrix has negative eigenvalue {mu[0]:.3g}")
-    sqrt_rho = (vecs * np.sqrt(np.clip(mu, 0.0, None))) @ vecs.conj().T
+    rho = _checked_rho4(rho)
+    mu, vecs = np.linalg.eigh(0.5 * (rho + _dagger(rho)))
+    min_eig = float(mu[..., 0].min())
+    if not min_eig >= _EIG_FLOOR:
+        raise ValueError(f"matrix has negative eigenvalue {min_eig:.3g}")
+    root = np.sqrt(np.clip(mu, 0.0, None))[..., None, :]
+    sqrt_rho = (vecs * root) @ _dagger(vecs)
     sqrt_tilde = _SIGMA_YY @ sqrt_rho.conj() @ _SIGMA_YY
     lambdas = np.linalg.svd(sqrt_rho @ sqrt_tilde, compute_uv=False)
-    c = float(lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])
-    c = min(max(c, 0.0), 1.0)
-    return ConcurrenceReport(c=c, path="general", lambdas=lambdas)
+    l0, l1, l2, l3 = np.moveaxis(lambdas, -1, 0)
+    c = np.minimum(np.maximum(l0 - l1 - l2 - l3, 0.0), 1.0)
+    return ConcurrenceReport(c=float(c) if rho.ndim == 2 else c,
+                             path="general", lambdas=lambdas)
 
 
-def concurrence_x_state(reduced, x_tolerance: float = X_TOLERANCE) -> ConcurrenceReport:
-    """Closed-form concurrence for X states; rejects anything off-pattern."""
-    rho = _as_rho4(reduced)
-    _validate_rho4(rho)
+def concurrence_x_state(rho) -> ConcurrenceReport:
+    """Closed-form concurrence of an X state, or of each in a stack.
+
+    Rejects input with any off-pattern entry above X_TOLERANCE.
+    """
+    rho = _checked_rho4(rho)
     dev = x_form_deviation(rho)
-    if dev > x_tolerance:
+    if not dev <= X_TOLERANCE:
         raise ValueError(
             f"not an X state: off-pattern entry of magnitude {dev:.3g} "
-            f"exceeds tolerance {x_tolerance:.3g}")
-    c, c1, c2 = _x_branches(rho)
-    return ConcurrenceReport(c=float(c), path="x_state", c1=float(c1),
-                             c2=float(c2))
+            f"exceeds tolerance {X_TOLERANCE:.3g}")
+    d = np.maximum(rho[..., 0, 0].real, 0.0)
+    c_mid = np.maximum(rho[..., 1, 1].real, 0.0)
+    b_mid = np.maximum(rho[..., 2, 2].real, 0.0)
+    a = np.maximum(rho[..., 3, 3].real, 0.0)
+    c1 = 2.0 * (np.abs(rho[..., 3, 0]) - np.sqrt(b_mid * c_mid))
+    c2 = 2.0 * (np.abs(rho[..., 1, 2]) - np.sqrt(a * d))
+    c = np.minimum(np.maximum(np.maximum(c1, c2), 0.0), 1.0)
+    if rho.ndim == 2:
+        c, c1, c2 = float(c), float(c1), float(c2)
+    return ConcurrenceReport(c=c, path="x_state", c1=c1, c2=c2)
 
 
 def independent_decay_concurrence(alpha2: float, gamma_s: float, times):

@@ -25,13 +25,13 @@ DEFAULT_GAMMA_CAVITY = math.sqrt(0.05)
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical rates, all expressed in units of the reference rate gamma0.
+    """Physical rates, all expressed in units of the reference rate gamma0,
+    which fixes the time unit (t is t*gamma0).
 
     omega          qubit-mode coupling strength
     gamma_cavity   mode (cavity) decay rate
     gamma_a        spontaneous emission rate of qubit A
     gamma_b        spontaneous emission rate of qubit B
-    gamma0         reference decay rate fixing the time unit (t is t*gamma0)
     n_fock         mode truncation; Fock levels 0 .. n_fock-1 are kept
     """
 
@@ -39,13 +39,12 @@ class SystemParams:
     gamma_cavity: float
     gamma_a: float
     gamma_b: float
-    gamma0: float = 1.0
     n_fock: int = 3
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.omega):
             raise ValueError("omega must be finite")
-        for name in ("gamma_cavity", "gamma_a", "gamma_b", "gamma0"):
+        for name in ("gamma_cavity", "gamma_a", "gamma_b"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0")
@@ -58,7 +57,6 @@ class SystemParams:
         gamma_s: float,
         omega: float = DEFAULT_OMEGA,
         gamma_cavity: float = DEFAULT_GAMMA_CAVITY,
-        gamma0: float = 1.0,
         n_fock: int = 3,
     ) -> "SystemParams":
         """Both qubits emit at the same rate gamma_s.
@@ -67,7 +65,7 @@ class SystemParams:
         (omega = 0.2, gamma_cavity = sqrt(0.05), in units of gamma0).
         """
         return cls(omega=omega, gamma_cavity=gamma_cavity, gamma_a=gamma_s,
-                   gamma_b=gamma_s, gamma0=gamma0, n_fock=n_fock)
+                   gamma_b=gamma_s, n_fock=n_fock)
 
 
 @dataclass(frozen=True)

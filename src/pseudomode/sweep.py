@@ -41,7 +41,6 @@ from .dynamics import (
 from .entanglement import (
     X_TOLERANCE,
     concurrence_general,
-    concurrence_x_series,
     concurrence_x_state,
     x_form_deviation,
 )
@@ -84,7 +83,6 @@ class SweepConfig:
     rate_unit: str = "gamma0"
     omega: float = DEFAULT_OMEGA
     gamma_cavity: float = DEFAULT_GAMMA_CAVITY
-    gamma0: float = 1.0
     n_fock: int = 3
     t_max: float = 200.0
     n_steps: int = 2000
@@ -131,7 +129,7 @@ class SweepConfig:
         """Parameters of one cell; gamma_s is in gamma0 units."""
         return SystemParams.symmetric(
             gamma_s, omega=self.omega, gamma_cavity=self.gamma_cavity,
-            gamma0=self.gamma0, n_fock=self.n_fock)
+            n_fock=self.n_fock)
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_steps + 1)
@@ -197,22 +195,18 @@ def _cell_concurrence(traj: Trajectory) -> tuple[np.ndarray, np.ndarray,
     """Concurrence series plus branch values and the path used.
 
     The closed-form path is taken only if every sample is within X
-    tolerance and spot-checked samples agree with the general algorithm.
+    tolerance and the first, middle and last samples agree with the
+    general algorithm.
     """
     n = len(traj.times)
     reduced = traj.reduced
-    use_x = x_form_deviation(reduced) <= X_TOLERANCE
-    if use_x:
-        for i in {0, n // 2, n - 1}:
-            gap = abs(concurrence_x_state(reduced[i]).c
-                      - concurrence_general(reduced[i]).c)
-            if gap > DUAL_PATH_TOL:
-                use_x = False
-                break
-    if use_x:
-        conc, c1, c2 = concurrence_x_series(reduced)
-        return conc, c1, c2, "x_state"
-    conc = np.array([concurrence_general(rho).c for rho in reduced])
+    if x_form_deviation(reduced) <= X_TOLERANCE:
+        x = concurrence_x_state(reduced)
+        spots = sorted({0, n // 2, n - 1})
+        gap = np.abs(x.c[spots] - concurrence_general(reduced[spots]).c)
+        if (gap <= DUAL_PATH_TOL).all():  # NaN fails too
+            return x.c, x.c1, x.c2, "x_state"
+    conc = concurrence_general(reduced).c
     return conc, np.full(n, math.nan), np.full(n, math.nan), "general"
 
 

@@ -15,6 +15,7 @@ from pseudomode import (
     lindblad_rhs,
     liouvillian_matrix,
     make_initial,
+    number_operator,
 )
 from pseudomode import dynamics
 from pseudomode.dynamics import (
@@ -27,7 +28,6 @@ from pseudomode.dynamics import (
     TRACE_TOL,
     IntegrationDiagnostics,
     _check_samples,
-    _excitation_weights,
     diagonal_blocks,
     interval_propagator,
     reachable_entries,
@@ -107,7 +107,7 @@ def test_expm_cross_check(space3):
     assert got is None
     # compare through the reduced matrices instead
     from pseudomode.entanglement import partial_trace_cavity
-    ref = partial_trace_cavity(expected, space3).rho
+    ref = partial_trace_cavity(expected, space3)
     assert np.abs(traj.reduced[-1] - ref).max() <= 1e-9
 
 
@@ -150,7 +150,7 @@ def test_interval_propagator_matches_substep_loop(space3, gamma_s):
 def _raw_state(space, top):
     """Random full-rank state on the basis states with at most `top`
     excitations."""
-    low = np.flatnonzero(_excitation_weights(space) <= top)
+    low = np.flatnonzero(number_operator(space).diagonal().real <= top)
     rho = np.zeros((space.dim_total,) * 2, dtype=complex)
     rho[np.ix_(low, low)] = random_density_matrix(np.random.default_rng(11),
                                                   len(low))
@@ -463,7 +463,7 @@ def test_chunked_checks_report_the_per_sample_first_violation(space3, case):
     rho = np.array(states)
     support = np.flatnonzero((rho.reshape(len(rho), -1) != 0).any(axis=0))
     blocks = diagonal_blocks(support, space3.dim_total)
-    weights = _excitation_weights(space3)
+    weights = number_operator(space3).diagonal().real
     prev_expect_n = math.inf
     with pytest.raises(IntegrationError) as err:
         for lo in range(0, len(rho), C):

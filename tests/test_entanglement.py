@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,8 @@ import pytest
 from conftest import random_density_matrix, random_x_state
 from pseudomode.dynamics import evolve
 from pseudomode.entanglement import (
-    ReducedState,
+    X_TOLERANCE,
     concurrence_general,
-    concurrence_x_series,
     concurrence_x_state,
     independent_decay_concurrence,
     independent_decay_death_time,
@@ -49,12 +49,12 @@ class TestPartialTrace:
         vac[0, 0] = 1.0
         full = np.kron(to_kron_layout(rho_q), vac)
         out = partial_trace_cavity(full, space3)
-        assert isinstance(out, ReducedState)
-        assert np.abs(out.rho - rho_q).max() < 1e-15
+        assert isinstance(out, np.ndarray) and out.shape == (4, 4)
+        assert np.abs(out - rho_q).max() < 1e-15
 
     def test_maximally_mixed(self, space3):
         full = np.eye(12, dtype=complex) / 12.0
-        out = partial_trace_cavity(full, space3).rho
+        out = partial_trace_cavity(full, space3)
         assert np.abs(out - np.eye(4) / 4.0).max() < 1e-15
 
     def test_single_excitation_superposition(self, space3):
@@ -63,7 +63,7 @@ class TestPartialTrace:
         v = np.zeros(12, dtype=complex)
         v[space3.flat_index(1, 0, 0)] = 1.0 / math.sqrt(2.0)
         v[space3.flat_index(0, 0, 1)] = 1.0 / math.sqrt(2.0)
-        out = partial_trace_cavity(np.outer(v, v.conj()), space3).rho
+        out = partial_trace_cavity(np.outer(v, v.conj()), space3)
         assert out[1, 1] == pytest.approx(0.5)
         assert out[0, 0] == pytest.approx(0.5)
         assert abs(out[1, 0]) < 1e-15
@@ -72,7 +72,7 @@ class TestPartialTrace:
     def test_trace_preserved(self, space3):
         rng = np.random.default_rng(11)
         full = random_density_matrix(rng, 12)
-        out = partial_trace_cavity(full, space3).rho
+        out = partial_trace_cavity(full, space3)
         assert abs(np.trace(out) - 1.0) < 1e-14
 
     def test_dimension_mismatch(self, space3):
@@ -81,7 +81,7 @@ class TestPartialTrace:
 
     def test_accepts_int_cutoff(self):
         full = np.eye(8, dtype=complex) / 8.0
-        out = partial_trace_cavity(full, 2).rho
+        out = partial_trace_cavity(full, 2)
         assert np.abs(out - np.eye(4) / 4.0).max() < 1e-15
 
 
@@ -121,10 +121,6 @@ class TestConcurrenceGeneral:
         rho = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
         with pytest.raises(ValueError):
             concurrence_general(rho)
-
-    def test_accepts_reduced_state_wrapper(self):
-        rep = concurrence_general(ReducedState(rho=bell_phi_plus()))
-        assert rep.c == pytest.approx(1.0, abs=1e-12)
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(23)
@@ -170,9 +166,11 @@ class TestConcurrenceXState:
     def test_x_tolerance_is_configurable(self):
         rho = bell_phi_plus()
         rho[0, 1] = rho[1, 0] = 1e-10
-        concurrence_x_state(rho)  # inside the default tolerance
-        with pytest.raises(ValueError):
-            concurrence_x_state(rho, x_tolerance=1e-11)
+        concurrence_x_state(rho)  # inside X_TOLERANCE
+        rho[0, 1] = rho[1, 0] = 1e-8
+        with pytest.raises(ValueError, match="not an X state"):
+            concurrence_x_state(rho)
+        assert X_TOLERANCE == 1e-9
 
     def test_dual_path_on_random_states(self):
         rng = np.random.default_rng(101)
@@ -204,8 +202,8 @@ class TestConcurrenceXState:
         times = np.linspace(0.0, t_max, n_steps + 1)
         state = make_initial(InitialStateSpec("psi", 0.05), space3)
         traj = evolve(state, space3, SystemParams.symmetric(gamma_s), times)
-        gap = max(abs(concurrence_x_state(rho).c - concurrence_general(rho).c)
-                  for rho in traj.reduced)
+        gap = np.abs(concurrence_x_state(traj.reduced).c
+                     - concurrence_general(traj.reduced).c).max()
         assert gap <= 1e-10, f"dual-path gap {gap:.3e} on an evolved state"
 
 
@@ -222,28 +220,67 @@ def test_stacked_forms_equal_the_per_matrix_loop(space3):
     rng = np.random.default_rng(11)
     full = np.stack([random_density_matrix(rng, space3.dim_total)
                      for _ in range(6)])
-    reduced = partial_trace_cavity(full, space3).rho
+    reduced = partial_trace_cavity(full, space3)
     assert reduced.shape == (6, 4, 4)
     for rho, one in zip(full, reduced):
-        assert np.array_equal(partial_trace_cavity(rho, space3).rho, one)
+        assert np.array_equal(partial_trace_cavity(rho, space3), one)
 
     xs = np.stack([random_x_state(rng) for _ in range(50)])
-    c, c1, c2 = concurrence_x_series(xs)
+    stacked = concurrence_x_state(xs)
+    assert stacked.c.shape == stacked.c1.shape == stacked.c2.shape == (50,)
     for i, rho in enumerate(xs):
         rep = concurrence_x_state(rho)
-        assert (rep.c, rep.c1, rep.c2) == (c[i], c1[i], c2[i])
+        assert (rep.c, rep.c1, rep.c2) == (stacked.c[i], stacked.c1[i],
+                                           stacked.c2[i])
     off = xs.copy()
-    off[17, 1, 3] = 1e-4
+    off[17, 1, 3] = off[17, 3, 1] = 1e-4
     assert x_form_deviation(off) == max(x_form_deviation(r) for r in off)
+    with pytest.raises(ValueError, match="not an X state"):
+        concurrence_x_state(off)
 
-    bad = xs.copy()
-    bad[31, 0, 1] += 1e-6  # one non-Hermitian matrix rejects the stack
-    with pytest.raises(ValueError, match="Hermitian"):
-        concurrence_x_series(bad)
-    bad = xs.copy()
-    bad[40, 0, 0] += 1e-6
-    with pytest.raises(ValueError, match="trace"):
-        concurrence_x_series(bad)
+    # random full-rank states, and an evolved trajectory whose P(11) and
+    # bright population decay to ~1e-12 and below (near rank deficient)
+    state = make_initial(InitialStateSpec("psi", 0.05), space3)
+    traj = evolve(state, space3, SystemParams.symmetric(2.0),
+                  np.linspace(0.0, 30.0, 301))
+    for stack in (np.stack([random_density_matrix(rng, 4)
+                            for _ in range(50)]), traj.reduced):
+        stacked = concurrence_general(stack)
+        assert stacked.c.shape == (len(stack),)
+        assert stacked.lambdas.shape == (len(stack), 4)
+        loop = [concurrence_general(rho) for rho in stack]
+        assert np.array_equal(stacked.c, [rep.c for rep in loop])
+        assert np.array_equal(stacked.lambdas, [rep.lambdas for rep in loop])
+
+    for bad, match in (((31, 0, 1), "Hermitian"), ((40, 0, 0), "trace")):
+        # one bad matrix rejects the stack, on both paths
+        stack = xs.copy()
+        stack[bad] += 1e-6
+        for concurrence in (concurrence_x_state, concurrence_general):
+            with pytest.raises(ValueError, match=match):
+                concurrence(stack)
+    stack = xs.copy()
+    stack[23] = np.diag([0.6, 0.5, -0.05, -0.05])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        concurrence_general(stack)
+
+
+@pytest.mark.parametrize("concurrence",
+                         [concurrence_x_state, concurrence_general])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_input_is_rejected(concurrence, stacked, value):
+    # NaN fails every comparison and inf turns the Hermiticity check into
+    # inf - inf, so both must be caught before any check runs
+    rng = np.random.default_rng(3)
+    rho = np.stack([random_x_state(rng) for _ in range(5)])
+    rho[2, 3, 0] = rho[2, 0, 3] = value
+    if not stacked:
+        rho = rho[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            concurrence(rho)
 
 
 class TestIndependentDecayOracle:
@@ -309,5 +346,4 @@ def test_evolution_preserves_x_form(space3):
     for family, a2 in (("psi", 0.3), ("phi", 0.7), ("werner_psi", 0.5)):
         spec = InitialStateSpec(family, a2, theta=0.9, r=0.8)
         traj = evolve(make_initial(spec, space3), space3, params, times)
-        dev = max(x_form_deviation(traj.reduced[i]) for i in range(len(times)))
-        assert dev <= 1e-9
+        assert x_form_deviation(traj.reduced) <= 1e-9

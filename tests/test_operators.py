@@ -144,5 +144,4 @@ def test_symmetric_defaults():
     assert p.gamma_a == p.gamma_b == 0.05
     assert p.omega == 0.2
     assert p.gamma_cavity == pytest.approx(math.sqrt(0.05))
-    assert p.gamma0 == 1.0
     assert p.n_fock == 3

@@ -13,7 +13,7 @@ from pseudomode.states import InitialStateSpec
 
 
 def reduced_of(spec, space):
-    return partial_trace_cavity(make_initial(spec, space), space).rho
+    return partial_trace_cavity(make_initial(spec, space), space)
 
 
 class TestSpecValidation:
@@ -55,7 +55,7 @@ class TestMakeInitial:
 
     def test_werner_r_zero_is_maximally_mixed(self, space3):
         state = make_initial(InitialStateSpec("werner_psi", 0.5, r=0.0), space3)
-        rho = partial_trace_cavity(state, space3).rho
+        rho = partial_trace_cavity(state, space3)
         assert np.abs(rho - np.eye(4) / 4.0).max() < 1e-15
         assert concurrence_general(rho).c == 0.0
 

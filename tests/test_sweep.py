@@ -9,6 +9,7 @@ from pseudomode import (
     FullState,
     IntegrationError,
     build_space,
+    concurrence_general,
     evolve,
     make_initial,
 )
@@ -31,6 +32,21 @@ from pseudomode.sweep import (
 
 SMALL = SweepConfig(family="psi", alpha2_grid=(0.2, 0.5, 0.8),
                     gamma_s_list=(0.0, 0.2), t_max=2.0, n_steps=10)
+
+
+def _raw_non_x_state(space, seed: int) -> FullState:
+    """Entangled state of full rank on the basis states with at most two
+    excitations: 0.8 of a pure state with a |00>-|10> coherence, which
+    takes the reduced state off the X pattern, and 0.2 of a random one."""
+    low = [f for f in range(space.dim_total)
+           if sum(space.unflatten(f)) <= 2]
+    v = np.zeros(space.dim_total, dtype=complex)
+    v[[space.flat_index(0, 0, 0), space.flat_index(1, 1, 0),
+       space.flat_index(1, 0, 0)]] = 0.6, 0.7, 0.3
+    rho = 0.8 * np.outer(v, v.conj()) / np.vdot(v, v).real
+    rho[np.ix_(low, low)] += 0.2 * random_density_matrix(
+        np.random.default_rng(seed), len(low))
+    return FullState(rho)
 
 
 class TestConfig:
@@ -84,6 +100,20 @@ class TestRunSweep:
         assert all(c.path == "x_state" for c in result.cells)
         for cell in result.cells:
             assert not np.isnan(cell.c1).any()
+
+    def test_general_path_equals_the_per_sample_loop(self, tmp_path,
+                                                     space3):
+        state = _raw_non_x_state(space3, 7)
+        raw = tmp_path / "state.txt"
+        save_raw_state(state, str(raw))
+        cfg = replace(SMALL, initial_state_path=str(raw),
+                      gamma_s_list=(0.1,), t_max=5.0, n_steps=50)
+        (cell,) = run_sweep(cfg).cells
+        assert cell.path == "general" and (cell.concurrence > 0.02).all()
+        traj = evolve(load_raw_state(str(raw)), space3,
+                      cfg.system_params(0.1), cfg.times())
+        loop = [concurrence_general(rho).c for rho in traj.reduced]
+        assert np.array_equal(cell.concurrence, loop)
 
     def test_failed_cell_is_isolated(self):
         # second gamma value puts RK4 far outside its stability region:
@@ -170,13 +200,8 @@ class TestCsv:
         # a raw non-X state (alpha2 nan) takes the general path (c1, c2
         # nan), its gamma_s = 2000 twin fails, and SMALL adds closed-form
         # cells; the streamed file must equal one _fmt per value
-        low = [f for f in range(space3.dim_total)
-               if sum(space3.unflatten(f)) <= 2]
-        rho = np.zeros((space3.dim_total,) * 2, dtype=complex)
-        rho[np.ix_(low, low)] = random_density_matrix(
-            np.random.default_rng(4), len(low))
         raw = tmp_path / "state.txt"
-        save_raw_state(FullState(rho), str(raw))
+        save_raw_state(_raw_non_x_state(space3, 4), str(raw))
         mixed = run_sweep(replace(SMALL, initial_state_path=str(raw),
                                   gamma_s_list=(0.1, 2000.0), t_max=0.1))
         result = SweepResult(SMALL, mixed.cells + run_sweep(SMALL).cells)
