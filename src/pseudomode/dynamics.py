@@ -15,7 +15,7 @@ v' = M v for a constant matrix M.
 The integrator is classic fixed-step RK4. For a linear autonomous system the
 four stages collapse into a single degree-4 polynomial S in (h M). The
 samples are evenly spaced, so every sample interval takes the same n
-substeps and is one matvec with P = S^n, built once per run (powered as
+substeps and is one matvec with P = S^n, built once (powered as
 S^k - I, so the small increment keeps its precision) and still exactly
 RK4 at step h up to rounding; an interval longer than MAX_SEGMENT
 steps is cut into equal segments, each checked like a sample.
@@ -25,7 +25,7 @@ symmetry of M), so a trajectory fills only the entries of vec(rho) that M
 can reach from the initial state's nonzero entries (reachable_entries):
 34 of 144 for psi at n_fock = 3. S, P and the trace rows are built on
 M restricted to those entries; every other entry stays exactly 0. With
-the power table Q[k] = P^(k+1), built once per run, a block of points is
+the power table Q[k] = P^(k+1), built once too, a block of points is
 one product Q[:b] @ v; the block length b is the number of table rows
 that fit in TABLE_BYTES, at most SAMPLE_CHUNK. The trace is checked at
 every RK4 step: with the propagator comes the table of trace rows
@@ -37,6 +37,12 @@ operations; positivity is taken per diagonal block of rho
 (diagonal_blocks). The earliest event is reported, as a step-by-step
 check would report it: a failing step before any violation at the
 sample that ends its interval.
+
+M, the reachable entries, S, P, the trace rows and the power table depend
+only on (space, params, h, n) and the initial state's nonzero pattern, so
+calls that share these share one build: evolve takes a dict that keeps
+the builds of the last such key (a sweep passes one per run, so each
+gamma_s builds once), and a direct call builds into a fresh one.
 """
 from __future__ import annotations
 
@@ -129,8 +135,10 @@ class IntegrationDiagnostics:
     the remaining extrema are tracked at sample times, where the full
     matrix is materialized. step_count is the number of RK4 steps taken.
     propagate_s is the time spent building and applying the propagator,
-    including the per-step trace check; check_s the time spent on the
-    per-sample checks and the partial trace (perf_counter seconds).
+    including the generator build and the per-step trace check; a run that
+    reused the builds of an earlier one (evolve's `shared`) records no
+    build time. check_s is the time spent on the per-sample checks and the
+    partial trace (perf_counter seconds).
     """
 
     step_count: int = 0
@@ -324,6 +332,62 @@ def power_table(p: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
+def _block_length(width: int) -> int:
+    """Points per block: the power-table rows of `width` entries that fit
+    in TABLE_BYTES, at most SAMPLE_CHUNK."""
+    row_bytes = np.dtype(complex).itemsize * width * width
+    return max(1, min(SAMPLE_CHUNK, TABLE_BYTES // row_bytes))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _builds(space: CompositeSpace, params: SystemParams, h: float,
+            n_sub: int, rho: np.ndarray, n_points: int, shared: dict
+            ) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray,
+                       np.ndarray]:
+    """Reachable entries, diagonal blocks, trace rows and power table of a
+    run of n_points points, n_sub RK4 steps of size h apart, from rho.
+
+    These depend only on (space, params, h, n_sub) and the nonzero pattern
+    of rho, so they are taken from `shared` when an earlier call left them
+    there. shared holds the builds of one (space, params, h, n_sub): the
+    generator and, for the last nonzero pattern, its entries, blocks,
+    propagator, trace rows and power table. A call with another key
+    empties it first, another pattern replaces that pattern's builds, and
+    a run with more points than the table covers rebuilds the table. Each
+    build is stored only once it is complete, so a build that raises
+    leaves `shared` as it was. Every array is read-only; the table comes
+    back cut to the rows this run uses.
+    """
+    key = (space, params, h, n_sub)
+    if shared.get("key") != key:
+        m = _read_only(liouvillian_matrix(space, params))
+        shared.clear()
+        shared.update(key=key, m=m)
+    m = shared["m"]
+    pattern = (rho.reshape(-1) != 0).tobytes()
+    if shared.get("pattern") != pattern:
+        entries = _read_only(reachable_entries(m, rho))
+        blocks = tuple(map(_read_only,
+                           diagonal_blocks(entries, space.dim_total)))
+        prop, trace_rows = interval_propagator(m, h, n_sub, entries)
+        shared.update(pattern=pattern, entries=entries, blocks=blocks,
+                      prop=_read_only(prop), trace_rows=_read_only(trace_rows),
+                      table=None)
+    rows = min(_block_length(len(shared["entries"])), n_points - 1)
+    if shared["table"] is None or len(shared["table"]) < rows:
+        # past an unstable step the states may overflow; the checks catch
+        # that, so the floating-point warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            shared["table"] = _read_only(power_table(shared["prop"], rows))
+    return (shared["entries"], shared["blocks"], shared["trace_rows"],
+            shared["table"][:rows])
+
+
 def _check_samples(rho: np.ndarray, times: np.ndarray, weights: np.ndarray,
                    blocks: list[np.ndarray], prev_expect_n: float,
                    diag: IntegrationDiagnostics) -> tuple[np.ndarray, ...]:
@@ -387,7 +451,8 @@ def _check_samples(rho: np.ndarray, times: np.ndarray, weights: np.ndarray,
 
 def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
            times: np.ndarray, *, step_size: float = DEFAULT_STEP,
-           store_full: bool = False) -> Trajectory:
+           store_full: bool = False, shared: dict | None = None
+           ) -> Trajectory:
     """Propagate `initial` and sample it on an evenly spaced time grid.
 
     times must be finite, start at initial.time and, with more than one
@@ -404,6 +469,16 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     silently corrupt results. A Fock cutoff too small for the initial
     state's excitations is rejected up front with ValueError (see
     check_fock_cutoff).
+
+    shared lets calls reuse one another's builds: pass the same dict to
+    calls that share space, params and grid spacing (a sweep's cells of
+    one gamma_s) and only the first builds the generator, the propagator,
+    its trace rows and the power table. The dict holds the read-only
+    builds of the last (space, params, h, n_sub) and the last nonzero
+    pattern of the initial state, at most about TABLE_BYTES plus one
+    trace-row table, and lives as long as the caller keeps it; without
+    it each call builds into a fresh dict. The results are the same
+    either way, and every check still runs on every call.
     """
     if not (math.isfinite(step_size) and step_size > 0):
         raise ValueError("step_size must be finite and > 0")
@@ -442,11 +517,14 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         times[-1])
 
     dim = space.dim_total
-    m = liouvillian_matrix(space, params)
-    entries = reachable_entries(m, initial.rho_tilde)
+    diag = IntegrationDiagnostics(step_count=(n_points - 1) * n_sub)
+    clock = perf_counter()
+    entries, blocks, trace_rows, table = _builds(
+        space, params, h, n_sub, initial.rho_tilde, n_points,
+        {} if shared is None else shared)
+    diag.propagate_s = perf_counter() - clock
     width = len(entries)
-    row_bytes = np.dtype(complex).itemsize * width * width
-    chunk = max(1, min(SAMPLE_CHUNK, TABLE_BYTES // row_bytes))
+    chunk = _block_length(width)
     # sub[1:b + 1] holds the reachable entries at points first .. first +
     # b - 1 and sub[0] those of the point before them; the initial state
     # takes no step. full[:b] holds the same states at full width, where
@@ -454,21 +532,11 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     sub = np.empty((chunk + 1, width), dtype=complex)
     sub[1] = initial.rho_tilde.reshape(-1)[entries]
     full = np.zeros((chunk, dim * dim), dtype=complex)
-    blocks = diagonal_blocks(entries, dim)
     reduced = np.empty((n, 4, 4), dtype=complex)
     series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
     full_states: list[FullState] | None = [] if store_full else None
     weights = number_operator(space).diagonal().real
     prev_expect_n = math.inf
-
-    diag = IntegrationDiagnostics(step_count=(n_points - 1) * n_sub)
-    clock = perf_counter()
-    prop, trace_rows = interval_propagator(m, h, n_sub, entries)
-    # past an unstable step the states may overflow; the checks catch
-    # that, so the floating-point warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = power_table(prop, min(chunk, n_points - 1))
-    diag.propagate_s += perf_counter() - clock
     first, unstepped = 0, 1
     while first < n_points:
         b = min(chunk, n_points - first)

@@ -170,6 +170,11 @@ def concurrence_x_state(rho) -> ConcurrenceReport:
     return ConcurrenceReport(c=c, path="x_state", c1=c1, c2=c2)
 
 
+def _check_rate(gamma_s: float) -> None:
+    if not (math.isfinite(gamma_s) and gamma_s >= 0):
+        raise ValueError("gamma_s must be finite and >= 0")
+
+
 def independent_decay_concurrence(alpha2: float, gamma_s: float, times):
     """Closed-form concurrence with the mode decoupled (coupling = 0).
 
@@ -179,12 +184,12 @@ def independent_decay_concurrence(alpha2: float, gamma_s: float, times):
         C(t) = max{0, 2 e^{-g t} (sqrt(alpha2 beta2) - beta2 (1 - e^{-g t}))}
 
     with beta2 = 1 - alpha2 and g = gamma_s. Serves as an exact reference
-    for the full simulation in the decoupled limit.
+    for the full simulation in the decoupled limit. alpha2 outside [0, 1]
+    or a gamma_s that is not finite and >= 0 raises ValueError.
     """
     if not 0.0 <= alpha2 <= 1.0:
         raise ValueError("alpha2 must lie in [0, 1]")
-    if gamma_s < 0:
-        raise ValueError("gamma_s must be >= 0")
+    _check_rate(gamma_s)
     t = np.asarray(times, dtype=float)
     beta2 = 1.0 - alpha2
     decay = np.exp(-gamma_s * t)
@@ -196,11 +201,13 @@ def independent_decay_death_time(alpha2: float, gamma_s: float) -> float | None:
     """Time where the decoupled-limit concurrence first hits zero for good.
 
     Finite only when alpha2 < 1/2 (and the rate is nonzero); returns None
-    when the state stays entangled at all finite times.
+    when the state stays entangled at all finite times. alpha2 outside
+    [0, 1] or a gamma_s that is not finite and >= 0 raises ValueError.
     """
     if not 0.0 <= alpha2 <= 1.0:
         raise ValueError("alpha2 must lie in [0, 1]")
-    if gamma_s <= 0 or alpha2 >= 0.5:
+    _check_rate(gamma_s)
+    if gamma_s == 0 or alpha2 >= 0.5:
         return None
     if alpha2 == 0.0:
         return 0.0

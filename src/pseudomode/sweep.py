@@ -103,8 +103,9 @@ class SweepConfig:
             raise ValueError("n_steps must be >= 1")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError("step_size must be finite and > 0")
-        if not self.esd_threshold >= 0:  # NaN fails too
-            raise ValueError("esd_threshold must be >= 0")
+        # detect_esd_intervals rejects the same thresholds
+        if not (math.isfinite(self.esd_threshold) and self.esd_threshold >= 0):
+            raise ValueError("esd_threshold must be finite and >= 0")
         for gamma_s in self.resolved_gamma_s():
             if not (math.isfinite(gamma_s) and gamma_s >= 0):
                 raise ValueError(f"gamma_s must be finite and >= 0, got "
@@ -210,8 +211,10 @@ def _cell_concurrence(traj: Trajectory) -> tuple[np.ndarray, np.ndarray,
     return conc, np.full(n, math.nan), np.full(n, math.nan), "general"
 
 
-def _run_cell(config: SweepConfig, gamma_s: float, alpha2: float) -> CellResult:
-    """Evolve one cell. gamma_s arrives already in gamma0 units."""
+def _run_cell(config: SweepConfig, gamma_s: float, alpha2: float,
+              shared: dict) -> CellResult:
+    """Evolve one cell, reusing the builds in `shared` (see evolve). gamma_s
+    arrives already in gamma0 units."""
     times = config.times()
     empty = np.empty(0)
 
@@ -225,7 +228,7 @@ def _run_cell(config: SweepConfig, gamma_s: float, alpha2: float) -> CellResult:
         space = build_space(config.n_fock)
         initial = _cell_initial(config, alpha2, space)
         traj = evolve(initial, space, config.system_params(gamma_s), times,
-                      step_size=config.step_size)
+                      step_size=config.step_size, shared=shared)
         conc, c1, c2, path = _cell_concurrence(traj)
     except (IntegrationError, ValueError, ArithmeticError, OSError) as exc:
         return failed(f"{type(exc).__name__}: {exc}")
@@ -241,7 +244,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Evolve every (gamma_s, alpha2) cell and collect concurrence rows.
 
     A cell whose integration breaks an invariant is marked failed (its error
-    recorded, its rows omitted); the remaining cells still complete.
+    recorded, its rows omitted); the remaining cells still complete. The
+    cells of one gamma_s share one generator and propagator build, through
+    a dict that lives for this call only.
     """
     config.validate()
     alpha2_values: tuple[float, ...]
@@ -249,8 +254,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         alpha2_values = (math.nan,)
     else:
         alpha2_values = config.alpha2_grid
-    cells = [_run_cell(config, gs, a2) for gs in config.resolved_gamma_s()
-             for a2 in alpha2_values]
+    shared: dict = {}
+    cells = [_run_cell(config, gs, a2, shared)
+             for gs in config.resolved_gamma_s() for a2 in alpha2_values]
     return SweepResult(config=config, cells=cells)
 
 
@@ -262,14 +268,17 @@ def detect_esd_intervals(times, concurrence,
     Each interval is (death_time, revival_time); the revival time is the
     first sample where concurrence re-exceeds the threshold, or None when
     the run reaches the end of the series (open-ended, no revival seen).
-    Expects a uniformly sampled series.
+    Expects a uniformly sampled series; a non-finite threshold or
+    concurrence sample raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     conc = np.asarray(concurrence, dtype=float)
     if times.shape != conc.shape or times.ndim != 1:
         raise ValueError("times and concurrence must be equal-length 1d arrays")
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError("threshold must be finite and >= 0")
+    if not np.isfinite(conc).all():
+        raise ValueError("concurrence must be finite")
     dark = conc <= threshold
     intervals: list[tuple[float, float | None]] = []
     i = 0

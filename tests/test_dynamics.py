@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -367,6 +368,57 @@ def test_long_interval_is_cut_into_equal_segments(space3, builds,
     assert SAMPLE_CHUNK % 3 and len(fine) > SAMPLE_CHUNK
     assert np.abs(coarse.reduced - fine.reduced[::3]).max() <= 1e-12
     assert np.abs(coarse.expect_n - fine.expect_n[::3]).max() <= 1e-12
+
+
+def _assert_same_trajectory(got, expected):
+    # every field but the stage timers, which are wall-clock seconds
+    for f in fields(expected):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        if f.name == "diagnostics":
+            a, b = ([getattr(d, g.name) for g in fields(d)
+                     if not g.name.endswith("_s")] for d in (a, b))
+        elif f.name == "full_states":
+            assert [s.time for s in a] == [s.time for s in b]
+            a, b = ([s.rho_tilde for s in x] for x in (a, b))
+        assert np.array_equal(a, b), f.name
+
+
+def test_shared_builds_are_keyed_on_every_input(space3, builds):
+    # one dict through calls that change one input at a time: every result
+    # equals a call without it, a call that changes nothing the builds
+    # depend on builds no propagator, and any other change builds one
+    psi = make_initial(InitialStateSpec("psi", 0.3, theta=0.4), space3)
+    phi = make_initial(InitialStateSpec("phi", 0.3, theta=0.4), space3)
+    short = np.linspace(0.0, 2.0, 21)    # 100 steps a sample
+    long = np.linspace(0.0, 20.0, 201)   # same steps, a longer power table
+    fine = np.linspace(0.0, 2.0, 41)     # 50 steps a sample
+    calls = [(psi, 0.2, short, 1, 34),
+             (psi, 0.2, short, 0, 34),   # a repeat of the first call
+             (psi, 0.2, long, 0, 34),
+             (psi, 0.2, short, 0, 34),   # a prefix of the longer table
+             (phi, 0.2, short, 1, 10),
+             (phi, 0.0, short, 1, 10),   # a zero rate thins out M
+             (phi, 0.0, fine, 1, 10)]
+    shared = {}
+    for init, gamma_s, times, new, width in calls:
+        params = SystemParams.symmetric(gamma_s)
+        before = len(builds.steps), len(builds.rows)
+        got = evolve(init, space3, params, times, store_full=True,
+                     shared=shared)
+        assert (len(builds.steps), len(builds.rows)) == (
+            before[0] + new, before[1] + new)
+        assert len(shared["entries"]) == width
+        _assert_same_trajectory(got, evolve(init, space3, params, times,
+                                            store_full=True))
+    nonzero = [np.count_nonzero(liouvillian_matrix(space3, p))
+               for p in map(SystemParams.symmetric, (0.0, 0.2))]
+    assert nonzero[0] < nonzero[1]
+    # the generator, entries, propagator, trace rows and table; the blocks
+    arrays = [v for v in shared.values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 5
+    for a in arrays + list(shared["blocks"]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
 
 
 def test_trace_rows_follow_each_step():

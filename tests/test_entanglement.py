@@ -334,6 +334,12 @@ class TestIndependentDecayOracle:
             independent_decay_concurrence(0.5, -1.0, 0.0)
         with pytest.raises(ValueError):
             independent_decay_death_time(-0.1, 1.0)
+        # a rate that is not finite and >= 0 must not pass as a reference
+        for rate in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="gamma_s"):
+                independent_decay_concurrence(0.3, rate, np.arange(3.0))
+            with pytest.raises(ValueError, match="gamma_s"):
+                independent_decay_death_time(0.3, rate)
 
 
 def test_evolution_preserves_x_form(space3):

@@ -13,7 +13,7 @@ from pseudomode import (
     evolve,
     make_initial,
 )
-from pseudomode import cli
+from pseudomode import cli, dynamics
 from pseudomode.cli import _parse, main
 from pseudomode.states import InitialStateSpec
 from pseudomode.sweep import (
@@ -22,6 +22,7 @@ from pseudomode.sweep import (
     ROWS_SCHEMA,
     SweepConfig,
     SweepResult,
+    _cell_concurrence,
     detect_esd_intervals,
     load_raw_state,
     run_sweep,
@@ -71,6 +72,9 @@ class TestConfig:
             replace(SMALL, gamma_cavity=-1.0).validate()
         with pytest.raises(ValueError, match="n_fock >= 3"):
             replace(SMALL, n_fock=2).validate()
+        for threshold in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="esd_threshold"):
+                replace(SMALL, esd_threshold=threshold).validate()
         replace(SMALL, family="phi", n_fock=2).validate()
         SMALL.validate()
 
@@ -140,6 +144,48 @@ class TestRunSweep:
             assert 0.0 < exc.time <= cfg.times()[1]
             assert abs(exc.value) > abs(exc.limit)
 
+    @pytest.mark.parametrize("gamma_s_list", [(0.0, 0.2), (0.0, 2000.0)])
+    def test_builds_are_shared_within_one_run(self, monkeypatch,
+                                              gamma_s_list):
+        # the cells of one gamma_s share one generator, and nothing is
+        # kept from one run to the next, not even when the next run starts
+        # on the gamma_s the last one ended on; every healthy cell equals
+        # its own evolve with no builds shared, also next to a failed
+        # gamma_s
+        built = []
+        build = dynamics.liouvillian_matrix
+
+        def recording(space, params):
+            built.append(params.gamma_a)
+            return build(space, params)
+
+        monkeypatch.setattr(dynamics, "liouvillian_matrix", recording)
+        cfg = replace(SMALL, gamma_s_list=gamma_s_list, t_max=0.1,
+                      n_steps=10)
+        cells = []
+        for order in (gamma_s_list, gamma_s_list, gamma_s_list[::-1]):
+            built.clear()
+            result = run_sweep(replace(cfg, gamma_s_list=order))
+            assert built == list(order)
+            assert [c.failed for c in result.cells] == [
+                g == 2000.0 for g in order for _ in range(3)]
+            cells += result.cells
+        space = build_space(cfg.n_fock)
+        for cell in cells:
+            if cell.failed:
+                continue
+            init = make_initial(InitialStateSpec("psi", cell.alpha2), space)
+            traj = evolve(init, space, cfg.system_params(cell.gamma_s),
+                          cfg.times())
+            conc, c1, c2, path = _cell_concurrence(traj)
+            assert cell.path == path
+            for got, expected in [(cell.times, traj.times),
+                                  (cell.concurrence, conc), (cell.c1, c1),
+                                  (cell.c2, c2),
+                                  (cell.trace_error, traj.trace_error),
+                                  (cell.min_eigenvalue, traj.min_eigenvalue)]:
+                assert np.array_equal(got, expected, equal_nan=True)
+
     def test_repeat_run_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_rows_csv(run_sweep(SMALL), str(p1))
@@ -173,6 +219,16 @@ class TestDetectEsd:
             detect_esd_intervals(np.arange(3.0), np.ones(4))
         with pytest.raises(ValueError):
             detect_esd_intervals(np.arange(3.0), np.ones(3), threshold=-1.0)
+        # NaN fails every comparison, so it must be rejected, not read as
+        # a threshold nothing lies under or a sample that is not dark
+        for threshold in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="threshold"):
+                detect_esd_intervals(np.arange(3.0), np.zeros(3),
+                                     threshold=threshold)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="concurrence"):
+                detect_esd_intervals(np.arange(3.0),
+                                     np.array([0.5, value, 0.0]))
 
 
 class TestCsv:
@@ -295,6 +351,14 @@ class TestCli:
                    "--steps", "5"])
         assert rc == 2
         assert "rate-unit" in capsys.readouterr().err
+
+    def test_infinite_esd_threshold_exits_before_any_cell(self, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", None)  # must not be reached
+        rc = main(["--alpha2", "0.3", "--gamma-s", "0.1", "--rate-unit",
+                   "gamma0", "--esd-threshold", "inf"])
+        assert rc == 2
+        assert "esd_threshold" in capsys.readouterr().err
 
     def test_alpha2_forms_are_exclusive(self, capsys):
         rc = main(["--alpha2", "0.3", "--alpha2-grid", "0.1:0.9:5",
