@@ -23,26 +23,31 @@ steps is cut into equal segments, each checked like a sample.
 The model conserves the excitation number up to losses (a weak U(1)
 symmetry of M), so a trajectory fills only the entries of vec(rho) that M
 can reach from the initial state's nonzero entries (reachable_entries):
-34 of 144 for psi at n_fock = 3. S, P and the trace rows are built on
-M restricted to those entries; every other entry stays exactly 0. With
+34 of 144 for psi at n_fock = 3. The slice holds the transpose of each of
+its entries. S, P and the trace rows are built on M restricted to those
+entries; every other entry stays exactly 0. With
 the power table Q[k] = P^(k+1), built once too, a block of points is
 one product Q[:b] @ v; the block length b is the number of table rows
 that fit in TABLE_BYTES, at most SAMPLE_CHUNK. The trace is checked at
 every RK4 step: with the propagator comes the table of trace rows
 T[k] = e^T S^(k+1), e marking the diagonal entries of vec(rho), so T @ V
 holds the trace after each substep of every interval started from the
-columns of V. Each block is scattered back to full width and the
-remaining invariants are checked at the sample times as array
-operations; positivity is taken per diagonal block of rho
-(diagonal_blocks). The earliest event is reported, as a step-by-step
-check would report it: a failing step before any violation at the
-sample that ends its interval.
+columns of V. The remaining invariants are checked at the sample times,
+a block at a time as array operations. Finiteness, hermiticity (each
+entry against its transpose's conjugate) and positivity (eigvalsh per
+diagonal block of rho, see diagonal_blocks) read the slice through index
+maps built once (slice_maps). The block is also scattered back to full
+width, and the trace, <N>, the sector leakage, the partial trace and
+store_full read that, so their sums round as over the full matrix. The
+earliest event is reported, as a step-by-step check would report it: a
+failing step before any violation at the sample that ends its interval.
 
-M, the reachable entries, S, P, the trace rows and the power table depend
-only on (space, params, h, n) and the initial state's nonzero pattern, so
-calls that share these share one build: evolve takes a dict that keeps
-the builds of the last such key (a sweep passes one per run, so each
-gamma_s builds once), and a direct call builds into a fresh one.
+M, the reachable entries, their index maps, S, P, the trace rows and the
+power table depend only on (space, params, h, n) and the initial state's
+nonzero pattern, so calls that share these share one build: evolve takes
+a dict that keeps the builds of the last such key (a sweep passes one per
+run, so each gamma_s builds once), and a direct call builds into a fresh
+one.
 """
 from __future__ import annotations
 
@@ -250,15 +255,27 @@ def _closure(linked: np.ndarray, seed: np.ndarray) -> np.ndarray:
         reached = grown
 
 
+def _transposed(dim: int) -> np.ndarray:
+    """Position in the row-major vec(rho) of each entry's transpose."""
+    return np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
+
+
 def reachable_entries(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Indices of the entries of vec(rho) that v' = M v can make nonzero.
 
-    Starts from the nonzero entries of the row-major vec(rho) and grows the
-    set by the nonzero pattern of M until nothing new is reached, so M
-    maps the set into itself and every other entry stays exactly 0 under
-    RK4, which only multiplies by polynomials in M.
+    Starts from the nonzero entries of the row-major vec(rho) and of its
+    transpose, and grows the set by the nonzero pattern of M, and of M with
+    rows and columns transposed, until nothing new is reached. So M maps
+    the set into itself, and every other entry stays exactly 0 under RK4,
+    which only multiplies by polynomials in M; and the set holds the
+    transpose of each of its entries, even for a rho or an M that does not
+    preserve hermiticity. (A Lindblad generator preserves it, so there the
+    transposed pattern adds nothing.)
     """
-    return _closure(m != 0, rho.reshape(-1) != 0)
+    t = _transposed(rho.shape[0])
+    linked = m != 0
+    seed = rho.reshape(-1) != 0
+    return _closure(linked | linked[np.ix_(t, t)], seed | seed[t])
 
 
 def diagonal_blocks(entries: np.ndarray, dim: int) -> list[np.ndarray]:
@@ -279,6 +296,25 @@ def diagonal_blocks(entries: np.ndarray, dim: int) -> list[np.ndarray]:
         blocks.append(block)
         left[block] = False
     return blocks
+
+
+def slice_maps(entries: np.ndarray, dim: int
+               ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Index maps that let the invariant checks read only `entries`.
+
+    entries must hold the transpose of each of its entries (see
+    reachable_entries). Returns mirror, the position in `entries` of each
+    entry's transpose, and for each of the diagonal_blocks, with k basis
+    states, the (k, k) positions of its entries in `entries`; an entry
+    outside them, an exact 0, is marked -1.
+    """
+    where = np.full(dim * dim, -1)
+    where[entries] = np.arange(len(entries))
+    mirror = where[_transposed(dim)[entries]]
+    if (mirror < 0).any():
+        raise ValueError("entries must hold the transpose of each entry")
+    return mirror, [where[blk[:, None] * dim + blk]
+                    for blk in diagonal_blocks(entries, dim)]
 
 
 def interval_propagator(m: np.ndarray, h: float, n_sub: int,
@@ -347,15 +383,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _builds(space: CompositeSpace, params: SystemParams, h: float,
             n_sub: int, rho: np.ndarray, n_points: int, shared: dict
-            ) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray,
-                       np.ndarray]:
-    """Reachable entries, diagonal blocks, trace rows and power table of a
-    run of n_points points, n_sub RK4 steps of size h apart, from rho.
+            ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...],
+                       np.ndarray, np.ndarray]:
+    """Reachable entries, their slice maps (mirror and diagonal blocks, see
+    slice_maps), trace rows and power table of a run of n_points points,
+    n_sub RK4 steps of size h apart, from rho.
 
     These depend only on (space, params, h, n_sub) and the nonzero pattern
     of rho, so they are taken from `shared` when an earlier call left them
     there. shared holds the builds of one (space, params, h, n_sub): the
-    generator and, for the last nonzero pattern, its entries, blocks,
+    generator and, for the last nonzero pattern, its entries, slice maps,
     propagator, trace rows and power table. A call with another key
     empties it first, another pattern replaces that pattern's builds, and
     a run with more points than the table covers rebuilds the table. Each
@@ -372,10 +409,11 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
     pattern = (rho.reshape(-1) != 0).tobytes()
     if shared.get("pattern") != pattern:
         entries = _read_only(reachable_entries(m, rho))
-        blocks = tuple(map(_read_only,
-                           diagonal_blocks(entries, space.dim_total)))
+        mirror, blocks = slice_maps(entries, space.dim_total)
         prop, trace_rows = interval_propagator(m, h, n_sub, entries)
-        shared.update(pattern=pattern, entries=entries, blocks=blocks,
+        shared.update(pattern=pattern, entries=entries,
+                      mirror=_read_only(mirror),
+                      blocks=tuple(map(_read_only, blocks)),
                       prop=_read_only(prop), trace_rows=_read_only(trace_rows),
                       table=None)
     rows = min(_block_length(len(shared["entries"])), n_points - 1)
@@ -384,17 +422,24 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
         # that, so the floating-point warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
             shared["table"] = _read_only(power_table(shared["prop"], rows))
-    return (shared["entries"], shared["blocks"], shared["trace_rows"],
-            shared["table"][:rows])
+    return (shared["entries"], shared["mirror"], shared["blocks"],
+            shared["trace_rows"], shared["table"][:rows])
 
 
-def _check_samples(rho: np.ndarray, times: np.ndarray, weights: np.ndarray,
+def _check_samples(sub: np.ndarray, rho: np.ndarray, times: np.ndarray,
+                   weights: np.ndarray, mirror: np.ndarray,
                    blocks: list[np.ndarray], prev_expect_n: float,
                    diag: IntegrationDiagnostics) -> tuple[np.ndarray, ...]:
-    """Check a block of states (b, d, d) sampled at `times`, in time order.
+    """Check a block of states sampled at `times`, in time order.
 
-    The states must be block-diagonal over `blocks` (see diagonal_blocks);
-    their smallest eigenvalue is taken block by block.
+    sub (b, w) holds the states' entries on a slice of vec(rho) and rho
+    (b, d, d) the same states at full width, zero outside the slice.
+    mirror and blocks are the slice's maps (see slice_maps). The finite
+    and hermiticity checks and the smallest eigenvalue, taken block by
+    block, read the slice: every nonzero entry is in it, so they give the
+    full-width values bit for bit. The trace, <N> and leakage are sums
+    over the full-width diagonal, so their rounding is that of the full
+    matrix.
 
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, positivity,
@@ -404,23 +449,23 @@ def _check_samples(rho: np.ndarray, times: np.ndarray, weights: np.ndarray,
     eigenvalue and sector leakage are returned, in the order of the
     Trajectory fields.
     """
-    finite = np.isfinite(rho.view(float)).all(axis=(1, 2))
+    finite = np.isfinite(sub).all(axis=1)
     # eigvalsh rejects non-finite input, so check only up to the first
     # non-finite sample; it raises below unless an earlier one does
-    n_ok = len(rho) if finite.all() else int(np.argmin(finite))
-    ok = rho[:n_ok]
-    ok_h = ok.conj().transpose(0, 2, 1)
-    herm = np.abs(ok - ok_h).max(axis=(1, 2))
-    tr_err = np.abs(np.trace(ok, axis1=1, axis2=2) - 1.0)
+    n_ok = len(sub) if finite.all() else int(np.argmin(finite))
+    ok = sub[:n_ok]
+    herm = np.abs(ok - ok[:, mirror].conj()).max(axis=1)
+    tr_err = np.abs(np.trace(rho[:n_ok], axis1=1, axis2=2) - 1.0)
     mins = []
-    for blk in blocks:
-        sub = ok[:, blk[:, None], blk]
+    for where in blocks:
+        blk = ok[:, where]
+        blk[:, where < 0] = 0.0  # entries outside the slice
         mins.append(np.linalg.eigvalsh(
-            0.5 * (sub + sub.conj().transpose(0, 2, 1)))[:, 0])
+            0.5 * (blk + blk.conj().transpose(0, 2, 1)))[:, 0])
     if sum(map(len, blocks)) < rho.shape[1]:
         mins.append(np.zeros(n_ok))  # a basis state no block holds
     min_eig = np.min(mins, axis=0)
-    pops = np.real(ok.diagonal(axis1=1, axis2=2))
+    pops = np.real(rho[:n_ok].diagonal(axis1=1, axis2=2))
     expn = pops @ weights
     gain = np.diff(expn, prepend=prev_expect_n)
 
@@ -435,7 +480,7 @@ def _check_samples(rho: np.ndarray, times: np.ndarray, weights: np.ndarray,
             if flags[i]:
                 raise IntegrationError(invariant, float(times[i]),
                                        float(values[i]), limit)
-    if n_ok < len(rho):
+    if n_ok < len(sub):
         raise IntegrationError("finite", float(times[n_ok]), math.inf, 0.0)
 
     leak = pops[:, weights > 2].sum(axis=1)
@@ -519,7 +564,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     dim = space.dim_total
     diag = IntegrationDiagnostics(step_count=(n_points - 1) * n_sub)
     clock = perf_counter()
-    entries, blocks, trace_rows, table = _builds(
+    entries, mirror, blocks, trace_rows, table = _builds(
         space, params, h, n_sub, initial.rho_tilde, n_points,
         {} if shared is None else shared)
     diag.propagate_s = perf_counter() - clock
@@ -555,8 +600,9 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         full[:stop, entries] = sub[1:stop + 1]
         rho = full[:stop].reshape(stop, dim, dim)
         # a violation at an earlier sample wins over a failing step
-        checked = _check_samples(rho, point_times[first:first + stop],
-                                 weights, blocks, prev_expect_n, diag)
+        checked = _check_samples(sub[1:stop + 1], rho,
+                                 point_times[first:first + stop], weights,
+                                 mirror, blocks, prev_expect_n, diag)
         if stop < b:
             col = err[:, stop - unstepped]
             k = int(np.argmax(~(col <= TRACE_TOL)))

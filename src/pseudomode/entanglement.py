@@ -38,6 +38,9 @@ import numpy as np
 X_TOLERANCE = 1e-9
 
 _HERM_TOL = 1e-8
+# Most matrices of a stack the hermiticity check takes at once, so that
+# its temporaries stay small however long the stack is.
+_CHECK_SLICE = 2048
 _TRACE_TOL = 1e-9
 _EIG_FLOOR = -1e-8
 
@@ -80,7 +83,11 @@ def _checked_rho4(rho) -> np.ndarray:
         raise ValueError(f"expected 4x4 matrices, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("matrix contains non-finite entries")
-    herm = float(np.abs(rho - _dagger(rho)).max())
+    flat = rho.reshape(-1, 4, 4)
+    herm = 0.0
+    for lo in range(0, len(flat), _CHECK_SLICE):
+        part = flat[lo:lo + _CHECK_SLICE]
+        herm = max(herm, float(np.abs(part - _dagger(part)).max()))
     if not herm <= _HERM_TOL:
         raise ValueError(f"matrix not Hermitian: deviation {herm:.3g}")
     tr_err = float(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max())

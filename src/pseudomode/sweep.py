@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -64,6 +63,10 @@ RATE_UNITS = ("gamma0", "omega")
 DUAL_PATH_TOL = 1e-10
 
 DEFAULT_ESD_THRESHOLD = 1e-6
+
+# Most rows the rows CSV writer formats at once: bounds the strings it
+# holds, while values that recur within the rows are formatted once.
+WRITE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -279,40 +282,53 @@ def detect_esd_intervals(times, concurrence,
         raise ValueError("threshold must be finite and >= 0")
     if not np.isfinite(conc).all():
         raise ValueError("concurrence must be finite")
-    dark = conc <= threshold
-    intervals: list[tuple[float, float | None]] = []
-    i = 0
-    n = len(dark)
-    while i < n:
-        if dark[i]:
-            j = i
-            while j + 1 < n and dark[j + 1]:
-                j += 1
-            revival = float(times[j + 1]) if j + 1 < n else None
-            intervals.append((float(times[i]), revival))
-            i = j + 1
-        i += 1
-    return intervals
+    # +1 where a dark run starts, -1 one past where it ends
+    edges = np.diff((conc <= threshold).astype(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    return [(float(times[i]), float(times[j]) if j < len(times) else None)
+            for i, j in zip(starts, ends)]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _formatted(columns) -> np.ndarray:
+    """(k, n) strings of k equal-length float columns, at 17 significant
+    digits (%.17g).
+
+    Each distinct value is formatted once, and its string is reused
+    wherever the value recurs. Values are told apart by their bits, so
+    -0.0 and 0.0 keep their own strings.
+    """
+    floats = np.array(columns, dtype=float)
+    bits, where = np.unique(floats.view(np.int64), return_inverse=True)
+    values = bits.view(float).tolist()
+    text = ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+    return np.array(text, dtype=object)[where.reshape(floats.shape)]
+
+
+def _write_table(fh, table: np.ndarray) -> None:
+    """Write a (rows, k) array of strings as comma-separated lines."""
+    rows, k = table.shape
+    line = ",".join(["%s"] * k) + "\n"
+    fh.write(line * rows % tuple(table.ravel().tolist()))
 
 
 def write_rows_csv(result: SweepResult, path: str) -> None:
-    """Rows of the healthy cells, written cell by cell as they are
-    formatted; the same bytes as _fmt applied to each value of iter_rows."""
-    line = ",".join(["%.17g"] * 8 + ["%s"]) + "\n"
+    """Rows of the healthy cells, written cell by cell and WRITE_ROWS rows
+    at a time; the same bytes as %.17g applied to each value of iter_rows."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# schema={ROWS_SCHEMA}\n{','.join(CSV_COLUMNS)}\n")
         for cell in result.cells:
             if cell.failed:
                 continue
+            head = _formatted([[cell.gamma_s], [cell.alpha2]])[:, 0]
             columns = (cell.times, cell.concurrence, cell.c1, cell.c2,
                        cell.trace_error, cell.min_eigenvalue)
-            rows = zip(repeat(cell.gamma_s), repeat(cell.alpha2),
-                       *(c.tolist() for c in columns), repeat(cell.path))
-            fh.writelines(line % row for row in rows)
+            for lo in range(0, len(cell.times), WRITE_ROWS):
+                text = _formatted([c[lo:lo + WRITE_ROWS] for c in columns])
+                table = np.empty((text.shape[1], 9), dtype=object)
+                table[:, :2] = head
+                table[:, 2:8] = text.T
+                table[:, 8] = cell.path
+                _write_table(fh, table)
 
 
 def write_grid_csv(result: SweepResult, path: str) -> None:
@@ -325,14 +341,12 @@ def write_grid_csv(result: SweepResult, path: str) -> None:
         raise ValueError(
             f"grid output with failed cell alpha2={bad.alpha2}: {bad.error}")
     cells = result.cells
-    times = cells[0].times
-    header = ["t_scaled"] + [_fmt(c.alpha2) for c in cells]
-    lines = [f"# schema={GRID_SCHEMA}", ",".join(header)]
-    for i in range(len(times)):
-        row = [_fmt(times[i])] + [_fmt(c.concurrence[i]) for c in cells]
-        lines.append(",".join(row))
+    header = _formatted([[c.alpha2 for c in cells]])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# schema={GRID_SCHEMA}\nt_scaled,")
+        _write_table(fh, header)
+        _write_table(fh, _formatted(
+            [cells[0].times] + [c.concurrence for c in cells]).T)
 
 
 def save_raw_state(state: FullState, path: str) -> None:

@@ -33,6 +33,7 @@ from pseudomode.dynamics import (
     interval_propagator,
     reachable_entries,
     rk4_step_matrix,
+    slice_maps,
 )
 from pseudomode.states import InitialStateSpec
 
@@ -188,6 +189,81 @@ def test_reachable_entries_are_closed_under_the_generator(space3):
                       "raw": [8]}
 
 
+def test_reachable_entries_hold_every_transpose(space3):
+    # the checks read an entry's transpose inside the slice, so the slice
+    # must hold it, also for a state whose nonzero pattern is not
+    # symmetric and for a generator that does not preserve hermiticity
+    dim = space3.dim_total
+    m = liouvillian_matrix(space3, SystemParams.symmetric(0.2))
+    states = {name: init.rho_tilde for name, init in
+              _test_states(space3).items() if name != "raw"}
+    skew = np.zeros((dim, dim), dtype=complex)
+    skew[0, 0] = 1.0
+    skew[space3.flat_index(1, 0, 0), space3.flat_index(0, 1, 1)] = 1e-3
+    states["asymmetric"] = skew
+    one_way = np.zeros_like(m)
+    one_way[5, 0] = 1.0  # links entry (0, 0) to (0, 5) only
+    for name, rho in states.items():
+        for gen in (m, one_way):
+            entries = reachable_entries(gen, rho)
+            rows, cols = np.divmod(entries, dim)
+            assert np.array_equal(np.sort(cols * dim + rows), entries), name
+            outside = np.setdiff1d(np.arange(len(gen)), entries)
+            assert not gen[np.ix_(outside, entries)].any(), name
+            mirror, _ = slice_maps(entries, dim)
+            assert np.array_equal(entries[mirror], cols * dim + rows), name
+            v = np.arange(dim * dim) * (1 + 2j)
+            assert np.array_equal(
+                v[entries][mirror],
+                v.reshape(dim, dim).T.reshape(-1)[entries]), name
+    with pytest.raises(ValueError, match="transpose"):
+        slice_maps(np.array([1]), dim)
+
+
+def test_slice_checks_equal_the_full_width_values(space3):
+    # hermiticity and each diagonal block are read from the slice; the
+    # full-width matrices give the same bits
+    params = SystemParams.symmetric(0.2)
+    times = np.linspace(0.0, 5.0, 301)
+    for name, init in _test_states(space3).items():
+        traj = evolve(init, space3, params, times, store_full=True)
+        rho = np.array([s.rho_tilde for s in traj.full_states])
+        herm = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        assert np.array_equal(traj.hermiticity_error, herm), name
+        m = liouvillian_matrix(space3, params)
+        entries = reachable_entries(m, init.rho_tilde)
+        blocks = diagonal_blocks(entries, space3.dim_total)
+        # every test state leaves some basis state untouched: an exact 0
+        assert sum(map(len, blocks)) < space3.dim_total, name
+        mins = [np.zeros(len(rho))]
+        for blk in blocks:
+            sub = rho[:, blk[:, None], blk]
+            mins.append(np.linalg.eigvalsh(
+                0.5 * (sub + sub.conj().transpose(0, 2, 1)))[:, 0])
+        assert np.array_equal(traj.min_eigenvalue, np.min(mins, axis=0)), name
+
+
+def test_positivity_reads_entries_outside_the_slice_as_zero(space3):
+    # a diagonal block need not be filled: with a generator that moves
+    # nothing, (0, 2) and (2, 0) stay outside the slice, and the smallest
+    # eigenvalue (negative, within EIG_FLOOR) is that of the block with
+    # zeros there
+    params = SystemParams.symmetric(0.0, omega=0.0, gamma_cavity=0.0)
+    a = 0.1 * math.sqrt(2.0) - 5e-9
+    rho = np.zeros((space3.dim_total,) * 2, dtype=complex)
+    rho[:3, :3] = [[a, 0.1j, 0.0], [-0.1j, a, 0.1], [0.0, 0.1, a]]
+    top = space3.flat_index(1, 0, 0)
+    rho[top, top] = 1.0 - 3 * a
+    m = liouvillian_matrix(space3, params)
+    assert not m.any()
+    _, blocks = slice_maps(reachable_entries(m, rho), space3.dim_total)
+    assert (blocks[0] < 0).sum() == 2
+    traj = evolve(FullState(rho), space3, params, np.linspace(0.0, 1.0, 3))
+    low = np.linalg.eigvalsh(rho)[0]
+    assert EIG_FLOOR < low < -4e-9
+    assert np.abs(traj.min_eigenvalue - low).max() <= 1e-15
+
+
 @pytest.mark.parametrize("n_fock", [3, 4])
 def test_sliced_evolution_matches_the_full_width_loop(n_fock):
     # only the reachable entries are propagated; a full-width loop of
@@ -289,9 +365,11 @@ def checked_blocks(monkeypatch):
     calls = []
     check = dynamics._check_samples
 
-    def recording(rho, times, weights, blocks, prev_expect_n, diag):
+    def recording(sub, rho, times, weights, mirror, blocks, prev_expect_n,
+                  diag):
         calls.append((times.copy(), prev_expect_n))
-        return check(rho, times, weights, blocks, prev_expect_n, diag)
+        return check(sub, rho, times, weights, mirror, blocks, prev_expect_n,
+                     diag)
 
     monkeypatch.setattr(dynamics, "_check_samples", recording)
     return calls
@@ -413,9 +491,10 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
     nonzero = [np.count_nonzero(liouvillian_matrix(space3, p))
                for p in map(SystemParams.symmetric, (0.0, 0.2))]
     assert nonzero[0] < nonzero[1]
-    # the generator, entries, propagator, trace rows and table; the blocks
+    # the generator, entries, mirror, propagator, trace rows and table; the
+    # blocks
     arrays = [v for v in shared.values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 5
+    assert len(arrays) == 6
     for a in arrays + list(shared["blocks"]):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
@@ -510,18 +589,23 @@ def test_chunked_checks_report_the_per_sample_first_violation(space3, case):
     expected = _first_violation(states, times, space3)
     assert expected is not None and expected[1] >= times[C - 1]
 
-    # the blocks evolve checks, with <N> carried from one to the next and
-    # positivity taken over the diagonal blocks of the states' support
+    # the blocks evolve checks, with <N> carried from one to the next; the
+    # slice is the states' support with its transpose, so every planted
+    # entry lies inside it and the entries outside are exactly 0
     rho = np.array(states)
-    support = np.flatnonzero((rho.reshape(len(rho), -1) != 0).any(axis=0))
-    blocks = diagonal_blocks(support, space3.dim_total)
+    flat = rho.reshape(len(rho), -1)
+    support = (flat != 0).any(axis=0)
+    support |= support.reshape(space3.dim_total, -1).T.reshape(-1)
+    entries = np.flatnonzero(support)
+    mirror, blocks = slice_maps(entries, space3.dim_total)
     weights = number_operator(space3).diagonal().real
     prev_expect_n = math.inf
     with pytest.raises(IntegrationError) as err:
         for lo in range(0, len(rho), C):
             prev_expect_n = _check_samples(
-                rho[lo:lo + C], times[lo:lo + C], weights, blocks,
-                prev_expect_n, IntegrationDiagnostics())[0][-1]
+                flat[lo:lo + C, entries], rho[lo:lo + C], times[lo:lo + C],
+                weights, mirror, blocks, prev_expect_n,
+                IntegrationDiagnostics())[0][-1]
     assert (err.value.invariant, err.value.time) == expected
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_density_matrix, random_x_state
 from pseudomode.dynamics import evolve
 from pseudomode.entanglement import (
+    _CHECK_SLICE,
     X_TOLERANCE,
     concurrence_general,
     concurrence_x_state,
@@ -263,6 +264,21 @@ def test_stacked_forms_equal_the_per_matrix_loop(space3):
     stack[23] = np.diag([0.6, 0.5, -0.05, -0.05])
     with pytest.raises(ValueError, match="negative eigenvalue"):
         concurrence_general(stack)
+
+
+def test_long_stack_reports_its_largest_hermiticity_gap():
+    # the check takes a long stack a slice at a time; the gap it reports is
+    # the largest of the whole stack, wherever that lies
+    n = 2 * _CHECK_SLICE + 5
+    stack = np.stack([random_x_state(np.random.default_rng(12))] * n)
+    for where, size in ((3, 2e-6), (_CHECK_SLICE, 5e-6), (n - 1, 7e-6)):
+        stack[where, 0, 3] += size
+    gap = np.abs(stack - stack.conj().swapaxes(-1, -2)).max()
+    assert gap == np.abs(stack[n - 1] - stack[n - 1].conj().T).max()
+    for concurrence in (concurrence_x_state, concurrence_general):
+        with pytest.raises(ValueError, match=f"deviation {gap:.3g}$"):
+            concurrence(stack)
+        concurrence(stack[_CHECK_SLICE + 1:n - 1])  # no planted gap
 
 
 @pytest.mark.parametrize("concurrence",

@@ -20,6 +20,8 @@ from pseudomode.sweep import (
     CSV_COLUMNS,
     GRID_SCHEMA,
     ROWS_SCHEMA,
+    WRITE_ROWS,
+    CellResult,
     SweepConfig,
     SweepResult,
     _cell_concurrence,
@@ -48,6 +50,14 @@ def _raw_non_x_state(space, seed: int) -> FullState:
     rho[np.ix_(low, low)] += 0.2 * random_density_matrix(
         np.random.default_rng(seed), len(low))
     return FullState(rho)
+
+
+def _rows_by_value(result: SweepResult) -> bytes:
+    """The rows CSV with every value of iter_rows formatted on its own."""
+    lines = [f"# schema={ROWS_SCHEMA}", ",".join(CSV_COLUMNS)]
+    for *floats, pathname in result.iter_rows():
+        lines.append(",".join([f"{x:.17g}" for x in floats] + [pathname]))
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 class TestConfig:
@@ -214,6 +224,37 @@ class TestDetectEsd:
         times = np.arange(4.0)
         assert detect_esd_intervals(times, np.ones(4)) == []
 
+    def test_dark_at_the_first_and_last_samples(self):
+        times = np.arange(5.0)
+        for conc, expected in (([0.0, 0.0, 1.0, 1.0, 1.0], [(0.0, 2.0)]),
+                               ([1.0, 1.0, 1.0, 1.0, 0.0], [(4.0, None)]),
+                               ([0.0, 1.0, 1.0, 0.0, 0.0],
+                                [(0.0, 1.0), (3.0, None)])):
+            assert detect_esd_intervals(times, np.array(conc)) == expected
+        assert detect_esd_intervals([2.0], [0.0]) == [(2.0, None)]
+        assert detect_esd_intervals([2.0], [1.0]) == []
+        assert detect_esd_intervals([], []) == []
+
+    def test_matches_a_sample_by_sample_scan(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 10, 200):
+            for _ in range(40):
+                times = np.sort(rng.random(n))
+                conc = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+                expected, start = [], None
+                for t, c in zip(times.tolist(), conc.tolist()):
+                    if c <= 0.3 and start is None:
+                        start = t
+                    elif c > 0.3 and start is not None:
+                        expected.append((start, t))
+                        start = None
+                if start is not None:
+                    expected.append((start, None))
+                got = detect_esd_intervals(times, conc, threshold=0.3)
+                assert got == expected
+                assert all(type(t) is float for run in got for t in run
+                           if t is not None)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             detect_esd_intervals(np.arange(3.0), np.ones(4))
@@ -255,7 +296,7 @@ class TestCsv:
                                                       space3):
         # a raw non-X state (alpha2 nan) takes the general path (c1, c2
         # nan), its gamma_s = 2000 twin fails, and SMALL adds closed-form
-        # cells; the streamed file must equal one _fmt per value
+        # cells; the streamed file must equal one %.17g per value
         raw = tmp_path / "state.txt"
         save_raw_state(_raw_non_x_state(space3, 4), str(raw))
         mixed = run_sweep(replace(SMALL, initial_state_path=str(raw),
@@ -265,11 +306,56 @@ class TestCsv:
         assert general.path == "general" and math.isnan(general.alpha2)
         assert np.isnan(general.c1).all() and failed.failed
 
-        lines = [f"# schema={ROWS_SCHEMA}", ",".join(CSV_COLUMNS)]
-        for *floats, pathname in result.iter_rows():
-            lines.append(",".join([f"{x:.17g}" for x in floats] + [pathname]))
         path = tmp_path / "rows.csv"
         write_rows_csv(result, str(path))
+        assert path.read_bytes() == _rows_by_value(result)
+
+    def test_rows_format_every_value_by_its_bits(self, tmp_path):
+        # -0.0 next to 0.0 in one column, NaN branches on a general-path
+        # cell, values repeated within and across columns, a failed cell,
+        # and cells longer than one write slice
+        n = WRITE_ROWS + 37
+        times = np.linspace(0.0, 5.0, n)
+        rng = np.random.default_rng(8)
+        conc = np.round(rng.random(n), 2)
+        conc[::7], conc[3::7] = 0.0, -0.0
+        signed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        neg_nan = -np.full(n, math.nan)
+
+        def cell(gamma_s, alpha2, path, c1, c2, error=None):
+            return CellResult(gamma_s, alpha2, times, conc, c1, c2,
+                              trace_error=np.abs(times - 2.5) * 1e-15,
+                              min_eigenvalue=signed, path=path,
+                              error=error)
+
+        result = SweepResult(SMALL, [
+            cell(0.2, 0.25, "x_state", conc - 0.5, signed),
+            cell(0.2, math.nan, "general", np.full(n, math.nan), neg_nan),
+            cell(2000.0, 0.25, "none", conc, conc, error="IntegrationError"),
+            cell(-0.0, 0.0, "x_state", signed, conc)])
+        assert len(set(conc.tolist())) < n // 10
+        path = tmp_path / "rows.csv"
+        write_rows_csv(result, str(path))
+        data = path.read_bytes()
+        assert data == _rows_by_value(result)
+        assert b",-0," in data and b",0," in data and b",nan,nan," in data
+        assert data.count(b"\n") == 2 + 3 * n
+
+    def test_grid_bytes_match_the_value_by_value_layout(self, tmp_path):
+        result = run_sweep(replace(SMALL, gamma_s_list=(0.2,),
+                                   alpha2_grid=(0.0, 0.5, 1.0)))
+        zero = result.cells[0]
+        zero.concurrence = np.where(zero.concurrence == 0.0, -0.0,
+                                    zero.concurrence)
+        assert (np.signbit(zero.concurrence) & (zero.concurrence == 0)).any()
+        lines = [f"# schema={GRID_SCHEMA}",
+                 ",".join(["t_scaled"] + [f"{c.alpha2:.17g}"
+                                          for c in result.cells])]
+        for i, t in enumerate(result.cells[0].times):
+            lines.append(",".join([f"{t:.17g}"] + [
+                f"{c.concurrence[i]:.17g}" for c in result.cells]))
+        path = tmp_path / "grid.csv"
+        write_grid_csv(result, str(path))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
     def test_grid_output(self, tmp_path):
