@@ -14,10 +14,11 @@ option set nowhere keeps its SweepConfig default. The rate unit for
 --gamma-s is never guessed: --rate-unit gamma0 or omega must come from the
 flag or the file.
 
-Exit codes: 0 success, 1 some grid cell failed integration, 2 usage or
-configuration error (including a Fock cutoff too small for the chosen
-state family, and --emit-grid with more than one gamma_s); configuration
-errors exit before any cell runs.
+Exit codes: 0 success, 1 some grid cell failed integration (the healthy
+cells' rows are still written; with --emit-grid no grid is written), 2
+usage or configuration error (including a Fock cutoff too small for the
+chosen state family, and --emit-grid with more than one gamma_s);
+configuration errors exit before any cell runs.
 """
 from __future__ import annotations
 
@@ -228,7 +229,11 @@ def main(argv=None) -> int:
               f"path={cell.path} max_concurrence={cell.concurrence.max():.6g} "
               f"dark_intervals={_format_intervals(intervals)}")
 
-    if out is not None:
+    if out is not None and emit_grid and result.failed:
+        # a grid needs every cell; the failures are listed below
+        print(f"error: grid output needs every cell, {out} not written",
+              file=sys.stderr)
+    elif out is not None:
         # rows for healthy cells are still written when some cells failed
         try:
             if emit_grid:

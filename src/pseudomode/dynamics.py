@@ -33,21 +33,25 @@ every RK4 step: with the propagator comes the table of trace rows
 T[k] = e^T S^(k+1), e marking the diagonal entries of vec(rho), so T @ V
 holds the trace after each substep of every interval started from the
 columns of V. The remaining invariants are checked at the sample times,
-a block at a time as array operations. Finiteness, hermiticity (each
+CHECK_CHUNK points (a whole number of blocks) at a time as array
+operations, and each such run of points is reduced to the two qubits
+and stored with one operation per series. Every check reads the slice
+itself through index maps built once: finiteness, hermiticity (each
 entry against its transpose's conjugate) and positivity (eigvalsh per
-diagonal block of rho, see diagonal_blocks) read the slice through index
-maps built once (slice_maps). The block is also scattered back to full
-width, and the trace, <N>, the sector leakage, the partial trace and
-store_full read that, so their sums round as over the full matrix. The
-earliest event is reported, as a step-by-step check would report it: a
-failing step before any violation at the sample that ends its interval.
+diagonal block of rho, see diagonal_blocks) through slice_maps, and the
+trace, <N>, the sector leakage and the partial trace through
+gather_maps, which lay out the needed entries with exact zeros where
+they fall outside the slice, so each sum rounds as over the full
+matrix. Only store_full writes states back to full width. The earliest
+event is reported, as a step-by-step check would report it: a failing
+step before any violation at the sample that ends its interval.
 
-M, the reachable entries, their index maps, S, P, the trace rows and the
-power table depend only on (space, params, h, n) and the initial state's
-nonzero pattern, so calls that share these share one build: evolve takes
-a dict that keeps the builds of the last such key (a sweep passes one per
-run, so each gamma_s builds once), and a direct call builds into a fresh
-one.
+M, the reachable entries, their index and gather maps, S, P, the trace
+rows and the power table depend only on (space, params, h, n) and the
+initial state's nonzero pattern, so calls that share these share one
+build: evolve takes a dict that keeps the builds of the last such key (a
+sweep passes one per run, so each gamma_s builds once), and a direct
+call builds into a fresh one.
 """
 from __future__ import annotations
 
@@ -57,7 +61,9 @@ from time import perf_counter
 
 import numpy as np
 
-from .entanglement import partial_trace_cavity
+# evolve reduces to the two qubits itself (see gather_maps); the name stays
+# a dynamics attribute for the benchmark harness, which wraps it here
+from .entanglement import partial_trace_cavity  # noqa: F401
 from .operators import (
     CompositeSpace,
     SystemParams,
@@ -78,8 +84,12 @@ OCCUPATION_TOL = 1e-12
 
 DEFAULT_STEP = 1e-3
 
-# Most points propagated and checked in one block of array operations.
+# Most points propagated in one block, one product with the power table.
 SAMPLE_CHUNK = 128
+# Points checked, reduced to the two qubits and stored together, rounded
+# down to a whole number of blocks (at least one); the blocks keep their
+# starts, so the propagation does not depend on it.
+CHECK_CHUNK = 512
 # Bytes the power table P^1 .. P^b of one run may take; the block length b
 # is the number of rows that fit, at most SAMPLE_CHUNK (2.4 MB for the 34
 # entries psi reaches at n_fock = 3; 25 rows at a width of 144 entries).
@@ -142,8 +152,9 @@ class IntegrationDiagnostics:
     propagate_s is the time spent building and applying the propagator,
     including the generator build and the per-step trace check; a run that
     reused the builds of an earlier one (evolve's `shared`) records no
-    build time. check_s is the time spent on the per-sample checks and the
-    partial trace (perf_counter seconds).
+    build time. check_s is the time spent on the per-sample checks, the
+    reduction to the two qubits, the series stores and store_full, one
+    CHECK_CHUNK run of points at a time (perf_counter seconds).
     """
 
     step_count: int = 0
@@ -298,6 +309,13 @@ def diagonal_blocks(entries: np.ndarray, dim: int) -> list[np.ndarray]:
     return blocks
 
 
+def _positions(entries: np.ndarray, dim: int) -> np.ndarray:
+    """Position in `entries` of each entry of vec(rho), -1 outside them."""
+    where = np.full(dim * dim, -1)
+    where[entries] = np.arange(len(entries))
+    return where
+
+
 def slice_maps(entries: np.ndarray, dim: int
                ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Index maps that let the invariant checks read only `entries`.
@@ -308,13 +326,44 @@ def slice_maps(entries: np.ndarray, dim: int
     states, the (k, k) positions of its entries in `entries`; an entry
     outside them, an exact 0, is marked -1.
     """
-    where = np.full(dim * dim, -1)
-    where[entries] = np.arange(len(entries))
+    where = _positions(entries, dim)
     mirror = where[_transposed(dim)[entries]]
     if (mirror < 0).any():
         raise ValueError("entries must hold the transpose of each entry")
     return mirror, [where[blk[:, None] * dim + blk]
                     for blk in diagonal_blocks(entries, dim)]
+
+
+def gather_maps(entries: np.ndarray, n_fock: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Index maps that let the sums over rho read only `entries`.
+
+    Returns the (dim,) positions in `entries` of the diagonal of rho, and
+    the (4, 4, n_fock) positions of the entries whose sum over the last
+    axis is the two-qubit state, in partial_trace_cavity's basis
+    (index i_a + 2 i_b); an entry outside `entries`, an exact 0, is
+    marked -1. Gathered with those zeros (see _gather), the sums add the
+    same numbers in the same order as over the full matrix.
+    """
+    dim = 4 * n_fock
+    where = _positions(entries, dim)
+    qubits = np.arange(4)
+    # basis state i_a + 2 i_b is row (2 i_a + i_b) n_fock + n of rho
+    rows = (2 * (qubits % 2) + qubits // 2)[:, None] * n_fock + np.arange(
+        n_fock)
+    return (where[np.arange(dim) * (dim + 1)],
+            where[rows[:, None, :] * dim + rows[None, :, :]])
+
+
+def _gather(states: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """states[:, where] in C order, with an exact 0 where `where` is -1.
+
+    The order matters: a sum over the last axis then adds its terms in
+    the same order as over the full matrix.
+    """
+    out = states.take(where, axis=1)
+    out[:, where < 0] = 0.0
+    return out
 
 
 def interval_propagator(m: np.ndarray, h: float, n_sub: int,
@@ -383,16 +432,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _builds(space: CompositeSpace, params: SystemParams, h: float,
             n_sub: int, rho: np.ndarray, n_points: int, shared: dict
-            ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...],
-                       np.ndarray, np.ndarray]:
-    """Reachable entries, their slice maps (mirror and diagonal blocks, see
-    slice_maps), trace rows and power table of a run of n_points points,
-    n_sub RK4 steps of size h apart, from rho.
+            ) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
+    """Reachable entries, their index maps (mirror, diagonal blocks,
+    diagonal and two-qubit gathers: see slice_maps and gather_maps), trace
+    rows and power table of a run of n_points points, n_sub RK4 steps of
+    size h apart, from rho.
 
     These depend only on (space, params, h, n_sub) and the nonzero pattern
     of rho, so they are taken from `shared` when an earlier call left them
     there. shared holds the builds of one (space, params, h, n_sub): the
-    generator and, for the last nonzero pattern, its entries, slice maps,
+    generator and, for the last nonzero pattern, its entries, index maps,
     propagator, trace rows and power table. A call with another key
     empties it first, another pattern replaces that pattern's builds, and
     a run with more points than the table covers rebuilds the table. Each
@@ -410,10 +459,13 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
     if shared.get("pattern") != pattern:
         entries = _read_only(reachable_entries(m, rho))
         mirror, blocks = slice_maps(entries, space.dim_total)
+        diagonal, qubits = gather_maps(entries, space.n_fock)
         prop, trace_rows = interval_propagator(m, h, n_sub, entries)
         shared.update(pattern=pattern, entries=entries,
                       mirror=_read_only(mirror),
                       blocks=tuple(map(_read_only, blocks)),
+                      diagonal=_read_only(diagonal),
+                      qubits=_read_only(qubits),
                       prop=_read_only(prop), trace_rows=_read_only(trace_rows),
                       table=None)
     rows = min(_block_length(len(shared["entries"])), n_points - 1)
@@ -422,29 +474,33 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
         # that, so the floating-point warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
             shared["table"] = _read_only(power_table(shared["prop"], rows))
-    return (shared["entries"], shared["mirror"], shared["blocks"],
-            shared["trace_rows"], shared["table"][:rows])
+    maps = tuple(shared[k] for k in ("mirror", "blocks", "diagonal", "qubits"))
+    return (shared["entries"], maps, shared["trace_rows"],
+            shared["table"][:rows])
 
 
-def _check_samples(sub: np.ndarray, rho: np.ndarray, times: np.ndarray,
-                   weights: np.ndarray, mirror: np.ndarray,
-                   blocks: list[np.ndarray], prev_expect_n: float,
+def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
+                   mirror: np.ndarray, blocks: list[np.ndarray],
+                   diagonal: np.ndarray, block: int, prev_expect_n: float,
                    diag: IntegrationDiagnostics) -> tuple[np.ndarray, ...]:
-    """Check a block of states sampled at `times`, in time order.
+    """Check a run of states sampled at `times`, in time order.
 
-    sub (b, w) holds the states' entries on a slice of vec(rho) and rho
-    (b, d, d) the same states at full width, zero outside the slice.
-    mirror and blocks are the slice's maps (see slice_maps). The finite
-    and hermiticity checks and the smallest eigenvalue, taken block by
-    block, read the slice: every nonzero entry is in it, so they give the
-    full-width values bit for bit. The trace, <N> and leakage are sums
-    over the full-width diagonal, so their rounding is that of the full
-    matrix.
+    sub (b, w) holds the states' entries on a slice of vec(rho); every
+    other entry is an exact 0. mirror and blocks are the slice's index maps
+    (see slice_maps) and diagonal the slice positions of rho's diagonal
+    (see gather_maps). Every check reads the slice and gives the
+    full-width value bit for bit: the finite and hermiticity checks and
+    the smallest eigenvalue, taken block by block, see every nonzero
+    entry, and the trace, <N> and leakage add the gathered diagonal, with
+    its zeros, in the full matrix's order. <N> is one product per
+    `block` states from the first: numpy takes a product of one row
+    through BLAS dot, which rounds differently, so a propagation block of
+    one point keeps its own product.
 
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, positivity,
     excitation_monotone. prev_expect_n is <N> at the sample before the
-    block (inf for none). Otherwise the block's extrema are folded into diag
+    run (inf for none). Otherwise the run's extrema are folded into diag
     and the per-sample <N>, trace error, hermiticity error, smallest
     eigenvalue and sector leakage are returned, in the order of the
     Trajectory fields.
@@ -454,19 +510,22 @@ def _check_samples(sub: np.ndarray, rho: np.ndarray, times: np.ndarray,
     # non-finite sample; it raises below unless an earlier one does
     n_ok = len(sub) if finite.all() else int(np.argmin(finite))
     ok = sub[:n_ok]
-    herm = np.abs(ok - ok[:, mirror].conj()).max(axis=1)
-    tr_err = np.abs(np.trace(rho[:n_ok], axis1=1, axis2=2) - 1.0)
+    herm = np.abs(ok - ok.take(mirror, axis=1).conj()).max(axis=1)
+    on_diagonal = _gather(ok, diagonal)
+    tr_err = np.abs(on_diagonal.sum(axis=1) - 1.0)
     mins = []
     for where in blocks:
-        blk = ok[:, where]
-        blk[:, where < 0] = 0.0  # entries outside the slice
+        blk = _gather(ok, where)
         mins.append(np.linalg.eigvalsh(
             0.5 * (blk + blk.conj().transpose(0, 2, 1)))[:, 0])
-    if sum(map(len, blocks)) < rho.shape[1]:
+    if sum(map(len, blocks)) < len(diagonal):
         mins.append(np.zeros(n_ok))  # a basis state no block holds
     min_eig = np.min(mins, axis=0)
-    pops = np.real(rho[:n_ok].diagonal(axis1=1, axis2=2))
-    expn = pops @ weights
+    # the strided .real view keeps matmul off BLAS, as for the diagonal
+    # of the full matrix, so <N> keeps its bits
+    pops = on_diagonal.real
+    expn = np.concatenate([pops[lo:lo + block] @ weights
+                           for lo in range(0, n_ok, block)] or [np.empty(0)])
     gain = np.diff(expn, prepend=prev_expect_n)
 
     checks = (("hermiticity", herm, herm > HERM_TOL, HERM_TOL),
@@ -564,19 +623,20 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     dim = space.dim_total
     diag = IntegrationDiagnostics(step_count=(n_points - 1) * n_sub)
     clock = perf_counter()
-    entries, mirror, blocks, trace_rows, table = _builds(
+    entries, (mirror, blocks, diagonal, qubits), trace_rows, table = _builds(
         space, params, h, n_sub, initial.rho_tilde, n_points,
         {} if shared is None else shared)
     diag.propagate_s = perf_counter() - clock
     width = len(entries)
     chunk = _block_length(width)
-    # sub[1:b + 1] holds the reachable entries at points first .. first +
-    # b - 1 and sub[0] those of the point before them; the initial state
-    # takes no step. full[:b] holds the same states at full width, where
-    # the entries outside `entries` stay 0.
-    sub = np.empty((chunk + 1, width), dtype=complex)
+    span = max(1, CHECK_CHUNK // chunk) * chunk
+    # sub[1:size + 1] holds the reachable entries at points first .. first
+    # + size - 1 and sub[0] those of the point before them; the initial
+    # state takes no step. Each block of up to `chunk` points is one
+    # product from the row before it, and the checks take `span` points
+    # (whole blocks) at a time.
+    sub = np.empty((min(span, n_points) + 1, width), dtype=complex)
     sub[1] = initial.rho_tilde.reshape(-1)[entries]
-    full = np.zeros((chunk, dim * dim), dtype=complex)
     reduced = np.empty((n, 4, 4), dtype=complex)
     series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
     full_states: list[FullState] | None = [] if store_full else None
@@ -584,47 +644,57 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     prev_expect_n = math.inf
     first, unstepped = 0, 1
     while first < n_points:
-        b = min(chunk, n_points - first)
+        size = stop = min(span, n_points - first)
         clock = perf_counter()
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(table[:b - unstepped].reshape(-1, width), sub[unstepped],
-                      out=sub[unstepped + 1:b + 1].reshape(-1))
-            err = np.abs(trace_rows @ sub[unstepped:b].T - 1.0)
-        # column c holds the steps ending at point first + unstepped + c;
-        # a NaN trace must abort too, hence the inverted comparison
-        held = (err <= TRACE_TOL).all(axis=0)
-        stop = b if held.all() else unstepped + int(np.argmin(held))
+        for lo in range(0, size, chunk):
+            b = min(chunk, size - lo)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(table[:b - unstepped].reshape(-1, width),
+                          sub[lo + unstepped],
+                          out=sub[lo + unstepped + 1:lo + b + 1].reshape(-1))
+                err = np.abs(trace_rows @ sub[lo + unstepped:lo + b].T - 1.0)
+            # column c holds the steps ending at point first + lo +
+            # unstepped + c; a NaN trace must abort too, hence the
+            # inverted comparison
+            held = (err <= TRACE_TOL).all(axis=0)
+            if not held.all():
+                c = int(np.argmin(held))
+                col, stop = err[:, c], lo + unstepped + c
+                break
+            diag.max_trace_error = float(err.max(
+                initial=diag.max_trace_error))
+            unstepped = 0
         diag.propagate_s += perf_counter() - clock
 
         clock = perf_counter()
-        full[:stop, entries] = sub[1:stop + 1]
-        rho = full[:stop].reshape(stop, dim, dim)
         # a violation at an earlier sample wins over a failing step
-        checked = _check_samples(sub[1:stop + 1], rho,
+        checked = _check_samples(sub[1:stop + 1],
                                  point_times[first:first + stop], weights,
-                                 mirror, blocks, prev_expect_n, diag)
-        if stop < b:
-            col = err[:, stop - unstepped]
+                                 mirror, blocks, diagonal, chunk,
+                                 prev_expect_n, diag)
+        if stop < size:
             k = int(np.argmax(~(col <= TRACE_TOL)))
             raise IntegrationError(
                 "trace", float(point_times[first + stop - 1]) + (k + 1) * h,
                 float(col[k]), TRACE_TOL)
-        diag.max_trace_error = float(err.max(initial=diag.max_trace_error))
         prev_expect_n = checked[0][-1]
-        keep = slice(-first % refine, b, refine)
-        kept = rho[keep]
+        keep = slice(-first % refine, size, refine)
+        kept = sub[1:size + 1][keep]
         j = (first + keep.start) // refine
         samples = slice(j, j + len(kept))
         for out, values in zip(series, checked):
             out[samples] = values[keep]
-        reduced[samples] = partial_trace_cavity(kept, space)
+        # the mode levels added in order onto 0, as partial_trace_cavity's
+        # einsum adds them (0 + -0.0 is 0.0)
+        reduced[samples] = sum(np.moveaxis(_gather(kept, qubits), -1, 0))
         if full_states is not None:
-            full_states.extend(FullState(r.copy(), t)
-                               for r, t in zip(kept, times[samples]))
+            full = np.zeros((len(kept), dim * dim), dtype=complex)
+            full[:, entries] = kept
+            full_states.extend(map(FullState, full.reshape(-1, dim, dim),
+                                   times[samples]))
         diag.check_s += perf_counter() - clock
-        sub[0] = sub[b]
-        first += b
-        unstepped = 0
+        sub[0] = sub[size]
+        first += size
 
     return Trajectory(times.copy(), reduced, *series, diagnostics=diag,
                       full_states=full_states)

@@ -65,7 +65,8 @@ DUAL_PATH_TOL = 1e-10
 DEFAULT_ESD_THRESHOLD = 1e-6
 
 # Most rows the rows CSV writer formats at once: bounds the strings it
-# holds, while values that recur within the rows are formatted once.
+# holds (besides one cell's times), while values that recur within the
+# rows are formatted once.
 WRITE_ROWS = 2048
 
 
@@ -311,22 +312,35 @@ def _write_table(fh, table: np.ndarray) -> None:
     fh.write(line * rows % tuple(table.ravel().tolist()))
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and (a.view(np.int64) == b.view(np.int64)).all()
+
+
 def write_rows_csv(result: SweepResult, path: str) -> None:
     """Rows of the healthy cells, written cell by cell and WRITE_ROWS rows
-    at a time; the same bytes as %.17g applied to each value of iter_rows."""
+    at a time; the same bytes as %.17g applied to each value of iter_rows.
+
+    A cell whose times have the same bits as the previous healthy cell's
+    (every cell of a sweep samples one grid) reuses their strings.
+    """
+    times = times_text = None
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# schema={ROWS_SCHEMA}\n{','.join(CSV_COLUMNS)}\n")
         for cell in result.cells:
             if cell.failed:
                 continue
+            cell_times = np.asarray(cell.times, dtype=float)
+            if times is None or not _same_bits(times, cell_times):
+                times, times_text = cell_times, _formatted([cell_times])[0]
             head = _formatted([[cell.gamma_s], [cell.alpha2]])[:, 0]
-            columns = (cell.times, cell.concurrence, cell.c1, cell.c2,
-                       cell.trace_error, cell.min_eigenvalue)
+            columns = (cell.concurrence, cell.c1, cell.c2, cell.trace_error,
+                       cell.min_eigenvalue)
             for lo in range(0, len(cell.times), WRITE_ROWS):
                 text = _formatted([c[lo:lo + WRITE_ROWS] for c in columns])
                 table = np.empty((text.shape[1], 9), dtype=object)
                 table[:, :2] = head
-                table[:, 2:8] = text.T
+                table[:, 2] = times_text[lo:lo + WRITE_ROWS]
+                table[:, 3:8] = text.T
                 table[:, 8] = cell.path
                 _write_table(fh, table)
 

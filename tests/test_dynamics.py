@@ -20,6 +20,7 @@ from pseudomode import (
 )
 from pseudomode import dynamics
 from pseudomode.dynamics import (
+    CHECK_CHUNK,
     EIG_FLOOR,
     EXCITATION_GAIN_TOL,
     HERM_TOL,
@@ -30,11 +31,13 @@ from pseudomode.dynamics import (
     IntegrationDiagnostics,
     _check_samples,
     diagonal_blocks,
+    gather_maps,
     interval_propagator,
     reachable_entries,
     rk4_step_matrix,
     slice_maps,
 )
+from pseudomode.entanglement import partial_trace_cavity
 from pseudomode.states import InitialStateSpec
 
 
@@ -243,6 +246,47 @@ def test_slice_checks_equal_the_full_width_values(space3):
         assert np.array_equal(traj.min_eigenvalue, np.min(mins, axis=0)), name
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and (
+        a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("n_fock", [3, 4])
+def test_sums_over_the_slice_equal_the_full_width_formulas(n_fock):
+    # the trace, <N>, the leakage and the reduced states add the slice's
+    # entries, gathered with exact zeros for the rest; the formulas over
+    # the full matrices give the same bits, signed zeros included. <N> is
+    # one product per propagation block (numpy takes a single row through
+    # BLAS dot), and the 257 and 226 samples end on a block of one point
+    # at the block lengths here (128, and 25 for the raw state at
+    # n_fock = 4); [0, 20] in two intervals of 10 000 steps takes three
+    # segments each
+    space = build_space(n_fock)
+    params = SystemParams.symmetric(0.2, n_fock=n_fock)
+    m = liouvillian_matrix(space, params)
+    weights = number_operator(space).diagonal().real
+    grids = [np.linspace(0.0, 5.0, 203), np.linspace(0.0, 5.0, 257),
+             np.linspace(0.0, 4.5, 226), np.linspace(0.0, 20.0, 3)]
+    for name, init in _test_states(space).items():
+        block = dynamics._block_length(len(reachable_entries(
+            m, init.rho_tilde)))
+        for times in grids:
+            traj = evolve(init, space, params, times, store_full=True)
+            rho = np.array([s.rho_tilde for s in traj.full_states])
+            pops = np.real(rho.diagonal(axis1=1, axis2=2))
+            assert _same_bits(traj.trace_error, np.abs(
+                np.trace(rho, axis1=1, axis2=2) - 1.0)), name
+            per_block = np.concatenate([
+                pops[lo:lo + block] @ weights
+                for lo in range(0, len(pops), block)])
+            assert _same_bits(traj.expect_n, per_block), name
+            assert _same_bits(traj.sector_leakage,
+                              pops[:, weights > 2].sum(axis=1)), name
+            assert _same_bits(traj.reduced,
+                              partial_trace_cavity(rho, space)), name
+    assert traj.diagnostics.step_count == 2 * 3 * 3334
+
+
 def test_positivity_reads_entries_outside_the_slice_as_zero(space3):
     # a diagonal block need not be filled: with a generator that moves
     # nothing, (0, 2) and (2, 0) stay outside the slice, and the smallest
@@ -360,40 +404,43 @@ def builds(monkeypatch):
 
 
 @pytest.fixture()
-def checked_blocks(monkeypatch):
-    """(times, <N> carried in) of every block evolve checks."""
+def checked_slices(monkeypatch):
+    """(times, <N> carried in) of every run of points evolve checks."""
     calls = []
     check = dynamics._check_samples
 
-    def recording(sub, rho, times, weights, mirror, blocks, prev_expect_n,
-                  diag):
+    def recording(sub, times, weights, mirror, blocks, diagonal, block,
+                  prev_expect_n, diag):
         calls.append((times.copy(), prev_expect_n))
-        return check(sub, rho, times, weights, mirror, blocks, prev_expect_n,
-                     diag)
+        return check(sub, times, weights, mirror, blocks, diagonal, block,
+                     prev_expect_n, diag)
 
     monkeypatch.setattr(dynamics, "_check_samples", recording)
     return calls
 
 
-def test_dense_grid_builds_one_propagator(space3, builds, checked_blocks):
+def test_dense_grid_builds_one_propagator(space3, builds, checked_slices):
     # linspace spacing jitters by ~1e-15 between intervals; one run still
-    # builds exactly one RK4 step matrix, and each block of SAMPLE_CHUNK
-    # samples starts from the <N> the block before it ended on
+    # builds exactly one RK4 step matrix, and each slice of CHECK_CHUNK
+    # samples (four blocks of SAMPLE_CHUNK) starts from the <N> the slice
+    # before it ended on
     params = SystemParams.symmetric(0.2)
     init = make_initial(InitialStateSpec("psi", 0.3), space3)
     times = np.linspace(0.0, 10.0, 10001)
     traj = evolve(init, space3, params, times)
     assert len(builds.steps) == 1
     assert traj.diagnostics.step_count == 10000
-    assert [t[0] for t, _ in checked_blocks] == list(times[::SAMPLE_CHUNK])
-    assert [n for _, n in checked_blocks] == [
-        math.inf, *traj.expect_n[SAMPLE_CHUNK - 1:-1:SAMPLE_CHUNK]]
+    assert CHECK_CHUNK % SAMPLE_CHUNK == 0
+    assert [t[0] for t, _ in checked_slices] == list(times[::CHECK_CHUNK])
+    assert [n for _, n in checked_slices] == [
+        math.inf, *traj.expect_n[CHECK_CHUNK - 1:-1:CHECK_CHUNK]]
 
 
 def test_power_table_stays_within_its_byte_budget(space3, monkeypatch,
-                                                  checked_blocks):
+                                                  checked_slices):
     # a generic state at n_fock = 4 reaches 144 of 256 entries, where a
-    # SAMPLE_CHUNK-row table would take 42 MB; the blocks shrink instead
+    # SAMPLE_CHUNK-row table would take 42 MB; the blocks shrink instead,
+    # and the checks take the whole blocks that fit in CHECK_CHUNK points
     tables = []
     build = dynamics.power_table
 
@@ -407,12 +454,14 @@ def test_power_table_stays_within_its_byte_budget(space3, monkeypatch,
     init = _raw_state(space, 3)
     m = liouvillian_matrix(space, params)
     assert len(reachable_entries(m, init.rho_tilde)) == 144
-    evolve(init, space, params, np.linspace(0.0, 1.0, 101))
+    evolve(init, space, params, np.linspace(0.0, 1.0, 1001))
     rows = TABLE_BYTES // (16 * 144 ** 2)
     assert 0 < rows < SAMPLE_CHUNK
     assert [t.shape for t in tables] == [(rows, 144, 144)]
     assert tables[0].nbytes <= TABLE_BYTES
-    assert [len(t) for t, _ in checked_blocks] == [rows] * 4 + [1]
+    span = CHECK_CHUNK // rows * rows
+    assert span < CHECK_CHUNK
+    assert [len(t) for t, _ in checked_slices] == [span] * 2 + [1]
     # psi at n_fock = 3 reaches 34 entries: full blocks
     tables.clear()
     evolve(make_initial(InitialStateSpec("psi", 0.3), space3), space3,
@@ -422,7 +471,7 @@ def test_power_table_stays_within_its_byte_budget(space3, monkeypatch,
 
 
 def test_long_interval_is_cut_into_equal_segments(space3, builds,
-                                                 checked_blocks):
+                                                 checked_slices):
     # an interval longer than MAX_SEGMENT steps becomes equal segments of
     # one propagator, each end checked like a sample; only the requested
     # samples come back, and they agree with shorter sample intervals
@@ -433,17 +482,19 @@ def test_long_interval_is_cut_into_equal_segments(space3, builds,
     h, n_sub = builds.steps[0], builds.rows[0]
     assert 10000 > MAX_SEGMENT >= n_sub and h <= 1e-3
     assert one.diagnostics.step_count == 3 * n_sub
-    checked = np.concatenate([t for t, _ in checked_blocks])
+    checked = np.concatenate([t for t, _ in checked_slices])
     assert np.abs(checked - np.arange(4) * n_sub * h).max() <= 1e-12
     assert checked[-1] == 10.0 and len(one) == 2
     ten = evolve(init, space3, params, np.linspace(0.0, 10.0, 11))
     assert max(builds.rows) <= MAX_SEGMENT and max(builds.steps) <= 1e-3
     assert np.abs(one.reduced[-1] - ten.reduced[-1]).max() <= 1e-12
-    # past the first block (SAMPLE_CHUNK is not a multiple of 3) the
-    # samples are still every third segment end
-    coarse = evolve(init, space3, params, np.linspace(0.0, 490.0, 50))
-    fine = evolve(init, space3, params, np.linspace(0.0, 490.0, 148))
-    assert SAMPLE_CHUNK % 3 and len(fine) > SAMPLE_CHUNK
+    # past the first slice of checks (CHECK_CHUNK is not a multiple of 3)
+    # the samples are still every third segment end
+    checked_slices.clear()
+    coarse = evolve(init, space3, params, np.linspace(0.0, 1800.0, 181))
+    assert [len(t) for t, _ in checked_slices] == [CHECK_CHUNK, 29]
+    fine = evolve(init, space3, params, np.linspace(0.0, 1800.0, 541))
+    assert CHECK_CHUNK % 3 and len(fine) > CHECK_CHUNK
     assert np.abs(coarse.reduced - fine.reduced[::3]).max() <= 1e-12
     assert np.abs(coarse.expect_n - fine.expect_n[::3]).max() <= 1e-12
 
@@ -491,10 +542,10 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
     nonzero = [np.count_nonzero(liouvillian_matrix(space3, p))
                for p in map(SystemParams.symmetric, (0.0, 0.2))]
     assert nonzero[0] < nonzero[1]
-    # the generator, entries, mirror, propagator, trace rows and table; the
-    # blocks
+    # the generator, entries, mirror, diagonal and two-qubit gathers,
+    # propagator, trace rows and table; the blocks
     arrays = [v for v in shared.values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 6
+    assert len(arrays) == 8
     for a in arrays + list(shared["blocks"]):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
@@ -560,7 +611,7 @@ def _nan(rho):
     return rho
 
 
-C = SAMPLE_CHUNK
+C = CHECK_CHUNK
 # sample index -> how to corrupt it: a function of the state, or the index
 # of an earlier (more excited) state to repeat there
 CHUNK_CASES = {
@@ -589,22 +640,24 @@ def test_chunked_checks_report_the_per_sample_first_violation(space3, case):
     expected = _first_violation(states, times, space3)
     assert expected is not None and expected[1] >= times[C - 1]
 
-    # the blocks evolve checks, with <N> carried from one to the next; the
-    # slice is the states' support with its transpose, so every planted
-    # entry lies inside it and the entries outside are exactly 0
+    # the slices of points evolve checks, with <N> carried from one to the
+    # next; the slice of vec(rho) is the states' support with its
+    # transpose, so every planted entry lies inside it and the entries
+    # outside are exactly 0
     rho = np.array(states)
     flat = rho.reshape(len(rho), -1)
     support = (flat != 0).any(axis=0)
     support |= support.reshape(space3.dim_total, -1).T.reshape(-1)
     entries = np.flatnonzero(support)
     mirror, blocks = slice_maps(entries, space3.dim_total)
+    diagonal, _ = gather_maps(entries, space3.n_fock)
     weights = number_operator(space3).diagonal().real
     prev_expect_n = math.inf
     with pytest.raises(IntegrationError) as err:
         for lo in range(0, len(rho), C):
             prev_expect_n = _check_samples(
-                flat[lo:lo + C, entries], rho[lo:lo + C], times[lo:lo + C],
-                weights, mirror, blocks, prev_expect_n,
+                flat[lo:lo + C, entries], times[lo:lo + C], weights, mirror,
+                blocks, diagonal, SAMPLE_CHUNK, prev_expect_n,
                 IntegrationDiagnostics())[0][-1]
     assert (err.value.invariant, err.value.time) == expected
 
@@ -632,11 +685,14 @@ def test_trace_failure_waits_for_earlier_samples(space3, monkeypatch):
     assert err.value.time == pytest.approx(1e-3)
 
 
+B = SAMPLE_CHUNK
+
+
 @pytest.mark.parametrize("n_samples,step", [
-    (3 * C + 1, 1270),  # last step of the first block
-    (3 * C + 1, 1271),  # first step of the second block
-    (3 * C + 1, 1280),  # last step into the second block's first sample
-    (3 * C + 1, 1281),
+    (3 * B + 1, 1270),  # last step of the first block
+    (3 * B + 1, 1271),  # first step of the second block
+    (3 * B + 1, 1280),  # last step into the second block's first sample
+    (3 * B + 1, 1281),
     (2, 3335),          # first step of the second of three segments
     (2, 5000),
 ])
@@ -662,6 +718,40 @@ def test_trace_failure_time_across_blocks_and_segments(space3, monkeypatch,
         evolve(FullState(rho), space3, SystemParams.symmetric(0.1), times)
     assert err.value.invariant == "trace"
     assert err.value.time == pytest.approx(step * h, rel=1e-12)
+
+
+def test_sample_violation_wins_over_a_later_block_of_its_slice(
+        space3, monkeypatch):
+    # a slice is propagated block by block and checked once; a violation
+    # at a sample of its first block must still win over a failing step
+    # in its third block, as a step-by-step check would report it. The
+    # ground population grows as in the test above and puts the failing
+    # step at 3005; the coherence rho[1, 2] grows alone from 1e-12-ish, so
+    # the hermiticity error crosses HERM_TOL half a sample before t[60]
+    times = np.linspace(0.0, 3.84, 3 * B + 1)
+    assert len(times) <= CHECK_CHUNK
+    h = (times[1] - times[0]) / 10
+    dim = space3.dim_total
+    ground, coherence = 0, 1 * dim + 2
+    m = np.zeros((dim ** 2,) * 2)
+    m[ground, ground] = 0.1 / h
+    step = rk4_step_matrix(m, h)[ground, ground].real
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = TRACE_TOL / (step ** 3004.5 - 1.0)
+    rho[1, 1], rho[2, 2] = 0.5, 0.5 - rho[0, 0]
+    _generator(monkeypatch, m)
+    params = SystemParams.symmetric(0.1)
+    with pytest.raises(IntegrationError) as err:
+        evolve(FullState(rho), space3, params, times)
+    assert err.value.invariant == "trace"
+    assert err.value.time == pytest.approx(3005 * h, rel=1e-12)
+    assert 2 * B * 10 < 3005 <= 3 * B * 10
+    m[coherence, coherence] = 0.0077 / h
+    grow = rk4_step_matrix(m, h)[coherence, coherence].real
+    rho[1, 2] = rho[2, 1] = HERM_TOL / (grow ** 595 - 1.0)
+    with pytest.raises(IntegrationError) as err:
+        evolve(FullState(rho), space3, params, times)
+    assert (err.value.invariant, err.value.time) == ("hermiticity", times[60])
 
 
 def _damping_kraus(p: float):

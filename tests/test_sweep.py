@@ -13,7 +13,7 @@ from pseudomode import (
     evolve,
     make_initial,
 )
-from pseudomode import cli, dynamics
+from pseudomode import cli, dynamics, sweep
 from pseudomode.cli import _parse, main
 from pseudomode.states import InitialStateSpec
 from pseudomode.sweep import (
@@ -341,6 +341,46 @@ class TestCsv:
         assert b",-0," in data and b",0," in data and b",nan,nan," in data
         assert data.count(b"\n") == 2 + 3 * n
 
+    def test_rows_reuse_time_strings_only_for_the_same_bits(self, tmp_path,
+                                                          monkeypatch):
+        # consecutive healthy cells with bit-identical times share one
+        # formatting of them; -0.0 against 0.0, one ulp, another length or
+        # a cell past a failed one with other times each format anew
+        n = WRITE_ROWS + 5
+        grid = np.linspace(0.0, 5.0, n)
+        signed, ulp = grid.copy(), grid.copy()
+        signed[0] = -0.0
+        ulp[n // 2] = np.nextafter(ulp[n // 2], 10.0)
+        empty = np.empty(0)
+
+        def cell(times, error=None):
+            values = np.sin(times)
+            if error:
+                times = values = empty
+            return CellResult(0.2, 0.5, times, values, values, values,
+                              trace_error=values, min_eigenvalue=values,
+                              path="none" if error else "x_state",
+                              error=error)
+
+        cells = [cell(grid), cell(grid.copy()), cell(grid, "failed"),
+                 cell(grid.copy()), cell(signed), cell(signed.copy()),
+                 cell(grid), cell(ulp), cell(grid[:-1]), cell(grid[:-1])]
+        formats = []
+        formatted = sweep._formatted
+
+        def counting(columns):
+            formats.append(len(columns))
+            return formatted(columns)
+
+        monkeypatch.setattr(sweep, "_formatted", counting)
+        result = SweepResult(SMALL, cells)
+        path = tmp_path / "rows.csv"
+        write_rows_csv(result, str(path))
+        assert path.read_bytes() == _rows_by_value(result)
+        assert b",0.5,-0," in path.read_bytes()
+        # one column: the times; grid, signed, grid, ulp, grid[:-1]
+        assert formats.count(1) == 5
+
     def test_grid_bytes_match_the_value_by_value_layout(self, tmp_path):
         result = run_sweep(replace(SMALL, gamma_s_list=(0.2,),
                                    alpha2_grid=(0.0, 0.5, 1.0)))
@@ -549,6 +589,24 @@ class TestCli:
         assert "gamma_s=" not in captured.out
         assert "exactly one gamma_s" in captured.err
         assert not (tmp_path / "g.csv").exists()
+
+    def test_emit_grid_with_a_failed_cell_exits_1(self, tmp_path, capsys):
+        # as on the rows path: exit 1 with each failed cell on stderr, but
+        # a grid needs every cell, so no file is written
+        out = tmp_path / "g.csv"
+        rc = main(["--alpha2-grid", "0.2:0.8:2", "--gamma-s", "2000",
+                   "--rate-unit", "gamma0", "--step-size", "0.01",
+                   "--t-max", "1", "--steps", "4", "--emit-grid",
+                   "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        failed = [line for line in captured.err.splitlines()
+                  if line.startswith("failed cell gamma_s=2000 alpha2=")]
+        assert len(failed) == 2
+        assert all("IntegrationError" in line for line in failed)
+        assert "not written" in captured.err
+        assert "wrote" not in captured.out
+        assert not out.exists()
 
     def test_initial_state_file(self, tmp_path, space3):
         state = make_initial(InitialStateSpec("psi", 0.4), space3)
