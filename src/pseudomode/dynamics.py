@@ -42,12 +42,16 @@ diagonal block of rho, see diagonal_blocks) through slice_maps, and the
 trace, <N>, the sector leakage and the partial trace through
 gather_maps, which lay out the needed entries with exact zeros where
 they fall outside the slice, so each sum rounds as over the full
-matrix. Only store_full writes states back to full width. The earliest
-event is reported, as a step-by-step check would report it: a failing
-step before any violation at the sample that ends its interval.
+matrix. M is also real in the photon-number gauge (see gauge_maps), so
+a state that starts real there stays real, and the positivity check
+reads its blocks through gauge_maps as real symmetric matrices, whose
+eigvalsh costs about half as much and differs by rounding only. Only
+store_full writes states back to full width. The earliest event is
+reported, as a step-by-step check would report it: a failing step
+before any violation at the sample that ends its interval.
 
-M, the reachable entries, their index and gather maps, S, P, the trace
-rows and the power table depend only on (space, params, h, n) and the
+M, the reachable entries, their index, gauge and gather maps, S, P, the
+trace rows and the power table depend only on (space, params, h, n) and the
 initial state's nonzero pattern, so calls that share these share one
 build: evolve takes a dict that keeps the builds of the last such key (a
 sweep passes one per run, so each gamma_s builds once), and a direct
@@ -147,8 +151,11 @@ class IntegrationDiagnostics:
     """Health and cost record of one integration run.
 
     max_trace_error is tracked at every RK4 step, not just at sample times;
-    the remaining extrema are tracked at sample times, where the full
-    matrix is materialized. step_count is the number of RK4 steps taken.
+    the remaining extrema are tracked at sample times, read from the
+    reachable slice of each state. step_count is the number of RK4 steps
+    taken. real_block_samples counts the samples whose smallest eigenvalue
+    was taken on real blocks in the photon-number gauge (see gauge_maps);
+    the others were taken on the complex blocks.
     propagate_s is the time spent building and applying the propagator,
     including the generator build and the per-step trace check; a run that
     reused the builds of an earlier one (evolve's `shared`) records no
@@ -163,6 +170,7 @@ class IntegrationDiagnostics:
     min_eigenvalue: float = 1.0
     max_excitation_gain: float = 0.0
     max_sector_leakage: float = 0.0
+    real_block_samples: int = 0
     propagate_s: float = 0.0
     check_s: float = 0.0
 
@@ -334,6 +342,47 @@ def slice_maps(entries: np.ndarray, dim: int
                     for blk in diagonal_blocks(entries, dim)]
 
 
+def gauge_maps(m: np.ndarray, entries: np.ndarray, n_fock: int
+               ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]
+                          ] | None:
+    """Index maps that read the diagonal blocks in the photon-number gauge.
+
+    The gauge is rho -> U rho U^dag with U = diag(i^-n), n the photon
+    number of each basis state: entry (r, c) is multiplied by
+    i^(n_c - n_r), which moves either its real or its imaginary part onto
+    the real axis, exactly. H only trades a photon for a qubit excitation
+    and each jump operator moves at most one photon, so this gauge makes
+    M real; a state that is real in it stays real. Returns None unless
+    M[entries][:, entries] is real in the gauge bit for bit. Otherwise
+    returns dropped, the positions in the float view of the slice (two
+    per entry) of the part of each entry that the gauge sends to the
+    imaginary axis, and for each of the diagonal_blocks a pair (index,
+    sign) of (k, k) arrays. While every dropped part is 0, the gauged
+    block is the float view taken at index (an exact 0 where index is -1,
+    an entry outside `entries`) times sign, the real part of
+    i^(n_c - n_r); the sign applies to those zeros too, so each signed
+    zero is that of the full block multiplied entrywise.
+    """
+    dim = 4 * n_fock
+    photons = np.arange(dim) % n_fock
+    turns = ((photons - photons[:, None]) % 4).reshape(-1)
+    # i^turns moves the imaginary part onto the real axis for odd turns
+    parts = turns % 2
+    signs = np.array([1.0, -1.0, -1.0, 1.0])[turns]
+    p = parts[entries]
+    sl = m[np.ix_(entries, entries)]
+    if np.where(p[:, None] != p, sl.real, sl.imag).any():
+        return None
+    where = _positions(entries, dim)
+    blocks = []
+    for blk in diagonal_blocks(entries, dim):
+        cells = blk[:, None] * dim + blk
+        pos = where[cells]
+        blocks.append((np.where(pos < 0, -1, 2 * pos + parts[cells]),
+                       signs[cells]))
+    return 2 * np.arange(len(entries)) + 1 - p, blocks
+
+
 def gather_maps(entries: np.ndarray, n_fock: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Index maps that let the sums over rho read only `entries`.
@@ -433,10 +482,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _builds(space: CompositeSpace, params: SystemParams, h: float,
             n_sub: int, rho: np.ndarray, n_points: int, shared: dict
             ) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
-    """Reachable entries, their index maps (mirror, diagonal blocks,
-    diagonal and two-qubit gathers: see slice_maps and gather_maps), trace
-    rows and power table of a run of n_points points, n_sub RK4 steps of
-    size h apart, from rho.
+    """Reachable entries, their index maps (mirror, diagonal blocks, gauge
+    maps or None, diagonal and two-qubit gathers: see slice_maps,
+    gauge_maps and gather_maps), trace rows and power table of a run of
+    n_points points, n_sub RK4 steps of size h apart, from rho.
 
     These depend only on (space, params, h, n_sub) and the nonzero pattern
     of rho, so they are taken from `shared` when an earlier call left them
@@ -459,11 +508,16 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
     if shared.get("pattern") != pattern:
         entries = _read_only(reachable_entries(m, rho))
         mirror, blocks = slice_maps(entries, space.dim_total)
+        gauge = gauge_maps(m, entries, space.n_fock)
+        if gauge is not None:
+            dropped, real_blocks = gauge
+            gauge = (_read_only(dropped), tuple(
+                tuple(map(_read_only, pair)) for pair in real_blocks))
         diagonal, qubits = gather_maps(entries, space.n_fock)
         prop, trace_rows = interval_propagator(m, h, n_sub, entries)
         shared.update(pattern=pattern, entries=entries,
                       mirror=_read_only(mirror),
-                      blocks=tuple(map(_read_only, blocks)),
+                      blocks=tuple(map(_read_only, blocks)), gauge=gauge,
                       diagonal=_read_only(diagonal),
                       qubits=_read_only(qubits),
                       prop=_read_only(prop), trace_rows=_read_only(trace_rows),
@@ -474,28 +528,37 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
         # that, so the floating-point warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
             shared["table"] = _read_only(power_table(shared["prop"], rows))
-    maps = tuple(shared[k] for k in ("mirror", "blocks", "diagonal", "qubits"))
+    maps = tuple(shared[k] for k in ("mirror", "blocks", "gauge", "diagonal",
+                                     "qubits"))
     return (shared["entries"], maps, shared["trace_rows"],
             shared["table"][:rows])
 
 
 def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
                    mirror: np.ndarray, blocks: list[np.ndarray],
-                   diagonal: np.ndarray, block: int, prev_expect_n: float,
-                   diag: IntegrationDiagnostics) -> tuple[np.ndarray, ...]:
+                   gauge: tuple | None, diagonal: np.ndarray, block: int,
+                   prev_expect_n: float, diag: IntegrationDiagnostics
+                   ) -> tuple[np.ndarray, ...]:
     """Check a run of states sampled at `times`, in time order.
 
     sub (b, w) holds the states' entries on a slice of vec(rho); every
     other entry is an exact 0. mirror and blocks are the slice's index maps
-    (see slice_maps) and diagonal the slice positions of rho's diagonal
-    (see gather_maps). Every check reads the slice and gives the
-    full-width value bit for bit: the finite and hermiticity checks and
-    the smallest eigenvalue, taken block by block, see every nonzero
-    entry, and the trace, <N> and leakage add the gathered diagonal, with
-    its zeros, in the full matrix's order. <N> is one product per
-    `block` states from the first: numpy takes a product of one row
-    through BLAS dot, which rounds differently, so a propagation block of
-    one point keeps its own product.
+    (see slice_maps), gauge its maps in the photon-number gauge or None
+    (see gauge_maps), and diagonal the slice positions of rho's diagonal
+    (see gather_maps). The finite and hermiticity checks see every
+    nonzero entry, and the trace, <N> and leakage add the gathered
+    diagonal, with its zeros, in the full matrix's order, so each gives
+    the full-width value bit for bit. The smallest eigenvalue is taken
+    block by block. On the complex blocks it is the full-width value of
+    those blocks bit for bit. When gauge is given, every state of the run
+    is finite and every part the gauge drops is exactly 0, it is taken on
+    the real gauged blocks instead (LAPACK dsyevd for zheevd, about half
+    the cost): the gauge is a diagonal unitary similarity that only
+    multiplies by +-1 or +-i, so the eigenvalues differ by the routine's
+    rounding only. <N> is one product per `block` states from the first:
+    numpy takes a product of one row through BLAS dot, which rounds
+    differently, so a propagation block of one point keeps its own
+    product.
 
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, positivity,
@@ -514,10 +577,21 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     on_diagonal = _gather(ok, diagonal)
     tr_err = np.abs(on_diagonal.sum(axis=1) - 1.0)
     mins = []
-    for where in blocks:
-        blk = _gather(ok, where)
-        mins.append(np.linalg.eigvalsh(
-            0.5 * (blk + blk.conj().transpose(0, 2, 1)))[:, 0])
+    real = gauge is not None and n_ok == len(sub)
+    if real:
+        # the real and imaginary part of each entry, side by side
+        parts = np.ascontiguousarray(ok).view(float)
+        real = not parts.take(gauge[0], axis=1).any()
+    if real:
+        for index, sign in gauge[1]:
+            blk = _gather(parts, index) * sign
+            mins.append(np.linalg.eigvalsh(
+                0.5 * (blk + blk.transpose(0, 2, 1)))[:, 0])
+    else:
+        for where in blocks:
+            blk = _gather(ok, where)
+            mins.append(np.linalg.eigvalsh(
+                0.5 * (blk + blk.conj().transpose(0, 2, 1)))[:, 0])
     if sum(map(len, blocks)) < len(diagonal):
         mins.append(np.zeros(n_ok))  # a basis state no block holds
     min_eig = np.min(mins, axis=0)
@@ -550,6 +624,8 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     d.max_excitation_gain = float(gain.max(initial=d.max_excitation_gain))
     d.max_sector_leakage = float(np.abs(leak).max(
         initial=d.max_sector_leakage))
+    if real:
+        d.real_block_samples += n_ok
     return expn, tr_err, herm, min_eig, leak
 
 
@@ -623,9 +699,10 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     dim = space.dim_total
     diag = IntegrationDiagnostics(step_count=(n_points - 1) * n_sub)
     clock = perf_counter()
-    entries, (mirror, blocks, diagonal, qubits), trace_rows, table = _builds(
+    entries, maps, trace_rows, table = _builds(
         space, params, h, n_sub, initial.rho_tilde, n_points,
         {} if shared is None else shared)
+    mirror, blocks, gauge, diagonal, qubits = maps
     diag.propagate_s = perf_counter() - clock
     width = len(entries)
     chunk = _block_length(width)
@@ -637,6 +714,8 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     # (whole blocks) at a time.
     sub = np.empty((min(span, n_points) + 1, width), dtype=complex)
     sub[1] = initial.rho_tilde.reshape(-1)[entries]
+    if gauge is not None and sub[1].view(float)[gauge[0]].any():
+        gauge = None  # not real in the gauge: keep the complex blocks
     reduced = np.empty((n, 4, 4), dtype=complex)
     series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
     full_states: list[FullState] | None = [] if store_full else None
@@ -670,7 +749,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         # a violation at an earlier sample wins over a failing step
         checked = _check_samples(sub[1:stop + 1],
                                  point_times[first:first + stop], weights,
-                                 mirror, blocks, diagonal, chunk,
+                                 mirror, blocks, gauge, diagonal, chunk,
                                  prev_expect_n, diag)
         if stop < size:
             k = int(np.argmax(~(col <= TRACE_TOL)))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +32,7 @@ from pseudomode.dynamics import (
     _check_samples,
     diagonal_blocks,
     gather_maps,
+    gauge_maps,
     interval_propagator,
     reachable_entries,
     rk4_step_matrix,
@@ -223,27 +224,206 @@ def test_reachable_entries_hold_every_transpose(space3):
         slice_maps(np.array([1]), dim)
 
 
+def _gauge_real_states(space):
+    """The states that are real in the photon-number gauge."""
+    return {
+        "phi real": make_initial(InitialStateSpec("phi", 0.3), space),
+        "psi real": make_initial(InitialStateSpec("psi", 0.3), space),
+        "werner real": make_initial(InitialStateSpec("werner_psi", 0.3, r=0.6),
+                                    space),
+    }
+
+
+def _complex_states(space):
+    """States that are not real in the photon-number gauge."""
+    return {
+        "psi": make_initial(InitialStateSpec("psi", 0.3, theta=0.4), space),
+        "phi": make_initial(InitialStateSpec("phi", 0.3, theta=0.4), space),
+        "phi pi": make_initial(InitialStateSpec("phi", 0.3, theta=math.pi),
+                               space),
+        "raw": _raw_state(space, space.n_fock - 1),
+    }
+
+
+def _photon_turns(dim):
+    """(n_c - n_r) % 4 for each entry (r, c) of a state on 4 n_fock basis
+    states, n the photon number (the fastest index) of each."""
+    n = np.arange(dim) % (dim // 4)
+    return (n - n[:, None]) % 4
+
+
+def _photon_gauge(rho):
+    """Real and imaginary parts of rho multiplied entrywise by
+    i^(n_c - n_r), n the photon number of each basis state."""
+    turns = _photon_turns(rho.shape[-1])
+    re, im = rho.real, rho.imag
+    return (np.choose(turns, [re, -im, -re, im]),
+            np.choose(turns, [im, re, -im, -re]))
+
+
+def _block_minima(rho, blocks, real):
+    """Smallest eigenvalue over the diagonal blocks of each of the full
+    states rho, with the exact 0 of the basis states no block holds."""
+    mins = [np.zeros(len(rho))]
+    for blk in blocks:
+        sub = rho[:, blk[:, None], blk]
+        mins.append(np.linalg.eigvalsh(
+            0.5 * (sub + (sub if real else sub.conj()).transpose(0, 2, 1))
+        )[:, 0])
+    return np.min(mins, axis=0)
+
+
 def test_slice_checks_equal_the_full_width_values(space3):
     # hermiticity and each diagonal block are read from the slice; the
-    # full-width matrices give the same bits
+    # full-width matrices give the same bits. States real in the
+    # photon-number gauge take the smallest eigenvalue on the gauged real
+    # blocks, the others on the complex blocks; the two routes agree to
+    # rounding
     params = SystemParams.symmetric(0.2)
     times = np.linspace(0.0, 5.0, 301)
-    for name, init in _test_states(space3).items():
+    states = {**_gauge_real_states(space3), **_complex_states(space3)}
+    m = liouvillian_matrix(space3, params)
+    for name, init in states.items():
         traj = evolve(init, space3, params, times, store_full=True)
         rho = np.array([s.rho_tilde for s in traj.full_states])
         herm = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         assert np.array_equal(traj.hermiticity_error, herm), name
-        m = liouvillian_matrix(space3, params)
         entries = reachable_entries(m, init.rho_tilde)
         blocks = diagonal_blocks(entries, space3.dim_total)
         # every test state leaves some basis state untouched: an exact 0
         assert sum(map(len, blocks)) < space3.dim_total, name
-        mins = [np.zeros(len(rho))]
-        for blk in blocks:
-            sub = rho[:, blk[:, None], blk]
-            mins.append(np.linalg.eigvalsh(
-                0.5 * (sub + sub.conj().transpose(0, 2, 1)))[:, 0])
-        assert np.array_equal(traj.min_eigenvalue, np.min(mins, axis=0)), name
+        complex_mins = _block_minima(rho, blocks, real=False)
+        real = name.endswith("real")
+        if real:
+            gauged, dropped = _photon_gauge(rho)
+            assert not dropped.any(), name
+            expected = _block_minima(gauged, blocks, real=True)
+        else:
+            expected = complex_mins
+        assert np.array_equal(traj.min_eigenvalue, expected), name
+        assert np.abs(traj.min_eigenvalue - complex_mins).max() <= 1e-15
+        assert traj.diagnostics.real_block_samples == (
+            len(times) if real else 0), name
+
+
+def _complex_route(monkeypatch):
+    """Make evolve take every smallest eigenvalue on the complex blocks."""
+    monkeypatch.setattr(dynamics, "gauge_maps", lambda m, entries, n: None)
+
+
+@pytest.mark.parametrize("n_fock", [3, 4])
+@pytest.mark.parametrize("rates", ["symmetric", "asymmetric"])
+def test_gauge_real_states_take_the_real_blocks(monkeypatch, n_fock, rates):
+    # psi, phi and werner at theta = 0 are real in the photon-number gauge
+    # and so is M, for any rates: every sample takes the real blocks, which
+    # moves the smallest eigenvalue by rounding only and nothing else
+    space = build_space(n_fock)
+    params = SystemParams.symmetric(0.2, n_fock=n_fock) if (
+        rates == "symmetric") else SystemParams(
+        omega=0.2, gamma_cavity=0.3, gamma_a=0.3, gamma_b=0.05,
+        n_fock=n_fock)
+    times = np.linspace(0.0, 8.0, 1203)
+    got = {name: evolve(init, space, params, times, store_full=True)
+           for name, init in _gauge_real_states(space).items()}
+    _complex_route(monkeypatch)
+    for name, init in _gauge_real_states(space).items():
+        ref = evolve(init, space, params, times, store_full=True)
+        assert got[name].diagnostics.real_block_samples == len(times), name
+        assert ref.diagnostics.real_block_samples == 0
+        assert np.abs(got[name].min_eigenvalue
+                      - ref.min_eigenvalue).max() <= 1e-15, name
+        _assert_same_trajectory(replace(
+            got[name], min_eigenvalue=ref.min_eigenvalue,
+            diagnostics=replace(got[name].diagnostics,
+                                min_eigenvalue=ref.diagnostics.min_eigenvalue,
+                                real_block_samples=0)), ref)
+
+
+@pytest.mark.parametrize("n_fock", [3, 4])
+def test_complex_states_keep_the_complex_blocks(monkeypatch, n_fock):
+    # a state that is not real in the gauge (theta = 0.4; phi at theta = pi,
+    # whose e^{i pi} keeps an imaginary part of 1.2e-16; a random raw state)
+    # keeps the complex blocks, and with them every bit
+    space = build_space(n_fock)
+    params = SystemParams.symmetric(0.2, n_fock=n_fock)
+    times = np.linspace(0.0, 8.0, 401)
+    got = {name: evolve(init, space, params, times, store_full=True)
+           for name, init in _complex_states(space).items()}
+    _complex_route(monkeypatch)
+    for name, init in _complex_states(space).items():
+        assert got[name].diagnostics.real_block_samples == 0, name
+        _assert_same_trajectory(got[name], evolve(init, space, params, times,
+                                                  store_full=True))
+
+
+def test_gauge_maps_need_a_generator_real_in_the_gauge(space3, monkeypatch):
+    # the maps exist only while M restricted to the slice is real in the
+    # gauge bit for bit; an imaginary part of one ulp anywhere on the slice
+    # is enough to keep the complex blocks
+    params = SystemParams.symmetric(0.2)
+    init = make_initial(InitialStateSpec("psi", 0.3), space3)
+    m = liouvillian_matrix(space3, params)
+    entries = reachable_entries(m, init.rho_tilde)
+    dropped, blocks = gauge_maps(m, entries, space3.n_fock)
+    assert len(dropped) == len(entries)
+    assert [len(index) for index, _ in blocks] == [
+        len(blk) for blk in diagonal_blocks(entries, space3.dim_total)]
+    # the diagonal of rho keeps its real part, multiplied by 1
+    ground = entries.tolist().index(0)
+    assert dropped[ground] == 2 * ground + 1
+    assert blocks[0][0][0, 0] == 2 * ground and blocks[0][1][0, 0] == 1.0
+    bent = m.copy()
+    bent[entries[3], entries[3]] += 1e-16j
+    outside = np.setdiff1d(np.arange(len(m)), entries)[0]
+    moved = m.copy()
+    moved[outside, outside] += 1j
+    assert gauge_maps(bent, entries, space3.n_fock) is None
+    assert gauge_maps(moved, entries, space3.n_fock) is not None
+    _generator(monkeypatch, bent)
+    times = np.linspace(0.0, 2.0, 21)
+    traj = evolve(init, space3, params, times)
+    assert traj.diagnostics.real_block_samples == 0
+
+
+def test_a_run_with_a_dropped_part_falls_back_alone(space3):
+    # a sample whose gauged state has an imaginary part sends its own run
+    # of points to the complex blocks and no other run
+    params = SystemParams.symmetric(0.2)
+    init = make_initial(InitialStateSpec("psi", 0.3), space3)
+    times = np.linspace(0.0, 30.0, 3 * C)
+    m = liouvillian_matrix(space3, params)
+    entries = reachable_entries(m, init.rho_tilde)
+    mirror, blocks = slice_maps(entries, space3.dim_total)
+    gauge = gauge_maps(m, entries, space3.n_fock)
+    diagonal, _ = gather_maps(entries, space3.n_fock)
+    weights = number_operator(space3).diagonal().real
+    rho = np.array([s.rho_tilde for s in evolve(
+        init, space3, params, times, store_full=True).full_states])
+    # a hermitian imaginary part on the coherence of |00,0> and |11,0>,
+    # both without photons, so the gauge leaves it imaginary
+    low, top = space3.flat_index(0, 0, 0), space3.flat_index(1, 1, 0)
+    rho[C + 40, low, top] += 1e-12j
+    rho[C + 40, top, low] -= 1e-12j
+    flat = rho.reshape(len(rho), -1)[:, entries]
+
+    def run_checks(maps):
+        diag, prev, mins = IntegrationDiagnostics(), math.inf, []
+        for lo in range(0, len(flat), C):
+            checked = _check_samples(
+                flat[lo:lo + C], times[lo:lo + C], weights, mirror, blocks,
+                maps, diagonal, SAMPLE_CHUNK, prev, diag)
+            prev = checked[0][-1]
+            mins.append(checked[3])
+        return diag, mins
+
+    diag, mins = run_checks(gauge)
+    assert diag.real_block_samples == 2 * C
+    ref_diag, ref_mins = run_checks(None)
+    assert ref_diag.real_block_samples == 0
+    assert np.array_equal(mins[1], ref_mins[1])
+    for run in (0, 2):
+        assert not np.array_equal(mins[run], ref_mins[run])
+        assert np.abs(mins[run] - ref_mins[run]).max() <= 1e-15
 
 
 def _same_bits(a, b):
@@ -409,11 +589,11 @@ def checked_slices(monkeypatch):
     calls = []
     check = dynamics._check_samples
 
-    def recording(sub, times, weights, mirror, blocks, diagonal, block,
-                  prev_expect_n, diag):
+    def recording(sub, times, weights, mirror, blocks, gauge, diagonal,
+                  block, prev_expect_n, diag):
         calls.append((times.copy(), prev_expect_n))
-        return check(sub, times, weights, mirror, blocks, diagonal, block,
-                     prev_expect_n, diag)
+        return check(sub, times, weights, mirror, blocks, gauge, diagonal,
+                     block, prev_expect_n, diag)
 
     monkeypatch.setattr(dynamics, "_check_samples", recording)
     return calls
@@ -546,7 +726,10 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
     # propagator, trace rows and table; the blocks
     arrays = [v for v in shared.values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 8
-    for a in arrays + list(shared["blocks"]):
+    # the gauge maps: dropped parts, and an index and a sign per block
+    dropped, real_blocks = shared["gauge"]
+    gauged = [dropped] + [a for pair in real_blocks for a in pair]
+    for a in arrays + list(shared["blocks"]) + gauged:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
 
@@ -605,6 +788,19 @@ def _negative(rho):
     return (u * w) @ u.conj().T
 
 
+def _negative_gauge_real(rho):
+    """_negative taken on the real matrix of rho in the photon-number
+    gauge, so the planted state is real in that gauge too."""
+    gauged, dropped = _photon_gauge(rho)
+    assert not dropped.any()
+    w, u = np.linalg.eigh(gauged)
+    w[0] -= 1e-6
+    w[-1] += 1e-6
+    # back by i^(n_r - n_c): exact, as multiplying by +-1 or +-i is
+    return ((u * w) @ u.T) * np.array([1, -1j, -1, 1j])[
+        _photon_turns(len(rho))]
+
+
 def _nan(rho):
     rho = rho.copy()
     rho[3, 3] = math.nan
@@ -617,6 +813,7 @@ C = CHECK_CHUNK
 CHUNK_CASES = {
     "hermiticity_in_second_chunk": {C + 5: _non_hermitian},
     "positivity_in_second_chunk": {C + 9: _negative},
+    "positivity_gauge_real_in_second_chunk": {C + 11: _negative_gauge_real},
     "gain_straddles_boundary": {C: C - 3},
     "gain_at_first_of_third_chunk": {2 * C: 2},
     "hermiticity_before_positivity": {
@@ -628,7 +825,10 @@ CHUNK_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
-def test_chunked_checks_report_the_per_sample_first_violation(space3, case):
+def test_chunked_checks_report_the_per_sample_first_violation(
+        space3, monkeypatch, case):
+    # psi at theta = 0 is real in the photon-number gauge, so each run
+    # takes the real blocks unless a plant moves it off them
     params = SystemParams.symmetric(0.2)
     init = make_initial(InitialStateSpec("psi", 0.3), space3)
     times = np.linspace(0.0, 30.0, 3 * C + 1)
@@ -650,16 +850,44 @@ def test_chunked_checks_report_the_per_sample_first_violation(space3, case):
     support |= support.reshape(space3.dim_total, -1).T.reshape(-1)
     entries = np.flatnonzero(support)
     mirror, blocks = slice_maps(entries, space3.dim_total)
+    gauge = gauge_maps(liouvillian_matrix(space3, params), entries,
+                       space3.n_fock)
+    assert gauge is not None
     diagonal, _ = gather_maps(entries, space3.n_fock)
     weights = number_operator(space3).diagonal().real
+    kinds = _record_eigvalsh_kinds(monkeypatch)
     prev_expect_n = math.inf
     with pytest.raises(IntegrationError) as err:
         for lo in range(0, len(rho), C):
             prev_expect_n = _check_samples(
                 flat[lo:lo + C, entries], times[lo:lo + C], weights, mirror,
-                blocks, diagonal, SAMPLE_CHUNK, prev_expect_n,
+                blocks, gauge, diagonal, SAMPLE_CHUNK, prev_expect_n,
                 IntegrationDiagnostics())[0][-1]
     assert (err.value.invariant, err.value.time) == expected
+    # the first run holds no plant; the gauge-real plant keeps its run on
+    # the real blocks, and a run holding a non-finite state takes the
+    # complex blocks on the states before it
+    assert kinds[0] == "f"
+    plants = CHUNK_CASES[case].values()
+    if _negative_gauge_real in plants:
+        assert kinds[-1] == "f"
+    if _nan in plants:
+        assert kinds[-1] == "c"
+
+
+def _record_eigvalsh_kinds(monkeypatch):
+    """The dtype kind, "f" (real) or "c" (complex), of every stack of
+    matrices eigvalsh is called on (FullState.validate takes one)."""
+    kinds = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        if a.ndim == 3:
+            kinds.append(a.dtype.kind)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return kinds
 
 
 def _generator(monkeypatch, m):
@@ -861,7 +1089,8 @@ def test_unstable_step_aborts_with_diagnostic(space3):
     assert err.value.time > 0.0
 
 
-def test_overflow_past_an_unstable_step_reports_the_first_violation(space3):
+def test_overflow_past_an_unstable_step_reports_the_first_violation(
+        space3, monkeypatch):
     # a whole block is propagated before it is checked, so the states
     # overflow past the first bad sample; that sample must still be
     # reported, as a sample-by-sample run reports it, without a
@@ -869,9 +1098,15 @@ def test_overflow_past_an_unstable_step_reports_the_first_violation(space3):
     params = SystemParams.symmetric(6.0, gamma_cavity=4.0)
     init = make_initial(InitialStateSpec("psi", 0.5), space3)
     times = np.linspace(0.0, 2.0 * C, 2 * C + 1)
+    kinds = _record_eigvalsh_kinds(monkeypatch)
     with pytest.raises(IntegrationError) as err:
         evolve(init, space3, params, times, step_size=1.0)
     assert (err.value.invariant, err.value.time) == ("positivity", 1.0)
+    # the failing step cuts the run at its third point, before any state
+    # overflows, so the violation is read on the real blocks of psi (a run
+    # that holds a non-finite state takes the complex blocks: see
+    # CHUNK_CASES)
+    assert kinds == ["f", "f"]
 
 
 def test_unitary_limit_conserves_purity(space3):
