@@ -577,11 +577,10 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     on_diagonal = _gather(ok, diagonal)
     tr_err = np.abs(on_diagonal.sum(axis=1) - 1.0)
     mins = []
-    real = gauge is not None and n_ok == len(sub)
-    if real:
-        # the real and imaginary part of each entry, side by side
-        parts = np.ascontiguousarray(ok).view(float)
-        real = not parts.take(gauge[0], axis=1).any()
+    # the real and imaginary part of each entry, side by side
+    parts = np.ascontiguousarray(ok).view(float)
+    real = (gauge is not None and n_ok == len(sub)
+            and not parts.take(gauge[0], axis=1).any())
     if real:
         for index, sign in gauge[1]:
             blk = _gather(parts, index) * sign
