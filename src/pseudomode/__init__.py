@@ -18,7 +18,6 @@ from .dynamics import (
     IntegrationError,
     Trajectory,
     evolve,
-    lindblad_rhs,
     liouvillian_matrix,
 )
 from .entanglement import (
@@ -79,7 +78,6 @@ __all__ = [
     "evolve",
     "independent_decay_concurrence",
     "independent_decay_death_time",
-    "lindblad_rhs",
     "liouvillian_matrix",
     "load_raw_state",
     "make_initial",

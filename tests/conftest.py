@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudomode import build_space
+from pseudomode import annihilation, build_hamiltonian, build_space, sigma
 
 
 @pytest.fixture(scope="session")
@@ -75,3 +75,19 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def lindblad_rhs(space, params, rho: np.ndarray) -> np.ndarray:
+    """Right-hand side d rho / dt in matrix form: the oracle for
+    liouvillian_matrix, which builds the same terms as Kronecker products.
+    """
+    h = build_hamiltonian(space, params)
+    out = -1j * (h @ rho - rho @ h)
+    for op, rate in ((annihilation(space), params.gamma_cavity),
+                     (sigma(space, "A", "lower"), params.gamma_a),
+                     (sigma(space, "B", "lower"), params.gamma_b)):
+        if rate == 0.0:
+            continue
+        ld = op.conj().T @ op
+        out += rate * (op @ rho @ op.conj().T - 0.5 * (ld @ rho + rho @ ld))
+    return out

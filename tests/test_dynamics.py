@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_density_matrix
+from conftest import lindblad_rhs, random_density_matrix
 from pseudomode import (
     FullState,
     IntegrationError,
     SystemParams,
     build_space,
     evolve,
-    lindblad_rhs,
     liouvillian_matrix,
     make_initial,
     number_operator,
@@ -24,9 +23,9 @@ from pseudomode.dynamics import (
     EIG_FLOOR,
     EXCITATION_GAIN_TOL,
     HERM_TOL,
-    MAX_SEGMENT,
     SAMPLE_CHUNK,
     TABLE_BYTES,
+    TRACE_LAW_TOL,
     TRACE_TOL,
     IntegrationDiagnostics,
     _check_samples,
@@ -121,16 +120,13 @@ def test_expm_cross_check(space3):
 def test_interval_propagator_matches_substep_loop(space3, gamma_s):
     # evolve applies one propagator per sample interval; a literal loop of
     # single RK4 steps, one matvec each as the integrator used to run it,
-    # is the reference for the sampled states and for the trace after
-    # every step
+    # is the reference for the sampled states
     params = SystemParams.symmetric(gamma_s)
     m = liouvillian_matrix(space3, params)
     times = np.linspace(0.0, 150.0, 1501)
     n_sub = 100
     h = (times[1] - times[0]) / n_sub
     step = rk4_step_matrix(m, h)
-    _, trace_rows = interval_propagator(m, h, n_sub, np.arange(len(m)))
-    diag = slice(None, None, space3.dim_total + 1)
     for spec in (InitialStateSpec("psi", 0.3, theta=0.4),
                  InitialStateSpec("phi", 0.3),
                  InitialStateSpec("werner_psi", 0.3, r=0.6)):
@@ -139,18 +135,14 @@ def test_interval_propagator_matches_substep_loop(space3, gamma_s):
                          store_full=True).full_states
         substeps = np.empty((n_sub + 1, space3.dim_total ** 2), dtype=complex)
         substeps[-1] = init.rho_tilde.reshape(-1)
-        worst_state = worst_trace = 0.0
+        worst_state = 0.0
         for i in range(1, len(times)):
             substeps[0] = substeps[-1]
             for k in range(n_sub):
                 np.matmul(step, substeps[k], out=substeps[k + 1])
-            traces = substeps[1:, diag].sum(axis=1)
-            worst_trace = max(worst_trace, float(
-                np.abs(trace_rows @ substeps[0] - traces).max()))
             worst_state = max(worst_state, float(np.abs(
                 sampled[i].rho_tilde.reshape(-1) - substeps[-1]).max()))
         assert worst_state <= 1e-12, spec
-        assert worst_trace <= 1e-12, spec
 
 
 def _raw_state(space, top):
@@ -439,8 +431,7 @@ def test_sums_over_the_slice_equal_the_full_width_formulas(n_fock):
     # one product per propagation block (numpy takes a single row through
     # BLAS dot), and the 257 and 226 samples end on a block of one point
     # at the block lengths here (128, and 25 for the raw state at
-    # n_fock = 4); [0, 20] in two intervals of 10 000 steps takes three
-    # segments each
+    # n_fock = 4); [0, 20] takes two intervals of 10 000 steps
     space = build_space(n_fock)
     params = SystemParams.symmetric(0.2, n_fock=n_fock)
     m = liouvillian_matrix(space, params)
@@ -464,7 +455,7 @@ def test_sums_over_the_slice_equal_the_full_width_formulas(n_fock):
                               pops[:, weights > 2].sum(axis=1)), name
             assert _same_bits(traj.reduced,
                               partial_trace_cavity(rho, space)), name
-    assert traj.diagnostics.step_count == 2 * 3 * 3334
+    assert traj.diagnostics.step_count == 2 * 10000
 
 
 def test_positivity_reads_entries_outside_the_slice_as_zero(space3):
@@ -534,7 +525,7 @@ def test_block_products_match_a_per_point_loop(space3):
     times = np.linspace(0.0, 10.0, 10001)
     m = liouvillian_matrix(space3, params)
     entries = reachable_entries(m, init.rho_tilde)
-    prop, _ = interval_propagator(m, times[1] - times[0], 1, entries)
+    prop = interval_propagator(m, times[1] - times[0], 1, entries)
     traj = evolve(init, space3, params, times, store_full=True)
     v = init.rho_tilde.reshape(-1)[entries]
     worst = 0.0
@@ -557,16 +548,16 @@ def test_propagator_is_the_rounded_power_of_the_step(space3, gamma_s):
         entries = reachable_entries(m, init.rho_tilde)
         step = rk4_step_matrix(m[np.ix_(entries, entries)], 1e-3)
         for n_sub in (37, 100):
-            prop, _ = interval_propagator(m, 1e-3, n_sub, entries)
+            prop = interval_propagator(m, 1e-3, n_sub, entries)
             exact = np.linalg.matrix_power(step.astype(np.clongdouble), n_sub)
             assert np.abs(prop - exact).max() <= np.finfo(float).eps
 
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """Step of every RK4 step matrix evolve builds, rows of every trace
-    table it builds."""
-    record = SimpleNamespace(steps=[], rows=[])
+    """Step of every RK4 step matrix evolve builds, steps of every
+    propagator it builds."""
+    record = SimpleNamespace(steps=[], n_sub=[])
     step, propagator = dynamics.rk4_step_matrix, dynamics.interval_propagator
 
     def recording_step(m, h):
@@ -574,9 +565,8 @@ def builds(monkeypatch):
         return step(m, h)
 
     def recording_propagator(m, h, n_sub, entries):
-        prop, rows = propagator(m, h, n_sub, entries)
-        record.rows.append(len(rows))
-        return prop, rows
+        record.n_sub.append(n_sub)
+        return propagator(m, h, n_sub, entries)
 
     monkeypatch.setattr(dynamics, "rk4_step_matrix", recording_step)
     monkeypatch.setattr(dynamics, "interval_propagator", recording_propagator)
@@ -650,33 +640,28 @@ def test_power_table_stays_within_its_byte_budget(space3, monkeypatch,
     assert tables[0].nbytes <= TABLE_BYTES
 
 
-def test_long_interval_is_cut_into_equal_segments(space3, builds,
-                                                 checked_slices):
-    # an interval longer than MAX_SEGMENT steps becomes equal segments of
-    # one propagator, each end checked like a sample; only the requested
-    # samples come back, and they agree with shorter sample intervals
+def test_long_interval_takes_one_propagator(space3, builds, checked_slices):
+    # an interval of any length is one propagator of ceil(dt / step_size)
+    # steps, and only the samples are checked; they agree with shorter
+    # sample intervals at the same step
     params = SystemParams.symmetric(0.2)
     init = make_initial(InitialStateSpec("psi", 0.3), space3)
     one = evolve(init, space3, params, np.array([0.0, 10.0]))
-    assert len(builds.steps) == len(builds.rows) == 1
-    h, n_sub = builds.steps[0], builds.rows[0]
-    assert 10000 > MAX_SEGMENT >= n_sub and h <= 1e-3
-    assert one.diagnostics.step_count == 3 * n_sub
-    checked = np.concatenate([t for t, _ in checked_slices])
-    assert np.abs(checked - np.arange(4) * n_sub * h).max() <= 1e-12
-    assert checked[-1] == 10.0 and len(one) == 2
+    assert builds.steps == [10.0 / 10000] and builds.n_sub == [10000]
+    assert one.diagnostics.step_count == 10000
+    assert [list(t) for t, _ in checked_slices] == [[0.0, 10.0]]
     ten = evolve(init, space3, params, np.linspace(0.0, 10.0, 11))
-    assert max(builds.rows) <= MAX_SEGMENT and max(builds.steps) <= 1e-3
+    assert builds.steps[1] == builds.steps[0] and builds.n_sub[1] == 1000
     assert np.abs(one.reduced[-1] - ten.reduced[-1]).max() <= 1e-12
-    # past the first slice of checks (CHECK_CHUNK is not a multiple of 3)
-    # the samples are still every third segment end
+    # many long intervals, against ten times as many in more than one
+    # slice of checks
     checked_slices.clear()
     coarse = evolve(init, space3, params, np.linspace(0.0, 1800.0, 181))
-    assert [len(t) for t, _ in checked_slices] == [CHECK_CHUNK, 29]
-    fine = evolve(init, space3, params, np.linspace(0.0, 1800.0, 541))
-    assert CHECK_CHUNK % 3 and len(fine) > CHECK_CHUNK
-    assert np.abs(coarse.reduced - fine.reduced[::3]).max() <= 1e-12
-    assert np.abs(coarse.expect_n - fine.expect_n[::3]).max() <= 1e-12
+    assert [len(t) for t, _ in checked_slices] == [181]
+    fine = evolve(init, space3, params, np.linspace(0.0, 1800.0, 1801))
+    assert builds.steps[-1] == builds.steps[0] and len(fine) > CHECK_CHUNK
+    assert np.abs(coarse.reduced - fine.reduced[::10]).max() <= 1e-12
+    assert np.abs(coarse.expect_n - fine.expect_n[::10]).max() <= 1e-12
 
 
 def _assert_same_trajectory(got, expected):
@@ -711,10 +696,10 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
     shared = {}
     for init, gamma_s, times, new, width in calls:
         params = SystemParams.symmetric(gamma_s)
-        before = len(builds.steps), len(builds.rows)
+        before = len(builds.steps), len(builds.n_sub)
         got = evolve(init, space3, params, times, store_full=True,
                      shared=shared)
-        assert (len(builds.steps), len(builds.rows)) == (
+        assert (len(builds.steps), len(builds.n_sub)) == (
             before[0] + new, before[1] + new)
         assert len(shared["entries"]) == width
         _assert_same_trajectory(got, evolve(init, space3, params, times,
@@ -723,9 +708,9 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
                for p in map(SystemParams.symmetric, (0.0, 0.2))]
     assert nonzero[0] < nonzero[1]
     # the generator, entries, mirror, diagonal and two-qubit gathers,
-    # propagator, trace rows and table; the blocks
+    # propagator and table; the blocks
     arrays = [v for v in shared.values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8
+    assert len(arrays) == 7
     # the gauge maps: dropped parts, and an index and a sign per block
     dropped, real_blocks = shared["gauge"]
     gauged = [dropped] + [a for pair in real_blocks for a in pair]
@@ -734,23 +719,44 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
             a[(0,) * a.ndim] = 0
 
 
-def test_trace_rows_follow_each_step():
-    # a physical generator preserves the trace, so every row of the table
-    # is e^T up to rounding; a generic generator tells the rows apart
+def test_a_failing_trace_law_leaves_shared_as_it_was(space3, monkeypatch):
+    # the law is checked before the generator is stored, so a generator
+    # that breaks it leaves the dict untouched, fails again on a repeat of
+    # its call, and a healthy call afterwards equals a fresh one
+    psi = make_initial(InitialStateSpec("psi", 0.3), space3)
+    times = np.linspace(0.0, 2.0, 21)
+    shared = {}
+    evolve(psi, space3, SystemParams.symmetric(0.2), times, shared=shared)
+    before = dict(shared)
+    healthy = dynamics.liouvillian_matrix
+    monkeypatch.setattr(dynamics, "liouvillian_matrix", lambda space, params:
+                        healthy(space, params) - 1e-3 * np.eye(144))
+    broken = SystemParams.symmetric(0.3)
+    for _ in range(2):
+        with pytest.raises(IntegrationError) as err:
+            evolve(psi, space3, broken, times, shared=shared)
+        assert err.value.invariant == "trace"
+        assert err.value.value == pytest.approx(1e-3, rel=1e-12)
+        assert shared.keys() == before.keys()
+        assert all(shared[k] is v for k, v in before.items())
+    monkeypatch.undo()
+    _assert_same_trajectory(
+        evolve(psi, space3, broken, times, store_full=True, shared=shared),
+        evolve(psi, space3, broken, times, store_full=True))
+
+
+def test_interval_propagator_matches_a_generic_step_loop():
+    # a generic generator, unlike a physical one, tells every power of the
+    # step apart: P v must be v after exactly n_sub steps of the loop
     rng = np.random.default_rng(5)
     m = (rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144))) / 12
     v = rng.normal(size=144) + 1j * rng.normal(size=144)
     h, n_sub = 1e-2, 37
-    prop, trace_rows = interval_propagator(m, h, n_sub, np.arange(144))
+    prop = interval_propagator(m, h, n_sub, np.arange(144))
     step = rk4_step_matrix(m, h)
-    traces = []
     w = v
     for _ in range(n_sub):
         w = step @ w
-        traces.append(w[::13].sum())
-    traces = np.array(traces)
-    scale = np.abs(traces).max()
-    assert np.abs(trace_rows @ v - traces).max() <= 1e-12 * scale
     assert np.abs(prop @ v - w).max() <= 1e-12 * np.abs(w).max()
 
 
@@ -764,6 +770,8 @@ def _first_violation(states, times, space):
             return "finite", t
         if np.abs(rho - rho.conj().T).max() > HERM_TOL:
             return "hermiticity", t
+        if abs(np.trace(rho) - 1.0) > TRACE_TOL:
+            return "trace", t
         if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] < EIG_FLOOR:
             return "positivity", t
         expn = weights @ np.real(np.diag(rho))
@@ -801,6 +809,10 @@ def _negative_gauge_real(rho):
         _photon_turns(len(rho))]
 
 
+def _short_trace(rho):
+    return rho * (1.0 - 1e-8)
+
+
 def _nan(rho):
     rho = rho.copy()
     rho[3, 3] = math.nan
@@ -818,6 +830,11 @@ CHUNK_CASES = {
     "gain_at_first_of_third_chunk": {2 * C: 2},
     "hermiticity_before_positivity": {
         C + 7: lambda rho: _negative(_non_hermitian(rho))},
+    "trace_in_second_chunk": {C + 6: _short_trace},
+    "hermiticity_before_trace": {
+        C + 8: lambda rho: _short_trace(_non_hermitian(rho))},
+    "trace_before_positivity": {
+        C + 10: lambda rho: _short_trace(_negative(rho))},
     "earlier_gain_wins": {C + 2: C - 10, C + 20: _non_hermitian},
     "finite_first": {C + 3: _nan, C + 7: _non_hermitian},
     "hermiticity_before_later_nan": {C + 3: _non_hermitian, C + 4: _nan},
@@ -895,22 +912,24 @@ def _generator(monkeypatch, m):
                         lambda space, params: m)
 
 
-def test_trace_failure_waits_for_earlier_samples(space3, monkeypatch):
-    # a violation at a sample before the interval whose step breaks the
-    # trace is reported first, as it would have been had it been checked
-    # at once; the failing step comes before the sample that ends it
+def test_trace_failure_waits_for_earlier_samples(space3, monkeypatch,
+                                                 builds):
+    # the trace law is checked when the generator is built, so a generator
+    # that breaks it fails the run at the initial time, before any step
+    # and before the checks of any sample, even one that would fail them:
+    # -0.1 I takes 0.1 from the trace of each diagonal entry
     rho = make_initial(InitialStateSpec("psi", 0.3), space3).rho_tilde
     params = SystemParams.symmetric(0.1)
     _generator(monkeypatch, -0.1 * np.eye(space3.dim_total ** 2))
-    times = np.array([0.0, 1.0])
     monkeypatch.setattr(FullState, "validate", lambda self: None)
-    with pytest.raises(IntegrationError) as err:
-        evolve(FullState(_non_hermitian(rho)), space3, params, times)
-    assert (err.value.invariant, err.value.time) == ("hermiticity", 0.0)
-    with pytest.raises(IntegrationError) as err:
-        evolve(FullState(rho), space3, params, times)
-    assert err.value.invariant == "trace"
-    assert err.value.time == pytest.approx(1e-3)
+    for state in (_non_hermitian(rho), rho):
+        with pytest.raises(IntegrationError) as err:
+            evolve(FullState(state, 0.5), space3, params,
+                   np.array([0.5, 1.5]))
+        assert (err.value.invariant, err.value.time, err.value.value,
+                err.value.limit) == (
+            "trace", 0.5, 0.1, TRACE_LAW_TOL * np.finfo(float).eps * 0.1)
+    assert builds.steps == []
 
 
 B = SAMPLE_CHUNK
@@ -921,18 +940,20 @@ B = SAMPLE_CHUNK
     (3 * B + 1, 1271),  # first step of the second block
     (3 * B + 1, 1280),  # last step into the second block's first sample
     (3 * B + 1, 1281),
-    (2, 3335),          # first step of the second of three segments
+    (2, 3335),          # steps of one interval longer than 4096 steps
     (2, 5000),
 ])
 def test_trace_failure_time_across_blocks_and_segments(space3, monkeypatch,
-                                                       n_samples, step):
+                                                       builds, n_samples,
+                                                       step):
     # the ground-state population eps grows by r = exp(0.1) per RK4 step
-    # and nothing else moves, so the trace error after q steps is
-    # eps (r^q - 1); eps puts TRACE_TOL half a step before `step`
+    # and nothing else moves, so the trace error after q steps would be
+    # eps (r^q - 1), and eps would put TRACE_TOL half a step before `step`.
+    # The generator breaks the trace law by its one entry, 0.1 / h at the
+    # ground state, so its build fails the run at the initial time with
+    # that value, before any step, wherever that step would fall
     times = np.linspace(0.0, 10.0 if n_samples == 2 else 3.84, n_samples)
-    total = round((times[1] - times[0]) / 1e-3)
-    refine = math.ceil(total / MAX_SEGMENT)
-    h = (times[1] - times[0]) / (refine * math.ceil(total / refine))
+    h = (times[1] - times[0]) / round((times[1] - times[0]) / 1e-3)
     ground = space3.flat_index(0, 0, 0) * (space3.dim_total + 1)
     m = np.zeros((space3.dim_total ** 2,) * 2)
     m[ground, ground] = 0.1 / h
@@ -944,42 +965,36 @@ def test_trace_failure_time_across_blocks_and_segments(space3, monkeypatch,
     _generator(monkeypatch, m)
     with pytest.raises(IntegrationError) as err:
         evolve(FullState(rho), space3, SystemParams.symmetric(0.1), times)
-    assert err.value.invariant == "trace"
-    assert err.value.time == pytest.approx(step * h, rel=1e-12)
+    assert (err.value.invariant, err.value.time, err.value.value,
+            err.value.limit) == (
+        "trace", 0.0, 0.1 / h, TRACE_LAW_TOL * np.finfo(float).eps * 0.1 / h)
+    assert builds.steps == []
 
 
 def test_sample_violation_wins_over_a_later_block_of_its_slice(
         space3, monkeypatch):
     # a slice is propagated block by block and checked once; a violation
-    # at a sample of its first block must still win over a failing step
-    # in its third block, as a step-by-step check would report it. The
-    # ground population grows as in the test above and puts the failing
-    # step at 3005; the coherence rho[1, 2] grows alone from 1e-12-ish, so
-    # the hermiticity error crosses HERM_TOL half a sample before t[60]
+    # at a sample of its first block must win over the violations in its
+    # later blocks. The coherence rho[1, 2] grows alone from 1e-12-ish, a
+    # generator that keeps the trace law (no diagonal entry moves), so the
+    # hermiticity error crosses HERM_TOL half a sample before t[60] and
+    # keeps growing through the third block
     times = np.linspace(0.0, 3.84, 3 * B + 1)
     assert len(times) <= CHECK_CHUNK
     h = (times[1] - times[0]) / 10
     dim = space3.dim_total
-    ground, coherence = 0, 1 * dim + 2
+    coherence = 1 * dim + 2
     m = np.zeros((dim ** 2,) * 2)
-    m[ground, ground] = 0.1 / h
-    step = rk4_step_matrix(m, h)[ground, ground].real
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = TRACE_TOL / (step ** 3004.5 - 1.0)
-    rho[1, 1], rho[2, 2] = 0.5, 0.5 - rho[0, 0]
-    _generator(monkeypatch, m)
-    params = SystemParams.symmetric(0.1)
-    with pytest.raises(IntegrationError) as err:
-        evolve(FullState(rho), space3, params, times)
-    assert err.value.invariant == "trace"
-    assert err.value.time == pytest.approx(3005 * h, rel=1e-12)
-    assert 2 * B * 10 < 3005 <= 3 * B * 10
     m[coherence, coherence] = 0.0077 / h
     grow = rk4_step_matrix(m, h)[coherence, coherence].real
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[1, 1] = rho[2, 2] = 0.5
     rho[1, 2] = rho[2, 1] = HERM_TOL / (grow ** 595 - 1.0)
+    _generator(monkeypatch, m)
     with pytest.raises(IntegrationError) as err:
-        evolve(FullState(rho), space3, params, times)
+        evolve(FullState(rho), space3, SystemParams.symmetric(0.1), times)
     assert (err.value.invariant, err.value.time) == ("hermiticity", times[60])
+    assert err.value.value > HERM_TOL
 
 
 def _damping_kraus(p: float):
@@ -1102,11 +1117,18 @@ def test_overflow_past_an_unstable_step_reports_the_first_violation(
     with pytest.raises(IntegrationError) as err:
         evolve(init, space3, params, times, step_size=1.0)
     assert (err.value.invariant, err.value.time) == ("positivity", 1.0)
-    # the failing step cuts the run at its third point, before any state
-    # overflows, so the violation is read on the real blocks of psi (a run
-    # that holds a non-finite state takes the complex blocks: see
-    # CHUNK_CASES)
-    assert kinds == ["f", "f"]
+    # the whole first run of CHECK_CHUNK samples is propagated, so it
+    # holds the overflowed states, and its violation is read on the
+    # complex blocks of psi (see CHUNK_CASES)
+    assert kinds == ["c", "c"]
+    # one step a sample at gamma_s = 2000: the last finite states of the
+    # run come within a factor 2 of the largest float, where the checks'
+    # own sums and the blocks' symmetric parts must not overflow into an
+    # error of their own
+    with pytest.raises(IntegrationError) as err:
+        evolve(make_initial(InitialStateSpec("psi", 0.3), space3), space3,
+               SystemParams.symmetric(2000.0), np.linspace(0.0, 3.0, 3001))
+    assert (err.value.invariant, err.value.time) == ("positivity", 1e-3)
 
 
 def test_unitary_limit_conserves_purity(space3):
