@@ -33,20 +33,21 @@ SAMPLE_CHUNK. The invariants are checked at the sample times,
 CHECK_CHUNK points (a whole number of blocks) at a time as array
 operations, and each such run of points is reduced to the two qubits
 and stored with one operation per series. Every check reads the slice
-itself through index maps built once: finiteness, hermiticity (each
-entry against its transpose's conjugate) and positivity (eigvalsh per
-diagonal block of rho, see diagonal_blocks) through slice_maps, and the
-trace, <N>, the sector leakage and the partial trace through
-gather_maps, which lay out the needed entries with exact zeros where
-they fall outside the slice, so each sum rounds as over the full
-matrix. M is also real in the photon-number gauge (see gauge_maps), so
-a state that starts real there stays real, and the positivity check
-reads its blocks through gauge_maps as real symmetric matrices, whose
-eigvalsh costs about half as much and differs by rounding only. Only
+itself through index maps built once: finiteness and hermiticity (each
+entry against its transpose's conjugate) through slice_maps, positivity
+(eigvalsh per diagonal block of rho, see diagonal_blocks) through
+gauge_maps, and the trace, <N>, the sector leakage and the partial trace
+through gather_maps, which lay out the needed entries with exact zeros
+where they fall outside the slice, so each sum rounds as over the full
+matrix. M is real in the photon-number gauge (see gauge_maps), so a
+state that starts real there stays real; a run of points whose states
+are all finite and real in that gauge has its blocks read as real
+symmetric matrices, whose eigvalsh costs about half as much and differs
+by rounding only, and any other run keeps the complex blocks. Only
 store_full writes states back to full width. The earliest violating
 sample is reported.
 
-M, the reachable entries, their index, gauge and gather maps, S, P and
+M, the reachable entries, their index and gather maps, S, P and
 the power table depend only on (space, params, h, n) and the initial
 state's nonzero pattern, so calls that share these share one build:
 evolve takes a dict that keeps the builds of the last such key (a sweep
@@ -306,44 +307,39 @@ def _positions(entries: np.ndarray, dim: int) -> np.ndarray:
     return where
 
 
-def slice_maps(entries: np.ndarray, dim: int
-               ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Index maps that let the invariant checks read only `entries`.
+def slice_maps(entries: np.ndarray, dim: int) -> np.ndarray:
+    """Position in `entries` of each entry's transpose, which lets the
+    hermiticity check read only `entries`.
 
     entries must hold the transpose of each of its entries (see
-    reachable_entries). Returns mirror, the position in `entries` of each
-    entry's transpose, and for each of the diagonal_blocks, with k basis
-    states, the (k, k) positions of its entries in `entries`; an entry
-    outside them, an exact 0, is marked -1.
+    reachable_entries).
     """
-    where = _positions(entries, dim)
-    mirror = where[_transposed(dim)[entries]]
+    mirror = _positions(entries, dim)[_transposed(dim)[entries]]
     if (mirror < 0).any():
         raise ValueError("entries must hold the transpose of each entry")
-    return mirror, [where[blk[:, None] * dim + blk]
-                    for blk in diagonal_blocks(entries, dim)]
+    return mirror
 
 
-def gauge_maps(m: np.ndarray, entries: np.ndarray, n_fock: int
-               ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]
-                          ] | None:
-    """Index maps that read the diagonal blocks in the photon-number gauge.
+def gauge_maps(entries: np.ndarray, n_fock: int
+               ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Index maps that read the diagonal blocks of rho from `entries`, as
+    they are or in the photon-number gauge.
 
     The gauge is rho -> U rho U^dag with U = diag(i^-n), n the photon
     number of each basis state: entry (r, c) is multiplied by
     i^(n_c - n_r), which moves either its real or its imaginary part onto
     the real axis, exactly. H only trades a photon for a qubit excitation
     and each jump operator moves at most one photon, so this gauge makes
-    M real; a state that is real in it stays real. Returns None unless
-    M[entries][:, entries] is real in the gauge bit for bit. Otherwise
-    returns dropped, the positions in the float view of the slice (two
-    per entry) of the part of each entry that the gauge sends to the
-    imaginary axis, and for each of the diagonal_blocks a pair (index,
-    sign) of (k, k) arrays. While every dropped part is 0, the gauged
-    block is the float view taken at index (an exact 0 where index is -1,
-    an entry outside `entries`) times sign, the real part of
-    i^(n_c - n_r); the sign applies to those zeros too, so each signed
-    zero is that of the full block multiplied entrywise.
+    M real; a state that is real in it stays real. Returns dropped, the
+    positions in the float view of the slice (two per entry) of the part
+    of each entry that the gauge sends to the imaginary axis, and for each
+    of the diagonal_blocks, with k basis states, a pair (index, sign) of
+    (k, k) arrays. index >> 1 is the position in `entries` of each entry
+    of the complex block, and index is -1 for an entry outside them (an
+    exact 0), so -1 >> 1 is -1 too. While every dropped part is 0, the
+    gauged block is the float view taken at index times sign, +-1; the
+    sign applies to the zeros too, so each signed zero is that of the
+    full block multiplied entrywise.
     """
     dim = 4 * n_fock
     photons = np.arange(dim) % n_fock
@@ -351,10 +347,6 @@ def gauge_maps(m: np.ndarray, entries: np.ndarray, n_fock: int
     # i^turns moves the imaginary part onto the real axis for odd turns
     parts = turns % 2
     signs = np.array([1.0, -1.0, -1.0, 1.0])[turns]
-    p = parts[entries]
-    sl = m[np.ix_(entries, entries)]
-    if np.where(p[:, None] != p, sl.real, sl.imag).any():
-        return None
     where = _positions(entries, dim)
     blocks = []
     for blk in diagonal_blocks(entries, dim):
@@ -362,7 +354,7 @@ def gauge_maps(m: np.ndarray, entries: np.ndarray, n_fock: int
         pos = where[cells]
         blocks.append((np.where(pos < 0, -1, 2 * pos + parts[cells]),
                        signs[cells]))
-    return 2 * np.arange(len(entries)) + 1 - p, blocks
+    return 2 * np.arange(len(entries)) + 1 - parts[entries], blocks
 
 
 def gather_maps(entries: np.ndarray, n_fock: int
@@ -397,6 +389,7 @@ def _gather(states: np.ndarray, where: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def interval_propagator(m: np.ndarray, h: float, n_sub: int,
                         entries: np.ndarray) -> np.ndarray:
     """Propagator P = S^n_sub over n_sub >= 1 RK4 steps of size h on
@@ -407,7 +400,9 @@ def interval_propagator(m: np.ndarray, h: float, n_sub: int,
     that increment against the 1s of the diagonal at every product;
     (I + A)(I + B) - I = A + B + A B keeps it at its own relative
     precision, so P is powered by squaring as S^k - I, and the 1s are
-    added back once, at the end.
+    added back once, at the end. Powered over an unstable step, P may
+    overflow; the checks of the states it gives catch that, so the
+    floating-point warnings are noise.
     """
     eye = np.eye(len(entries))
     base = rk4_step_matrix(m[np.ix_(entries, entries)], h) - eye
@@ -447,10 +442,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _builds(space: CompositeSpace, params: SystemParams, h: float,
             n_sub: int, initial: FullState, n_points: int, shared: dict
             ) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """Reachable entries, their index maps (mirror, diagonal blocks, gauge
-    maps or None, diagonal and two-qubit gathers: see slice_maps,
-    gauge_maps and gather_maps) and power table of a run of n_points
-    points, n_sub RK4 steps of size h apart, from `initial`.
+    """Reachable entries, their index maps (mirror, gauge maps, diagonal
+    and two-qubit gathers: see slice_maps, gauge_maps and gather_maps)
+    and power table of a run of n_points points, n_sub RK4 steps of size
+    h apart, from `initial`.
 
     A generator with max|e^T M| above TRACE_LAW_TOL * eps * max|M| breaks
     the trace law: IntegrationError("trace", initial.time, that value and
@@ -480,17 +475,13 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
     pattern = (rho.reshape(-1) != 0).tobytes()
     if shared.get("pattern") != pattern:
         entries = _read_only(reachable_entries(m, rho))
-        mirror, blocks = slice_maps(entries, space.dim_total)
-        gauge = gauge_maps(m, entries, space.n_fock)
-        if gauge is not None:
-            dropped, real_blocks = gauge
-            gauge = (_read_only(dropped), tuple(
-                tuple(map(_read_only, pair)) for pair in real_blocks))
+        dropped, blocks = gauge_maps(entries, space.n_fock)
         diagonal, qubits = gather_maps(entries, space.n_fock)
         prop = interval_propagator(m, h, n_sub, entries)
         shared.update(pattern=pattern, entries=entries,
-                      mirror=_read_only(mirror),
-                      blocks=tuple(map(_read_only, blocks)), gauge=gauge,
+                      mirror=_read_only(slice_maps(entries, space.dim_total)),
+                      gauge=(_read_only(dropped), tuple(
+                          tuple(map(_read_only, pair)) for pair in blocks)),
                       diagonal=_read_only(diagonal),
                       qubits=_read_only(qubits), prop=_read_only(prop),
                       table=None)
@@ -500,8 +491,7 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
         # that, so the floating-point warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
             shared["table"] = _read_only(power_table(shared["prop"], rows))
-    maps = tuple(shared[k] for k in ("mirror", "blocks", "gauge", "diagonal",
-                                     "qubits"))
+    maps = tuple(shared[k] for k in ("mirror", "gauge", "diagonal", "qubits"))
     return shared["entries"], maps, shared["table"][:rows]
 
 
@@ -510,30 +500,30 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
 # 0.5 (B + B^H) unless an entry is subnormal.
 @np.errstate(over="ignore", invalid="ignore")
 def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
-                   mirror: np.ndarray, blocks: list[np.ndarray],
-                   gauge: tuple | None, diagonal: np.ndarray, block: int,
-                   prev_expect_n: float, diag: IntegrationDiagnostics
+                   mirror: np.ndarray, gauge: tuple, diagonal: np.ndarray,
+                   block: int, prev_expect_n: float,
+                   diag: IntegrationDiagnostics
                    ) -> tuple[np.ndarray, ...]:
     """Check a run of states sampled at `times`, in time order.
 
     sub (b, w) holds the states' entries on a slice of vec(rho); every
-    other entry is an exact 0. mirror and blocks are the slice's index maps
-    (see slice_maps), gauge its maps in the photon-number gauge or None
-    (see gauge_maps), and diagonal the slice positions of rho's diagonal
-    (see gather_maps). The finite and hermiticity checks see every
-    nonzero entry, and the trace, <N> and leakage add the gathered
-    diagonal, with its zeros, in the full matrix's order, so each gives
-    the full-width value bit for bit. The smallest eigenvalue is taken
-    block by block. On the complex blocks it is the full-width value of
-    those blocks bit for bit. When gauge is given, every state of the run
-    is finite and every part the gauge drops is exactly 0, it is taken on
-    the real gauged blocks instead (LAPACK dsyevd for zheevd, about half
+    other entry is an exact 0. mirror, gauge and diagonal are the slice's
+    index maps (see slice_maps, gauge_maps and gather_maps). The finite
+    and hermiticity checks see every nonzero entry, and the trace, <N>
+    and leakage add the gathered diagonal, with its zeros, in the full
+    matrix's order, so each gives the full-width value bit for bit. The
+    smallest eigenvalue is taken block by block. When every state of the
+    run is finite and every part the gauge drops is exactly 0, it is
+    taken on the real gauged blocks (LAPACK dsyevd for zheevd, about half
     the cost): the gauge is a diagonal unitary similarity that only
-    multiplies by +-1 or +-i, so the eigenvalues differ by the routine's
-    rounding only. <N> is one product per `block` states from the first:
-    numpy takes a product of one row through BLAS dot, which rounds
-    differently, so a propagation block of one point keeps its own
-    product.
+    multiplies by +-1 or +-i, so the eigenvalues are those of the complex
+    blocks up to the routine's rounding, whatever the generator that gave
+    the states. Otherwise it is taken on the complex blocks and is the
+    full-width value of those blocks bit for bit. The route is chosen
+    from the states alone, anew for each run. <N> is one product per
+    `block` states from the first: numpy takes a product of one row
+    through BLAS dot, which rounds differently, so a propagation block of
+    one point keeps its own product.
 
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, trace, positivity,
@@ -551,22 +541,16 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     herm = np.abs(ok - ok.take(mirror, axis=1).conj()).max(axis=1)
     on_diagonal = _gather(ok, diagonal)
     tr_err = np.abs(on_diagonal.sum(axis=1) - 1.0)
-    mins = []
+    dropped, blocks = gauge
     # the real and imaginary part of each entry, side by side
     parts = np.ascontiguousarray(ok).view(float)
-    real = (gauge is not None and n_ok == len(sub)
-            and not parts.take(gauge[0], axis=1).any())
-    if real:
-        for index, sign in gauge[1]:
-            blk = _gather(parts, index) * sign
-            mins.append(np.linalg.eigvalsh(
-                0.5 * blk + 0.5 * blk.transpose(0, 2, 1))[:, 0])
-    else:
-        for where in blocks:
-            blk = _gather(ok, where)
-            mins.append(np.linalg.eigvalsh(
-                0.5 * blk + 0.5 * blk.conj().transpose(0, 2, 1))[:, 0])
-    if sum(map(len, blocks)) < len(diagonal):
+    real = n_ok == len(sub) and not parts.take(dropped, axis=1).any()
+    mins = []
+    for index, sign in blocks:
+        blk = _gather(parts, index) * sign if real else _gather(ok, index >> 1)
+        mins.append(np.linalg.eigvalsh(
+            0.5 * blk + 0.5 * blk.conj().transpose(0, 2, 1))[:, 0])
+    if sum(len(index) for index, _ in blocks) < len(diagonal):
         mins.append(np.zeros(n_ok))  # a basis state no block holds
     min_eig = np.min(mins, axis=0)
     # the strided .real view keeps matmul off BLAS, as for the diagonal
@@ -668,7 +652,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     clock = perf_counter()
     entries, maps, table = _builds(space, params, h, n_sub, initial, n,
                                    {} if shared is None else shared)
-    mirror, blocks, gauge, diagonal, qubits = maps
+    mirror, gauge, diagonal, qubits = maps
     diag.propagate_s = perf_counter() - clock
     width = len(entries)
     chunk = _block_length(width)
@@ -680,8 +664,6 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     # (whole blocks) at a time.
     sub = np.empty((min(span, n) + 1, width), dtype=complex)
     sub[1] = initial.rho_tilde.reshape(-1)[entries]
-    if gauge is not None and sub[1].view(float)[gauge[0]].any():
-        gauge = None  # not real in the gauge: keep the complex blocks
     reduced = np.empty((n, 4, 4), dtype=complex)
     series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
     full_states: list[FullState] | None = [] if store_full else None
@@ -704,8 +686,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         states = sub[1:size + 1]
         samples = slice(first, first + size)
         checked = _check_samples(states, times[samples], weights, mirror,
-                                 blocks, gauge, diagonal, chunk,
-                                 prev_expect_n, diag)
+                                 gauge, diagonal, chunk, prev_expect_n, diag)
         prev_expect_n = checked[0][-1]
         for out, values in zip(series, checked):
             out[samples] = values

@@ -53,7 +53,12 @@ class InitialStateSpec:
 def _qubit_pure_vector(spec: InitialStateSpec) -> np.ndarray:
     """Two-qubit amplitude vector in the A-major product layout (i_a*2 + i_b)."""
     alpha = math.sqrt(spec.alpha2)
-    beta = math.sqrt(1.0 - spec.alpha2) * np.exp(1j * spec.theta)
+    quarter = spec.theta / (math.pi / 2)
+    # np.exp(1j * pi) is -1 + 1.2e-16 i; a whole number of quarter turns
+    # gets its exact phase, so such a state is as real as the one asked for
+    phase = ((1.0, 1j, -1.0, -1j)[int(quarter) % 4] if quarter.is_integer()
+             else np.exp(1j * spec.theta))
+    beta = math.sqrt(1.0 - spec.alpha2) * phase
     v = np.zeros(4, dtype=complex)
     if spec.family == "phi":
         v[2] = alpha   # |10>: A excited

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -206,7 +206,7 @@ def test_reachable_entries_hold_every_transpose(space3):
             assert np.array_equal(np.sort(cols * dim + rows), entries), name
             outside = np.setdiff1d(np.arange(len(gen)), entries)
             assert not gen[np.ix_(outside, entries)].any(), name
-            mirror, _ = slice_maps(entries, dim)
+            mirror = slice_maps(entries, dim)
             assert np.array_equal(entries[mirror], cols * dim + rows), name
             v = np.arange(dim * dim) * (1 + 2j)
             assert np.array_equal(
@@ -231,8 +231,8 @@ def _complex_states(space):
     return {
         "psi": make_initial(InitialStateSpec("psi", 0.3, theta=0.4), space),
         "phi": make_initial(InitialStateSpec("phi", 0.3, theta=0.4), space),
-        "phi pi": make_initial(InitialStateSpec("phi", 0.3, theta=math.pi),
-                               space),
+        "werner": make_initial(
+            InitialStateSpec("werner_psi", 0.3, theta=0.4, r=0.6), space),
         "raw": _raw_state(space, space.n_fock - 1),
     }
 
@@ -298,79 +298,104 @@ def test_slice_checks_equal_the_full_width_values(space3):
             len(times) if real else 0), name
 
 
-def _complex_route(monkeypatch):
-    """Make evolve take every smallest eigenvalue on the complex blocks."""
-    monkeypatch.setattr(dynamics, "gauge_maps", lambda m, entries, n: None)
+def _assert_min_eigenvalues(traj, init, space, params, real):
+    """The smallest eigenvalue of each sample against two oracles: within
+    1e-15 of eigvalsh of the full matrix, and bit for bit that of the
+    diagonal blocks, read as real gauged blocks if `real`, else complex."""
+    rho = np.array([s.rho_tilde for s in traj.full_states])
+    full = np.linalg.eigvalsh(
+        0.5 * (rho + rho.conj().transpose(0, 2, 1)))[:, 0]
+    assert np.abs(traj.min_eigenvalue - full).max() <= 1e-15
+    entries = reachable_entries(liouvillian_matrix(space, params),
+                                init.rho_tilde)
+    blocks = diagonal_blocks(entries, space.dim_total)
+    if real:
+        rho, dropped = _photon_gauge(rho)
+        assert not dropped.any()
+    assert np.array_equal(traj.min_eigenvalue,
+                          _block_minima(rho, blocks, real))
 
 
 @pytest.mark.parametrize("n_fock", [3, 4])
 @pytest.mark.parametrize("rates", ["symmetric", "asymmetric"])
-def test_gauge_real_states_take_the_real_blocks(monkeypatch, n_fock, rates):
+def test_gauge_real_states_take_the_real_blocks(n_fock, rates):
     # psi, phi and werner at theta = 0 are real in the photon-number gauge
-    # and so is M, for any rates: every sample takes the real blocks, which
-    # moves the smallest eigenvalue by rounding only and nothing else
+    # and so is M, for any rates: every sample takes the real blocks, whose
+    # smallest eigenvalue is the full matrix's up to rounding
     space = build_space(n_fock)
     params = SystemParams.symmetric(0.2, n_fock=n_fock) if (
         rates == "symmetric") else SystemParams(
         omega=0.2, gamma_cavity=0.3, gamma_a=0.3, gamma_b=0.05,
         n_fock=n_fock)
     times = np.linspace(0.0, 8.0, 1203)
-    got = {name: evolve(init, space, params, times, store_full=True)
-           for name, init in _gauge_real_states(space).items()}
-    _complex_route(monkeypatch)
     for name, init in _gauge_real_states(space).items():
-        ref = evolve(init, space, params, times, store_full=True)
-        assert got[name].diagnostics.real_block_samples == len(times), name
-        assert ref.diagnostics.real_block_samples == 0
-        assert np.abs(got[name].min_eigenvalue
-                      - ref.min_eigenvalue).max() <= 1e-15, name
-        _assert_same_trajectory(replace(
-            got[name], min_eigenvalue=ref.min_eigenvalue,
-            diagnostics=replace(got[name].diagnostics,
-                                min_eigenvalue=ref.diagnostics.min_eigenvalue,
-                                real_block_samples=0)), ref)
+        traj = evolve(init, space, params, times, store_full=True)
+        assert traj.diagnostics.real_block_samples == len(times), name
+        _assert_min_eigenvalues(traj, init, space, params, real=True)
 
 
 @pytest.mark.parametrize("n_fock", [3, 4])
-def test_complex_states_keep_the_complex_blocks(monkeypatch, n_fock):
-    # a state that is not real in the gauge (theta = 0.4; phi at theta = pi,
-    # whose e^{i pi} keeps an imaginary part of 1.2e-16; a random raw state)
-    # keeps the complex blocks, and with them every bit
+def test_complex_states_keep_the_complex_blocks(n_fock):
+    # a state that is not real in the gauge (psi, phi and werner at
+    # theta = 0.4; a random raw state) keeps the complex blocks, whose
+    # smallest eigenvalue is the full matrix's up to rounding
     space = build_space(n_fock)
     params = SystemParams.symmetric(0.2, n_fock=n_fock)
     times = np.linspace(0.0, 8.0, 401)
-    got = {name: evolve(init, space, params, times, store_full=True)
-           for name, init in _complex_states(space).items()}
-    _complex_route(monkeypatch)
     for name, init in _complex_states(space).items():
-        assert got[name].diagnostics.real_block_samples == 0, name
-        _assert_same_trajectory(got[name], evolve(init, space, params, times,
-                                                  store_full=True))
+        traj = evolve(init, space, params, times, store_full=True)
+        assert traj.diagnostics.real_block_samples == 0, name
+        _assert_min_eigenvalues(traj, init, space, params, real=False)
 
 
-def test_gauge_maps_need_a_generator_real_in_the_gauge(space3, monkeypatch):
-    # the maps exist only while M restricted to the slice is real in the
-    # gauge bit for bit; an imaginary part of one ulp anywhere on the slice
-    # is enough to keep the complex blocks
+def test_gauge_maps_index_the_diagonal_blocks(space3):
+    # index >> 1 is the position of each block entry in the slice (-1
+    # outside it), and index and sign read the gauged block from the float
+    # view; the oracles are the blocks of diagonal_blocks and the gauge
+    # taken on the full matrix
+    dim = space3.dim_total
+    m = liouvillian_matrix(space3, SystemParams.symmetric(0.2))
+    rng = np.random.default_rng(7)
+    states = {**_test_states(space3), **_gauge_real_states(space3)}
+    for name, init in states.items():
+        entries = reachable_entries(m, init.rho_tilde)
+        position = {e: i for i, e in enumerate(entries.tolist())}
+        dropped, maps = gauge_maps(entries, space3.n_fock)
+        assert len(dropped) == len(entries)
+        blocks = diagonal_blocks(entries, dim)
+        assert len(maps) == len(blocks), name
+        # a generic vec(rho) on the slice, not real in any gauge
+        v = np.zeros(dim * dim, dtype=complex)
+        v[entries] = rng.normal(size=len(entries)) + 1j * rng.normal(
+            size=len(entries))
+        parts = v[entries].view(float)
+        gauged, imaginary = _photon_gauge(v.reshape(dim, dim))
+        assert np.array_equal(np.abs(parts[dropped]),
+                              np.abs(imaginary.reshape(-1)[entries])), name
+        for (index, sign), blk in zip(maps, blocks):
+            assert np.array_equal(index >> 1, [
+                [position.get(r * dim + c, -1) for c in blk] for r in blk])
+            got = np.where(index < 0, 0.0, parts[index]) * sign
+            assert np.array_equal(got, gauged[np.ix_(blk, blk)]), name
+    # the diagonal of rho keeps its real part, multiplied by 1
+    entries = reachable_entries(m, states["psi"].rho_tilde)
+    dropped, maps = gauge_maps(entries, space3.n_fock)
+    ground = entries.tolist().index(0)
+    assert dropped[ground] == 2 * ground + 1
+    assert maps[0][0][0, 0] == 2 * ground and maps[0][1][0, 0] == 1.0
+
+
+def test_a_generator_bent_off_the_gauge_keeps_the_complex_blocks(
+        space3, monkeypatch):
+    # the route is chosen from the states alone: an imaginary part of one
+    # ulp on one diagonal entry of M gives the states a dropped part, so
+    # the run keeps the complex blocks
     params = SystemParams.symmetric(0.2)
     init = make_initial(InitialStateSpec("psi", 0.3), space3)
     m = liouvillian_matrix(space3, params)
     entries = reachable_entries(m, init.rho_tilde)
-    dropped, blocks = gauge_maps(m, entries, space3.n_fock)
-    assert len(dropped) == len(entries)
-    assert [len(index) for index, _ in blocks] == [
-        len(blk) for blk in diagonal_blocks(entries, space3.dim_total)]
-    # the diagonal of rho keeps its real part, multiplied by 1
-    ground = entries.tolist().index(0)
-    assert dropped[ground] == 2 * ground + 1
-    assert blocks[0][0][0, 0] == 2 * ground and blocks[0][1][0, 0] == 1.0
     bent = m.copy()
     bent[entries[3], entries[3]] += 1e-16j
-    outside = np.setdiff1d(np.arange(len(m)), entries)[0]
-    moved = m.copy()
-    moved[outside, outside] += 1j
-    assert gauge_maps(bent, entries, space3.n_fock) is None
-    assert gauge_maps(moved, entries, space3.n_fock) is not None
     _generator(monkeypatch, bent)
     times = np.linspace(0.0, 2.0, 21)
     traj = evolve(init, space3, params, times)
@@ -385,8 +410,8 @@ def test_a_run_with_a_dropped_part_falls_back_alone(space3):
     times = np.linspace(0.0, 30.0, 3 * C)
     m = liouvillian_matrix(space3, params)
     entries = reachable_entries(m, init.rho_tilde)
-    mirror, blocks = slice_maps(entries, space3.dim_total)
-    gauge = gauge_maps(m, entries, space3.n_fock)
+    mirror = slice_maps(entries, space3.dim_total)
+    gauge = gauge_maps(entries, space3.n_fock)
     diagonal, _ = gather_maps(entries, space3.n_fock)
     weights = number_operator(space3).diagonal().real
     rho = np.array([s.rho_tilde for s in evolve(
@@ -397,25 +422,25 @@ def test_a_run_with_a_dropped_part_falls_back_alone(space3):
     rho[C + 40, low, top] += 1e-12j
     rho[C + 40, top, low] -= 1e-12j
     flat = rho.reshape(len(rho), -1)[:, entries]
-
-    def run_checks(maps):
-        diag, prev, mins = IntegrationDiagnostics(), math.inf, []
-        for lo in range(0, len(flat), C):
-            checked = _check_samples(
-                flat[lo:lo + C], times[lo:lo + C], weights, mirror, blocks,
-                maps, diagonal, SAMPLE_CHUNK, prev, diag)
-            prev = checked[0][-1]
-            mins.append(checked[3])
-        return diag, mins
-
-    diag, mins = run_checks(gauge)
+    diag, prev, mins = IntegrationDiagnostics(), math.inf, []
+    for lo in range(0, len(flat), C):
+        checked = _check_samples(
+            flat[lo:lo + C], times[lo:lo + C], weights, mirror, gauge,
+            diagonal, SAMPLE_CHUNK, prev, diag)
+        prev = checked[0][-1]
+        mins.append(checked[3])
     assert diag.real_block_samples == 2 * C
-    ref_diag, ref_mins = run_checks(None)
-    assert ref_diag.real_block_samples == 0
-    assert np.array_equal(mins[1], ref_mins[1])
+    # the oracles: eigvalsh of the complex and of the gauged real blocks
+    # of the full matrices
+    blocks = diagonal_blocks(entries, space3.dim_total)
+    complex_mins = _block_minima(rho, blocks, real=False).reshape(3, C)
+    real_mins = _block_minima(_photon_gauge(rho)[0], blocks,
+                              real=True).reshape(3, C)
+    assert np.array_equal(mins[1], complex_mins[1])
     for run in (0, 2):
-        assert not np.array_equal(mins[run], ref_mins[run])
-        assert np.abs(mins[run] - ref_mins[run]).max() <= 1e-15
+        assert np.array_equal(mins[run], real_mins[run])
+        assert not np.array_equal(mins[run], complex_mins[run])
+        assert np.abs(mins[run] - complex_mins[run]).max() <= 1e-15
 
 
 def _same_bits(a, b):
@@ -471,8 +496,8 @@ def test_positivity_reads_entries_outside_the_slice_as_zero(space3):
     rho[top, top] = 1.0 - 3 * a
     m = liouvillian_matrix(space3, params)
     assert not m.any()
-    _, blocks = slice_maps(reachable_entries(m, rho), space3.dim_total)
-    assert (blocks[0] < 0).sum() == 2
+    _, blocks = gauge_maps(reachable_entries(m, rho), space3.n_fock)
+    assert (blocks[0][0] < 0).sum() == 2
     traj = evolve(FullState(rho), space3, params, np.linspace(0.0, 1.0, 3))
     low = np.linalg.eigvalsh(rho)[0]
     assert EIG_FLOOR < low < -4e-9
@@ -579,11 +604,11 @@ def checked_slices(monkeypatch):
     calls = []
     check = dynamics._check_samples
 
-    def recording(sub, times, weights, mirror, blocks, gauge, diagonal,
-                  block, prev_expect_n, diag):
+    def recording(sub, times, weights, mirror, gauge, diagonal, block,
+                  prev_expect_n, diag):
         calls.append((times.copy(), prev_expect_n))
-        return check(sub, times, weights, mirror, blocks, gauge, diagonal,
-                     block, prev_expect_n, diag)
+        return check(sub, times, weights, mirror, gauge, diagonal, block,
+                     prev_expect_n, diag)
 
     monkeypatch.setattr(dynamics, "_check_samples", recording)
     return calls
@@ -708,13 +733,13 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
                for p in map(SystemParams.symmetric, (0.0, 0.2))]
     assert nonzero[0] < nonzero[1]
     # the generator, entries, mirror, diagonal and two-qubit gathers,
-    # propagator and table; the blocks
+    # propagator and table
     arrays = [v for v in shared.values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 7
     # the gauge maps: dropped parts, and an index and a sign per block
-    dropped, real_blocks = shared["gauge"]
-    gauged = [dropped] + [a for pair in real_blocks for a in pair]
-    for a in arrays + list(shared["blocks"]) + gauged:
+    dropped, blocks = shared["gauge"]
+    gauged = [dropped] + [a for pair in blocks for a in pair]
+    for a in arrays + gauged:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
 
@@ -866,10 +891,8 @@ def test_chunked_checks_report_the_per_sample_first_violation(
     support = (flat != 0).any(axis=0)
     support |= support.reshape(space3.dim_total, -1).T.reshape(-1)
     entries = np.flatnonzero(support)
-    mirror, blocks = slice_maps(entries, space3.dim_total)
-    gauge = gauge_maps(liouvillian_matrix(space3, params), entries,
-                       space3.n_fock)
-    assert gauge is not None
+    mirror = slice_maps(entries, space3.dim_total)
+    gauge = gauge_maps(entries, space3.n_fock)
     diagonal, _ = gather_maps(entries, space3.n_fock)
     weights = number_operator(space3).diagonal().real
     kinds = _record_eigvalsh_kinds(monkeypatch)
@@ -878,7 +901,7 @@ def test_chunked_checks_report_the_per_sample_first_violation(
         for lo in range(0, len(rho), C):
             prev_expect_n = _check_samples(
                 flat[lo:lo + C, entries], times[lo:lo + C], weights, mirror,
-                blocks, gauge, diagonal, SAMPLE_CHUNK, prev_expect_n,
+                gauge, diagonal, SAMPLE_CHUNK, prev_expect_n,
                 IntegrationDiagnostics())[0][-1]
     assert (err.value.invariant, err.value.time) == expected
     # the first run holds no plant; the gauge-real plant keeps its run on
@@ -1102,6 +1125,17 @@ def test_unstable_step_aborts_with_diagnostic(space3):
     assert err.value.invariant in ("trace", "finite", "hermiticity",
                                    "positivity")
     assert err.value.time > 0.0
+
+
+def test_an_overflowing_interval_fails_the_finite_check(space3):
+    # 111 unstable steps in one interval overflow P while it is powered;
+    # the run fails on its first non-finite sample, without a
+    # floating-point warning (the suite turns RuntimeWarning into an error)
+    params = SystemParams.symmetric(6.0, gamma_cavity=4.0)
+    init = make_initial(InitialStateSpec("psi", 0.5), space3)
+    with pytest.raises(IntegrationError) as err:
+        evolve(init, space3, params, [0, 111], step_size=1.0)
+    assert (err.value.invariant, err.value.time) == ("finite", 111.0)
 
 
 def test_overflow_past_an_unstable_step_reports_the_first_violation(

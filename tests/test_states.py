@@ -9,7 +9,7 @@ from pseudomode.entanglement import (
     concurrence_x_state,
     partial_trace_cavity,
 )
-from pseudomode.states import InitialStateSpec
+from pseudomode.states import InitialStateSpec, _qubit_pure_vector
 
 
 def reduced_of(spec, space):
@@ -112,6 +112,28 @@ def test_initial_concurrence_formula(space3):
                     expected, abs=1e-12)
                 assert concurrence_general(rho).c == pytest.approx(
                     expected, abs=1e-10)
+
+
+def test_quarter_turn_phases_are_exact(space3):
+    # a whole number of quarter turns gives the exact phase 1, i, -1 or -i,
+    # not np.exp's -1 + 1.2e-16 i at pi: phi and psi at theta = pi are then
+    # exactly real, stay real in the photon-number gauge, and every sample
+    # takes the real positivity blocks
+    beta = math.sqrt(0.7)
+    for theta, phase in ((0.0, 1), (math.pi / 2, 1j), (math.pi, -1),
+                         (3 * math.pi / 2, -1j), (2 * math.pi, 1),
+                         (-math.pi / 2, -1j), (-math.pi, -1)):
+        v = _qubit_pure_vector(InitialStateSpec("psi", 0.3, theta=theta))
+        assert v[3] == beta * phase, theta
+    params = SystemParams.symmetric(0.2)
+    times = np.linspace(0.0, 2.0, 201)
+    for family in ("phi", "psi"):
+        init = make_initial(InitialStateSpec(family, 0.3, theta=math.pi),
+                            space3)
+        assert not init.rho_tilde.imag.any(), family
+        assert init.rho_tilde.real.min() == -math.sqrt(0.3) * beta, family
+        traj = evolve(init, space3, params, times)
+        assert traj.diagnostics.real_block_samples == len(times), family
 
 
 def test_theta_does_not_change_concurrence_dynamics(space3):
