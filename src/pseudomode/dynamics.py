@@ -26,13 +26,13 @@ symmetry of M), so a trajectory fills only the entries of vec(rho) that M
 can reach from the initial state's nonzero entries (reachable_entries):
 34 of 144 for psi at n_fock = 3. The slice holds the transpose of each of
 its entries. S and P are built on M restricted to those entries; every
-other entry stays exactly 0. With the power table Q[k] = P^(k+1), built
-once too, a block of points is one product Q[:b] @ v; the block length b
-is the number of table rows that fit in TABLE_BYTES, at most
-SAMPLE_CHUNK. The invariants are checked at the sample times,
-CHECK_CHUNK points (a whole number of blocks) at a time as array
-operations, and each such run of points is reduced to the two qubits
-and stored with one operation per series. Every check reads the slice
+other entry stays exactly 0. With the squarings X_j = P^(2^j) - I, built
+once too, a run of up to CHECK_CHUNK points is filled by doubling: the
+rows done .. 2 done - 1 are v + v X_j^T of the rows 0 .. done - 1, one
+product per doubling, each at the increment's own precision. The
+invariants are checked at the sample times, one such run at a time as
+array operations, and each run is reduced to the two qubits and stored
+with one operation per series. Every check reads the slice
 itself through index maps built once: finiteness and hermiticity (each
 entry against its transpose's conjugate) through slice_maps, positivity
 (eigvalsh per diagonal block of rho, see diagonal_blocks) through
@@ -48,7 +48,7 @@ store_full writes states back to full width. The earliest violating
 sample is reported.
 
 M, the reachable entries, their index and gather maps, S, P and
-the power table depend only on (space, params, h, n) and the initial
+its squarings depend only on (space, params, h, n) and the initial
 state's nonzero pattern, so calls that share these share one build:
 evolve takes a dict that keeps the builds of the last such key (a sweep
 passes one per run, so each gamma_s builds once), and a direct call
@@ -58,7 +58,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from time import perf_counter
+from typing import Iterator
 
 import numpy as np
 
@@ -89,16 +91,10 @@ OCCUPATION_TOL = 1e-12
 
 DEFAULT_STEP = 1e-3
 
-# Most points propagated in one block, one product with the power table.
-SAMPLE_CHUNK = 128
-# Points checked, reduced to the two qubits and stored together, rounded
-# down to a whole number of blocks (at least one); the blocks keep their
-# starts, so the propagation does not depend on it.
+# Points filled by doubling, checked, reduced to the two qubits and stored
+# together; the fill takes the squarings P^(2^j) - I for
+# j < CHECK_CHUNK.bit_length().
 CHECK_CHUNK = 512
-# Bytes the power table P^1 .. P^b of one run may take; the block length b
-# is the number of rows that fit, at most SAMPLE_CHUNK (2.4 MB for the 34
-# entries psi reaches at n_fock = 3; 25 rows at a width of 144 entries).
-TABLE_BYTES = 8 * 2**20
 
 
 class IntegrationError(RuntimeError):
@@ -152,8 +148,9 @@ class IntegrationDiagnostics:
     of RK4 steps taken. real_block_samples counts the samples whose
     smallest eigenvalue was taken on real blocks in the photon-number
     gauge (see gauge_maps); the others were taken on the complex blocks.
-    propagate_s is the time spent building and applying the propagator,
-    including the generator build and its trace-law check; a run that
+    propagate_s is the time spent building the propagator and its
+    squarings and filling the runs of points with them, including the
+    generator build and its trace-law check; a run that
     reused the builds of an earlier one (evolve's `shared`) records no
     build time. check_s is the time spent on the per-sample checks, the
     reduction to the two qubits, the series stores and store_full, one
@@ -389,6 +386,18 @@ def _gather(states: np.ndarray, where: np.ndarray) -> np.ndarray:
     return out
 
 
+def _squarings(x: np.ndarray) -> Iterator[np.ndarray]:
+    """X, 2X + X^2, ..: the powers (I + X)^(2^j) - I for j = 0, 1, ..
+
+    (I + X)^2 - I = 2X + X^2 keeps the increment X at its own relative
+    precision, where squaring I + X would round it against the 1s of the
+    diagonal at every product.
+    """
+    while True:
+        yield x
+        x = 2 * x + x @ x
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def interval_propagator(m: np.ndarray, h: float, n_sub: int,
                         entries: np.ndarray) -> np.ndarray:
@@ -396,41 +405,21 @@ def interval_propagator(m: np.ndarray, h: float, n_sub: int,
     `entries` of vec(rho), with S = rk4_step_matrix(M[entries][:, entries],
     h); M must map the entries into themselves (see reachable_entries).
 
-    S is the identity plus a small increment. Multiplying S itself rounds
-    that increment against the 1s of the diagonal at every product;
-    (I + A)(I + B) - I = A + B + A B keeps it at its own relative
-    precision, so P is powered by squaring as S^k - I, and the 1s are
-    added back once, at the end. Powered over an unstable step, P may
-    overflow; the checks of the states it gives catch that, so the
-    floating-point warnings are noise.
+    S is the identity plus a small increment, so P is powered by squaring
+    as S^k - I (see _squarings), with (I + A)(I + B) - I = A + B + A B,
+    and the 1s are added back once, at the end. Powered over an unstable
+    step, P may overflow; the checks of the states it gives catch that,
+    so the floating-point warnings are noise.
     """
     eye = np.eye(len(entries))
-    base = rk4_step_matrix(m[np.ix_(entries, entries)], h) - eye
     acc = None
-    while True:
+    for base in _squarings(
+            rk4_step_matrix(m[np.ix_(entries, entries)], h) - eye):
         if n_sub & 1:
             acc = base if acc is None else acc + base + acc @ base
         n_sub >>= 1
         if not n_sub:
             return eye + acc
-        base = 2 * base + base @ base
-
-
-def power_table(p: np.ndarray, n: int) -> np.ndarray:
-    """(n, w, w) table Q[k] = P^(k+1): Q[:b] @ v holds P v, .., P^b v."""
-    table = np.empty((n, *p.shape), dtype=complex)
-    if n:
-        table[0] = p
-    for k in range(1, n):
-        np.matmul(p, table[k - 1], out=table[k])
-    return table
-
-
-def _block_length(width: int) -> int:
-    """Points per block: the power-table rows of `width` entries that fit
-    in TABLE_BYTES, at most SAMPLE_CHUNK."""
-    row_bytes = np.dtype(complex).itemsize * width * width
-    return max(1, min(SAMPLE_CHUNK, TABLE_BYTES // row_bytes))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -440,12 +429,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _builds(space: CompositeSpace, params: SystemParams, h: float,
-            n_sub: int, initial: FullState, n_points: int, shared: dict
+            n_sub: int, initial: FullState, shared: dict
             ) -> tuple[np.ndarray, tuple, np.ndarray]:
     """Reachable entries, their index maps (mirror, gauge maps, diagonal
     and two-qubit gathers: see slice_maps, gauge_maps and gather_maps)
-    and power table of a run of n_points points, n_sub RK4 steps of size
-    h apart, from `initial`.
+    and the (CHECK_CHUNK.bit_length(), w, w) squarings X_j = P^(2^j) - I
+    of the propagator P over n_sub RK4 steps of size h, from `initial`.
 
     A generator with max|e^T M| above TRACE_LAW_TOL * eps * max|M| breaks
     the trace law: IntegrationError("trace", initial.time, that value and
@@ -454,12 +443,10 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
     state, so they are taken from `shared` when an earlier call left them
     there. shared holds the builds of one (space, params, h, n_sub): the
     generator and, for the last nonzero pattern, its entries, index maps,
-    propagator and power table. A call with another key empties it first,
-    another pattern replaces that pattern's builds, and a run with more
-    points than the table covers rebuilds the table. Each build is stored
-    only once it is complete, so a build that raises leaves `shared` as
-    it was. Every array is read-only; the table comes
-    back cut to the rows this run uses.
+    propagator and squarings. A call with another key empties it first,
+    and another pattern replaces that pattern's builds. Each build is
+    stored only once it is complete, so a build that raises leaves
+    `shared` as it was. Every array is read-only.
     """
     key = (space, params, h, n_sub)
     if shared.get("key") != key:
@@ -478,21 +465,21 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
         dropped, blocks = gauge_maps(entries, space.n_fock)
         diagonal, qubits = gather_maps(entries, space.n_fock)
         prop = interval_propagator(m, h, n_sub, entries)
+        # past an unstable step the squarings may overflow; the checks of
+        # the states catch that, so the floating-point warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            squarings = np.array(list(islice(
+                _squarings(prop - np.eye(len(entries))),
+                CHECK_CHUNK.bit_length())))
         shared.update(pattern=pattern, entries=entries,
                       mirror=_read_only(slice_maps(entries, space.dim_total)),
                       gauge=(_read_only(dropped), tuple(
                           tuple(map(_read_only, pair)) for pair in blocks)),
                       diagonal=_read_only(diagonal),
                       qubits=_read_only(qubits), prop=_read_only(prop),
-                      table=None)
-    rows = min(_block_length(len(shared["entries"])), n_points - 1)
-    if shared["table"] is None or len(shared["table"]) < rows:
-        # past an unstable step the states may overflow; the checks catch
-        # that, so the floating-point warnings are noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            shared["table"] = _read_only(power_table(shared["prop"], rows))
+                      squarings=_read_only(squarings))
     maps = tuple(shared[k] for k in ("mirror", "gauge", "diagonal", "qubits"))
-    return shared["entries"], maps, shared["table"][:rows]
+    return shared["entries"], maps, shared["squarings"]
 
 
 # past an unstable step a finite state may still overflow these sums; the
@@ -501,7 +488,7 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
 @np.errstate(over="ignore", invalid="ignore")
 def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
                    mirror: np.ndarray, gauge: tuple, diagonal: np.ndarray,
-                   block: int, prev_expect_n: float,
+                   prev_expect_n: float,
                    diag: IntegrationDiagnostics
                    ) -> tuple[np.ndarray, ...]:
     """Check a run of states sampled at `times`, in time order.
@@ -510,8 +497,9 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     other entry is an exact 0. mirror, gauge and diagonal are the slice's
     index maps (see slice_maps, gauge_maps and gather_maps). The finite
     and hermiticity checks see every nonzero entry, and the trace, <N>
-    and leakage add the gathered diagonal, with its zeros, in the full
-    matrix's order, so each gives the full-width value bit for bit. The
+    and leakage add the gathered diagonal, with its zeros, row by row in
+    the full matrix's order, so each gives the full-width value bit for
+    bit, whatever the run's length. The
     smallest eigenvalue is taken block by block. When every state of the
     run is finite and every part the gauge drops is exactly 0, it is
     taken on the real gauged blocks (LAPACK dsyevd for zheevd, about half
@@ -520,10 +508,7 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     blocks up to the routine's rounding, whatever the generator that gave
     the states. Otherwise it is taken on the complex blocks and is the
     full-width value of those blocks bit for bit. The route is chosen
-    from the states alone, anew for each run. <N> is one product per
-    `block` states from the first: numpy takes a product of one row
-    through BLAS dot, which rounds differently, so a propagation block of
-    one point keeps its own product.
+    from the states alone, anew for each run.
 
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, trace, positivity,
@@ -553,11 +538,8 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     if sum(len(index) for index, _ in blocks) < len(diagonal):
         mins.append(np.zeros(n_ok))  # a basis state no block holds
     min_eig = np.min(mins, axis=0)
-    # the strided .real view keeps matmul off BLAS, as for the diagonal
-    # of the full matrix, so <N> keeps its bits
     pops = on_diagonal.real
-    expn = np.concatenate([pops[lo:lo + block] @ weights
-                           for lo in range(0, n_ok, block)] or [np.empty(0)])
+    expn = (pops * weights).sum(axis=1)
     gain = np.diff(expn, prepend=prev_expect_n)
 
     checks = (("hermiticity", herm, herm > HERM_TOL, HERM_TOL),
@@ -588,6 +570,19 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     return expn, tr_err, herm, min_eig, leak
 
 
+def interval_steps(dt: float, step_size: float) -> int:
+    """Fewest RK4 steps of size at most step_size that span a sample
+    interval dt >= 0, and at least 1. A count dt / step_size beyond the
+    float range raises ValueError.
+    """
+    # a Python float division overflows to inf without a warning
+    steps = float(dt) / step_size
+    if not math.isfinite(steps):
+        raise ValueError(f"{dt:g} / {step_size:g} RK4 steps per sample "
+                         "interval exceed the float range")
+    return max(1, math.ceil(steps - 1e-9))
+
+
 def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
            times: np.ndarray, *, step_size: float = DEFAULT_STEP,
            store_full: bool = False, shared: dict | None = None
@@ -597,8 +592,9 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     times must be finite, start at initial.time and, with more than one
     sample, increase in equal steps (within 1e-12 of np.linspace over the
     same ends); anything else raises ValueError, as does a step_size that
-    is not finite and > 0. Every sample interval takes the same RK4 steps
-    of size at most step_size. Only the entries of vec(rho) that M can
+    is not finite and > 0, or a step count beyond the float range (see
+    interval_steps). Every sample interval takes the same RK4 steps of
+    size at most step_size. Only the entries of vec(rho) that M can
     reach from the initial state's nonzero entries are propagated (see
     reachable_entries); the others stay exactly 0, as they would at full
     width, so the results differ from full-width propagation by rounding
@@ -613,12 +609,12 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     shared lets calls reuse one another's builds: pass the same dict to
     calls that share space, params and grid spacing (a sweep's cells of
     one gamma_s) and only the first builds the generator, the propagator
-    and the power table. The dict holds the read-only builds of the last
+    and its squarings. The dict holds the read-only builds of the last
     (space, params, h, n_sub) and the last nonzero pattern of the initial
-    state, at most about TABLE_BYTES plus the generator and one
-    propagator, and lives as long as the caller keeps it; without it each
-    call builds into a fresh dict. The results are the same either way,
-    and every check still runs on every call.
+    state: the generator, one propagator and CHECK_CHUNK.bit_length()
+    squarings of it, and lives as long as the caller keeps it; without it
+    each call builds into a fresh dict. The results are the same either
+    way, and every check still runs on every call.
     """
     if not (math.isfinite(step_size) and step_size > 0):
         raise ValueError("step_size must be finite and > 0")
@@ -644,49 +640,47 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     check_fock_cutoff(initial, space)
 
     dt = (times[-1] - times[0]) / max(n - 1, 1)
-    n_sub = max(1, math.ceil(dt / step_size - 1e-9))
+    n_sub = interval_steps(dt, step_size)
     h = dt / n_sub
 
     dim = space.dim_total
     diag = IntegrationDiagnostics(step_count=(n - 1) * n_sub)
     clock = perf_counter()
-    entries, maps, table = _builds(space, params, h, n_sub, initial, n,
-                                   {} if shared is None else shared)
+    entries, maps, squarings = _builds(space, params, h, n_sub, initial,
+                                       {} if shared is None else shared)
     mirror, gauge, diagonal, qubits = maps
     diag.propagate_s = perf_counter() - clock
-    width = len(entries)
-    chunk = _block_length(width)
-    span = max(1, CHECK_CHUNK // chunk) * chunk
-    # sub[1:size + 1] holds the reachable entries at samples first .. first
-    # + size - 1 and sub[0] those of the sample before them; the initial
-    # state takes no step. Each block of up to `chunk` samples is one
-    # product from the row before it, and the checks take `span` samples
-    # (whole blocks) at a time.
-    sub = np.empty((min(span, n) + 1, width), dtype=complex)
-    sub[1] = initial.rho_tilde.reshape(-1)[entries]
+    # sub[lead:lead + size] holds the reachable entries at samples first ..
+    # first + size - 1. The first run starts at the initial state, which
+    # takes no step (lead = 0); every later run keeps the sample before it
+    # in sub[0] (lead = 1). With rows 0 .. done - 1 filled, done = 2^j,
+    # X_j fills the next rows as v + v X_j^T of the first ones.
+    sub = np.empty((min(CHECK_CHUNK + 1, n), len(entries)), dtype=complex)
+    sub[0] = initial.rho_tilde.reshape(-1)[entries]
     reduced = np.empty((n, 4, 4), dtype=complex)
     series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
     full_states: list[FullState] | None = [] if store_full else None
     weights = number_operator(space).diagonal().real
     prev_expect_n = math.inf
-    first, unstepped = 0, 1
+    first, lead = 0, 0
     while first < n:
-        size = min(span, n - first)
+        size = min(CHECK_CHUNK, n - first)
+        rows = lead + size
         clock = perf_counter()
-        for lo in range(0, size, chunk):
-            b = min(chunk, size - lo)
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(table[:b - unstepped].reshape(-1, width),
-                          sub[lo + unstepped],
-                          out=sub[lo + unstepped + 1:lo + b + 1].reshape(-1))
-            unstepped = 0
+        # past an unstable step the states may overflow; the checks catch
+        # that, so the floating-point warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, x in enumerate(squarings[:(rows - 1).bit_length()]):
+                filled = sub[1 << j:min(2 << j, rows)]
+                np.matmul(sub[:len(filled)], x.T, out=filled)
+                filled += sub[:len(filled)]
         diag.propagate_s += perf_counter() - clock
 
         clock = perf_counter()
-        states = sub[1:size + 1]
+        states = sub[lead:rows]
         samples = slice(first, first + size)
         checked = _check_samples(states, times[samples], weights, mirror,
-                                 gauge, diagonal, chunk, prev_expect_n, diag)
+                                 gauge, diagonal, prev_expect_n, diag)
         prev_expect_n = checked[0][-1]
         for out, values in zip(series, checked):
             out[samples] = values
@@ -699,8 +693,8 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
             full_states.extend(map(FullState, full.reshape(-1, dim, dim),
                                    times[samples]))
         diag.check_s += perf_counter() - clock
-        sub[0] = sub[size]
-        first += size
+        sub[0] = sub[rows - 1]
+        first, lead = first + size, 1
 
     return Trajectory(times.copy(), reduced, *series, diagnostics=diag,
                       full_states=full_states)

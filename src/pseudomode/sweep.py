@@ -36,6 +36,7 @@ from .dynamics import (
     Trajectory,
     check_fock_cutoff,
     evolve,
+    interval_steps,
 )
 from .entanglement import (
     X_TOLERANCE,
@@ -107,6 +108,8 @@ class SweepConfig:
             raise ValueError("n_steps must be >= 1")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError("step_size must be finite and > 0")
+        # evolve rejects the same step counts (times() spans t_max exactly)
+        interval_steps(self.t_max / self.n_steps, self.step_size)
         # detect_esd_intervals rejects the same thresholds
         if not (math.isfinite(self.esd_threshold) and self.esd_threshold >= 0):
             raise ValueError("esd_threshold must be finite and >= 0")

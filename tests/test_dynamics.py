@@ -23,8 +23,6 @@ from pseudomode.dynamics import (
     EIG_FLOOR,
     EXCITATION_GAIN_TOL,
     HERM_TOL,
-    SAMPLE_CHUNK,
-    TABLE_BYTES,
     TRACE_LAW_TOL,
     TRACE_TOL,
     IntegrationDiagnostics,
@@ -426,7 +424,7 @@ def test_a_run_with_a_dropped_part_falls_back_alone(space3):
     for lo in range(0, len(flat), C):
         checked = _check_samples(
             flat[lo:lo + C], times[lo:lo + C], weights, mirror, gauge,
-            diagonal, SAMPLE_CHUNK, prev, diag)
+            diagonal, prev, diag)
         prev = checked[0][-1]
         mins.append(checked[3])
     assert diag.real_block_samples == 2 * C
@@ -452,30 +450,27 @@ def _same_bits(a, b):
 def test_sums_over_the_slice_equal_the_full_width_formulas(n_fock):
     # the trace, <N>, the leakage and the reduced states add the slice's
     # entries, gathered with exact zeros for the rest; the formulas over
-    # the full matrices give the same bits, signed zeros included. <N> is
-    # one product per propagation block (numpy takes a single row through
-    # BLAS dot), and the 257 and 226 samples end on a block of one point
-    # at the block lengths here (128, and 25 for the raw state at
-    # n_fock = 4); [0, 20] takes two intervals of 10 000 steps
+    # the full matrices give the same bits, signed zeros included. Each is
+    # a sum row by row, so its bits do not depend on the run lengths: a
+    # single point, runs of CHECK_CHUNK points with one or two points left
+    # over (513, 514), and [0, 20] in two intervals of 10 000 steps
     space = build_space(n_fock)
     params = SystemParams.symmetric(0.2, n_fock=n_fock)
-    m = liouvillian_matrix(space, params)
     weights = number_operator(space).diagonal().real
     grids = [np.linspace(0.0, 5.0, 203), np.linspace(0.0, 5.0, 257),
-             np.linspace(0.0, 4.5, 226), np.linspace(0.0, 20.0, 3)]
+             np.linspace(0.0, 4.5, 226), np.array([0.0]),
+             np.linspace(0.0, 5.12, CHECK_CHUNK + 1),
+             np.linspace(0.0, 5.13, CHECK_CHUNK + 2),
+             np.linspace(0.0, 20.0, 3)]
     for name, init in _test_states(space).items():
-        block = dynamics._block_length(len(reachable_entries(
-            m, init.rho_tilde)))
         for times in grids:
             traj = evolve(init, space, params, times, store_full=True)
             rho = np.array([s.rho_tilde for s in traj.full_states])
             pops = np.real(rho.diagonal(axis1=1, axis2=2))
             assert _same_bits(traj.trace_error, np.abs(
                 np.trace(rho, axis1=1, axis2=2) - 1.0)), name
-            per_block = np.concatenate([
-                pops[lo:lo + block] @ weights
-                for lo in range(0, len(pops), block)])
-            assert _same_bits(traj.expect_n, per_block), name
+            assert _same_bits(traj.expect_n,
+                              (pops * weights).sum(axis=1)), name
             assert _same_bits(traj.sector_leakage,
                               pops[:, weights > 2].sum(axis=1)), name
             assert _same_bits(traj.reduced,
@@ -543,8 +538,10 @@ def test_positivity_per_block_matches_full_eigvalsh(space3):
 
 
 def test_block_products_match_a_per_point_loop(space3):
-    # each block is one product with the table of powers of P; one matvec
-    # per point on the same entries is the reference
+    # each run of CHECK_CHUNK points is filled by doubling from the
+    # squarings of P, and each run starts one step past the last point of
+    # the run before it; one matvec per point on the same entries, across
+    # the 19 run boundaries here, is the reference
     params = SystemParams.symmetric(0.2)
     init = make_initial(InitialStateSpec("psi", 0.3), space3)
     times = np.linspace(0.0, 10.0, 10001)
@@ -604,10 +601,10 @@ def checked_slices(monkeypatch):
     calls = []
     check = dynamics._check_samples
 
-    def recording(sub, times, weights, mirror, gauge, diagonal, block,
+    def recording(sub, times, weights, mirror, gauge, diagonal,
                   prev_expect_n, diag):
         calls.append((times.copy(), prev_expect_n))
-        return check(sub, times, weights, mirror, gauge, diagonal, block,
+        return check(sub, times, weights, mirror, gauge, diagonal,
                      prev_expect_n, diag)
 
     monkeypatch.setattr(dynamics, "_check_samples", recording)
@@ -617,52 +614,62 @@ def checked_slices(monkeypatch):
 def test_dense_grid_builds_one_propagator(space3, builds, checked_slices):
     # linspace spacing jitters by ~1e-15 between intervals; one run still
     # builds exactly one RK4 step matrix, and each slice of CHECK_CHUNK
-    # samples (four blocks of SAMPLE_CHUNK) starts from the <N> the slice
-    # before it ended on
+    # samples starts from the <N> the slice before it ended on
     params = SystemParams.symmetric(0.2)
     init = make_initial(InitialStateSpec("psi", 0.3), space3)
     times = np.linspace(0.0, 10.0, 10001)
     traj = evolve(init, space3, params, times)
     assert len(builds.steps) == 1
     assert traj.diagnostics.step_count == 10000
-    assert CHECK_CHUNK % SAMPLE_CHUNK == 0
     assert [t[0] for t, _ in checked_slices] == list(times[::CHECK_CHUNK])
     assert [n for _, n in checked_slices] == [
         math.inf, *traj.expect_n[CHECK_CHUNK - 1:-1:CHECK_CHUNK]]
 
 
-def test_power_table_stays_within_its_byte_budget(space3, monkeypatch,
-                                                  checked_slices):
-    # a generic state at n_fock = 4 reaches 144 of 256 entries, where a
-    # SAMPLE_CHUNK-row table would take 42 MB; the blocks shrink instead,
-    # and the checks take the whole blocks that fit in CHECK_CHUNK points
-    tables = []
-    build = dynamics.power_table
+def test_squarings_fill_runs_of_check_chunk_points(space3, checked_slices):
+    # the builds hold the read-only squarings P^(2^j) - I for every
+    # doubling a run of CHECK_CHUNK points may take, whatever the width:
+    # a generic state at n_fock = 4 reaches 144 of 256 entries, psi at
+    # n_fock = 3 reaches 34; each run but the last is CHECK_CHUNK points
+    space4 = build_space(4)
+    for init, space, params, width in (
+            (_raw_state(space4, 3), space4,
+             SystemParams.symmetric(0.2, n_fock=4), 144),
+            (make_initial(InitialStateSpec("psi", 0.3), space3), space3,
+             SystemParams.symmetric(0.2), 34)):
+        shared = {}
+        checked_slices.clear()
+        evolve(init, space, params, np.linspace(0.0, 1.0, 1001),
+               shared=shared)
+        squarings = shared["squarings"]
+        assert squarings.shape == (CHECK_CHUNK.bit_length(), width, width)
+        with pytest.raises(ValueError, match="read-only"):
+            squarings[0, 0, 0] = 0
+        assert [len(t) for t, _ in checked_slices] == [
+            CHECK_CHUNK, 1001 - CHECK_CHUNK]
 
-    def recording(p, n):
-        tables.append(build(p, n))
-        return tables[-1]
 
-    monkeypatch.setattr(dynamics, "power_table", recording)
-    space = build_space(4)
-    params = SystemParams.symmetric(0.2, n_fock=4)
-    init = _raw_state(space, 3)
-    m = liouvillian_matrix(space, params)
-    assert len(reachable_entries(m, init.rho_tilde)) == 144
-    evolve(init, space, params, np.linspace(0.0, 1.0, 1001))
-    rows = TABLE_BYTES // (16 * 144 ** 2)
-    assert 0 < rows < SAMPLE_CHUNK
-    assert [t.shape for t in tables] == [(rows, 144, 144)]
-    assert tables[0].nbytes <= TABLE_BYTES
-    span = CHECK_CHUNK // rows * rows
-    assert span < CHECK_CHUNK
-    assert [len(t) for t, _ in checked_slices] == [span] * 2 + [1]
-    # psi at n_fock = 3 reaches 34 entries: full blocks
-    tables.clear()
-    evolve(make_initial(InitialStateSpec("psi", 0.3), space3), space3,
-           SystemParams.symmetric(0.2), np.linspace(0.0, 1.0, 201))
-    assert [t.shape for t in tables] == [(SAMPLE_CHUNK, 34, 34)]
-    assert tables[0].nbytes <= TABLE_BYTES
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs an extended-precision long double")
+def test_squarings_keep_the_increments_precision(space3):
+    # X_j = P^(2^j) - I, squared as 2X + X^2, stays within 4 eps of the
+    # exact power of the double P; powering P itself in double rounds the
+    # increment against the diagonal's 1s, up to 5.8e-14 off at 1 step a
+    # sample (j = 9, 144 entries)
+    psi = make_initial(InitialStateSpec("psi", 0.3), space3)
+    space4 = build_space(4)
+    for init, space, times in (
+            (psi, space3, np.linspace(0.0, 1.0, 1001)),
+            (psi, space3, np.linspace(0.0, 200.0, 201)),
+            (_raw_state(space4, 3), space4, np.linspace(0.0, 1.0, 1001))):
+        shared = {}
+        evolve(init, space, SystemParams.symmetric(0.2, n_fock=space.n_fock),
+               times, shared=shared)
+        prop = shared["prop"].astype(np.clongdouble)
+        eye = np.eye(len(prop))
+        for j, x in enumerate(shared["squarings"]):
+            exact = np.linalg.matrix_power(prop, 2**j) - eye
+            assert np.abs(x - exact).max() <= 4 * np.finfo(float).eps, j
 
 
 def test_long_interval_takes_one_propagator(space3, builds, checked_slices):
@@ -709,12 +716,12 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
     psi = make_initial(InitialStateSpec("psi", 0.3, theta=0.4), space3)
     phi = make_initial(InitialStateSpec("phi", 0.3, theta=0.4), space3)
     short = np.linspace(0.0, 2.0, 21)    # 100 steps a sample
-    long = np.linspace(0.0, 20.0, 201)   # same steps, a longer power table
+    long = np.linspace(0.0, 20.0, 201)   # same steps, more points
     fine = np.linspace(0.0, 2.0, 41)     # 50 steps a sample
     calls = [(psi, 0.2, short, 1, 34),
              (psi, 0.2, short, 0, 34),   # a repeat of the first call
              (psi, 0.2, long, 0, 34),
-             (psi, 0.2, short, 0, 34),   # a prefix of the longer table
+             (psi, 0.2, short, 0, 34),   # fewer points again
              (phi, 0.2, short, 1, 10),
              (phi, 0.0, short, 1, 10),   # a zero rate thins out M
              (phi, 0.0, fine, 1, 10)]
@@ -733,7 +740,7 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
                for p in map(SystemParams.symmetric, (0.0, 0.2))]
     assert nonzero[0] < nonzero[1]
     # the generator, entries, mirror, diagonal and two-qubit gathers,
-    # propagator and table
+    # propagator and its squarings
     arrays = [v for v in shared.values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 7
     # the gauge maps: dropped parts, and an index and a sign per block
@@ -901,7 +908,7 @@ def test_chunked_checks_report_the_per_sample_first_violation(
         for lo in range(0, len(rho), C):
             prev_expect_n = _check_samples(
                 flat[lo:lo + C, entries], times[lo:lo + C], weights, mirror,
-                gauge, diagonal, SAMPLE_CHUNK, prev_expect_n,
+                gauge, diagonal, prev_expect_n,
                 IntegrationDiagnostics())[0][-1]
     assert (err.value.invariant, err.value.time) == expected
     # the first run holds no plant; the gauge-real plant keeps its run on
@@ -955,13 +962,15 @@ def test_trace_failure_waits_for_earlier_samples(space3, monkeypatch,
     assert builds.steps == []
 
 
-B = SAMPLE_CHUNK
+# Samples 0 .. B - 1 of a run are filled before the doubling by P^B fills
+# samples B .. 2B - 1 from them.
+B = 128
 
 
 @pytest.mark.parametrize("n_samples,step", [
-    (3 * B + 1, 1270),  # last step of the first block
-    (3 * B + 1, 1271),  # first step of the second block
-    (3 * B + 1, 1280),  # last step into the second block's first sample
+    (3 * B + 1, 1270),  # last step into sample B - 1
+    (3 * B + 1, 1271),  # first step past it
+    (3 * B + 1, 1280),  # last step into sample B, the first of a doubling
     (3 * B + 1, 1281),
     (2, 3335),          # steps of one interval longer than 4096 steps
     (2, 5000),
@@ -996,12 +1005,12 @@ def test_trace_failure_time_across_blocks_and_segments(space3, monkeypatch,
 
 def test_sample_violation_wins_over_a_later_block_of_its_slice(
         space3, monkeypatch):
-    # a slice is propagated block by block and checked once; a violation
-    # at a sample of its first block must win over the violations in its
-    # later blocks. The coherence rho[1, 2] grows alone from 1e-12-ish, a
-    # generator that keeps the trace law (no diagonal entry moves), so the
-    # hermiticity error crosses HERM_TOL half a sample before t[60] and
-    # keeps growing through the third block
+    # a slice is filled doubling by doubling and checked once; a violation
+    # at one of its first B samples must win over the violations in the
+    # samples the later doublings fill. The coherence rho[1, 2] grows alone
+    # from 1e-12-ish, a generator that keeps the trace law (no diagonal
+    # entry moves), so the hermiticity error crosses HERM_TOL half a sample
+    # before t[60] and keeps growing to the end of the slice
     times = np.linspace(0.0, 3.84, 3 * B + 1)
     assert len(times) <= CHECK_CHUNK
     h = (times[1] - times[0]) / 10
@@ -1066,6 +1075,16 @@ class TestEvolveValidation:
             with pytest.raises(ValueError, match="step_size"):
                 evolve(init, space3, params, np.array([0.0, 1.0]),
                        step_size=step)
+
+    def test_step_count_beyond_the_float_range(self, space3):
+        # dt / step_size overflows to inf: a ValueError, without a
+        # floating-point warning (the suite turns RuntimeWarning into an
+        # error); a count just inside the float range is still a count
+        params = SystemParams.symmetric(0.1)
+        init = make_initial(InitialStateSpec("psi", 0.5), space3)
+        with pytest.raises(ValueError, match="float range"):
+            evolve(init, space3, params, [0.0, 1.0], step_size=5e-324)
+        assert dynamics.interval_steps(1.0, 1e-308) == math.ceil(1e308)
 
     def test_times_must_be_evenly_spaced_from_the_initial_time(self, space3):
         params = SystemParams.symmetric(0.1)
@@ -1140,7 +1159,7 @@ def test_an_overflowing_interval_fails_the_finite_check(space3):
 
 def test_overflow_past_an_unstable_step_reports_the_first_violation(
         space3, monkeypatch):
-    # a whole block is propagated before it is checked, so the states
+    # a whole run is propagated before it is checked, so the states
     # overflow past the first bad sample; that sample must still be
     # reported, as a sample-by-sample run reports it, without a
     # floating-point warning

@@ -564,6 +564,21 @@ class TestCli:
         if "--gamma-s" in flags:  # the option set, not an internal field
             assert "gamma_s" in err and "gamma_a" not in err
 
+    def test_step_count_beyond_the_float_range_exits_2(self, tmp_path,
+                                                       capsys):
+        # 1e310 RK4 steps a sample interval: the config is rejected before
+        # any cell runs, without a floating-point warning (the suite turns
+        # RuntimeWarning into an error)
+        out = tmp_path / "rows.csv"
+        rc = main(["--state", "psi", "--alpha2", "0.5", "--gamma-s", "0.2",
+                   "--rate-unit", "gamma0", "--t-max", "1e300", "--steps",
+                   "1", "--step-size", "1e-10", "--out", str(out)])
+        assert rc == 2
+        assert "float range" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="float range"):
+            SweepConfig(t_max=1.0, n_steps=1, step_size=5e-324).validate()
+
     def test_emit_grid(self, tmp_path):
         out = tmp_path / "grid.csv"
         rc = main(["--alpha2-grid", "0.2:0.8:4", "--gamma-s", "0.2",
