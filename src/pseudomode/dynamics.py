@@ -29,23 +29,36 @@ its entries. S and P are built on M restricted to those entries; every
 other entry stays exactly 0. With the squarings X_j = P^(2^j) - I, built
 once too, a run of up to CHECK_CHUNK points is filled by doubling: the
 rows done .. 2 done - 1 are v + v X_j^T of the rows 0 .. done - 1, one
-product per doubling, each at the increment's own precision. The
-invariants are checked at the sample times, one such run at a time as
-array operations, and each run is reduced to the two qubits and stored
-with one operation per series. Every check reads the slice
-itself through index maps built once: finiteness and hermiticity (each
-entry against its transpose's conjugate) through slice_maps, positivity
-(eigvalsh per diagonal block of rho, see diagonal_blocks) through
-gauge_maps, and the trace, <N>, the sector leakage and the partial trace
-through gather_maps, which lay out the needed entries with exact zeros
-where they fall outside the slice, so each sum rounds as over the full
-matrix. M is real in the photon-number gauge (see gauge_maps), so a
-state that starts real there stays real; a run of points whose states
-are all finite and real in that gauge has its blocks read as real
-symmetric matrices, whose eigvalsh costs about half as much and differs
-by rounding only, and any other run keeps the complex blocks. Only
-store_full writes states back to full width. The earliest violating
-sample is reported.
+product per doubling, each at the increment's own precision.
+
+All of this arithmetic is real. In the photon-number gauge, which
+multiplies entry (r, c) of vec(rho) by i^(n_c - n_r), n the photon
+number of each basis state (see photon_turns), M is real: H only trades
+a photon for a qubit excitation and each jump operator moves at most one
+photon. _builds gauges M once per build, exactly, and stores the real
+gauged generator; a generator with any imaginary part left in the gauge
+fails there. A trajectory is propagated as the real part of the gauged
+slice, one real row-block, and also as its imaginary part, a second
+row-block filled by the same real products, when the gauged initial
+state is not real (theta not a quarter turn, raw states); a state that
+starts real in the gauge stays real, so for psi, phi and werner at
+theta = 0 the imaginary block would stay exactly 0 and is not kept.
+
+The invariants are checked at the sample times, one such run at a time
+as array operations, and each run is reduced to the two qubits and
+stored with one operation per series. Every check reads the gauged
+slice itself through index maps built once: finiteness and hermiticity
+(each entry against its transpose's conjugate) through slice_maps,
+positivity (eigvalsh per diagonal block of rho, see diagonal_blocks;
+real symmetric blocks for one row-block, Hermitian ones for two)
+through gauge_maps, and the trace, <N>, the sector leakage and the
+partial trace through gather_maps, which lay out the needed entries
+with exact zeros where they fall outside the slice, so each sum rounds
+as over the full matrix. The gauge leaves these entries as they are:
+each has as many photons in its row as in its column. The gauge
+multiplies by +-1 or +-i, so the checked values are those of the
+ungauged states; only store_full writes states back, ungauged and at
+full width. The earliest violating sample is reported.
 
 M, the reachable entries, their index and gather maps, S, P and
 its squarings depend only on (space, params, h, n) and the initial
@@ -145,9 +158,12 @@ class IntegrationDiagnostics:
 
     The extrema, max_trace_error among them, are tracked at sample times,
     read from the reachable slice of each state. step_count is the number
-    of RK4 steps taken. real_block_samples counts the samples whose
-    smallest eigenvalue was taken on real blocks in the photon-number
-    gauge (see gauge_maps); the others were taken on the complex blocks.
+    of RK4 steps taken. real_block_samples counts the samples propagated
+    and checked as one real row-block, the real part of the state in the
+    photon-number gauge (see photon_turns), with the smallest eigenvalue
+    taken on real symmetric blocks: every sample of a state that starts
+    real in the gauge. The others take two row-blocks and Hermitian
+    blocks.
     propagate_s is the time spent building the propagator and its
     squarings and filling the runs of points with them, including the
     generator build and its trace-law check; a run that
@@ -198,17 +214,22 @@ def _collapse_ops(space: CompositeSpace, params: SystemParams):
 
 def liouvillian_matrix(space: CompositeSpace,
                        params: SystemParams) -> np.ndarray:
-    """Generator M with vec(d rho/dt) = M vec(rho), row-major vectorization."""
-    h = build_hamiltonian(space, params)
-    dim = space.dim_total
-    eye = np.eye(dim, dtype=complex)
-    m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op, rate in _collapse_ops(space, params):
-        if rate == 0.0:
-            continue
-        ld = op.conj().T @ op
-        m += rate * (np.kron(op, op.conj())
-                     - 0.5 * (np.kron(ld, eye) + np.kron(eye, ld.T)))
+    """Generator M with vec(d rho/dt) = M vec(rho), row-major vectorization.
+
+    With vec(A rho B) = (A kron B^T) vec(rho) and the non-Hermitian
+    effective Hamiltonian K = -i H - 1/2 sum_L rate L^dag L, so that
+    d rho/dt = K rho + rho K^dag + sum_L rate L rho L^dag,
+    M = K kron I + I kron K* + sum_L rate L kron L*.
+    """
+    jumps = [(op, rate) for op, rate in _collapse_ops(space, params)
+             if rate != 0.0]
+    k = -1j * build_hamiltonian(space, params)
+    for op, rate in jumps:
+        k -= 0.5 * rate * (op.conj().T @ op)
+    eye = np.eye(space.dim_total)
+    m = np.kron(k, eye) + np.kron(eye, k.conj())
+    for op, rate in jumps:
+        m += rate * np.kron(op, op.conj())
     return m
 
 
@@ -217,7 +238,7 @@ def rk4_step_matrix(m: np.ndarray, h: float) -> np.ndarray:
 
     Applying it is identical to one classic RK4 step of v' = M v.
     """
-    p = np.eye(m.shape[0], dtype=complex)
+    p = np.eye(m.shape[0], dtype=m.dtype)
     term = p
     for k in (1, 2, 3, 4):
         term = (h / k) * (m @ term)
@@ -317,41 +338,49 @@ def slice_maps(entries: np.ndarray, dim: int) -> np.ndarray:
     return mirror
 
 
-def gauge_maps(entries: np.ndarray, n_fock: int
-               ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Index maps that read the diagonal blocks of rho from `entries`, as
-    they are or in the photon-number gauge.
+def photon_turns(n_fock: int) -> np.ndarray:
+    """(n_c - n_r) % 4 for each entry (r, c) of the row-major vec(rho),
+    n the photon number of each of the 4 n_fock basis states.
 
-    The gauge is rho -> U rho U^dag with U = diag(i^-n), n the photon
-    number of each basis state: entry (r, c) is multiplied by
-    i^(n_c - n_r), which moves either its real or its imaginary part onto
-    the real axis, exactly. H only trades a photon for a qubit excitation
-    and each jump operator moves at most one photon, so this gauge makes
-    M real; a state that is real in it stays real. Returns dropped, the
-    positions in the float view of the slice (two per entry) of the part
-    of each entry that the gauge sends to the imaginary axis, and for each
-    of the diagonal_blocks, with k basis states, a pair (index, sign) of
-    (k, k) arrays. index >> 1 is the position in `entries` of each entry
-    of the complex block, and index is -1 for an entry outside them (an
-    exact 0), so -1 >> 1 is -1 too. While every dropped part is 0, the
-    gauged block is the float view taken at index times sign, +-1; the
-    sign applies to the zeros too, so each signed zero is that of the
-    full block multiplied entrywise.
+    The photon-number gauge, rho -> U rho U^dag with U = diag(i^-n),
+    multiplies entry (r, c) by i^(n_c - n_r): the entry's real and
+    imaginary parts are swapped or negated (see _turn), exactly. It
+    turns the generator M into D M D* with D = diag(i^turns), which is
+    real (see _builds), and keeps the eigenvalues of rho.
+    """
+    photons = np.arange(4 * n_fock) % n_fock
+    return ((photons - photons[:, None]) % 4).reshape(-1)
+
+
+# i^turns; multiplying by one is exact up to the sign of a zero
+_PHASES = np.array([1, 1j, -1, -1j])
+
+
+def _turn(re: np.ndarray, im: np.ndarray, turns: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of i^turns (re + i im), exactly: each is
+    one of the parts, or its negative."""
+    return (np.choose(turns, [re, -im, -re, im]),
+            np.choose(turns, [im, re, -im, -re]))
+
+
+def gauge_maps(entries: np.ndarray, n_fock: int
+               ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Gauge turns of `entries`, and index maps of the diagonal blocks.
+
+    Returns the photon_turns of each entry, so the gauged slice is
+    i^turns times the slice, and, for each of the diagonal_blocks with k
+    basis states, the (k, k) positions in `entries` of the block's
+    entries, -1 for an entry outside them (an exact 0). The gauge is a
+    diagonal unitary similarity that multiplies by +-1 or +-i, so a block
+    read from the gauged slice has the eigenvalues of the block of rho;
+    it is real symmetric for a state real in the gauge.
     """
     dim = 4 * n_fock
-    photons = np.arange(dim) % n_fock
-    turns = ((photons - photons[:, None]) % 4).reshape(-1)
-    # i^turns moves the imaginary part onto the real axis for odd turns
-    parts = turns % 2
-    signs = np.array([1.0, -1.0, -1.0, 1.0])[turns]
     where = _positions(entries, dim)
-    blocks = []
-    for blk in diagonal_blocks(entries, dim):
-        cells = blk[:, None] * dim + blk
-        pos = where[cells]
-        blocks.append((np.where(pos < 0, -1, 2 * pos + parts[cells]),
-                       signs[cells]))
-    return 2 * np.arange(len(entries)) + 1 - parts[entries], blocks
+    blocks = [where[blk[:, None] * dim + blk]
+              for blk in diagonal_blocks(entries, dim)]
+    return photon_turns(n_fock)[entries], blocks
 
 
 def gather_maps(entries: np.ndarray, n_fock: int
@@ -376,13 +405,22 @@ def gather_maps(entries: np.ndarray, n_fock: int
 
 
 def _gather(states: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """states[:, where] in C order, with an exact 0 where `where` is -1.
+    """states[..., where] in C order, with an exact 0 where `where` is -1.
 
     The order matters: a sum over the last axis then adds its terms in
     the same order as over the full matrix.
     """
-    out = states.take(where, axis=1)
-    out[:, where < 0] = 0.0
+    out = states.take(where, axis=-1)
+    out[..., where < 0] = 0.0
+    return out
+
+
+def _complex(parts) -> np.ndarray:
+    """parts[0] + i parts[1], or parts[0] + 0i for one part, exactly,
+    signed zeros included."""
+    out = np.zeros(parts[0].shape, dtype=complex)
+    for part, values in zip((out.real, out.imag), parts):
+        part[...] = values
     return out
 
 
@@ -391,11 +429,23 @@ def _squarings(x: np.ndarray) -> Iterator[np.ndarray]:
 
     (I + X)^2 - I = 2X + X^2 keeps the increment X at its own relative
     precision, where squaring I + X would round it against the 1s of the
-    diagonal at every product.
+    diagonal at every product. Once the populations decay, the diagonal
+    D of X holds its largest entries (near -1), so X^2 is summed as
+    D^2 + D O + O D + O^2 with O = X - D: each product with D is rounded
+    once, and only O^2 goes through a long sum. A plain real X @ X puts
+    the large products inside each dot product, and drifted X_j up to
+    7.5 eps off the exact powers of P, against 3.9 eps this way (psi and
+    raw states at n_fock 3 and 4, gamma_s 0.02 to 2, sample intervals
+    1e-3 to 10).
     """
     while True:
         yield x
-        x = 2 * x + x @ x
+        diagonal = x.diagonal()
+        off = x.copy()
+        np.fill_diagonal(off, 0.0)
+        square = off @ off + (diagonal[:, None] * off + off * diagonal)
+        square[np.diag_indices_from(square)] += diagonal * diagonal
+        x = 2 * x + square
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -436,17 +486,23 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
     and the (CHECK_CHUNK.bit_length(), w, w) squarings X_j = P^(2^j) - I
     of the propagator P over n_sub RK4 steps of size h, from `initial`.
 
-    A generator with max|e^T M| above TRACE_LAW_TOL * eps * max|M| breaks
-    the trace law: IntegrationError("trace", initial.time, that value and
-    bound) is raised before it is stored. The builds depend only on
-    (space, params, h, n_sub) and the nonzero pattern of the initial
-    state, so they are taken from `shared` when an earlier call left them
-    there. shared holds the builds of one (space, params, h, n_sub): the
-    generator and, for the last nonzero pattern, its entries, index maps,
-    propagator and squarings. A call with another key empties it first,
-    and another pattern replaces that pattern's builds. Each build is
-    stored only once it is complete, so a build that raises leaves
-    `shared` as it was. Every array is read-only.
+    The generator is gauged once per build, M_g = D M D* with
+    D = diag(i^photon_turns), and stored real: reachable_entries (M_g has
+    the pattern of M), P and its squarings are then real. A generator
+    with max|e^T M| above TRACE_LAW_TOL * eps * max|M| breaks the trace
+    law, and IntegrationError("trace", initial.time, that value and
+    bound) is raised; one with any imaginary part left in M_g breaks the
+    gauge law, and IntegrationError("gauge", initial.time, max|Im M_g|,
+    0.0) is raised. Both are raised before the generator is stored. The
+    builds depend only on (space, params, h, n_sub) and the nonzero
+    pattern of the initial state, so they are taken from `shared` when
+    an earlier call left them there. shared holds the builds of one
+    (space, params, h, n_sub): the gauged generator and, for the last
+    nonzero pattern, its entries, index maps, propagator and squarings.
+    A call with another key empties it first, and another pattern
+    replaces that pattern's builds. Each build is stored only once it is
+    complete, so a build that raises leaves `shared` as it was. Every
+    array is read-only.
     """
     key = (space, params, h, n_sub)
     if shared.get("key") != key:
@@ -455,14 +511,19 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
         bound = TRACE_LAW_TOL * np.finfo(float).eps * float(np.abs(m).max())
         if not law <= bound:  # NaN fails too
             raise IntegrationError("trace", initial.time, law, bound)
+        phase = _PHASES[photon_turns(space.n_fock)]
+        m = phase[:, None] * m * phase.conj()
+        if m.imag.any():
+            raise IntegrationError("gauge", initial.time,
+                                   float(np.abs(m.imag).max()), 0.0)
         shared.clear()
-        shared.update(key=key, m=_read_only(m))
+        shared.update(key=key, m=_read_only(m.real.copy()))
     m = shared["m"]
     rho = initial.rho_tilde
     pattern = (rho.reshape(-1) != 0).tobytes()
     if shared.get("pattern") != pattern:
         entries = _read_only(reachable_entries(m, rho))
-        dropped, blocks = gauge_maps(entries, space.n_fock)
+        turns, blocks = gauge_maps(entries, space.n_fock)
         diagonal, qubits = gather_maps(entries, space.n_fock)
         prop = interval_propagator(m, h, n_sub, entries)
         # past an unstable step the squarings may overflow; the checks of
@@ -473,8 +534,8 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
                 CHECK_CHUNK.bit_length())))
         shared.update(pattern=pattern, entries=entries,
                       mirror=_read_only(slice_maps(entries, space.dim_total)),
-                      gauge=(_read_only(dropped), tuple(
-                          tuple(map(_read_only, pair)) for pair in blocks)),
+                      gauge=(_read_only(turns),
+                             tuple(map(_read_only, blocks))),
                       diagonal=_read_only(diagonal),
                       qubits=_read_only(qubits), prop=_read_only(prop),
                       squarings=_read_only(squarings))
@@ -487,58 +548,63 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
 # 0.5 (B + B^H) unless an entry is subnormal.
 @np.errstate(over="ignore", invalid="ignore")
 def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
-                   mirror: np.ndarray, gauge: tuple, diagonal: np.ndarray,
+                   mirror: np.ndarray, blocks: tuple, diagonal: np.ndarray,
                    prev_expect_n: float,
                    diag: IntegrationDiagnostics
                    ) -> tuple[np.ndarray, ...]:
     """Check a run of states sampled at `times`, in time order.
 
-    sub (b, w) holds the states' entries on a slice of vec(rho); every
-    other entry is an exact 0. mirror, gauge and diagonal are the slice's
-    index maps (see slice_maps, gauge_maps and gather_maps). The finite
-    and hermiticity checks see every nonzero entry, and the trace, <N>
-    and leakage add the gathered diagonal, with its zeros, row by row in
-    the full matrix's order, so each gives the full-width value bit for
-    bit, whatever the run's length. The
-    smallest eigenvalue is taken block by block. When every state of the
-    run is finite and every part the gauge drops is exactly 0, it is
-    taken on the real gauged blocks (LAPACK dsyevd for zheevd, about half
-    the cost): the gauge is a diagonal unitary similarity that only
-    multiplies by +-1 or +-i, so the eigenvalues are those of the complex
-    blocks up to the routine's rounding, whatever the generator that gave
-    the states. Otherwise it is taken on the complex blocks and is the
-    full-width value of those blocks bit for bit. The route is chosen
-    from the states alone, anew for each run.
+    sub (k, b, w) holds the states' entries on a slice of vec(rho) in the
+    photon-number gauge (see photon_turns): their real parts, and with
+    k = 2 their imaginary parts (0 when k = 1). Every other entry is an
+    exact 0. mirror, blocks and diagonal are the slice's index maps (see
+    slice_maps, gauge_maps and gather_maps). The gauge multiplies each
+    entry by +-1 or +-i, and an entry and its transpose by conjugate
+    phases, so each check gives the full-width value of the ungauged
+    states bit for bit, whatever the run's length: the hermiticity error
+    is the modulus of (re_e - re_t) + i (im_e + im_t), entry against
+    transpose; the finite check sees every nonzero entry; the trace,
+    <N> and leakage add the gathered diagonal, which the gauge leaves as
+    it is, with its zeros, row by row in the full matrix's order (the
+    trace as a complex sum, whose order differs from a real one's). The
+    smallest eigenvalue is taken block by block, on real symmetric
+    blocks with k = 1 (LAPACK dsyevd, about half the cost of zheevd) and
+    on Hermitian re + i im blocks with k = 2; the gauge is a unitary
+    similarity, so these have the eigenvalues of the blocks of rho up to
+    the routine's rounding.
 
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, trace, positivity,
     excitation_monotone. prev_expect_n is <N> at the sample before the
-    run (inf for none). Otherwise the run's extrema are folded into diag
-    and the per-sample <N>, trace error, hermiticity error, smallest
-    eigenvalue and sector leakage are returned, in the order of the
-    Trajectory fields.
+    run (inf for none). Otherwise the run's extrema are folded into diag,
+    its samples counted in real_block_samples if k = 1, and the
+    per-sample <N>, trace error, hermiticity error, smallest eigenvalue
+    and sector leakage are returned, in the order of the Trajectory
+    fields.
     """
-    finite = np.isfinite(sub).all(axis=1)
+    finite = np.isfinite(sub).all(axis=(0, 2))
     # eigvalsh rejects non-finite input, so check only up to the first
     # non-finite sample; it raises below unless an earlier one does
-    n_ok = len(sub) if finite.all() else int(np.argmin(finite))
-    ok = sub[:n_ok]
-    herm = np.abs(ok - ok.take(mirror, axis=1).conj()).max(axis=1)
+    n_ok = sub.shape[1] if finite.all() else int(np.argmin(finite))
+    ok = sub[:, :n_ok]
+    mirrored = ok.take(mirror, axis=2)
     on_diagonal = _gather(ok, diagonal)
-    tr_err = np.abs(on_diagonal.sum(axis=1) - 1.0)
-    dropped, blocks = gauge
-    # the real and imaginary part of each entry, side by side
-    parts = np.ascontiguousarray(ok).view(float)
-    real = n_ok == len(sub) and not parts.take(dropped, axis=1).any()
+    if len(ok) == 1:
+        herm = np.abs(ok[0] - mirrored[0])
+    else:
+        herm = np.abs(_complex((ok[0] - mirrored[0], ok[1] + mirrored[1])))
+    herm = herm.max(axis=1)
+    tr_err = np.abs(_complex(on_diagonal).sum(axis=1) - 1.0)
     mins = []
-    for index, sign in blocks:
-        blk = _gather(parts, index) * sign if real else _gather(ok, index >> 1)
+    for index in blocks:
+        blk = _gather(ok, index)
+        blk = blk[0] if len(ok) == 1 else _complex(blk)
         mins.append(np.linalg.eigvalsh(
             0.5 * blk + 0.5 * blk.conj().transpose(0, 2, 1))[:, 0])
-    if sum(len(index) for index, _ in blocks) < len(diagonal):
+    if sum(len(index) for index in blocks) < len(diagonal):
         mins.append(np.zeros(n_ok))  # a basis state no block holds
     min_eig = np.min(mins, axis=0)
-    pops = on_diagonal.real
+    pops = on_diagonal[0]
     expn = (pops * weights).sum(axis=1)
     gain = np.diff(expn, prepend=prev_expect_n)
 
@@ -554,7 +620,7 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
             if flags[i]:
                 raise IntegrationError(invariant, float(times[i]),
                                        float(values[i]), limit)
-    if n_ok < len(sub):
+    if n_ok < sub.shape[1]:
         raise IntegrationError("finite", float(times[n_ok]), math.inf, 0.0)
 
     leak = pops[:, weights > 2].sum(axis=1)
@@ -565,7 +631,7 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     d.max_excitation_gain = float(gain.max(initial=d.max_excitation_gain))
     d.max_sector_leakage = float(np.abs(leak).max(
         initial=d.max_sector_leakage))
-    if real:
+    if len(sub) == 1:
         d.real_block_samples += n_ok
     return expn, tr_err, herm, min_eig, leak
 
@@ -589,20 +655,24 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
            ) -> Trajectory:
     """Propagate `initial` and sample it on an evenly spaced time grid.
 
-    times must be finite, start at initial.time and, with more than one
-    sample, increase in equal steps (within 1e-12 of np.linspace over the
-    same ends); anything else raises ValueError, as does a step_size that
+    times must be finite, span an interval within the float range, start
+    at initial.time and, with more than one sample, increase in equal
+    steps (within 1e-12 of np.linspace over the same ends); anything else
+    raises ValueError, as does a step_size that
     is not finite and > 0, or a step count beyond the float range (see
     interval_steps). Every sample interval takes the same RK4 steps of
     size at most step_size. Only the entries of vec(rho) that M can
     reach from the initial state's nonzero entries are propagated (see
     reachable_entries); the others stay exactly 0, as they would at full
     width, so the results differ from full-width propagation by rounding
-    only. A generator that breaks the trace law fails before any step
-    (see _builds); the hermiticity, trace, positivity and excitation-number
-    invariants are monitored at every sample (not enforced); the earliest
-    violation aborts with IntegrationError so a too-coarse step cannot
-    silently corrupt results. A Fock cutoff too small for the initial
+    only. A generator that breaks the trace law, or is not real in the
+    photon-number gauge, fails before any step (see _builds); the
+    trajectory is propagated and checked in that gauge, in real
+    arithmetic, and only store_full writes states back ungauged. The
+    hermiticity, trace, positivity and excitation-number invariants are
+    monitored at every sample (not enforced); the earliest violation
+    aborts with IntegrationError so a too-coarse step cannot silently
+    corrupt results. A Fock cutoff too small for the initial
     state's excitations is rejected up front with ValueError (see
     check_fock_cutoff).
 
@@ -622,8 +692,13 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     if times.ndim != 1 or len(times) == 0 or not np.isfinite(times).all():
         raise ValueError("times must be a finite, non-empty 1d array")
     n = len(times)
+    # Python floats overflow to inf without a warning, where np.diff and
+    # np.linspace warn and then fail the spacing check
+    if not math.isfinite(float(times[-1]) - float(times[0])):
+        raise ValueError("times must span an interval within the float "
+                         "range")
     # the comparisons are written so that NaN fails them
-    if not abs(times[0] - initial.time) <= 1e-12:
+    if not abs(float(times[0]) - float(initial.time)) <= 1e-12:
         raise ValueError("times must start at the initial state's time")
     if n > 1 and not (np.diff(times) > 0).all():
         raise ValueError("times must be increasing")
@@ -648,15 +723,20 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     clock = perf_counter()
     entries, maps, squarings = _builds(space, params, h, n_sub, initial,
                                        {} if shared is None else shared)
-    mirror, gauge, diagonal, qubits = maps
+    mirror, (turns, blocks), diagonal, qubits = maps
+    # the gauged initial slice; M_g is real, so its imaginary part stays 0
+    # when it starts at 0, and is kept as a second row-block otherwise
+    start = initial.rho_tilde.reshape(-1)[entries] * _PHASES[turns]
+    k = 2 if start.imag.any() else 1
     diag.propagate_s = perf_counter() - clock
-    # sub[lead:lead + size] holds the reachable entries at samples first ..
-    # first + size - 1. The first run starts at the initial state, which
-    # takes no step (lead = 0); every later run keeps the sample before it
-    # in sub[0] (lead = 1). With rows 0 .. done - 1 filled, done = 2^j,
-    # X_j fills the next rows as v + v X_j^T of the first ones.
-    sub = np.empty((min(CHECK_CHUNK + 1, n), len(entries)), dtype=complex)
-    sub[0] = initial.rho_tilde.reshape(-1)[entries]
+    # sub[:, lead:lead + size] holds the reachable entries at samples
+    # first .. first + size - 1. The first run starts at the initial
+    # state, which takes no step (lead = 0); every later run keeps the
+    # sample before it in sub[:, 0] (lead = 1). With rows 0 .. done - 1
+    # filled, done = 2^j, X_j fills the next rows as v + v X_j^T of the
+    # first ones, in each row-block.
+    sub = np.empty((k, min(CHECK_CHUNK + 1, n), len(entries)))
+    sub[:, 0] = (start.real, start.imag)[:k]
     reduced = np.empty((n, 4, 4), dtype=complex)
     series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
     full_states: list[FullState] | None = [] if store_full else None
@@ -671,29 +751,35 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         # that, so the floating-point warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
             for j, x in enumerate(squarings[:(rows - 1).bit_length()]):
-                filled = sub[1 << j:min(2 << j, rows)]
-                np.matmul(sub[:len(filled)], x.T, out=filled)
-                filled += sub[:len(filled)]
+                filled = sub[:, 1 << j:min(2 << j, rows)]
+                done = sub[:, :filled.shape[1]]
+                np.matmul(done, x.T, out=filled)
+                filled += done
         diag.propagate_s += perf_counter() - clock
 
         clock = perf_counter()
-        states = sub[lead:rows]
+        states = sub[:, lead:rows]
         samples = slice(first, first + size)
         checked = _check_samples(states, times[samples], weights, mirror,
-                                 gauge, diagonal, prev_expect_n, diag)
+                                 blocks, diagonal, prev_expect_n, diag)
         prev_expect_n = checked[0][-1]
         for out, values in zip(series, checked):
             out[samples] = values
-        # the mode levels added in order onto 0, as partial_trace_cavity's
-        # einsum adds them (0 + -0.0 is 0.0)
-        reduced[samples] = sum(np.moveaxis(_gather(states, qubits), -1, 0))
+        # the traced entries have as many photons in the row as in the
+        # column, so the gauge leaves them as they are; the mode levels
+        # are added in order onto 0, as partial_trace_cavity's einsum
+        # adds them (0 + -0.0 is 0.0)
+        reduced[samples] = _complex(
+            sum(np.moveaxis(_gather(states, qubits), -1, 0)))
         if full_states is not None:
+            gauged = _complex(states)
             full = np.zeros((size, dim * dim), dtype=complex)
-            full[:, entries] = states
+            full[:, entries] = _complex(
+                _turn(gauged.real, gauged.imag, -turns % 4))
             full_states.extend(map(FullState, full.reshape(-1, dim, dim),
                                    times[samples]))
         diag.check_s += perf_counter() - clock
-        sub[0] = sub[rows - 1]
+        sub[:, 0] = sub[:, rows - 1]
         first, lead = first + size, 1
 
     return Trajectory(times.copy(), reduced, *series, diagnostics=diag,

@@ -91,3 +91,23 @@ def lindblad_rhs(space, params, rho: np.ndarray) -> np.ndarray:
         ld = op.conj().T @ op
         out += rate * (op @ rho @ op.conj().T - 0.5 * (ld @ rho + rho @ ld))
     return out
+
+
+def eleven_kron_liouvillian(space, params) -> np.ndarray:
+    """The generator as the sum of the 11 Kronecker products of its terms,
+    row-major: -i (H x I - I x H^T), and for each nonzero rate
+    rate (L x L* - (L^dag L x I + I x (L^dag L)^T) / 2). The oracle for
+    liouvillian_matrix, which builds it from the effective Hamiltonian.
+    """
+    h = build_hamiltonian(space, params)
+    eye = np.eye(space.dim_total, dtype=complex)
+    m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op, rate in ((annihilation(space), params.gamma_cavity),
+                     (sigma(space, "A", "lower"), params.gamma_a),
+                     (sigma(space, "B", "lower"), params.gamma_b)):
+        if rate == 0.0:
+            continue
+        ld = op.conj().T @ op
+        m += rate * (np.kron(op, op.conj())
+                     - 0.5 * (np.kron(ld, eye) + np.kron(eye, ld.T)))
+    return m

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields
 from types import SimpleNamespace
@@ -6,7 +7,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import lindblad_rhs, random_density_matrix
+from conftest import (
+    eleven_kron_liouvillian,
+    lindblad_rhs,
+    random_density_matrix,
+)
 from pseudomode import (
     FullState,
     IntegrationError,
@@ -251,6 +256,13 @@ def _photon_gauge(rho):
             np.choose(turns, [im, re, -im, -re]))
 
 
+def _hermitian(re, im):
+    """The complex matrices re + i im, built part by part."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _block_minima(rho, blocks, real):
     """Smallest eigenvalue over the diagonal blocks of each of the full
     states rho, with the exact 0 of the basis states no block holds."""
@@ -263,12 +275,22 @@ def _block_minima(rho, blocks, real):
     return np.min(mins, axis=0)
 
 
+def _gauged_block_minima(rho, blocks):
+    """_block_minima of rho in the photon-number gauge: on real symmetric
+    blocks if the gauged states are real, else on Hermitian ones."""
+    re, im = _photon_gauge(rho)
+    if not im.any():
+        return _block_minima(re, blocks, real=True)
+    return _block_minima(_hermitian(re, im), blocks, real=False)
+
+
 def test_slice_checks_equal_the_full_width_values(space3):
-    # hermiticity and each diagonal block are read from the slice; the
-    # full-width matrices give the same bits. States real in the
-    # photon-number gauge take the smallest eigenvalue on the gauged real
-    # blocks, the others on the complex blocks; the two routes agree to
-    # rounding
+    # hermiticity and each diagonal block are read from the gauged slice;
+    # the full-width matrices give the same bits for hermiticity, and the
+    # same bits as their own gauged blocks for the smallest eigenvalue:
+    # real symmetric blocks for states real in the photon-number gauge,
+    # Hermitian ones for the others. Both agree with the complex blocks
+    # of rho to rounding
     params = SystemParams.symmetric(0.2)
     times = np.linspace(0.0, 5.0, 301)
     states = {**_gauge_real_states(space3), **_complex_states(space3)}
@@ -282,24 +304,20 @@ def test_slice_checks_equal_the_full_width_values(space3):
         blocks = diagonal_blocks(entries, space3.dim_total)
         # every test state leaves some basis state untouched: an exact 0
         assert sum(map(len, blocks)) < space3.dim_total, name
-        complex_mins = _block_minima(rho, blocks, real=False)
         real = name.endswith("real")
-        if real:
-            gauged, dropped = _photon_gauge(rho)
-            assert not dropped.any(), name
-            expected = _block_minima(gauged, blocks, real=True)
-        else:
-            expected = complex_mins
-        assert np.array_equal(traj.min_eigenvalue, expected), name
+        assert bool(_photon_gauge(rho)[1].any()) != real, name
+        assert np.array_equal(traj.min_eigenvalue,
+                              _gauged_block_minima(rho, blocks)), name
+        complex_mins = _block_minima(rho, blocks, real=False)
         assert np.abs(traj.min_eigenvalue - complex_mins).max() <= 1e-15
         assert traj.diagnostics.real_block_samples == (
             len(times) if real else 0), name
 
 
-def _assert_min_eigenvalues(traj, init, space, params, real):
+def _assert_min_eigenvalues(traj, init, space, params):
     """The smallest eigenvalue of each sample against two oracles: within
     1e-15 of eigvalsh of the full matrix, and bit for bit that of the
-    diagonal blocks, read as real gauged blocks if `real`, else complex."""
+    diagonal blocks of the full matrix in the photon-number gauge."""
     rho = np.array([s.rho_tilde for s in traj.full_states])
     full = np.linalg.eigvalsh(
         0.5 * (rho + rho.conj().transpose(0, 2, 1)))[:, 0]
@@ -307,49 +325,74 @@ def _assert_min_eigenvalues(traj, init, space, params, real):
     entries = reachable_entries(liouvillian_matrix(space, params),
                                 init.rho_tilde)
     blocks = diagonal_blocks(entries, space.dim_total)
-    if real:
-        rho, dropped = _photon_gauge(rho)
-        assert not dropped.any()
     assert np.array_equal(traj.min_eigenvalue,
-                          _block_minima(rho, blocks, real))
+                          _gauged_block_minima(rho, blocks))
+
+
+def _rates(rates, n_fock):
+    return SystemParams.symmetric(0.2, n_fock=n_fock) if (
+        rates == "symmetric") else SystemParams(
+        omega=0.2, gamma_cavity=0.3, gamma_a=0.3, gamma_b=0.05,
+        n_fock=n_fock)
 
 
 @pytest.mark.parametrize("n_fock", [3, 4])
 @pytest.mark.parametrize("rates", ["symmetric", "asymmetric"])
 def test_gauge_real_states_take_the_real_blocks(n_fock, rates):
     # psi, phi and werner at theta = 0 are real in the photon-number gauge
-    # and so is M, for any rates: every sample takes the real blocks, whose
-    # smallest eigenvalue is the full matrix's up to rounding
+    # and so is M, for any rates: every sample is one real row-block and
+    # takes the real blocks, whose smallest eigenvalue is the full
+    # matrix's up to rounding
     space = build_space(n_fock)
-    params = SystemParams.symmetric(0.2, n_fock=n_fock) if (
-        rates == "symmetric") else SystemParams(
-        omega=0.2, gamma_cavity=0.3, gamma_a=0.3, gamma_b=0.05,
-        n_fock=n_fock)
+    params = _rates(rates, n_fock)
     times = np.linspace(0.0, 8.0, 1203)
     for name, init in _gauge_real_states(space).items():
         traj = evolve(init, space, params, times, store_full=True)
+        assert not _photon_gauge(np.array(
+            [s.rho_tilde for s in traj.full_states]))[1].any(), name
         assert traj.diagnostics.real_block_samples == len(times), name
-        _assert_min_eigenvalues(traj, init, space, params, real=True)
+        _assert_min_eigenvalues(traj, init, space, params)
 
 
 @pytest.mark.parametrize("n_fock", [3, 4])
 def test_complex_states_keep_the_complex_blocks(n_fock):
     # a state that is not real in the gauge (psi, phi and werner at
-    # theta = 0.4; a random raw state) keeps the complex blocks, whose
-    # smallest eigenvalue is the full matrix's up to rounding
+    # theta = 0.4; a random raw state) is propagated as two real
+    # row-blocks, its gauged real and imaginary parts, and takes Hermitian
+    # blocks; no benchmark workload takes this path, so every full-width
+    # oracle is checked here, for symmetric and asymmetric rates: the
+    # smallest eigenvalue, the slice sums, and the states against a
+    # full-width loop of single RK4 steps
     space = build_space(n_fock)
-    params = SystemParams.symmetric(0.2, n_fock=n_fock)
+    weights = number_operator(space).diagonal().real
     times = np.linspace(0.0, 8.0, 401)
-    for name, init in _complex_states(space).items():
-        traj = evolve(init, space, params, times, store_full=True)
-        assert traj.diagnostics.real_block_samples == 0, name
-        _assert_min_eigenvalues(traj, init, space, params, real=False)
+    for rates in ("symmetric", "asymmetric"):
+        params = _rates(rates, n_fock)
+        for name, init in _complex_states(space).items():
+            traj = evolve(init, space, params, times, store_full=True)
+            assert traj.diagnostics.real_block_samples == 0, name
+            _assert_min_eigenvalues(traj, init, space, params)
+            rho = np.array([s.rho_tilde for s in traj.full_states])
+            pops = np.real(rho.diagonal(axis1=1, axis2=2))
+            assert _same_bits(traj.trace_error, np.abs(
+                np.trace(rho, axis1=1, axis2=2) - 1.0)), name
+            assert _same_bits(traj.expect_n,
+                              (pops * weights).sum(axis=1)), name
+            assert _same_bits(traj.sector_leakage,
+                              pops[:, weights > 2].sum(axis=1)), name
+            assert _same_bits(traj.reduced,
+                              partial_trace_cavity(rho, space)), name
+            herm = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(
+                axis=(1, 2))
+            assert np.array_equal(traj.hermiticity_error, herm), name
+            _assert_matches_the_full_width_loop(init, space, params, name)
 
 
 def test_gauge_maps_index_the_diagonal_blocks(space3):
-    # index >> 1 is the position of each block entry in the slice (-1
-    # outside it), and index and sign read the gauged block from the float
-    # view; the oracles are the blocks of diagonal_blocks and the gauge
+    # the turns are those of each slice entry, and each block map holds the
+    # position of each block entry in the slice (-1 outside it), so the
+    # block read from a gauged slice is the gauged block of the full
+    # matrix; the oracles are the blocks of diagonal_blocks and the gauge
     # taken on the full matrix
     dim = space3.dim_total
     m = liouvillian_matrix(space3, SystemParams.symmetric(0.2))
@@ -358,87 +401,28 @@ def test_gauge_maps_index_the_diagonal_blocks(space3):
     for name, init in states.items():
         entries = reachable_entries(m, init.rho_tilde)
         position = {e: i for i, e in enumerate(entries.tolist())}
-        dropped, maps = gauge_maps(entries, space3.n_fock)
-        assert len(dropped) == len(entries)
+        turns, maps = gauge_maps(entries, space3.n_fock)
+        assert np.array_equal(turns, _photon_turns(dim).reshape(-1)[entries])
+        assert np.array_equal(dynamics.photon_turns(space3.n_fock),
+                              _photon_turns(dim).reshape(-1))
         blocks = diagonal_blocks(entries, dim)
         assert len(maps) == len(blocks), name
         # a generic vec(rho) on the slice, not real in any gauge
         v = np.zeros(dim * dim, dtype=complex)
         v[entries] = rng.normal(size=len(entries)) + 1j * rng.normal(
             size=len(entries))
-        parts = v[entries].view(float)
-        gauged, imaginary = _photon_gauge(v.reshape(dim, dim))
-        assert np.array_equal(np.abs(parts[dropped]),
-                              np.abs(imaginary.reshape(-1)[entries])), name
-        for (index, sign), blk in zip(maps, blocks):
-            assert np.array_equal(index >> 1, [
+        gauged = _hermitian(*_photon_gauge(v.reshape(dim, dim)))
+        phased = v[entries] * np.array([1, 1j, -1, -1j])[turns]
+        assert np.array_equal(phased, gauged.reshape(-1)[entries]), name
+        for index, blk in zip(maps, blocks):
+            assert np.array_equal(index, [
                 [position.get(r * dim + c, -1) for c in blk] for r in blk])
-            got = np.where(index < 0, 0.0, parts[index]) * sign
+            got = np.where(index < 0, 0.0, phased[index])
             assert np.array_equal(got, gauged[np.ix_(blk, blk)]), name
-    # the diagonal of rho keeps its real part, multiplied by 1
+    # the diagonal of rho is left as it is
     entries = reachable_entries(m, states["psi"].rho_tilde)
-    dropped, maps = gauge_maps(entries, space3.n_fock)
-    ground = entries.tolist().index(0)
-    assert dropped[ground] == 2 * ground + 1
-    assert maps[0][0][0, 0] == 2 * ground and maps[0][1][0, 0] == 1.0
-
-
-def test_a_generator_bent_off_the_gauge_keeps_the_complex_blocks(
-        space3, monkeypatch):
-    # the route is chosen from the states alone: an imaginary part of one
-    # ulp on one diagonal entry of M gives the states a dropped part, so
-    # the run keeps the complex blocks
-    params = SystemParams.symmetric(0.2)
-    init = make_initial(InitialStateSpec("psi", 0.3), space3)
-    m = liouvillian_matrix(space3, params)
-    entries = reachable_entries(m, init.rho_tilde)
-    bent = m.copy()
-    bent[entries[3], entries[3]] += 1e-16j
-    _generator(monkeypatch, bent)
-    times = np.linspace(0.0, 2.0, 21)
-    traj = evolve(init, space3, params, times)
-    assert traj.diagnostics.real_block_samples == 0
-
-
-def test_a_run_with_a_dropped_part_falls_back_alone(space3):
-    # a sample whose gauged state has an imaginary part sends its own run
-    # of points to the complex blocks and no other run
-    params = SystemParams.symmetric(0.2)
-    init = make_initial(InitialStateSpec("psi", 0.3), space3)
-    times = np.linspace(0.0, 30.0, 3 * C)
-    m = liouvillian_matrix(space3, params)
-    entries = reachable_entries(m, init.rho_tilde)
-    mirror = slice_maps(entries, space3.dim_total)
-    gauge = gauge_maps(entries, space3.n_fock)
-    diagonal, _ = gather_maps(entries, space3.n_fock)
-    weights = number_operator(space3).diagonal().real
-    rho = np.array([s.rho_tilde for s in evolve(
-        init, space3, params, times, store_full=True).full_states])
-    # a hermitian imaginary part on the coherence of |00,0> and |11,0>,
-    # both without photons, so the gauge leaves it imaginary
-    low, top = space3.flat_index(0, 0, 0), space3.flat_index(1, 1, 0)
-    rho[C + 40, low, top] += 1e-12j
-    rho[C + 40, top, low] -= 1e-12j
-    flat = rho.reshape(len(rho), -1)[:, entries]
-    diag, prev, mins = IntegrationDiagnostics(), math.inf, []
-    for lo in range(0, len(flat), C):
-        checked = _check_samples(
-            flat[lo:lo + C], times[lo:lo + C], weights, mirror, gauge,
-            diagonal, prev, diag)
-        prev = checked[0][-1]
-        mins.append(checked[3])
-    assert diag.real_block_samples == 2 * C
-    # the oracles: eigvalsh of the complex and of the gauged real blocks
-    # of the full matrices
-    blocks = diagonal_blocks(entries, space3.dim_total)
-    complex_mins = _block_minima(rho, blocks, real=False).reshape(3, C)
-    real_mins = _block_minima(_photon_gauge(rho)[0], blocks,
-                              real=True).reshape(3, C)
-    assert np.array_equal(mins[1], complex_mins[1])
-    for run in (0, 2):
-        assert np.array_equal(mins[run], real_mins[run])
-        assert not np.array_equal(mins[run], complex_mins[run])
-        assert np.abs(mins[run] - complex_mins[run]).max() <= 1e-15
+    turns, maps = gauge_maps(entries, space3.n_fock)
+    assert not turns[np.isin(entries, np.arange(dim) * (dim + 1))].any()
 
 
 def _same_bits(a, b):
@@ -492,11 +476,33 @@ def test_positivity_reads_entries_outside_the_slice_as_zero(space3):
     m = liouvillian_matrix(space3, params)
     assert not m.any()
     _, blocks = gauge_maps(reachable_entries(m, rho), space3.n_fock)
-    assert (blocks[0][0] < 0).sum() == 2
+    assert (blocks[0] < 0).sum() == 2
     traj = evolve(FullState(rho), space3, params, np.linspace(0.0, 1.0, 3))
     low = np.linalg.eigvalsh(rho)[0]
     assert EIG_FLOOR < low < -4e-9
     assert np.abs(traj.min_eigenvalue - low).max() <= 1e-15
+
+
+def _assert_matches_the_full_width_loop(init, space, params, name):
+    """The states on np.linspace(0, 4, 41) against a full-width loop of
+    single RK4 steps, 100 a sample: within 1e-12, and every entry the
+    initial state cannot reach exactly 0."""
+    m = liouvillian_matrix(space, params)
+    times = np.linspace(0.0, 4.0, 41)
+    n_sub = 100
+    step = rk4_step_matrix(m, (times[1] - times[0]) / n_sub)
+    outside = np.setdiff1d(np.arange(len(m)),
+                           reachable_entries(m, init.rho_tilde))
+    sampled = evolve(init, space, params, times, store_full=True).full_states
+    v = init.rho_tilde.reshape(-1)
+    worst = 0.0
+    for state in sampled[1:]:
+        for _ in range(n_sub):
+            v = step @ v
+        got = state.rho_tilde.reshape(-1)
+        worst = max(worst, float(np.abs(got - v).max()))
+        assert not got[outside].any(), name
+    assert worst <= 1e-12, name
 
 
 @pytest.mark.parametrize("n_fock", [3, 4])
@@ -506,24 +512,8 @@ def test_sliced_evolution_matches_the_full_width_loop(n_fock):
     # returned states is exactly 0
     space = build_space(n_fock)
     params = SystemParams.symmetric(0.2, n_fock=n_fock)
-    m = liouvillian_matrix(space, params)
-    times = np.linspace(0.0, 4.0, 41)
-    n_sub = 100
-    step = rk4_step_matrix(m, (times[1] - times[0]) / n_sub)
     for name, init in _test_states(space).items():
-        outside = np.setdiff1d(np.arange(len(m)),
-                               reachable_entries(m, init.rho_tilde))
-        sampled = evolve(init, space, params, times,
-                         store_full=True).full_states
-        v = init.rho_tilde.reshape(-1)
-        worst = 0.0
-        for state in sampled[1:]:
-            for _ in range(n_sub):
-                v = step @ v
-            got = state.rho_tilde.reshape(-1)
-            worst = max(worst, float(np.abs(got - v).max()))
-            assert not got[outside].any(), name
-        assert worst <= 1e-12, name
+        _assert_matches_the_full_width_loop(init, space, params, name)
 
 
 def test_positivity_per_block_matches_full_eigvalsh(space3):
@@ -601,10 +591,10 @@ def checked_slices(monkeypatch):
     calls = []
     check = dynamics._check_samples
 
-    def recording(sub, times, weights, mirror, gauge, diagonal,
+    def recording(sub, times, weights, mirror, blocks, diagonal,
                   prev_expect_n, diag):
         calls.append((times.copy(), prev_expect_n))
-        return check(sub, times, weights, mirror, gauge, diagonal,
+        return check(sub, times, weights, mirror, blocks, diagonal,
                      prev_expect_n, diag)
 
     monkeypatch.setattr(dynamics, "_check_samples", recording)
@@ -740,13 +730,15 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
                for p in map(SystemParams.symmetric, (0.0, 0.2))]
     assert nonzero[0] < nonzero[1]
     # the generator, entries, mirror, diagonal and two-qubit gathers,
-    # propagator and its squarings
+    # propagator and its squarings; the generator and the products are
+    # real, in the photon-number gauge
     arrays = [v for v in shared.values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 7
-    # the gauge maps: dropped parts, and an index and a sign per block
-    dropped, blocks = shared["gauge"]
-    gauged = [dropped] + [a for pair in blocks for a in pair]
-    for a in arrays + gauged:
+    for k in ("m", "prop", "squarings"):
+        assert shared[k].dtype == np.float64, k
+    # the gauge maps: the entries' turns, and a position map per block
+    turns, blocks = shared["gauge"]
+    for a in arrays + [turns, *blocks]:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
 
@@ -775,6 +767,66 @@ def test_a_failing_trace_law_leaves_shared_as_it_was(space3, monkeypatch):
     _assert_same_trajectory(
         evolve(psi, space3, broken, times, store_full=True, shared=shared),
         evolve(psi, space3, broken, times, store_full=True))
+
+
+def test_a_generator_bent_off_the_gauge_fails_at_the_initial_time(
+        space3, monkeypatch, builds):
+    # an imaginary part of 1e-16 on one diagonal entry of M keeps the
+    # trace law but leaves M complex in the photon-number gauge: the build
+    # fails at the initial time with that part, before any step, leaves
+    # the dict untouched, and fails again on a repeat of its call
+    params = SystemParams.symmetric(0.2)
+    psi = make_initial(InitialStateSpec("psi", 0.3), space3)
+    times = np.linspace(0.5, 2.5, 21)
+    shared = {}
+    evolve(FullState(psi.rho_tilde, 0.5), space3, params, times,
+           shared=shared)
+    before = dict(shared)
+    m = liouvillian_matrix(space3, params)
+    entries = reachable_entries(m, psi.rho_tilde)
+    bent = m.copy()
+    bent[entries[3], entries[3]] += 1e-16j
+    _generator(monkeypatch, bent)
+    builds.steps.clear()
+    broken = SystemParams.symmetric(0.3)
+    for _ in range(2):
+        with pytest.raises(IntegrationError) as err:
+            evolve(FullState(psi.rho_tilde, 0.5), space3, broken, times,
+                   shared=shared)
+        assert (err.value.invariant, err.value.time, err.value.value,
+                err.value.limit) == ("gauge", 0.5, 1e-16, 0.0)
+        assert shared.keys() == before.keys()
+        assert all(shared[k] is v for k, v in before.items())
+    assert builds.steps == []
+
+
+@pytest.mark.parametrize("n_fock", [1, 2, 3, 4, 5, 6])
+def test_every_generator_is_real_in_the_gauge(n_fock):
+    # H only trades a photon for a qubit excitation and each jump operator
+    # moves at most one photon, so i^(t_k - t_l) M[k, l] is real, exactly,
+    # with t the photon turns of each entry of vec(rho); on the whole grid
+    # of rates and couplings, symmetric and asymmetric, at every n_fock.
+    # The generator built from the effective Hamiltonian stays within
+    # 1e-15 max|M| of the sum of its 11 Kronecker products (n_fock <= 4),
+    # and its trace-law measure within 1 unit of eps max|M|
+    space = build_space(n_fock)
+    turns = _photon_turns(space.dim_total).reshape(-1)
+    phase = np.array([1, 1j, -1, -1j])[turns]
+    eps = np.finfo(float).eps
+    for gamma_s, gamma_cavity, omega, ratio in itertools.product(
+            (0.0, 0.02, 0.2, 2.0, 2000.0), (0.0, math.sqrt(0.05), 1.0, 100.0),
+            (0.0, 0.2, 3.3, -1.7), (1.0, 0.3)):
+        params = SystemParams(omega=omega, gamma_cavity=gamma_cavity,
+                              gamma_a=gamma_s, gamma_b=ratio * gamma_s,
+                              n_fock=n_fock)
+        m = liouvillian_matrix(space, params)
+        assert not (phase[:, None] * m * phase.conj()).imag.any(), params
+        scale = np.abs(m).max()
+        law = np.abs(m[::space.dim_total + 1].sum(axis=0)).max()
+        assert law <= eps * scale, params
+        if n_fock <= 4:
+            oracle = eleven_kron_liouvillian(space, params)
+            assert np.abs(m - oracle).max() <= 1e-15 * scale, params
 
 
 def test_interval_propagator_matches_a_generic_step_loop():
@@ -892,34 +944,43 @@ def test_chunked_checks_report_the_per_sample_first_violation(
     # the slices of points evolve checks, with <N> carried from one to the
     # next; the slice of vec(rho) is the states' support with its
     # transpose, so every planted entry lies inside it and the entries
-    # outside are exactly 0
+    # outside are exactly 0. The runs are read in the photon-number gauge
+    # twice: as the fewest row-blocks that hold each run (its real part
+    # alone where its imaginary part is 0), and as two row-blocks each
     rho = np.array(states)
     flat = rho.reshape(len(rho), -1)
     support = (flat != 0).any(axis=0)
     support |= support.reshape(space3.dim_total, -1).T.reshape(-1)
     entries = np.flatnonzero(support)
     mirror = slice_maps(entries, space3.dim_total)
-    gauge = gauge_maps(entries, space3.n_fock)
+    _, blocks = gauge_maps(entries, space3.n_fock)
     diagonal, _ = gather_maps(entries, space3.n_fock)
     weights = number_operator(space3).diagonal().real
+    gauged = np.stack([part.reshape(len(rho), -1)[:, entries]
+                       for part in _photon_gauge(rho)])
     kinds = _record_eigvalsh_kinds(monkeypatch)
-    prev_expect_n = math.inf
-    with pytest.raises(IntegrationError) as err:
-        for lo in range(0, len(rho), C):
-            prev_expect_n = _check_samples(
-                flat[lo:lo + C, entries], times[lo:lo + C], weights, mirror,
-                gauge, diagonal, prev_expect_n,
-                IntegrationDiagnostics())[0][-1]
-    assert (err.value.invariant, err.value.time) == expected
-    # the first run holds no plant; the gauge-real plant keeps its run on
-    # the real blocks, and a run holding a non-finite state takes the
-    # complex blocks on the states before it
-    assert kinds[0] == "f"
-    plants = CHUNK_CASES[case].values()
-    if _negative_gauge_real in plants:
-        assert kinds[-1] == "f"
-    if _nan in plants:
-        assert kinds[-1] == "c"
+    for fewest in (True, False):
+        kinds.clear()
+        prev_expect_n = math.inf
+        with pytest.raises(IntegrationError) as err:
+            for lo in range(0, len(rho), C):
+                run = gauged[:, lo:lo + C]
+                if fewest and not run[1].any():
+                    run = run[:1]
+                prev_expect_n = _check_samples(
+                    run, times[lo:lo + C], weights, mirror, blocks,
+                    diagonal, prev_expect_n, IntegrationDiagnostics())[0][-1]
+        assert (err.value.invariant, err.value.time) == expected, fewest
+        if not fewest:
+            assert set(kinds) == {"c"}
+            continue
+        # the first run holds no plant and is real in the gauge; the run
+        # that fails is real there unless a plant moved it off
+        assert kinds[0] == "f"
+        real = (_negative_gauge_real, _short_trace, _nan)
+        assert kinds[-1] == ("f" if all(
+            isinstance(plant, int) or plant in real
+            for plant in CHUNK_CASES[case].values()) else "c")
 
 
 def _record_eigvalsh_kinds(monkeypatch):
@@ -1086,6 +1147,21 @@ class TestEvolveValidation:
             evolve(init, space3, params, [0.0, 1.0], step_size=5e-324)
         assert dynamics.interval_steps(1.0, 1e-308) == math.ceil(1e308)
 
+    def test_times_spanning_beyond_the_float_range(self, space3):
+        # times[-1] - times[0] overflows to inf: rejected for its span,
+        # before np.diff or np.linspace could warn (the suite turns
+        # RuntimeWarning into an error), also for an initial time far
+        # from the first sample
+        params = SystemParams.symmetric(0.1)
+        rho = make_initial(InitialStateSpec("psi", 0.5), space3).rho_tilde
+        with pytest.raises(ValueError, match="span"):
+            evolve(FullState(rho, -1e308), space3, params, [-1e308, 1e308])
+        with pytest.raises(ValueError, match="span"):
+            evolve(FullState(rho, -1e308), space3, params,
+                   [-1e308, 0.0, 1e308])
+        with pytest.raises(ValueError, match="start at the initial"):
+            evolve(FullState(rho, -1e308), space3, params, [1e308])
+
     def test_times_must_be_evenly_spaced_from_the_initial_time(self, space3):
         params = SystemParams.symmetric(0.1)
         init = make_initial(InitialStateSpec("psi", 0.5), space3)
@@ -1171,9 +1247,9 @@ def test_overflow_past_an_unstable_step_reports_the_first_violation(
         evolve(init, space3, params, times, step_size=1.0)
     assert (err.value.invariant, err.value.time) == ("positivity", 1.0)
     # the whole first run of CHECK_CHUNK samples is propagated, so it
-    # holds the overflowed states, and its violation is read on the
-    # complex blocks of psi (see CHUNK_CASES)
-    assert kinds == ["c", "c"]
+    # holds the overflowed states; psi at theta = 0 is one real row-block,
+    # so its violation is read on the real blocks of psi
+    assert kinds == ["f", "f"]
     # one step a sample at gamma_s = 2000: the last finite states of the
     # run come within a factor 2 of the largest float, where the checks'
     # own sums and the blocks' symmetric parts must not overflow into an
