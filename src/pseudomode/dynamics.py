@@ -65,7 +65,13 @@ its squarings depend only on (space, params, h, n) and the initial
 state's nonzero pattern, so calls that share these share one build:
 evolve takes a dict that keeps the builds of the last such key (a sweep
 passes one per run, so each gamma_s builds once), and a direct call
-builds into a fresh one.
+builds into a fresh one. What depends on n_fock alone is built once per
+n_fock and kept for the process (operators.operator_tables): the
+excitation weight of each basis state, which evolve and
+check_fock_cutoff read, the three jump operators with their L^dag L, and
+the coupling (sp_A + sp_B) a that build_hamiltonian scales by omega. These
+arrays are read-only and shared by every caller; liouvillian_matrix builds
+no operator of its own.
 """
 from __future__ import annotations
 
@@ -83,10 +89,9 @@ from .entanglement import partial_trace_cavity  # noqa: F401
 from .operators import (
     CompositeSpace,
     SystemParams,
-    annihilation,
+    _read_only,
     build_hamiltonian,
-    number_operator,
-    sigma,
+    operator_tables,
 )
 
 # Invariant tolerances for accepted states during integration.
@@ -206,12 +211,6 @@ class Trajectory:
         return len(self.times)
 
 
-def _collapse_ops(space: CompositeSpace, params: SystemParams):
-    yield annihilation(space), params.gamma_cavity
-    yield sigma(space, "A", "lower"), params.gamma_a
-    yield sigma(space, "B", "lower"), params.gamma_b
-
-
 def liouvillian_matrix(space: CompositeSpace,
                        params: SystemParams) -> np.ndarray:
     """Generator M with vec(d rho/dt) = M vec(rho), row-major vectorization.
@@ -219,18 +218,30 @@ def liouvillian_matrix(space: CompositeSpace,
     With vec(A rho B) = (A kron B^T) vec(rho) and the non-Hermitian
     effective Hamiltonian K = -i H - 1/2 sum_L rate L^dag L, so that
     d rho/dt = K rho + rho K^dag + sum_L rate L rho L^dag,
-    M = K kron I + I kron K* + sum_L rate L kron L*.
+    M = K kron I + I kron K* + sum_L rate L kron L*. Each Kronecker product
+    A kron B is formed as the broadcast product A[i, k] B[j, l] at entry
+    (i d + j, k d + l), which is how np.kron forms it, into one buffer.
     """
-    jumps = [(op, rate) for op, rate in _collapse_ops(space, params)
-             if rate != 0.0]
+    d = space.dim_total
+    rates = (params.gamma_cavity, params.gamma_a, params.gamma_b)
+    jumps = [(op, ld, rate) for (op, ld), rate
+             in zip(operator_tables(space.n_fock).jumps, rates) if rate != 0.0]
     k = -1j * build_hamiltonian(space, params)
-    for op, rate in jumps:
-        k -= 0.5 * rate * (op.conj().T @ op)
-    eye = np.eye(space.dim_total)
-    m = np.kron(k, eye) + np.kron(eye, k.conj())
-    for op, rate in jumps:
-        m += rate * np.kron(op, op.conj())
-    return m
+    for _, ld, rate in jumps:
+        k -= 0.5 * rate * ld
+    eye = np.eye(d)
+
+    def kron(a, b, out=None):
+        return np.multiply(a[:, None, :, None], b[None, :, None, :], out=out)
+
+    m = kron(k, eye)
+    term = kron(eye, k.conj())
+    m += term
+    for op, _, rate in jumps:
+        kron(op, op.conj(), out=term)
+        term *= rate
+        m += term
+    return m.reshape(d * d, d * d)
 
 
 def rk4_step_matrix(m: np.ndarray, h: float) -> np.ndarray:
@@ -256,7 +267,7 @@ def check_fock_cutoff(initial: FullState, space: CompositeSpace) -> None:
     operator changes the physics without breaking any monitored invariant.
     """
     pops = np.real(np.diagonal(initial.rho_tilde))
-    occupied = number_operator(space).diagonal().real[pops > OCCUPATION_TOL]
+    occupied = operator_tables(space.n_fock).weights[pops > OCCUPATION_TOL]
     top = int(occupied.max()) if occupied.size else 0
     if top > space.n_fock - 1:
         raise ValueError(
@@ -470,12 +481,6 @@ def interval_propagator(m: np.ndarray, h: float, n_sub: int,
         n_sub >>= 1
         if not n_sub:
             return eye + acc
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
 
 
 def _builds(space: CompositeSpace, params: SystemParams, h: float,
@@ -740,7 +745,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     reduced = np.empty((n, 4, 4), dtype=complex)
     series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
     full_states: list[FullState] | None = [] if store_full else None
-    weights = number_operator(space).diagonal().real
+    weights = operator_tables(space.n_fock).weights
     prev_expect_n = math.inf
     first, lead = 0, 0
     while first < n:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,8 +154,44 @@ def number_operator(space: CompositeSpace) -> OperatorMatrix:
     Built directly from the basis labels so the eigenvalues are exact
     integers (a_dag @ a would carry sqrt(n)**2 rounding).
     """
-    weights = [sum(space.unflatten(k)) for k in range(space.dim_total)]
-    return np.diag(np.array(weights, dtype=complex))
+    return np.diag(operator_tables(space.n_fock).weights.astype(complex))
+
+
+class OperatorTables(NamedTuple):
+    """Operators of one mode truncation that depend on nothing else.
+
+    weights   (dim,) total excitation number i_a + i_b + n of each basis
+              state, exact integers as floats
+    jumps     (L, L^dag L) for the collapse operators a, sm_A and sm_B, in
+              that order
+    coupling  (sp_A + sp_B) a, the half of H / omega that absorbs a photon
+    """
+
+    weights: np.ndarray
+    jumps: tuple[tuple[OperatorMatrix, OperatorMatrix], ...]
+    coupling: OperatorMatrix
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=8)
+def operator_tables(n_fock: int) -> OperatorTables:
+    """The OperatorTables of build_space(n_fock), built once per n_fock and
+    shared by every caller, so every array is read-only."""
+    space = build_space(n_fock)
+    flat = np.arange(space.dim_total)
+    # flat = i_a (2 n_fock) + i_b n_fock + n_photon
+    weights = flat // (2 * n_fock) + flat // n_fock % 2 + flat % n_fock
+    a = annihilation(space)
+    jumps = tuple((_read_only(op), _read_only(op.conj().T @ op))
+                  for op in (a, sigma(space, "A", "lower"),
+                             sigma(space, "B", "lower")))
+    sp = sigma(space, "A", "raise") + sigma(space, "B", "raise")
+    return OperatorTables(weights=_read_only(weights.astype(float)),
+                          jumps=jumps, coupling=_read_only(sp @ a))
 
 
 def build_hamiltonian(space: CompositeSpace, params: SystemParams) -> OperatorMatrix:
@@ -164,7 +202,5 @@ def build_hamiltonian(space: CompositeSpace, params: SystemParams) -> OperatorMa
     """
     if params.n_fock != space.n_fock:
         raise ValueError("params.n_fock does not match the space")
-    a = annihilation(space)
-    sp = sigma(space, "A", "raise") + sigma(space, "B", "raise")
-    half = params.omega * (sp @ a)
+    half = params.omega * operator_tables(space.n_fock).coupling
     return half + half.conj().T

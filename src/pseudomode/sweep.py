@@ -65,6 +65,9 @@ DUAL_PATH_TOL = 1e-10
 
 DEFAULT_ESD_THRESHOLD = 1e-6
 
+# errors that fail one cell, not the sweep
+CELL_ERRORS = (IntegrationError, ValueError, ArithmeticError, OSError)
+
 # Most rows the rows CSV writer formats at once: bounds the strings it
 # holds (besides one cell's times), while values that recur within the
 # rows are formatted once.
@@ -96,6 +99,13 @@ class SweepConfig:
     initial_state_path: str | None = None
 
     def validate(self) -> None:
+        self._prepare()
+
+    def _prepare(self) -> tuple[list[SystemParams], list[FullState] | None]:
+        """Validate the config; return the parameters of each resolved
+        gamma_s and, for a built-in family, the initial state of each
+        alpha2, in grid order (None for a raw state file, which is loaded
+        only when the sweep runs)."""
         if len(self.alpha2_grid) == 0:
             raise ValueError("alpha2_grid must be non-empty")
         if len(self.gamma_s_list) == 0:
@@ -113,19 +123,23 @@ class SweepConfig:
         # detect_esd_intervals rejects the same thresholds
         if not (math.isfinite(self.esd_threshold) and self.esd_threshold >= 0):
             raise ValueError("esd_threshold must be finite and >= 0")
+        params = []
         for gamma_s in self.resolved_gamma_s():
             if not (math.isfinite(gamma_s) and gamma_s >= 0):
                 raise ValueError(f"gamma_s must be finite and >= 0, got "
                                  f"{gamma_s:g} in gamma0 units")
             # constructing the parameters validates the other rates and n_fock
-            self.system_params(gamma_s)
-        if self.initial_state_path is None:
-            # constructing a spec validates family/alpha2/theta/r ranges
-            space = build_space(self.n_fock)
-            for alpha2 in self.alpha2_grid:
-                spec = InitialStateSpec(self.family, alpha2, self.theta,
-                                        self.r)
-                check_fock_cutoff(make_initial(spec, space), space)
+            params.append(self.system_params(gamma_s))
+        if self.initial_state_path is not None:
+            return params, None
+        # constructing a spec validates family/alpha2/theta/r ranges
+        space = build_space(self.n_fock)
+        initials = []
+        for alpha2 in self.alpha2_grid:
+            spec = InitialStateSpec(self.family, alpha2, self.theta, self.r)
+            initials.append(make_initial(spec, space))
+            check_fock_cutoff(initials[-1], space)
+        return params, initials
 
     def resolved_gamma_s(self) -> tuple[float, ...]:
         """gamma_s values converted to gamma0 units."""
@@ -191,13 +205,6 @@ class SweepResult:
                        cell.trace_error[i], cell.min_eigenvalue[i], cell.path)
 
 
-def _cell_initial(config: SweepConfig, alpha2: float, space) -> FullState:
-    if config.initial_state_path is not None:
-        return load_raw_state(config.initial_state_path)
-    spec = InitialStateSpec(config.family, alpha2, config.theta, config.r)
-    return make_initial(spec, space)
-
-
 def _cell_concurrence(traj: Trajectory) -> tuple[np.ndarray, np.ndarray,
                                                  np.ndarray, str]:
     """Concurrence series plus branch values and the path used.
@@ -218,11 +225,16 @@ def _cell_concurrence(traj: Trajectory) -> tuple[np.ndarray, np.ndarray,
     return conc, np.full(n, math.nan), np.full(n, math.nan), "general"
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_cell(config: SweepConfig, gamma_s: float, alpha2: float,
-              shared: dict) -> CellResult:
-    """Evolve one cell, reusing the builds in `shared` (see evolve). gamma_s
-    arrives already in gamma0 units."""
-    times = config.times()
+              initial: FullState | str, params: SystemParams,
+              times: np.ndarray, shared: dict) -> CellResult:
+    """Evolve one cell from `initial`, reusing the builds in `shared` (see
+    evolve); an initial state that could not be loaded arrives as its
+    error text. gamma_s arrives already in gamma0 units."""
     empty = np.empty(0)
 
     def failed(msg: str) -> CellResult:
@@ -231,14 +243,14 @@ def _run_cell(config: SweepConfig, gamma_s: float, alpha2: float,
                           trace_error=empty, min_eigenvalue=empty,
                           path="none", error=msg)
 
+    if isinstance(initial, str):
+        return failed(initial)
     try:
-        space = build_space(config.n_fock)
-        initial = _cell_initial(config, alpha2, space)
-        traj = evolve(initial, space, config.system_params(gamma_s), times,
+        traj = evolve(initial, build_space(config.n_fock), params, times,
                       step_size=config.step_size, shared=shared)
         conc, c1, c2, path = _cell_concurrence(traj)
-    except (IntegrationError, ValueError, ArithmeticError, OSError) as exc:
-        return failed(f"{type(exc).__name__}: {exc}")
+    except CELL_ERRORS as exc:
+        return failed(_error_text(exc))
     return CellResult(
         gamma_s=gamma_s, alpha2=alpha2, times=traj.times,
         concurrence=conc, c1=c1, c2=c2,
@@ -251,19 +263,28 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Evolve every (gamma_s, alpha2) cell and collect concurrence rows.
 
     A cell whose integration breaks an invariant is marked failed (its error
-    recorded, its rows omitted); the remaining cells still complete. The
-    cells of one gamma_s share one generator and propagator build, through
-    a dict that lives for this call only.
+    recorded, its rows omitted); the remaining cells still complete. Each
+    alpha2's initial state is built once, or the raw state file loaded
+    once, and serves every gamma_s; a raw file that cannot be loaded fails
+    every cell with its error. The cells of one gamma_s share one
+    generator and propagator build, through a dict that lives for this
+    call only.
     """
-    config.validate()
+    params, initials = config._prepare()
     alpha2_values: tuple[float, ...]
     if config.initial_state_path is not None:
         alpha2_values = (math.nan,)
+        try:
+            initials = [load_raw_state(config.initial_state_path)]
+        except CELL_ERRORS as exc:
+            initials = [_error_text(exc)]
     else:
         alpha2_values = config.alpha2_grid
+    times = config.times()
     shared: dict = {}
-    cells = [_run_cell(config, gs, a2, shared)
-             for gs in config.resolved_gamma_s() for a2 in alpha2_values]
+    cells = [_run_cell(config, gs, a2, initial, p, times, shared)
+             for gs, p in zip(config.resolved_gamma_s(), params)
+             for a2, initial in zip(alpha2_values, initials)]
     return SweepResult(config=config, cells=cells)
 
 

@@ -111,3 +111,25 @@ def eleven_kron_liouvillian(space, params) -> np.ndarray:
         m += rate * (np.kron(op, op.conj())
                      - 0.5 * (np.kron(ld, eye) + np.kron(eye, ld.T)))
     return m
+
+
+def _collapse_ops(space, params):
+    yield annihilation(space), params.gamma_cavity
+    yield sigma(space, "A", "lower"), params.gamma_a
+    yield sigma(space, "B", "lower"), params.gamma_b
+
+
+def kron_liouvillian(space, params) -> np.ndarray:
+    """The generator as the np.kron sum of liouvillian_matrix's terms, on
+    operators made afresh: the reference whose every bit the broadcast
+    build from the operator tables must keep."""
+    jumps = [(op, rate) for op, rate in _collapse_ops(space, params)
+             if rate != 0.0]
+    k = -1j * build_hamiltonian(space, params)
+    for op, rate in jumps:
+        k -= 0.5 * rate * (op.conj().T @ op)
+    eye = np.eye(space.dim_total)
+    m = np.kron(k, eye) + np.kron(eye, k.conj())
+    for op, rate in jumps:
+        m += rate * np.kron(op, op.conj())
+    return m

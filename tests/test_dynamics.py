@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from conftest import (
     eleven_kron_liouvillian,
+    kron_liouvillian,
     lindblad_rhs,
     random_density_matrix,
 )
@@ -827,6 +828,27 @@ def test_every_generator_is_real_in_the_gauge(n_fock):
         if n_fock <= 4:
             oracle = eleven_kron_liouvillian(space, params)
             assert np.abs(m - oracle).max() <= 1e-15 * scale, params
+
+
+@pytest.mark.parametrize("n_fock", range(1, 7))
+def test_liouvillian_keeps_every_bit_of_the_kron_build(n_fock):
+    # the broadcast products and the operator tables take the same
+    # products and sums in the same order as np.kron on fresh operators,
+    # so M keeps its bits, signed zeros included, also with zero rates
+    rng = np.random.default_rng(n_fock)
+    space = build_space(n_fock)
+    draws = [np.zeros(4), np.full(4, 0.5)] + [
+        rng.uniform(0.0, 3.0, 4) * (rng.random(4) < 0.7)
+        * 10.0 ** rng.integers(-2, 4) for _ in range(30)]
+    for i, (omega, gamma_cavity, gamma_a, gamma_b) in enumerate(draws):
+        params = SystemParams(omega=omega * (-1) ** i,
+                              gamma_cavity=gamma_cavity, gamma_a=gamma_a,
+                              gamma_b=gamma_b, n_fock=n_fock)
+        m = liouvillian_matrix(space, params)
+        reference = kron_liouvillian(space, params)
+        assert m.dtype == reference.dtype and m.shape == reference.shape
+        assert np.array_equal(m.view(np.int64), reference.view(np.int64)), (
+            params)
 
 
 def test_interval_propagator_matches_a_generic_step_loop():

@@ -10,6 +10,7 @@ from pseudomode.operators import (
     build_space,
     creation,
     number_operator,
+    operator_tables,
     pauli_y,
     sigma,
 )
@@ -98,6 +99,52 @@ def test_number_operator(space3):
         i_a, i_b, n = space3.unflatten(flat)
         assert diag[flat] == i_a + i_b + n
     assert np.abs(n_op - np.diag(np.diag(n_op))).max() == 0.0
+
+
+@pytest.mark.parametrize("n_fock", range(1, 9))
+def test_number_operator_matches_the_label_loop(n_fock):
+    space = build_space(n_fock)
+    weights = [sum(space.unflatten(k)) for k in range(space.dim_total)]
+    expected = np.diag(np.array(weights, dtype=complex))
+    n_op = number_operator(space)
+    assert n_op.dtype == expected.dtype
+    assert np.array_equal(n_op.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(operator_tables(n_fock).weights, weights)
+
+
+@pytest.mark.parametrize("n_fock", [1, 3, 5])
+def test_operator_tables(n_fock):
+    # built once per n_fock, from the same operators a fresh build makes,
+    # and read-only, because every caller shares them
+    space = build_space(n_fock)
+    tables = operator_tables(n_fock)
+    assert operator_tables(n_fock) is tables
+    ops = (annihilation(space), sigma(space, "A", "lower"),
+           sigma(space, "B", "lower"))
+    assert len(tables.jumps) == len(ops)
+    for (op, ld), expected in zip(tables.jumps, ops):
+        assert np.array_equal(op, expected)
+        assert np.array_equal(ld, expected.conj().T @ expected)
+    a = annihilation(space)
+    sp = sigma(space, "A", "raise") + sigma(space, "B", "raise")
+    assert np.array_equal(tables.coupling, sp @ a)
+    arrays = [tables.weights, tables.coupling] + [
+        x for pair in tables.jumps for x in pair]
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x[(0,) * x.ndim] = 7.0
+    assert np.array_equal(operator_tables(n_fock).weights,
+                          number_operator(space).diagonal().real)
+
+
+def test_hamiltonian_keeps_the_bits_of_the_operator_product(space3):
+    a = annihilation(space3)
+    sp = sigma(space3, "A", "raise") + sigma(space3, "B", "raise")
+    for omega in (0.2, -1.7, 3.3e-5, 0.0):
+        half = omega * (sp @ a)
+        expected = half + half.conj().T
+        h = build_hamiltonian(space3, SystemParams.symmetric(0.1, omega))
+        assert np.array_equal(h.view(np.int64), expected.view(np.int64))
 
 
 def test_hamiltonian_elements(space3):

@@ -196,6 +196,61 @@ class TestRunSweep:
                                   (cell.min_eigenvalue, traj.min_eigenvalue)]:
                 assert np.array_equal(got, expected, equal_nan=True)
 
+    def test_initial_states_are_made_once_per_sweep(self, monkeypatch,
+                                                     tmp_path, space3):
+        # each alpha2's state is built once, and a raw file loaded once,
+        # for every gamma_s and for the validation; the cells are those
+        # of the same state evolved on its own
+        calls = {"make_initial": 0, "load_raw_state": 0}
+        for name in calls:
+            def counting(*args, _name=name, _call=getattr(sweep, name)):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(sweep, name, counting)
+        result = run_sweep(SMALL)  # 2 gamma_s x 3 alpha2
+        assert len(result.cells) == 6 and not result.failed
+        assert calls == {"make_initial": 3, "load_raw_state": 0}
+
+        raw = tmp_path / "state.txt"
+        save_raw_state(make_initial(InitialStateSpec("psi", 0.4), space3),
+                       str(raw))
+        calls.update(make_initial=0)
+        result = run_sweep(replace(SMALL, initial_state_path=str(raw)))
+        assert calls == {"make_initial": 0, "load_raw_state": 1}
+        assert len(result.cells) == 2 and not result.failed
+        family = run_sweep(replace(SMALL, alpha2_grid=(0.4,)))
+        for cell, same in zip(result.cells, family.cells):
+            assert math.isnan(cell.alpha2) and cell.gamma_s == same.gamma_s
+            assert np.array_equal(cell.concurrence, same.concurrence)
+
+    @pytest.mark.parametrize("content", ["144\n1 0\n", None])
+    def test_unloadable_raw_state_fails_every_cell(self, tmp_path, capsys,
+                                                   content):
+        # a file that cannot be loaded fails each cell with its own error,
+        # and the CLI lists them all and exits 1
+        raw = tmp_path / "state.txt"
+        if content is None:
+            expected = ("FileNotFoundError: [Errno 2] No such file or "
+                        f"directory: '{raw}'")
+        else:
+            raw.write_text(content)
+            expected = (f"ValueError: {raw}: expected 20736 entry lines "
+                        "for dimension 144, found 1")
+        cfg = replace(SMALL, initial_state_path=str(raw))
+        result = run_sweep(cfg)
+        assert [c.error for c in result.cells] == [expected] * 2
+        assert [c.gamma_s for c in result.cells] == [0.0, 0.2]
+        assert all(len(c.times) == 0 for c in result.cells)
+        out = tmp_path / "rows.csv"
+        rc = main(["--initial-state-file", str(raw), "--gamma-s", "0.0,0.2",
+                   "--rate-unit", "gamma0", "--t-max", "2", "--steps", "10",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"failed cell gamma_s={g} alpha2=nan: {expected}"
+                       for g in ("0", "0.2")]
+        assert out.read_text().splitlines()[2:] == []
+
     def test_repeat_run_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_rows_csv(run_sweep(SMALL), str(p1))
