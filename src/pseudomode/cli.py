@@ -208,16 +208,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         config, out, emit_grid = _parse(argv)
-        config.validate()
         if emit_grid and len(set(config.resolved_gamma_s())) != 1:
             raise ValueError("grid output requires exactly one gamma_s value")
+        # run_sweep validates the config before any cell runs; a cell's
+        # own errors fail that cell, not the sweep
+        result = run_sweep(config)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    result = run_sweep(config)
 
     for cell in result.cells:
         if cell.failed:

@@ -54,11 +54,14 @@ real symmetric blocks for one row-block, Hermitian ones for two)
 through gauge_maps, and the trace, <N>, the sector leakage and the
 partial trace through gather_maps, which lay out the needed entries
 with exact zeros where they fall outside the slice, so each sum rounds
-as over the full matrix. The gauge leaves these entries as they are:
-each has as many photons in its row as in its column. The gauge
-multiplies by +-1 or +-i, so the checked values are those of the
-ungauged states; only store_full writes states back, ungauged and at
-full width. The earliest violating sample is reported.
+as over the full matrix. Each row of a run ends in one pad entry, an
+exact +0.0, which the maps' -1 entries read, so every gather is one
+plain take. The gauge leaves these entries as they are: each has as
+many photons in its row as in its column. The gauge multiplies by +-1
+or +-i, so the checked values are those of the ungauged states; only
+store_full writes states back, ungauged and at full width. The initial
+state is checked as the first sample, and the earliest violating
+sample is reported.
 
 M, the reachable entries, their index and gather maps, S, P and
 its squarings depend only on (space, params, h, n) and the initial
@@ -266,9 +269,9 @@ def check_fock_cutoff(initial: FullState, space: CompositeSpace) -> None:
     is exact if and only if N <= n_fock - 1; otherwise the cut-off ladder
     operator changes the physics without breaking any monitored invariant.
     """
-    pops = np.real(np.diagonal(initial.rho_tilde))
-    occupied = operator_tables(space.n_fock).weights[pops > OCCUPATION_TOL]
-    top = int(occupied.max()) if occupied.size else 0
+    pops = initial.rho_tilde.diagonal().real
+    weights = operator_tables(space.n_fock).weights
+    top = int(weights[pops > OCCUPATION_TOL].max(initial=0))
     if top > space.n_fock - 1:
         raise ValueError(
             f"initial state occupies {top} excitations, which needs "
@@ -382,7 +385,8 @@ def gauge_maps(entries: np.ndarray, n_fock: int
     Returns the photon_turns of each entry, so the gauged slice is
     i^turns times the slice, and, for each of the diagonal_blocks with k
     basis states, the (k, k) positions in `entries` of the block's
-    entries, -1 for an entry outside them (an exact 0). The gauge is a
+    entries, -1 for an entry outside them: it reads the pad entry, an
+    exact +0.0 kept after the slice (see _check_samples). The gauge is a
     diagonal unitary similarity that multiplies by +-1 or +-i, so a block
     read from the gauged slice has the eigenvalues of the block of rho;
     it is real symmetric for a state real in the gauge.
@@ -401,9 +405,10 @@ def gather_maps(entries: np.ndarray, n_fock: int
     Returns the (dim,) positions in `entries` of the diagonal of rho, and
     the (4, 4, n_fock) positions of the entries whose sum over the last
     axis is the two-qubit state, in partial_trace_cavity's basis
-    (index i_a + 2 i_b); an entry outside `entries`, an exact 0, is
-    marked -1. Gathered with those zeros (see _gather), the sums add the
-    same numbers in the same order as over the full matrix.
+    (index i_a + 2 i_b); an entry outside `entries` is marked -1, which
+    reads the pad entry, an exact +0.0 kept after the slice (see
+    _check_samples). Gathered with one take, the sums add the same
+    numbers in the same order as over the full matrix.
     """
     dim = 4 * n_fock
     where = _positions(entries, dim)
@@ -413,17 +418,6 @@ def gather_maps(entries: np.ndarray, n_fock: int
         n_fock)
     return (where[np.arange(dim) * (dim + 1)],
             where[rows[:, None, :] * dim + rows[None, :, :]])
-
-
-def _gather(states: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """states[..., where] in C order, with an exact 0 where `where` is -1.
-
-    The order matters: a sum over the last axis then adds its terms in
-    the same order as over the full matrix.
-    """
-    out = states.take(where, axis=-1)
-    out[..., where < 0] = 0.0
-    return out
 
 
 def _complex(parts) -> np.ndarray:
@@ -559,10 +553,12 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
                    ) -> tuple[np.ndarray, ...]:
     """Check a run of states sampled at `times`, in time order.
 
-    sub (k, b, w) holds the states' entries on a slice of vec(rho) in the
-    photon-number gauge (see photon_turns): their real parts, and with
-    k = 2 their imaginary parts (0 when k = 1). Every other entry is an
-    exact 0. mirror, blocks and diagonal are the slice's index maps (see
+    sub (k, b, w + 1) holds the states' entries on a slice of vec(rho) in
+    the photon-number gauge (see photon_turns): their real parts, and with
+    k = 2 their imaginary parts (0 when k = 1), then one pad entry, an
+    exact +0.0, which the -1 entries of the index maps read, so that each
+    gather is one plain take. Every entry outside the slice is an exact 0.
+    mirror, blocks and diagonal are the slice's index maps (see
     slice_maps, gauge_maps and gather_maps). The gauge multiplies each
     entry by +-1 or +-i, and an entry and its transpose by conjugate
     phases, so each check gives the full-width value of the ungauged
@@ -576,7 +572,9 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     blocks with k = 1 (LAPACK dsyevd, about half the cost of zheevd) and
     on Hermitian re + i im blocks with k = 2; the gauge is a unitary
     similarity, so these have the eigenvalues of the blocks of rho up to
-    the routine's rounding.
+    the routine's rounding. The slice holds every nonzero entry of the
+    states and the transpose of each, so these are the checks of the
+    full matrices.
 
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, trace, positivity,
@@ -590,37 +588,38 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     finite = np.isfinite(sub).all(axis=(0, 2))
     # eigvalsh rejects non-finite input, so check only up to the first
     # non-finite sample; it raises below unless an earlier one does
-    n_ok = sub.shape[1] if finite.all() else int(np.argmin(finite))
+    n_ok = sub.shape[1] if finite.all() else int(finite.argmin())
     ok = sub[:, :n_ok]
-    mirrored = ok.take(mirror, axis=2)
-    on_diagonal = _gather(ok, diagonal)
+    body, mirrored = ok[..., :-1], ok.take(mirror, axis=2)
+    on_diagonal = ok.take(diagonal, axis=2)
     if len(ok) == 1:
-        herm = np.abs(ok[0] - mirrored[0])
+        herm = np.abs(body[0] - mirrored[0])
     else:
-        herm = np.abs(_complex((ok[0] - mirrored[0], ok[1] + mirrored[1])))
+        herm = np.abs(_complex((body[0] - mirrored[0], body[1] + mirrored[1])))
     herm = herm.max(axis=1)
     tr_err = np.abs(_complex(on_diagonal).sum(axis=1) - 1.0)
-    mins = []
+    # block by block, then an exact 0 for a basis state that no block
+    # holds; inf is the minimum's identity
+    min_eig = np.full(n_ok, math.inf)
     for index in blocks:
-        blk = _gather(ok, index)
+        blk = ok.take(index, axis=2)
         blk = blk[0] if len(ok) == 1 else _complex(blk)
-        mins.append(np.linalg.eigvalsh(
+        min_eig = np.minimum(min_eig, np.linalg.eigvalsh(
             0.5 * blk + 0.5 * blk.conj().transpose(0, 2, 1))[:, 0])
-    if sum(len(index) for index in blocks) < len(diagonal):
-        mins.append(np.zeros(n_ok))  # a basis state no block holds
-    min_eig = np.min(mins, axis=0)
+    if sum(map(len, blocks)) < len(diagonal):
+        min_eig = np.minimum(min_eig, 0.0)
     pops = on_diagonal[0]
     expn = (pops * weights).sum(axis=1)
-    gain = np.diff(expn, prepend=prev_expect_n)
+    gain = expn - np.concatenate(([prev_expect_n], expn[:-1]))
 
     checks = (("hermiticity", herm, herm > HERM_TOL, HERM_TOL),
               ("trace", tr_err, tr_err > TRACE_TOL, TRACE_TOL),
               ("positivity", min_eig, min_eig < EIG_FLOOR, EIG_FLOOR),
               ("excitation_monotone", gain, gain > EXCITATION_GAIN_TOL,
                EXCITATION_GAIN_TOL))
-    bad = np.logical_or.reduce([flags for _, _, flags, _ in checks])
+    bad = checks[0][2] | checks[1][2] | checks[2][2] | checks[3][2]
     if bad.any():
-        i = int(np.argmax(bad))
+        i = int(bad.argmax())
         for invariant, values, flags, limit in checks:
             if flags[i]:
                 raise IntegrationError(invariant, float(times[i]),
@@ -677,9 +676,16 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     hermiticity, trace, positivity and excitation-number invariants are
     monitored at every sample (not enforced); the earliest violation
     aborts with IntegrationError so a too-coarse step cannot silently
-    corrupt results. A Fock cutoff too small for the initial
-    state's excitations is rejected up front with ValueError (see
-    check_fock_cutoff).
+    corrupt results. The initial state is checked as sample 0, on the
+    slice, which holds each of its nonzero entries and their transposes:
+    these are the checks of FullState.validate, finiteness, hermiticity,
+    trace and positivity with the same tolerances, and a violation raises
+    IntegrationError("initial_state", initial.time, value, limit) with
+    the failing check's value and limit, after the generator's own laws
+    (see _builds); a matrix that is not square raises it up front, with
+    its entries per row against its rows. A Fock cutoff too small for
+    the initial state's excitations is rejected up front with ValueError
+    (see check_fock_cutoff).
 
     shared lets calls reuse one another's builds: pass the same dict to
     calls that share space, params and grid spacing (a sweep's cells of
@@ -697,33 +703,32 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     if times.ndim != 1 or len(times) == 0 or not np.isfinite(times).all():
         raise ValueError("times must be a finite, non-empty 1d array")
     n = len(times)
-    # Python floats overflow to inf without a warning, where np.diff and
-    # np.linspace warn and then fail the spacing check
+    # Python floats overflow to inf without a warning, where np.linspace
+    # warns and then fails the spacing check
     if not math.isfinite(float(times[-1]) - float(times[0])):
         raise ValueError("times must span an interval within the float "
                          "range")
     # the comparisons are written so that NaN fails them
     if not abs(float(times[0]) - float(initial.time)) <= 1e-12:
         raise ValueError("times must start at the initial state's time")
-    if n > 1 and not (np.diff(times) > 0).all():
+    if not (times[1:] > times[:-1]).all():
         raise ValueError("times must be increasing")
     spacing = np.abs(times - np.linspace(times[0], times[-1], n)).max()
     if not spacing <= 1e-12 * max(1.0, abs(times[-1])):
         raise ValueError("times must be evenly spaced")
-    if initial.dim() != space.dim_total:
+    dim = space.dim_total
+    if initial.dim() != dim:
         raise ValueError("initial state dimension does not match the space")
-    try:
-        initial.validate()
-    except ValueError as exc:
-        raise IntegrationError("initial_state", initial.time, math.nan,
-                               math.nan) from exc
+    rho = initial.rho_tilde
+    if rho.shape != (dim, dim):
+        raise IntegrationError("initial_state", initial.time, rho.size / dim,
+                               dim)
     check_fock_cutoff(initial, space)
 
     dt = (times[-1] - times[0]) / max(n - 1, 1)
     n_sub = interval_steps(dt, step_size)
     h = dt / n_sub
 
-    dim = space.dim_total
     diag = IntegrationDiagnostics(step_count=(n - 1) * n_sub)
     clock = perf_counter()
     entries, maps, squarings = _builds(space, params, h, n_sub, initial,
@@ -731,7 +736,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     mirror, (turns, blocks), diagonal, qubits = maps
     # the gauged initial slice; M_g is real, so its imaginary part stays 0
     # when it starts at 0, and is kept as a second row-block otherwise
-    start = initial.rho_tilde.reshape(-1)[entries] * _PHASES[turns]
+    start = rho.reshape(-1)[entries] * _PHASES[turns]
     k = 2 if start.imag.any() else 1
     diag.propagate_s = perf_counter() - clock
     # sub[:, lead:lead + size] holds the reachable entries at samples
@@ -739,9 +744,11 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     # state, which takes no step (lead = 0); every later run keeps the
     # sample before it in sub[:, 0] (lead = 1). With rows 0 .. done - 1
     # filled, done = 2^j, X_j fills the next rows as v + v X_j^T of the
-    # first ones, in each row-block.
-    sub = np.empty((k, min(CHECK_CHUNK + 1, n), len(entries)))
-    sub[:, 0] = (start.real, start.imag)[:k]
+    # first ones, in each row-block. sub[..., -1] is the pad entry that
+    # the -1 entries of the index maps read: the products and store_full
+    # skip it, and it stays an exact +0.0.
+    sub = np.zeros((k, min(CHECK_CHUNK + 1, n), len(entries) + 1))
+    sub[:, 0, :-1] = (start.real, start.imag)[:k]
     reduced = np.empty((n, 4, 4), dtype=complex)
     series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
     full_states: list[FullState] | None = [] if store_full else None
@@ -758,15 +765,23 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
             for j, x in enumerate(squarings[:(rows - 1).bit_length()]):
                 filled = sub[:, 1 << j:min(2 << j, rows)]
                 done = sub[:, :filled.shape[1]]
-                np.matmul(done, x.T, out=filled)
-                filled += done
+                np.matmul(done[..., :-1], x.T, out=filled[..., :-1])
+                filled += done  # the pads add up to +0.0
         diag.propagate_s += perf_counter() - clock
 
         clock = perf_counter()
         states = sub[:, lead:rows]
         samples = slice(first, first + size)
-        checked = _check_samples(states, times[samples], weights, mirror,
-                                 blocks, diagonal, prev_expect_n, diag)
+        try:
+            checked = _check_samples(states, times[samples], weights,
+                                     mirror, blocks, diagonal, prev_expect_n,
+                                     diag)
+        except IntegrationError as err:
+            if first or err.time != times[0]:
+                raise
+            # sample 0 is the initial state itself
+            raise IntegrationError("initial_state", initial.time, err.value,
+                                   err.limit) from err
         prev_expect_n = checked[0][-1]
         for out, values in zip(series, checked):
             out[samples] = values
@@ -774,10 +789,10 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         # column, so the gauge leaves them as they are; the mode levels
         # are added in order onto 0, as partial_trace_cavity's einsum
         # adds them (0 + -0.0 is 0.0)
-        reduced[samples] = _complex(
-            sum(np.moveaxis(_gather(states, qubits), -1, 0)))
+        reduced[samples] = _complex(sum(
+            states.take(qubits, axis=-1).transpose(4, 0, 1, 2, 3)))
         if full_states is not None:
-            gauged = _complex(states)
+            gauged = _complex(states[..., :-1])
             full = np.zeros((size, dim * dim), dtype=complex)
             full[:, entries] = _complex(
                 _turn(gauged.real, gauged.imag, -turns % 4))

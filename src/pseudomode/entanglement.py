@@ -47,9 +47,9 @@ _EIG_FLOOR = -1e-8
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
-# True on the diagonal and anti-diagonal; False on the eight entries that
-# must vanish for an X state.
-_X_MASK = np.logical_or(np.eye(4, dtype=bool), np.eye(4, dtype=bool)[::-1])
+# True on the eight entries that must vanish for an X state: those off
+# the diagonal and the anti-diagonal.
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 @dataclass
@@ -71,7 +71,7 @@ class ConcurrenceReport:
 
 
 def _dagger(rho: np.ndarray) -> np.ndarray:
-    return np.swapaxes(rho, -1, -2).conj()
+    return rho.swapaxes(-1, -2).conj()
 
 
 def _checked_rho4(rho) -> np.ndarray:
@@ -90,7 +90,7 @@ def _checked_rho4(rho) -> np.ndarray:
         herm = max(herm, float(np.abs(part - _dagger(part)).max()))
     if not herm <= _HERM_TOL:
         raise ValueError(f"matrix not Hermitian: deviation {herm:.3g}")
-    tr_err = float(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max())
+    tr_err = float(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max())
     if not tr_err <= _TRACE_TOL:
         raise ValueError(f"matrix trace off by {tr_err:.3g}")
     return rho
@@ -123,7 +123,7 @@ def x_form_deviation(rho) -> float:
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 matrices, got shape {rho.shape}")
-    return float(np.abs(rho[..., ~_X_MASK]).max())
+    return float(np.abs(rho[..., _OFF_X]).max())
 
 
 def concurrence_general(rho) -> ConcurrenceReport:
@@ -144,12 +144,12 @@ def concurrence_general(rho) -> ConcurrenceReport:
     min_eig = float(mu[..., 0].min())
     if not min_eig >= _EIG_FLOOR:
         raise ValueError(f"matrix has negative eigenvalue {min_eig:.3g}")
-    root = np.sqrt(np.clip(mu, 0.0, None))[..., None, :]
+    root = np.sqrt(mu.clip(0.0))[..., None, :]
     sqrt_rho = (vecs * root) @ _dagger(vecs)
     sqrt_tilde = _SIGMA_YY @ sqrt_rho.conj() @ _SIGMA_YY
     lambdas = np.linalg.svd(sqrt_rho @ sqrt_tilde, compute_uv=False)
-    l0, l1, l2, l3 = np.moveaxis(lambdas, -1, 0)
-    c = np.minimum(np.maximum(l0 - l1 - l2 - l3, 0.0), 1.0)
+    c = lambdas[..., 0] - lambdas[..., 1] - lambdas[..., 2] - lambdas[..., 3]
+    c = np.minimum(np.maximum(c, 0.0), 1.0)
     return ConcurrenceReport(c=float(c) if rho.ndim == 2 else c,
                              path="general", lambdas=lambdas)
 

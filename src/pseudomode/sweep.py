@@ -262,13 +262,14 @@ def _run_cell(config: SweepConfig, gamma_s: float, alpha2: float,
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evolve every (gamma_s, alpha2) cell and collect concurrence rows.
 
-    A cell whose integration breaks an invariant is marked failed (its error
-    recorded, its rows omitted); the remaining cells still complete. Each
-    alpha2's initial state is built once, or the raw state file loaded
-    once, and serves every gamma_s; a raw file that cannot be loaded fails
-    every cell with its error. The cells of one gamma_s share one
-    generator and propagator build, through a dict that lives for this
-    call only.
+    The config is validated first: an invalid one raises ValueError before
+    any cell runs. A cell whose integration breaks an invariant is marked
+    failed (its error recorded, its rows omitted); the remaining cells
+    still complete. Each alpha2's initial state is built once, or the raw
+    state file loaded once, and serves every gamma_s; a raw file that
+    cannot be loaded fails every cell with its error. The cells of one
+    gamma_s share one generator and propagator build, through a dict that
+    lives for this call only.
     """
     params, initials = config._prepare()
     alpha2_values: tuple[float, ...]

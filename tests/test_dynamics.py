@@ -26,6 +26,7 @@ from pseudomode import (
 from pseudomode import dynamics
 from pseudomode.dynamics import (
     CHECK_CHUNK,
+    DEFAULT_STEP,
     EIG_FLOOR,
     EXCITATION_GAIN_TOL,
     HERM_TOL,
@@ -968,7 +969,8 @@ def test_chunked_checks_report_the_per_sample_first_violation(
     # transpose, so every planted entry lies inside it and the entries
     # outside are exactly 0. The runs are read in the photon-number gauge
     # twice: as the fewest row-blocks that hold each run (its real part
-    # alone where its imaginary part is 0), and as two row-blocks each
+    # alone where its imaginary part is 0), and as two row-blocks each;
+    # each row ends in the pad entry, +0.0, that the maps' -1 entries read
     rho = np.array(states)
     flat = rho.reshape(len(rho), -1)
     support = (flat != 0).any(axis=0)
@@ -978,8 +980,9 @@ def test_chunked_checks_report_the_per_sample_first_violation(
     _, blocks = gauge_maps(entries, space3.n_fock)
     diagonal, _ = gather_maps(entries, space3.n_fock)
     weights = number_operator(space3).diagonal().real
-    gauged = np.stack([part.reshape(len(rho), -1)[:, entries]
-                       for part in _photon_gauge(rho)])
+    gauged = np.zeros((2, len(rho), len(entries) + 1))
+    for part, out in zip(_photon_gauge(rho), gauged):
+        out[:, :-1] = part.reshape(len(rho), -1)[:, entries]
     kinds = _record_eigvalsh_kinds(monkeypatch)
     for fewest in (True, False):
         kinds.clear()
@@ -1034,7 +1037,8 @@ def test_trace_failure_waits_for_earlier_samples(space3, monkeypatch,
     rho = make_initial(InitialStateSpec("psi", 0.3), space3).rho_tilde
     params = SystemParams.symmetric(0.1)
     _generator(monkeypatch, -0.1 * np.eye(space3.dim_total ** 2))
-    monkeypatch.setattr(FullState, "validate", lambda self: None)
+    # the initial state is checked as sample 0, so the generator's law is
+    # reported first also for an initial state that is not Hermitian
     for state in (_non_hermitian(rho), rho):
         with pytest.raises(IntegrationError) as err:
             evolve(FullState(state, 0.5), space3, params,
@@ -1204,12 +1208,39 @@ class TestEvolveValidation:
         with pytest.raises(ValueError):
             evolve(bad, space3, params, np.array([0.0, 1.0]))
 
-    def test_invalid_initial_state(self, space3):
+    def test_invalid_initial_state(self, space3, monkeypatch):
+        # the initial state is checked as sample 0, on the slice, with the
+        # full-matrix checks and tolerances of FullState.validate, which
+        # evolve must not call; each violation is reported at initial.time
+        # (not at times[0], 2e-13 later) with the failing check's value
+        # and limit, and that check is the cause
+        monkeypatch.setattr(FullState, "validate", None)
         params = SystemParams.symmetric(0.1)
-        bad = FullState(rho_tilde=np.eye(12, dtype=complex) * 0.075)
+        psi = make_initial(InitialStateSpec("psi", 0.3), space3).rho_tilde
+        negative = np.zeros_like(psi)
+        for (i_a, i_b), pop in zip(((0, 0), (1, 0), (0, 1)), (0.6, 0.5, -0.1)):
+            i = space3.flat_index(i_a, i_b, 0)
+            negative[i, i] = pop
+        nan = psi.copy()
+        nan[0, 0] = math.nan
+        cases = [(0.9 * psi, "trace", pytest.approx(0.1), TRACE_TOL),
+                 (_non_hermitian(psi), "hermiticity", 1e-6, HERM_TOL),
+                 (negative, "positivity", -0.1, EIG_FLOOR),
+                 (nan, "finite", math.inf, 0.0)]
+        for rho, check, value, limit in cases:
+            with pytest.raises(IntegrationError) as err:
+                evolve(FullState(rho, 0.5), space3, params,
+                       np.array([0.5 + 2e-13, 1.5]))
+            assert (err.value.invariant, err.value.time, err.value.value,
+                    err.value.limit) == ("initial_state", 0.5, value, limit)
+            assert err.value.__cause__.invariant == check
+        # a matrix that is not square fails before any build: its entries
+        # per row against its rows
         with pytest.raises(IntegrationError) as err:
-            evolve(bad, space3, params, np.array([0.0, 1.0]))
-        assert err.value.invariant == "initial_state"
+            evolve(FullState(np.zeros((12, 13), dtype=complex), 0.5), space3,
+                   params, np.array([0.5, 1.5]))
+        assert (err.value.invariant, err.value.time, err.value.value,
+                err.value.limit) == ("initial_state", 0.5, 13.0, 12.0)
 
     def test_fock_cutoff_must_hold_the_initial_excitations(self):
         # psi reaches |00,2>, so it needs three Fock levels; phi (one
@@ -1280,6 +1311,68 @@ def test_overflow_past_an_unstable_step_reports_the_first_violation(
         evolve(make_initial(InitialStateSpec("psi", 0.3), space3), space3,
                SystemParams.symmetric(2000.0), np.linspace(0.0, 3.0, 3001))
     assert (err.value.invariant, err.value.time) == ("positivity", 1e-3)
+
+
+def test_the_pad_entry_reads_an_exact_zero(space3, monkeypatch):
+    # each run ends every row of the slice in one pad entry, which the -1
+    # entries of the gauge and gather maps read through a plain take: it
+    # must read +0.0 in every run, also once the states past an unstable
+    # step overflow, and for a raw state at n_fock = 4, two row-blocks
+    # whose maps hold many -1 entries; and the checks must still report
+    # the first violation of the full matrices, sample by sample
+    runs = []
+    check = dynamics._check_samples
+
+    def recording(sub, times, *args):
+        runs.append((sub.copy(), times.copy()))
+        return check(sub, times, *args)
+
+    monkeypatch.setattr(dynamics, "_check_samples", recording)
+    space4 = build_space(4)
+    psi = make_initial(InitialStateSpec("psi", 0.3), space3)
+    cases = [
+        (psi, space3, SystemParams.symmetric(2000.0),
+         np.linspace(0.0, 3.0, 3001), DEFAULT_STEP, ("positivity", 1e-3)),
+        (_raw_state(space4, 3), space4,
+         SystemParams.symmetric(6.0, gamma_cavity=4.0, n_fock=4),
+         np.linspace(0.0, 2.0 * C, 2 * C + 1), 1.0, ("positivity", 1.0)),
+        (_raw_state(space4, 3), space4, SystemParams.symmetric(0.2, n_fock=4),
+         np.linspace(0.0, 2.0, 2 * C + 1), DEFAULT_STEP, None)]
+    phases = np.array([1, 1j, -1, -1j])
+    for init, space, params, times, step, expected in cases:
+        runs.clear()
+        shared = {}
+        if expected is None:
+            evolve(init, space, params, times, step_size=step, shared=shared)
+        else:
+            with pytest.raises(IntegrationError) as err:
+                evolve(init, space, params, times, step_size=step,
+                       shared=shared)
+            assert (err.value.invariant, err.value.time) == expected
+        entries = shared["entries"]
+        maps = [*shared["gauge"][1], shared["diagonal"], shared["qubits"]]
+        assert sum(int((index < 0).sum()) for index in maps) >= 20
+        assert runs and all(sub.shape[0] == (1 if space is space3 else 2)
+                            for sub, _ in runs)
+        states = []
+        for sub, _ in runs:
+            assert sub.shape[-1] == len(entries) + 1
+            for index in maps:
+                outside = sub.take(index, axis=-1)[..., index < 0]
+                assert not (outside != 0.0).any()
+                assert not np.signbit(outside).any()
+            with np.errstate(all="ignore"):
+                parts = sub[..., :-1] if len(sub) == 2 else (
+                    sub[0, :, :-1], 0.0 * sub[0, :, :-1])
+                full = np.zeros((sub.shape[1], space.dim_total ** 2),
+                                dtype=complex)
+                full[:, entries] = (parts[0] + 1j * parts[1]) * phases[
+                    -dynamics.photon_turns(space.n_fock)[entries] % 4]
+            states.extend(full.reshape(-1, space.dim_total, space.dim_total))
+        with np.errstate(all="ignore"):
+            first = _first_violation(states, np.concatenate(
+                [t for _, t in runs]), space)
+        assert first == expected
 
 
 def test_unitary_limit_conserves_purity(space3):

@@ -535,11 +535,29 @@ class TestCli:
 
     def test_infinite_esd_threshold_exits_before_any_cell(self, capsys,
                                                           monkeypatch):
-        monkeypatch.setattr(cli, "run_sweep", None)  # must not be reached
+        # run_sweep validates the config before its first cell
+        monkeypatch.setattr(sweep, "_run_cell", None)  # must not be reached
         rc = main(["--alpha2", "0.3", "--gamma-s", "0.1", "--rate-unit",
                    "gamma0", "--esd-threshold", "inf"])
         assert rc == 2
         assert "esd_threshold" in capsys.readouterr().err
+
+    def test_the_config_is_validated_once(self, tmp_path, monkeypatch):
+        # validation builds each alpha2's initial state; run_sweep does it
+        # once for the whole CLI run, and every gamma_s evolves it
+        built = []
+        make = sweep.make_initial
+
+        def counting(spec, space):
+            built.append(spec.alpha2)
+            return make(spec, space)
+
+        monkeypatch.setattr(sweep, "make_initial", counting)
+        rc = main(["--alpha2-grid", "0.2:0.8:3", "--gamma-s", "0.1,0.2",
+                   "--rate-unit", "gamma0", "--t-max", "1", "--steps", "4",
+                   "--out", str(tmp_path / "rows.csv")])
+        assert rc == 0
+        assert built == [0.2, 0.5, 0.8]
 
     def test_alpha2_forms_are_exclusive(self, capsys):
         rc = main(["--alpha2", "0.3", "--alpha2-grid", "0.1:0.9:5",
