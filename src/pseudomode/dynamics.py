@@ -46,7 +46,8 @@ theta = 0 the imaginary block would stay exactly 0 and is not kept.
 
 The invariants are checked at the sample times, one such run at a time
 as array operations, and each run is reduced to the two qubits and
-stored with one operation per series. Every check reads the gauged
+stored with one operation per series (the reduced states real for one
+row-block, complex for two). Every check reads the gauged
 slice itself through index maps built once: finiteness and hermiticity
 (each entry against its transpose's conjugate) through slice_maps,
 positivity (eigvalsh per diagonal block of rho, see diagonal_blocks;
@@ -197,7 +198,11 @@ class Trajectory:
     """Sampled observables along one evolution.
 
     reduced holds the two-qubit density matrix (mode traced out) at each
-    sample time; full composite states are kept only when requested.
+    sample time, as an (n, 4, 4) array: float64 when the run was one real
+    row-block (every sample real in the photon-number gauge, see
+    IntegrationDiagnostics.real_block_samples), whose traced entries are
+    then all real, and complex otherwise. full composite states are kept
+    only when requested.
     """
 
     times: np.ndarray
@@ -585,10 +590,14 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     and sector leakage are returned, in the order of the Trajectory
     fields.
     """
-    finite = np.isfinite(sub).all(axis=(0, 2))
     # eigvalsh rejects non-finite input, so check only up to the first
-    # non-finite sample; it raises below unless an earlier one does
-    n_ok = sub.shape[1] if finite.all() else int(finite.argmin())
+    # non-finite sample; it raises below unless an earlier one does. A
+    # finite sum has only finite terms; the per-sample flags are needed
+    # only when it is not (a non-finite entry, or a sum that overflows)
+    n_ok = sub.shape[1]
+    if not np.isfinite(sub.sum()):
+        finite = np.isfinite(sub).all(axis=(0, 2))
+        n_ok = n_ok if finite.all() else int(finite.argmin())
     ok = sub[:, :n_ok]
     body, mirrored = ok[..., :-1], ok.take(mirror, axis=2)
     on_diagonal = ok.take(diagonal, axis=2)
@@ -653,6 +662,28 @@ def interval_steps(dt: float, step_size: float) -> int:
     return max(1, math.ceil(steps - 1e-9))
 
 
+def _check_times(times: np.ndarray, start: float) -> None:
+    """Raise ValueError unless times is a finite, non-empty 1d grid that
+    spans an interval within the float range, starts at `start` and
+    increases in equal steps (within 1e-12 of np.linspace over the same
+    ends)."""
+    if times.ndim != 1 or len(times) == 0 or not np.isfinite(times).all():
+        raise ValueError("times must be a finite, non-empty 1d array")
+    # Python floats overflow to inf without a warning, where np.linspace
+    # warns and then fails the spacing check
+    if not math.isfinite(float(times[-1]) - float(times[0])):
+        raise ValueError("times must span an interval within the float "
+                         "range")
+    # the comparisons are written so that NaN fails them
+    if not abs(float(times[0]) - float(start)) <= 1e-12:
+        raise ValueError("times must start at the initial state's time")
+    if not (times[1:] > times[:-1]).all():
+        raise ValueError("times must be increasing")
+    spacing = np.abs(times - np.linspace(times[0], times[-1], len(times)))
+    if not spacing.max() <= 1e-12 * max(1.0, abs(times[-1])):
+        raise ValueError("times must be evenly spaced")
+
+
 def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
            times: np.ndarray, *, step_size: float = DEFAULT_STEP,
            store_full: bool = False, shared: dict | None = None
@@ -687,6 +718,12 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     the initial state's excitations is rejected up front with ValueError
     (see check_fock_cutoff).
 
+    The reduced states are stored real (float64) when the run is one real
+    row-block: their imaginary parts would be +0.0 throughout, since the
+    traced entries have as many photons in the row as in the column and
+    the gauge leaves them as they are. A run of two row-blocks stores
+    them complex.
+
     shared lets calls reuse one another's builds: pass the same dict to
     calls that share space, params and grid spacing (a sweep's cells of
     one gamma_s) and only the first builds the generator, the propagator
@@ -694,28 +731,22 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     (space, params, h, n_sub) and the last nonzero pattern of the initial
     state: the generator, one propagator and CHECK_CHUNK.bit_length()
     squarings of it, and lives as long as the caller keeps it; without it
-    each call builds into a fresh dict. The results are the same either
-    way, and every check still runs on every call.
+    each call builds into a fresh dict. It also keeps the last grid that
+    passed the checks of times, with the initial time it started from: a
+    later call on a grid of the same bits from the same time skips those
+    checks, whatever its parameters. The results are the same either way,
+    and every other check still runs on every call.
     """
     if not (math.isfinite(step_size) and step_size > 0):
         raise ValueError("step_size must be finite and > 0")
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0 or not np.isfinite(times).all():
-        raise ValueError("times must be a finite, non-empty 1d array")
+    shared = {} if shared is None else shared
+    # a grid that passed these checks from the same initial time, by its
+    # bits, passes them again
+    grid = (times.shape, times.tobytes(), initial.time)
+    if shared.get("grid") != grid:
+        _check_times(times, initial.time)
     n = len(times)
-    # Python floats overflow to inf without a warning, where np.linspace
-    # warns and then fails the spacing check
-    if not math.isfinite(float(times[-1]) - float(times[0])):
-        raise ValueError("times must span an interval within the float "
-                         "range")
-    # the comparisons are written so that NaN fails them
-    if not abs(float(times[0]) - float(initial.time)) <= 1e-12:
-        raise ValueError("times must start at the initial state's time")
-    if not (times[1:] > times[:-1]).all():
-        raise ValueError("times must be increasing")
-    spacing = np.abs(times - np.linspace(times[0], times[-1], n)).max()
-    if not spacing <= 1e-12 * max(1.0, abs(times[-1])):
-        raise ValueError("times must be evenly spaced")
     dim = space.dim_total
     if initial.dim() != dim:
         raise ValueError("initial state dimension does not match the space")
@@ -732,7 +763,8 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     diag = IntegrationDiagnostics(step_count=(n - 1) * n_sub)
     clock = perf_counter()
     entries, maps, squarings = _builds(space, params, h, n_sub, initial,
-                                       {} if shared is None else shared)
+                                       shared)
+    shared["grid"] = grid  # after _builds, which may empty the dict
     mirror, (turns, blocks), diagonal, qubits = maps
     # the gauged initial slice; M_g is real, so its imaginary part stays 0
     # when it starts at 0, and is kept as a second row-block otherwise
@@ -749,7 +781,9 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     # skip it, and it stays an exact +0.0.
     sub = np.zeros((k, min(CHECK_CHUNK + 1, n), len(entries) + 1))
     sub[:, 0, :-1] = (start.real, start.imag)[:k]
-    reduced = np.empty((n, 4, 4), dtype=complex)
+    # one real row-block leaves every traced entry real: its imaginary
+    # part would be +0.0 throughout, so it is not stored
+    reduced = np.empty((n, 4, 4), dtype=float if k == 1 else complex)
     series = [np.empty(n) for _ in range(5)]  # as _check_samples returns
     full_states: list[FullState] | None = [] if store_full else None
     weights = operator_tables(space.n_fock).weights
@@ -789,8 +823,8 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         # column, so the gauge leaves them as they are; the mode levels
         # are added in order onto 0, as partial_trace_cavity's einsum
         # adds them (0 + -0.0 is 0.0)
-        reduced[samples] = _complex(sum(
-            states.take(qubits, axis=-1).transpose(4, 0, 1, 2, 3)))
+        traced = sum(states.take(qubits, axis=-1).transpose(4, 0, 1, 2, 3))
+        reduced[samples] = traced[0] if k == 1 else _complex(traced)
         if full_states is not None:
             gauged = _complex(states[..., :-1])
             full = np.zeros((size, dim * dim), dtype=complex)

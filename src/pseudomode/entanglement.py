@@ -74,25 +74,60 @@ def _dagger(rho: np.ndarray) -> np.ndarray:
     return rho.swapaxes(-1, -2).conj()
 
 
-def _checked_rho4(rho) -> np.ndarray:
-    """rho as a (4, 4) or (..., 4, 4) array, after checking that every
-    matrix is finite, Hermitian and of unit trace; the worst value is
-    reported. The comparisons are written so that NaN fails them."""
+def _rho4(rho) -> np.ndarray:
+    """rho as a (4, 4) or (..., 4, 4) array; any other shape raises."""
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 matrices, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ValueError("matrix contains non-finite entries")
-    flat = rho.reshape(-1, 4, 4)
-    herm = 0.0
+    return rho
+
+
+# a matrix with a non-finite entry fails on that first, so what its
+# hermiticity and trace come to does not matter
+@np.errstate(invalid="ignore", over="ignore")
+def _input_errors(rho: np.ndarray) -> np.ndarray:
+    """(3, n) for an (n, 4, 4) stack: per matrix, 1.0 if it has a
+    non-finite entry (else 0.0), its hermiticity deviation and its trace
+    error. Their maxima over any set of matrices are what _check_input
+    judges.
+
+    A finite sum has only finite terms, so the per-matrix finite flags
+    are taken only when the sum is not finite. The hermiticity deviation
+    is max |rho - rho^H| over the 16 entries, read entry-major, a slice of
+    matrices at a time, so that each reduction runs across matrices.
+    """
+    flat = rho.reshape(-1, 16)
+    errors = np.zeros((3, len(flat)))
+    if not np.isfinite(flat.sum()):
+        errors[0] = ~np.isfinite(flat.T).all(axis=0)
+    # position of each entry's transpose in a flattened 4 x 4 matrix
+    transposed = np.arange(16).reshape(4, 4).T.reshape(-1)
     for lo in range(0, len(flat), _CHECK_SLICE):
-        part = flat[lo:lo + _CHECK_SLICE]
-        herm = max(herm, float(np.abs(part - _dagger(part)).max()))
+        part = flat[lo:lo + _CHECK_SLICE].T
+        np.abs(part - part[transposed].conj()).max(
+            axis=0, out=errors[1, lo:lo + _CHECK_SLICE])
+    errors[2] = np.abs(rho.trace(axis1=1, axis2=2) - 1.0)
+    return errors
+
+
+def _check_input(non_finite, herm, tr_err) -> None:
+    """Raise ValueError for the first check the maxima of _input_errors
+    fail: finite, Hermitian, unit trace. The comparisons are written so
+    that NaN fails them."""
+    if non_finite:
+        raise ValueError("matrix contains non-finite entries")
     if not herm <= _HERM_TOL:
         raise ValueError(f"matrix not Hermitian: deviation {herm:.3g}")
-    tr_err = float(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max())
     if not tr_err <= _TRACE_TOL:
         raise ValueError(f"matrix trace off by {tr_err:.3g}")
+
+
+def _checked_rho4(rho) -> np.ndarray:
+    """rho as a (4, 4) or (..., 4, 4) array, after checking that every
+    matrix is finite, Hermitian and of unit trace; the worst value is
+    reported."""
+    rho = _rho4(rho)
+    _check_input(*_input_errors(rho.reshape(-1, 4, 4)).max(axis=1))
     return rho
 
 
@@ -117,13 +152,16 @@ def partial_trace_cavity(state, space) -> np.ndarray:
     return r.reshape(*lead, 4, 4).copy()
 
 
+def _off_x(rho: np.ndarray) -> np.ndarray:
+    """Largest magnitude among the off-X entries of each matrix of a
+    (..., 4, 4) array."""
+    return np.abs(rho[..., _OFF_X]).max(axis=-1)
+
+
 def x_form_deviation(rho) -> float:
     """Largest magnitude among the eight entries an X state must not have,
     over one (4, 4) matrix or a whole (..., 4, 4) stack."""
-    rho = np.asarray(rho)
-    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected 4x4 matrices, got shape {rho.shape}")
-    return float(np.abs(rho[..., _OFF_X]).max())
+    return float(_off_x(_rho4(rho)).max())
 
 
 def concurrence_general(rho) -> ConcurrenceReport:
@@ -165,16 +203,22 @@ def concurrence_x_state(rho) -> ConcurrenceReport:
         raise ValueError(
             f"not an X state: off-pattern entry of magnitude {dev:.3g} "
             f"exceeds tolerance {X_TOLERANCE:.3g}")
+    c, c1, c2 = _x_state_values(rho)
+    if rho.ndim == 2:
+        c, c1, c2 = float(c), float(c1), float(c2)
+    return ConcurrenceReport(c=c, path="x_state", c1=c1, c2=c2)
+
+
+def _x_state_values(rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """C, C1 and C2 of each matrix of a checked (..., 4, 4) X-state array,
+    real or complex: |w| of a real w is its magnitude, as of w + 0i."""
     d = np.maximum(rho[..., 0, 0].real, 0.0)
     c_mid = np.maximum(rho[..., 1, 1].real, 0.0)
     b_mid = np.maximum(rho[..., 2, 2].real, 0.0)
     a = np.maximum(rho[..., 3, 3].real, 0.0)
     c1 = 2.0 * (np.abs(rho[..., 3, 0]) - np.sqrt(b_mid * c_mid))
     c2 = 2.0 * (np.abs(rho[..., 1, 2]) - np.sqrt(a * d))
-    c = np.minimum(np.maximum(np.maximum(c1, c2), 0.0), 1.0)
-    if rho.ndim == 2:
-        c, c1, c2 = float(c), float(c1), float(c2)
-    return ConcurrenceReport(c=c, path="x_state", c1=c1, c2=c2)
+    return np.minimum(np.maximum(np.maximum(c1, c2), 0.0), 1.0), c1, c2
 
 
 def _check_rate(gamma_s: float) -> None:

@@ -29,6 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .dynamics import (
+    CHECK_CHUNK,
     DEFAULT_STEP,
     FullState,
     IntegrationDiagnostics,
@@ -38,8 +39,14 @@ from .dynamics import (
     evolve,
     interval_steps,
 )
-from .entanglement import (
+# concurrence_x_state and x_form_deviation stay sweep attributes for the
+# benchmark harness, which wraps them here; the sweep calls their parts
+from .entanglement import (  # noqa: F401
     X_TOLERANCE,
+    _check_input,
+    _input_errors,
+    _off_x,
+    _x_state_values,
     concurrence_general,
     concurrence_x_state,
     x_form_deviation,
@@ -205,58 +212,117 @@ class SweepResult:
                        cell.trace_error[i], cell.min_eigenvalue[i], cell.path)
 
 
-def _cell_concurrence(traj: Trajectory) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray, str]:
-    """Concurrence series plus branch values and the path used.
+def _concurrences(reduced: list[np.ndarray]) -> list:
+    """Concurrence series, branch values and path of each cell, from its
+    (n, 4, 4) reduced states, real or complex; or the error that fails it.
 
-    The closed-form path is taken only if every sample is within X
-    tolerance and the first, middle and last samples agree with the
-    general algorithm.
+    A cell takes the closed form only if every sample is within X
+    tolerance and its first, middle and last samples agree with the
+    general algorithm; otherwise the general algorithm gives every sample.
+    The cells are evaluated as one stack (a single cell is read in place):
+    the input checks and the X-form deviation run once on each matrix,
+    and each cell is judged on its own maxima, so it takes the path, or
+    fails with the message, that it would alone; the closed form runs once
+    on the stack, and concurrence_general once on the spots of all
+    closed-form cells. concurrence_general is handed complex matrices, so
+    its LAPACK calls see the same input whatever the stored dtype; the
+    closed form gives the same bits on real and complex input.
     """
-    n = len(traj.times)
-    reduced = traj.reduced
-    if x_form_deviation(reduced) <= X_TOLERANCE:
-        x = concurrence_x_state(reduced)
-        spots = sorted({0, n // 2, n - 1})
-        gap = np.abs(x.c[spots] - concurrence_general(reduced[spots]).c)
-        if (gap <= DUAL_PATH_TOL).all():  # NaN fails too
-            return x.c, x.c1, x.c2, "x_state"
-    conc = concurrence_general(reduced).c
-    return conc, np.full(n, math.nan), np.full(n, math.nan), "general"
+    stack = reduced[0] if len(reduced) == 1 else np.concatenate(reduced)
+    bounds = np.cumsum([0] + [len(r) for r in reduced])
+    worst = np.maximum.reduceat(
+        np.vstack((_input_errors(stack), _off_x(stack))), bounds[:-1], axis=1)
+
+    def general(rows):
+        try:
+            return concurrence_general(
+                stack[rows].astype(complex, copy=False)).c
+        except CELL_ERRORS as exc:
+            return exc
+
+    results: list = [None] * len(reduced)
+    x_cells = []
+    for i, (non_finite, herm, tr_err, dev) in enumerate(worst.T):
+        try:
+            _check_input(non_finite, herm, tr_err)
+        except ValueError as exc:
+            results[i] = exc
+            continue
+        if dev <= X_TOLERANCE:
+            x_cells.append(i)
+    if x_cells:
+        # a cell that failed its checks is never read from these
+        with np.errstate(invalid="ignore", over="ignore"):
+            c, c1, c2 = _x_state_values(stack)
+        first = bounds[x_cells]
+        n = bounds[np.add(x_cells, 1)] - first
+        spots = np.stack((first, first + n // 2, first + n - 1), axis=1)
+        spot_c = general(spots)
+        for row, (i, where) in enumerate(zip(x_cells, spots)):
+            # a failed joint check is repeated cell by cell to find the
+            # cells that fail it
+            ref = (general(where) if isinstance(spot_c, Exception)
+                   else spot_c[row])
+            if isinstance(ref, Exception):
+                results[i] = ref
+            elif (np.abs(c[where] - ref) <= DUAL_PATH_TOL).all():  # NaN fails
+                cell = slice(bounds[i], bounds[i + 1])
+                results[i] = (c[cell], c1[cell], c2[cell], "x_state")
+    for i, result in enumerate(results):
+        if result is None:
+            conc = general(slice(bounds[i], bounds[i + 1]))
+            nan = np.full(bounds[i + 1] - bounds[i], math.nan)
+            results[i] = conc if isinstance(conc, Exception) else (
+                conc, nan, nan.copy(), "general")
+    return results
 
 
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_cell(config: SweepConfig, gamma_s: float, alpha2: float,
-              initial: FullState | str, params: SystemParams,
-              times: np.ndarray, shared: dict) -> CellResult:
+def _failed_cell(gamma_s: float, alpha2: float, error: str) -> CellResult:
+    empty = np.empty(0)
+    return CellResult(gamma_s=gamma_s, alpha2=alpha2, times=empty,
+                      concurrence=empty, c1=empty, c2=empty,
+                      trace_error=empty, min_eigenvalue=empty, path="none",
+                      error=error)
+
+
+def _run_cell(config: SweepConfig, initial: FullState | str,
+              params: SystemParams, times: np.ndarray,
+              shared: dict) -> Trajectory | str:
     """Evolve one cell from `initial`, reusing the builds in `shared` (see
     evolve); an initial state that could not be loaded arrives as its
-    error text. gamma_s arrives already in gamma0 units."""
-    empty = np.empty(0)
-
-    def failed(msg: str) -> CellResult:
-        return CellResult(gamma_s=gamma_s, alpha2=alpha2, times=empty,
-                          concurrence=empty, c1=empty, c2=empty,
-                          trace_error=empty, min_eigenvalue=empty,
-                          path="none", error=msg)
-
+    error text, and a failed evolution returns its own."""
     if isinstance(initial, str):
-        return failed(initial)
+        return initial
     try:
-        traj = evolve(initial, build_space(config.n_fock), params, times,
+        return evolve(initial, build_space(config.n_fock), params, times,
                       step_size=config.step_size, shared=shared)
-        conc, c1, c2, path = _cell_concurrence(traj)
     except CELL_ERRORS as exc:
-        return failed(_error_text(exc))
-    return CellResult(
-        gamma_s=gamma_s, alpha2=alpha2, times=traj.times,
-        concurrence=conc, c1=c1, c2=c2,
-        trace_error=traj.trace_error,
-        min_eigenvalue=traj.min_eigenvalue, path=path,
-        diagnostics=traj.diagnostics)
+        return _error_text(exc)
+
+
+def _finished(group: list[tuple[float, float, Trajectory]]
+              ) -> list[CellResult]:
+    """The (gamma_s, alpha2, trajectory) cells of `group` as results, with
+    their concurrence from one pass (see _concurrences)."""
+    if not group:
+        return []
+    cells = []
+    results = _concurrences([traj.reduced for _, _, traj in group])
+    for (gamma_s, alpha2, traj), result in zip(group, results):
+        if isinstance(result, Exception):
+            cells.append(_failed_cell(gamma_s, alpha2, _error_text(result)))
+            continue
+        conc, c1, c2, path = result
+        cells.append(CellResult(
+            gamma_s=gamma_s, alpha2=alpha2, times=traj.times,
+            concurrence=conc, c1=c1, c2=c2, trace_error=traj.trace_error,
+            min_eigenvalue=traj.min_eigenvalue, path=path,
+            diagnostics=traj.diagnostics))
+    return cells
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -269,7 +335,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     state file loaded once, and serves every gamma_s; a raw file that
     cannot be loaded fails every cell with its error. The cells of one
     gamma_s share one generator and propagator build, through a dict that
-    lives for this call only.
+    lives for this call only. The cells are evolved one at a time, and
+    consecutive healthy cells share one concurrence pass (see
+    _concurrences), as many as CHECK_CHUNK samples hold; a cell of more
+    samples takes one of its own.
     """
     params, initials = config._prepare()
     alpha2_values: tuple[float, ...]
@@ -283,9 +352,24 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         alpha2_values = config.alpha2_grid
     times = config.times()
     shared: dict = {}
-    cells = [_run_cell(config, gs, a2, initial, p, times, shared)
-             for gs, p in zip(config.resolved_gamma_s(), params)
-             for a2, initial in zip(alpha2_values, initials)]
+    # every cell samples `times`; a group is done, and its trajectories
+    # dropped, as soon as it is full
+    per_pass = max(1, CHECK_CHUNK // len(times))
+    cells: list[CellResult] = []
+    group: list[tuple[float, float, Trajectory]] = []
+    for gamma_s, p in zip(config.resolved_gamma_s(), params):
+        for alpha2, initial in zip(alpha2_values, initials):
+            traj = _run_cell(config, initial, p, times, shared)
+            if isinstance(traj, str):
+                cells += _finished(group)
+                cells.append(_failed_cell(gamma_s, alpha2, traj))
+                group = []
+                continue
+            group.append((gamma_s, alpha2, traj))
+            if len(group) == per_pass:
+                cells += _finished(group)
+                group = []
+    cells += _finished(group)
     return SweepResult(config=config, cells=cells)
 
 

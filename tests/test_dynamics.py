@@ -350,9 +350,13 @@ def test_gauge_real_states_take_the_real_blocks(n_fock, rates):
     times = np.linspace(0.0, 8.0, 1203)
     for name, init in _gauge_real_states(space).items():
         traj = evolve(init, space, params, times, store_full=True)
-        assert not _photon_gauge(np.array(
-            [s.rho_tilde for s in traj.full_states]))[1].any(), name
+        rho = np.array([s.rho_tilde for s in traj.full_states])
+        assert not _photon_gauge(rho)[1].any(), name
         assert traj.diagnostics.real_block_samples == len(times), name
+        # the reduced states are stored real: the real parts of those of
+        # the full states, whose imaginary parts are all +0.0
+        assert traj.reduced.dtype == np.float64, name
+        assert _same_reduced(traj, rho, space), name
         _assert_min_eigenvalues(traj, init, space, params)
 
 
@@ -382,8 +386,8 @@ def test_complex_states_keep_the_complex_blocks(n_fock):
                               (pops * weights).sum(axis=1)), name
             assert _same_bits(traj.sector_leakage,
                               pops[:, weights > 2].sum(axis=1)), name
-            assert _same_bits(traj.reduced,
-                              partial_trace_cavity(rho, space)), name
+            assert traj.reduced.dtype == complex, name
+            assert _same_reduced(traj, rho, space), name
             herm = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(
                 axis=(1, 2))
             assert np.array_equal(traj.hermiticity_error, herm), name
@@ -432,6 +436,19 @@ def _same_bits(a, b):
         a.tobytes() == b.tobytes())
 
 
+def _same_reduced(traj, rho, space):
+    """traj.reduced against partial_trace_cavity of its full states rho,
+    bit for bit: with one real row-block (every sample real in the gauge)
+    it is float64, the real parts of states whose imaginary parts are all
+    +0.0; with two it is complex."""
+    full = partial_trace_cavity(rho, space)
+    if traj.diagnostics.real_block_samples == len(traj):
+        return (_same_bits(traj.reduced, full.real)
+                and not full.imag.view(np.int64).any())
+    return traj.diagnostics.real_block_samples == 0 and _same_bits(
+        traj.reduced, full)
+
+
 @pytest.mark.parametrize("n_fock", [3, 4])
 def test_sums_over_the_slice_equal_the_full_width_formulas(n_fock):
     # the trace, <N>, the leakage and the reduced states add the slice's
@@ -459,8 +476,7 @@ def test_sums_over_the_slice_equal_the_full_width_formulas(n_fock):
                               (pops * weights).sum(axis=1)), name
             assert _same_bits(traj.sector_leakage,
                               pops[:, weights > 2].sum(axis=1)), name
-            assert _same_bits(traj.reduced,
-                              partial_trace_cavity(rho, space)), name
+            assert _same_reduced(traj, rho, space), name
     assert traj.diagnostics.step_count == 2 * 10000
 
 
@@ -926,6 +942,11 @@ def _nan(rho):
     return rho
 
 
+def _huge(rho):
+    """Finite entries whose sum overflows: no sample is non-finite."""
+    return 1.5e308 * rho
+
+
 C = CHECK_CHUNK
 # sample index -> how to corrupt it: a function of the state, or the index
 # of an earlier (more excited) state to repeat there
@@ -945,6 +966,7 @@ CHUNK_CASES = {
     "earlier_gain_wins": {C + 2: C - 10, C + 20: _non_hermitian},
     "finite_first": {C + 3: _nan, C + 7: _non_hermitian},
     "hermiticity_before_later_nan": {C + 3: _non_hermitian, C + 4: _nan},
+    "overflowing_sum_is_finite": {C + 5: _huge},
 }
 
 
@@ -1002,7 +1024,7 @@ def test_chunked_checks_report_the_per_sample_first_violation(
         # the first run holds no plant and is real in the gauge; the run
         # that fails is real there unless a plant moved it off
         assert kinds[0] == "f"
-        real = (_negative_gauge_real, _short_trace, _nan)
+        real = (_negative_gauge_real, _short_trace, _nan, _huge)
         assert kinds[-1] == ("f" if all(
             isinstance(plant, int) or plant in real
             for plant in CHUNK_CASES[case].values()) else "c")
@@ -1201,6 +1223,41 @@ class TestEvolveValidation:
         one = evolve(init, space3, params, np.array([0.0]))
         assert one.diagnostics.step_count == 0
         assert np.abs(one.reduced[0] - traj.reduced[0]).max() == 0.0
+
+    def test_a_shared_dict_checks_each_grid_once(self, space3, monkeypatch):
+        # a grid is checked once per shared dict, told apart by its bits
+        # and the initial time, also across the builds of other rates; a
+        # direct call checks it every time, and a dict that has seen a
+        # good grid still rejects every bad one
+        checked = []
+        check = dynamics._check_times
+
+        def recording(times, start):
+            checked.append(len(times))
+            check(times, start)
+
+        monkeypatch.setattr(dynamics, "_check_times", recording)
+        init = make_initial(InitialStateSpec("psi", 0.5), space3)
+        times = np.linspace(0.0, 1.0, 11)
+        shared = {}
+        for gamma_s in (0.1, 0.1, 0.2, 0.1):
+            evolve(init, space3, SystemParams.symmetric(gamma_s),
+                   times.copy(), shared=shared)
+        assert checked == [11]
+        params = SystemParams.symmetric(0.1)
+        for _ in range(2):
+            evolve(init, space3, params, times)
+        assert checked == [11] * 3
+        later = FullState(init.rho_tilde, 0.5)
+        evolve(init, space3, params, np.linspace(0.0, 1.0, 21),
+               shared=shared)
+        evolve(later, space3, params, times + 0.5, shared=shared)
+        assert checked == [11] * 3 + [21, 11]
+        for bad in ([0.0, 1.0, 3.0], [0.0, math.nan], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="times"):
+                evolve(init, space3, params, np.array(bad), shared=shared)
+        with pytest.raises(ValueError, match="start at the initial"):
+            evolve(later, space3, params, times, shared=shared)
 
     def test_dimension_mismatch(self, space3):
         params = SystemParams.symmetric(0.1)

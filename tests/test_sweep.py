@@ -8,23 +8,29 @@ from conftest import random_density_matrix
 from pseudomode import (
     FullState,
     IntegrationError,
+    SystemParams,
     build_space,
     concurrence_general,
+    concurrence_x_state,
     evolve,
     make_initial,
+    x_form_deviation,
 )
 from pseudomode import cli, dynamics, sweep
 from pseudomode.cli import _parse, main
+from pseudomode.dynamics import CHECK_CHUNK
+from pseudomode.entanglement import X_TOLERANCE
 from pseudomode.states import InitialStateSpec
 from pseudomode.sweep import (
     CSV_COLUMNS,
+    DUAL_PATH_TOL,
     GRID_SCHEMA,
     ROWS_SCHEMA,
     WRITE_ROWS,
     CellResult,
     SweepConfig,
     SweepResult,
-    _cell_concurrence,
+    _concurrences,
     detect_esd_intervals,
     load_raw_state,
     run_sweep,
@@ -50,6 +56,15 @@ def _raw_non_x_state(space, seed: int) -> FullState:
     rho[np.ix_(low, low)] += 0.2 * random_density_matrix(
         np.random.default_rng(seed), len(low))
     return FullState(rho)
+
+
+def _real_non_x_state(space) -> FullState:
+    """A pure state with a |00>-|10> coherence and no photon: real in the
+    photon-number gauge (one row-block), and off the X pattern."""
+    v = np.zeros(space.dim_total, dtype=complex)
+    v[[space.flat_index(0, 0, 0), space.flat_index(1, 0, 0),
+       space.flat_index(1, 1, 0)]] = 0.6, 0.3, 0.7
+    return FullState(np.outer(v, v) / np.vdot(v, v).real)
 
 
 def _rows_by_value(result: SweepResult) -> bytes:
@@ -187,7 +202,7 @@ class TestRunSweep:
             init = make_initial(InitialStateSpec("psi", cell.alpha2), space)
             traj = evolve(init, space, cfg.system_params(cell.gamma_s),
                           cfg.times())
-            conc, c1, c2, path = _cell_concurrence(traj)
+            (conc, c1, c2, path), = _concurrences([traj.reduced])
             assert cell.path == path
             for got, expected in [(cell.times, traj.times),
                                   (cell.concurrence, conc), (cell.c1, c1),
@@ -256,6 +271,157 @@ class TestRunSweep:
         write_rows_csv(run_sweep(SMALL), str(p1))
         write_rows_csv(run_sweep(SMALL), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _alone(reduced: np.ndarray) -> tuple:
+    """One cell's concurrence from the public functions on its own
+    reduced states: the closed form if every sample is within X tolerance
+    and the first, middle and last samples agree with the general
+    algorithm, else the general algorithm on every sample, which is
+    handed complex matrices. A failing check raises its ValueError."""
+    n = len(reduced)
+    rho = reduced.astype(complex)
+    if x_form_deviation(reduced) <= X_TOLERANCE:
+        x = concurrence_x_state(reduced)
+        # the closed form gives the same bits on the real array
+        assert x.c.tobytes() == concurrence_x_state(rho).c.tobytes()
+        spots = sorted({0, n // 2, n - 1})
+        gap = np.abs(x.c[spots] - concurrence_general(rho[spots]).c)
+        if (gap <= DUAL_PATH_TOL).all():
+            return x.c, x.c1, x.c2, "x_state"
+    nan = np.full(n, math.nan)
+    return concurrence_general(rho).c, nan, nan, "general"
+
+
+def _same_cell(got: tuple, expected: tuple) -> bool:
+    """Two (c, c1, c2, path) results with the same bits."""
+    return got[3] == expected[3] and all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(got[:3], expected[:3]))
+
+
+class TestConcurrenceGroups:
+    """Consecutive healthy cells of at most CHECK_CHUNK samples share one
+    concurrence pass; each cell gets what it would get alone."""
+
+    def _trajectories(self, space, n_steps=40):
+        params = SystemParams.symmetric(0.2)
+        times = np.linspace(0.0, 4.0, n_steps + 1)
+        states = {
+            "psi": make_initial(InitialStateSpec("psi", 0.3), space),
+            "phi": make_initial(InitialStateSpec("phi", 0.3), space),
+            "werner": make_initial(
+                InitialStateSpec("werner_psi", 0.3, r=0.6), space),
+            "phi 0.4": make_initial(
+                InitialStateSpec("phi", 0.3, theta=0.4), space),
+            "raw": _raw_non_x_state(space, 7),
+            "raw real": _real_non_x_state(space),
+        }
+        return {name: evolve(init, space, params, times)
+                for name, init in states.items()}
+
+    def test_grouped_cells_equal_each_cell_alone(self, space3):
+        # real (one row-block) and complex (two) cells, with cells on the
+        # general path among closed-form ones, in a real stack, a complex
+        # one and alone: each result has the bits of the public functions
+        # on the cell alone, and a general cell leaves its neighbours on
+        # the closed form
+        trajs = self._trajectories(space3)
+        assert trajs["psi"].reduced.dtype == np.float64
+        assert trajs["raw real"].reduced.dtype == np.float64
+        assert trajs["phi 0.4"].reduced.dtype == complex
+        assert trajs["raw"].reduced.dtype == complex
+        for order in (["psi", "raw real", "phi"],
+                      ["psi", "raw", "phi", "raw real", "werner", "phi 0.4"],
+                      ["raw real"], ["psi"]):
+            results = _concurrences([trajs[k].reduced for k in order])
+            assert [r[3] for r in results] == [
+                "general" if k.startswith("raw") else "x_state"
+                for k in order]
+            for name, result in zip(order, results):
+                assert _same_cell(result, _alone(trajs[name].reduced)), name
+
+    @pytest.mark.parametrize("plant", [
+        "hermiticity", "trace", "non_finite", "negative_spot",
+        "negative_general"])
+    def test_a_failing_cell_fails_alone_with_its_own_message(
+            self, monkeypatch, plant):
+        # a check of the concurrence stage that one cell of a group fails
+        # fails that cell only, with the message the public functions give
+        # it alone; the other cells of the group keep their results
+        def planted(reduced):
+            bad = reduced.astype(complex)
+            if plant == "hermiticity":
+                bad[4, 1, 2] += 1e-6  # on the X pattern
+            elif plant == "trace":
+                bad[7] *= 1.01
+            elif plant == "non_finite":
+                bad[5, 0, 0] = math.nan
+            elif plant == "negative_spot":  # an X state, sample 0
+                bad[0] = np.diag([0.6, 0.5, -0.05, -0.05])
+            else:  # off the X pattern, so only the general path sees it
+                bad[3] = np.diag([0.6, 0.5, -0.05, -0.05])
+                bad[3, 0, 1] = bad[3, 1, 0] = 1e-6
+            return bad
+
+        evolved = []
+
+        def evolving(*args, **kwargs):
+            traj = evolve(*args, **kwargs)
+            evolved.append(traj.reduced)
+            if len(evolved) == 2:  # the middle cell
+                traj.reduced = planted(traj.reduced)
+            return traj
+
+        groups = []
+        grouped = sweep._concurrences
+
+        def recording(reduced):
+            groups.append(len(reduced))
+            return grouped(reduced)
+
+        cfg = replace(SMALL, gamma_s_list=(0.2,))
+        clean = run_sweep(cfg)
+        monkeypatch.setattr(sweep, "evolve", evolving)
+        monkeypatch.setattr(sweep, "_concurrences", recording)
+        result = run_sweep(cfg)
+        assert groups == [3]
+        with pytest.raises(ValueError) as err:
+            _alone(planted(evolved[1]))
+        assert [c.failed for c in result.cells] == [False, True, False]
+        assert result.cells[1].error == f"ValueError: {err.value}"
+        for got, expected in zip(result.cells[::2], clean.cells[::2]):
+            assert got.path == expected.path == "x_state"
+            for a, b in [(got.concurrence, expected.concurrence),
+                         (got.c1, expected.c1), (got.c2, expected.c2)]:
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n_steps, gamma_s_list, groups", [
+        (10, (0.0, 0.2), [[11] * 6]),
+        (255, (0.0, 0.2), [[256, 256]] * 3),
+        (170, (0.0,), [[171, 171], [171]]),
+        (CHECK_CHUNK, (0.0, 0.2), [[CHECK_CHUNK + 1]] * 6),
+        # a failed cell ends a group
+        (10, (0.2, 2000.0, 0.0), [[11] * 3, [11] * 3]),
+    ])
+    def test_groups_hold_consecutive_healthy_cells_up_to_a_run(
+            self, monkeypatch, n_steps, gamma_s_list, groups):
+        # consecutive healthy cells share a pass while their samples sum
+        # to at most CHECK_CHUNK; a longer cell is never grouped
+        seen = []
+        grouped = sweep._concurrences
+
+        def recording(reduced):
+            seen.append([len(r) for r in reduced])
+            return grouped(reduced)
+
+        monkeypatch.setattr(sweep, "_concurrences", recording)
+        cfg = replace(SMALL, gamma_s_list=gamma_s_list, t_max=0.1 * n_steps,
+                      n_steps=n_steps)
+        result = run_sweep(cfg)
+        assert seen == groups
+        assert [c.failed for c in result.cells] == [
+            g == 2000.0 for g in gamma_s_list for _ in cfg.alpha2_grid]
 
 
 class TestDetectEsd:
