@@ -454,7 +454,8 @@ def _squarings(x: np.ndarray) -> Iterator[np.ndarray]:
         off = x.copy()
         np.fill_diagonal(off, 0.0)
         square = off @ off + (diagonal[:, None] * off + off * diagonal)
-        square[np.diag_indices_from(square)] += diagonal * diagonal
+        # the diagonal of the fresh, contiguous square as a strided view
+        square.reshape(-1)[::len(square) + 1] += diagonal * diagonal
         x = 2 * x + square
 
 

@@ -77,4 +77,7 @@ def make_initial(spec: InitialStateSpec, space: CompositeSpace) -> FullState:
         rho_q = spec.r * rho_q + (1.0 - spec.r) * np.eye(4) / 4.0
     vacuum = np.zeros((space.n_fock, space.n_fock), dtype=complex)
     vacuum[0, 0] = 1.0
-    return FullState(rho_tilde=np.kron(rho_q, vacuum), time=0.0)
+    # rho_q (x) vacuum as one broadcast product: the products np.kron
+    # makes, so the same bits, signed zeros included
+    rho = rho_q[:, None, :, None] * vacuum[None, :, None, :]
+    return FullState(rho_tilde=rho.reshape(space.dim_total, -1), time=0.0)

@@ -29,7 +29,6 @@ from typing import Iterator
 import numpy as np
 
 from .dynamics import (
-    CHECK_CHUNK,
     DEFAULT_STEP,
     FullState,
     IntegrationDiagnostics,
@@ -79,6 +78,11 @@ CELL_ERRORS = (IntegrationError, ValueError, ArithmeticError, OSError)
 # holds (besides one cell's times), while values that recur within the
 # rows are formatted once.
 WRITE_ROWS = 2048
+
+# Most samples one concurrence pass takes from consecutive cells (512 KiB
+# of float64 two-qubit states, 1 MiB of complex ones): short cells share a
+# pass, and with it the fixed costs of its checks and its spot checks.
+PASS_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,9 @@ def _concurrences(reduced: list[np.ndarray]) -> list:
     A cell takes the closed form only if every sample is within X
     tolerance and its first, middle and last samples agree with the
     general algorithm; otherwise the general algorithm gives every sample.
-    The cells are evaluated as one stack (a single cell is read in place):
+    The cells are evaluated as one stack, which run_sweep keeps to at
+    most PASS_SAMPLES samples (a single cell is read in place, whatever
+    its length):
     the input checks and the X-form deviation run once on each matrix,
     and each cell is judged on its own maxima, so it takes the path, or
     fails with the message, that it would alone; the closed form runs once
@@ -337,8 +343,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     gamma_s share one generator and propagator build, through a dict that
     lives for this call only. The cells are evolved one at a time, and
     consecutive healthy cells share one concurrence pass (see
-    _concurrences), as many as CHECK_CHUNK samples hold; a cell of more
-    samples takes one of its own.
+    _concurrences), as many as PASS_SAMPLES samples hold; a cell of more
+    samples takes one of its own, and is read in place.
     """
     params, initials = config._prepare()
     alpha2_values: tuple[float, ...]
@@ -354,7 +360,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     shared: dict = {}
     # every cell samples `times`; a group is done, and its trajectories
     # dropped, as soon as it is full
-    per_pass = max(1, CHECK_CHUNK // len(times))
+    per_pass = max(1, PASS_SAMPLES // len(times))
     cells: list[CellResult] = []
     group: list[tuple[float, float, Trajectory]] = []
     for gamma_s, p in zip(config.resolved_gamma_s(), params):

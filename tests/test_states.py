@@ -100,6 +100,23 @@ class TestMakeInitial:
             state.validate()
             assert state.time == 0.0
 
+    @pytest.mark.parametrize("family", ["phi", "psi", "werner_psi"])
+    def test_same_bits_as_kron_with_the_vacuum(self, space3, family):
+        # the broadcast product makes the products np.kron makes, so each
+        # state has its bits, signed zeros included
+        vacuum = np.zeros((3, 3), dtype=complex)
+        vacuum[0, 0] = 1.0
+        for theta in (0.0, 0.4, math.pi / 2, math.pi, -0.7, 3 * math.pi / 2):
+            for a2 in (0.0, 0.1, 0.5, 0.9, 1.0):
+                spec = InitialStateSpec(family, a2, theta, r=0.6)
+                v = _qubit_pure_vector(spec)
+                rho_q = np.outer(v, v.conj())
+                if family == "werner_psi":
+                    rho_q = spec.r * rho_q + (1.0 - spec.r) * np.eye(4) / 4.0
+                got = make_initial(spec, space3).rho_tilde
+                assert got.tobytes() == np.kron(rho_q, vacuum).tobytes(), (
+                    theta, a2)
+
 
 def test_initial_concurrence_formula(space3):
     # C(0) = 2 sqrt(alpha2 (1 - alpha2)) for both pure families, any theta

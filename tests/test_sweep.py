@@ -18,13 +18,13 @@ from pseudomode import (
 )
 from pseudomode import cli, dynamics, sweep
 from pseudomode.cli import _parse, main
-from pseudomode.dynamics import CHECK_CHUNK
 from pseudomode.entanglement import X_TOLERANCE
 from pseudomode.states import InitialStateSpec
 from pseudomode.sweep import (
     CSV_COLUMNS,
     DUAL_PATH_TOL,
     GRID_SCHEMA,
+    PASS_SAMPLES,
     ROWS_SCHEMA,
     WRITE_ROWS,
     CellResult,
@@ -301,8 +301,8 @@ def _same_cell(got: tuple, expected: tuple) -> bool:
 
 
 class TestConcurrenceGroups:
-    """Consecutive healthy cells of at most CHECK_CHUNK samples share one
-    concurrence pass; each cell gets what it would get alone."""
+    """Consecutive healthy cells whose samples sum to at most PASS_SAMPLES
+    share one concurrence pass; each cell gets what it would get alone."""
 
     def _trajectories(self, space, n_steps=40):
         params = SystemParams.symmetric(0.2)
@@ -398,16 +398,21 @@ class TestConcurrenceGroups:
 
     @pytest.mark.parametrize("n_steps, gamma_s_list, groups", [
         (10, (0.0, 0.2), [[11] * 6]),
-        (255, (0.0, 0.2), [[256, 256]] * 3),
-        (170, (0.0,), [[171, 171], [171]]),
-        (CHECK_CHUNK, (0.0, 0.2), [[CHECK_CHUNK + 1]] * 6),
+        (255, (0.0, 0.2), [[256] * 6]),
+        (170, (0.0,), [[171] * 3]),
+        (512, (0.0, 0.2), [[513] * 6]),
         # a failed cell ends a group
         (10, (0.2, 2000.0, 0.0), [[11] * 3, [11] * 3]),
+        (1365, (0.0,), [[1366, 1366], [1366]]),
+        # cells that fill the budget exactly, and one sample over it
+        (PASS_SAMPLES // 2 - 1, (0.0, 0.2), [[PASS_SAMPLES // 2] * 2] * 3),
+        (PASS_SAMPLES // 2, (0.0,), [[PASS_SAMPLES // 2 + 1]] * 3),
+        (PASS_SAMPLES, (0.0, 0.2), [[PASS_SAMPLES + 1]] * 6),
     ])
     def test_groups_hold_consecutive_healthy_cells_up_to_a_run(
             self, monkeypatch, n_steps, gamma_s_list, groups):
         # consecutive healthy cells share a pass while their samples sum
-        # to at most CHECK_CHUNK; a longer cell is never grouped
+        # to at most PASS_SAMPLES; a longer cell is never grouped
         seen = []
         grouped = sweep._concurrences
 
@@ -422,6 +427,74 @@ class TestConcurrenceGroups:
         assert seen == groups
         assert [c.failed for c in result.cells] == [
             g == 2000.0 for g in gamma_s_list for _ in cfg.alpha2_grid]
+
+    def _recording_evolve(self, monkeypatch) -> list:
+        """Patch the sweep's evolve to collect each cell's reduced states."""
+        evolved = []
+
+        def evolving(*args, **kwargs):
+            traj = evolve(*args, **kwargs)
+            evolved.append(traj.reduced)
+            return traj
+
+        monkeypatch.setattr(sweep, "evolve", evolving)
+        return evolved
+
+    def test_a_grid_sweep_takes_one_pass_and_one_spot_check(
+            self, monkeypatch):
+        # the 19 cells of 151 samples of the benchmark's grid sweep fit one
+        # pass, whose closed-form cells are spot-checked in one call; each
+        # cell still gets the bits it would get alone
+        evolved = self._recording_evolve(monkeypatch)
+        passes, spot_checks = [], []
+        grouped, general = sweep._concurrences, sweep.concurrence_general
+
+        def recording(reduced):
+            passes.append([len(r) for r in reduced])
+            return grouped(reduced)
+
+        def checking(rho):
+            spot_checks.append(rho.shape)
+            return general(rho)
+
+        monkeypatch.setattr(sweep, "_concurrences", recording)
+        monkeypatch.setattr(sweep, "concurrence_general", checking)
+        cfg = SweepConfig(family="psi",
+                          alpha2_grid=tuple(i / 20 for i in range(1, 20)),
+                          gamma_s_list=(0.02,), t_max=15.0, n_steps=150)
+        result = run_sweep(cfg)
+        assert passes == [[151] * 19]
+        assert spot_checks == [(19, 3, 4, 4)]
+        assert len(evolved) == len(result.cells) == 19
+        for reduced, cell in zip(evolved, result.cells):
+            assert cell.path == "x_state"
+            assert _same_cell((cell.concurrence, cell.c1, cell.c2, cell.path),
+                              _alone(reduced)), cell.alpha2
+
+    def test_a_cell_over_the_budget_is_read_in_place(self, monkeypatch):
+        # a cell of more than PASS_SAMPLES samples reaches the pass as its
+        # trajectory's own array, and the pass checks it without a copy
+        evolved = self._recording_evolve(monkeypatch)
+        passes, checked = [], []
+        grouped, input_errors = sweep._concurrences, sweep._input_errors
+
+        def recording(reduced):
+            passes.append(reduced)
+            return grouped(reduced)
+
+        def checking(stack):
+            checked.append(stack)
+            return input_errors(stack)
+
+        monkeypatch.setattr(sweep, "_concurrences", recording)
+        monkeypatch.setattr(sweep, "_input_errors", checking)
+        cfg = replace(SMALL, alpha2_grid=(0.2, 0.5), gamma_s_list=(0.2,),
+                      t_max=0.1 * PASS_SAMPLES, n_steps=PASS_SAMPLES)
+        run_sweep(cfg)
+        assert len(evolved) == len(passes) == len(checked) == 2
+        for reduced, group, stack in zip(evolved, passes, checked):
+            assert len(group) == 1 and group[0] is reduced
+            assert np.shares_memory(stack, reduced)
 
 
 class TestDetectEsd:
