@@ -51,7 +51,9 @@ row-block, complex for two). Every check reads the gauged
 slice itself through index maps built once: finiteness and hermiticity
 (each entry against its transpose's conjugate) through slice_maps,
 positivity (eigvalsh per diagonal block of rho, see diagonal_blocks;
-real symmetric blocks for one row-block, Hermitian ones for two)
+real symmetric blocks for one row-block, Hermitian ones for two; small
+real blocks that a closed-form certificate proves positive definite
+skip it where the minimum is clamped at 0, see _check_samples)
 through gauge_maps, and the trace, <N>, the sector leakage and the
 partial trace through gather_maps, which lay out the needed entries
 with exact zeros where they fall outside the slice, so each sum rounds
@@ -172,7 +174,12 @@ class IntegrationDiagnostics:
     photon-number gauge (see photon_turns), with the smallest eigenvalue
     taken on real symmetric blocks: every sample of a state that starts
     real in the gauge. The others take two row-blocks and Hermitian
-    blocks.
+    blocks. min_eigenvalue is the smallest eigenvalue LAPACK computes
+    for a block, or 0.0 when the blocks leave a basis state out and no
+    block's is lower; a real block of at most CERT_BLOCK basis states
+    that the closed-form certificate proves positive definite is then
+    not passed to LAPACK, since its value could not be the minimum (see
+    _check_samples).
     propagate_s is the time spent building the propagator and its
     squarings and filling the runs of points with them, including the
     generator build and its trace-law check; a run that
@@ -548,10 +555,60 @@ def _builds(space: CompositeSpace, params: SystemParams, h: float,
     return shared["entries"], maps, shared["squarings"]
 
 
+# Relative margin of the positivity certificate, and its absolute floor,
+# the smallest normal double (see _certified)
+CERT_MARGIN = 1e-9
+_CERT_FLOOR = np.finfo(float).tiny
+# Largest block, in basis states, that _certified takes
+CERT_BLOCK = 3
+
+
+def _certified(sym: np.ndarray) -> np.ndarray:
+    """Which of the real symmetric (n, k, k) blocks sym, k <= CERT_BLOCK,
+    are certified to have a strictly positive smallest eigenvalue, as
+    np.linalg.eigvalsh computes it.
+
+    A block is certified when the LDL^T pivots of sym - margin I, with
+    margin = max(CERT_MARGIN tr(sym), the smallest normal double), are all
+    > 0 in floating point; they are read from the lower triangle, which
+    eigvalsh reads too. A NaN pivot fails. Why this is sound: an LDL^T
+    (Cholesky) factorisation that succeeds in floating point is the exact
+    factorisation of sym - margin I + E with ||E|| <= gamma_(k+1) tr(sym)
+    up to terms of order eps^2 (gamma_4 < 4.5e-16). So sym is positive
+    definite, its smallest eigenvalue > margin - ||E||, and its norm is at
+    most its trace. LAPACK's dsyevd, which eigvalsh calls, is backward
+    stable: its smallest eigenvalue is off by a small multiple of
+    eps ||sym||, far below the margin, so it is > 0 too. The floor keeps
+    the margin above the absolute error of a product that underflows:
+    without it, blocks of subnormal entries pass whose computed smallest
+    eigenvalue is 0.0.
+    """
+    n, k, _ = sym.shape
+    # entry (i, j) of every block, contiguous: row i k + j
+    flat = np.ascontiguousarray(sym.reshape(n, k * k).T)
+    margin = np.maximum(CERT_MARGIN * flat[::k + 1].sum(axis=0),
+                        _CERT_FLOOR)
+    low = {(i, j): flat[i * k + j] for i in range(k) for j in range(i)}
+    for i in range(k):
+        low[i, i] = flat[i * (k + 1)] - margin
+    # right-looking elimination on the lower triangle; its diagonal ends
+    # as the pivots
+    for j in range(k):
+        for i in range(j + 1, k):
+            ratio = low[i, j] / low[j, j]
+            for c in range(j + 1, i + 1):
+                low[i, c] = low[i, c] - ratio * low[c, j]
+    least = low[0, 0]
+    for i in range(1, k):
+        least = np.minimum(least, low[i, i])  # NaN stays NaN
+    return least > 0
+
+
 # past an unstable step a finite state may still overflow these sums; the
-# checks catch it. 0.5 B + 0.5 B^H cannot overflow, and has the bits of
+# checks catch it. _certified divides by 0 at a zero pivot and certifies
+# no such block. 0.5 B + 0.5 B^H cannot overflow, and has the bits of
 # 0.5 (B + B^H) unless an entry is subnormal.
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
                    mirror: np.ndarray, blocks: tuple, diagonal: np.ndarray,
                    prev_expect_n: float,
@@ -580,7 +637,17 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     similarity, so these have the eigenvalues of the blocks of rho up to
     the routine's rounding. The slice holds every nonzero entry of the
     states and the transpose of each, so these are the checks of the
-    full matrices.
+    full matrices. When the blocks leave a basis state out, the reported
+    minimum is clamped at the exact 0 of that state, so a block whose
+    computed smallest eigenvalue is > 0 cannot change it: with k = 1, a
+    block of at most CERT_BLOCK basis states goes to eigvalsh only for
+    the samples that _certified does not prove positive definite (an
+    empty block, the first samples after it while its smallest
+    eigenvalue is below the margin, a block past an unstable step), and
+    their minima are scattered back. Every
+    sample of a larger block, of a complex run or of a run whose blocks
+    cover every basis state goes to eigvalsh, as the value itself is
+    reported there. The results are the same bits either way.
 
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, trace, positivity,
@@ -609,14 +676,23 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     herm = herm.max(axis=1)
     tr_err = np.abs(_complex(on_diagonal).sum(axis=1) - 1.0)
     # block by block, then an exact 0 for a basis state that no block
-    # holds; inf is the minimum's identity
+    # holds; inf is the minimum's identity. Under that clamp a certified
+    # real block cannot change the minimum, so only the samples it does
+    # not certify go to eigvalsh
     min_eig = np.full(n_ok, math.inf)
+    clamped = sum(map(len, blocks)) < len(diagonal)
     for index in blocks:
         blk = ok.take(index, axis=2)
         blk = blk[0] if len(ok) == 1 else _complex(blk)
-        min_eig = np.minimum(min_eig, np.linalg.eigvalsh(
-            0.5 * blk + 0.5 * blk.conj().transpose(0, 2, 1))[:, 0])
-    if sum(map(len, blocks)) < len(diagonal):
+        sym = 0.5 * blk + 0.5 * blk.conj().transpose(0, 2, 1)
+        todo = slice(None)
+        if clamped and len(ok) == 1 and len(index) <= CERT_BLOCK:
+            todo = np.flatnonzero(~_certified(sym))
+            sym = sym[todo]
+        if len(sym):
+            min_eig[todo] = np.minimum(min_eig[todo],
+                                       np.linalg.eigvalsh(sym)[:, 0])
+    if clamped:
         min_eig = np.minimum(min_eig, 0.0)
     pops = on_diagonal[0]
     expn = (pops * weights).sum(axis=1)

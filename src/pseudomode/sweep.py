@@ -461,7 +461,12 @@ def write_rows_csv(result: SweepResult, path: str) -> None:
 
 
 def write_grid_csv(result: SweepResult, path: str) -> None:
-    """Dense (time, alpha2) concurrence matrix; single gamma_s runs only."""
+    """Dense (time, alpha2) concurrence matrix; single gamma_s runs only.
+
+    Formatted in one pass, %.17g on each value: nearly every grid value
+    is distinct, so the rows writer's reuse of repeated strings would not
+    pay here.
+    """
     gammas = {c.gamma_s for c in result.cells}
     if len(gammas) != 1:
         raise ValueError("grid output requires exactly one gamma_s value")
@@ -470,12 +475,15 @@ def write_grid_csv(result: SweepResult, path: str) -> None:
         raise ValueError(
             f"grid output with failed cell alpha2={bad.alpha2}: {bad.error}")
     cells = result.cells
-    header = _formatted([[c.alpha2 for c in cells]])
+    alpha2 = np.array([c.alpha2 for c in cells], dtype=float)
+    table = np.array([cells[0].times] + [c.concurrence for c in cells],
+                     dtype=float).T
+    values = ",".join(["%.17g"] * len(cells)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# schema={GRID_SCHEMA}\nt_scaled,")
-        _write_table(fh, header)
-        _write_table(fh, _formatted(
-            [cells[0].times] + [c.concurrence for c in cells]).T)
+        fh.write(f"# schema={GRID_SCHEMA}\nt_scaled,"
+                 + values % tuple(alpha2.tolist()))
+        fh.write(("%.17g," + values) * len(table)
+                 % tuple(table.ravel().tolist()))
 
 
 def save_raw_state(state: FullState, path: str) -> None:

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import fields
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,7 @@ from pseudomode.dynamics import (
     TRACE_LAW_TOL,
     TRACE_TOL,
     IntegrationDiagnostics,
+    _certified,
     _check_samples,
     diagonal_blocks,
     gather_maps,
@@ -545,6 +547,213 @@ def test_positivity_per_block_matches_full_eigvalsh(space3):
         assert np.abs(traj.min_eigenvalue - full).max() <= 1e-14, name
 
 
+def _exactly_positive_definite(block):
+    """Whether the float matrix block is positive definite, decided by
+    symmetric elimination in exact rational arithmetic: every pivot > 0.
+    """
+    a = [[Fraction(x) for x in row] for row in block.tolist()]
+    for j in range(len(a)):
+        if a[j][j] <= 0:
+            return False
+        for i in range(j + 1, len(a)):
+            ratio = a[i][j] / a[j][j]
+            for c in range(j + 1, len(a)):
+                a[i][c] -= ratio * a[j][c]
+    return True
+
+
+def _certificate_blocks(rng, k):
+    """Real symmetric k x k blocks that probe the certificate: random PSD
+    blocks of every rank at scales 1e-300 .. 1e300, blocks with one
+    slightly negative eigenvalue, zero and traceless blocks, blocks of
+    subnormal entries, and normal diagonals with subnormal couplings."""
+    out = []
+    for rank in range(k + 1):
+        for exponent in range(-300, 301, 25):
+            g = rng.standard_normal((30, k, rank))
+            out.append(g @ g.transpose(0, 2, 1) * 10.0 ** exponent)
+    q = np.linalg.qr(rng.standard_normal((300, k, k)))[0]
+    w = rng.uniform(0.1, 1.0, (300, k))
+    w[:, 0] = -(10.0 ** rng.uniform(-17, -8, 300))
+    out.append((q * w[:, None, :]) @ q.transpose(0, 2, 1))
+    traceless = np.zeros((2, k, k))
+    traceless[1, np.arange(k), np.arange(k)] = np.arange(k) - (k - 1) / 2
+    out.append(traceless)
+    tiny = np.finfo(float).smallest_subnormal
+    g = rng.integers(-4, 5, (300, k, k))
+    out.append((g @ g.transpose(0, 2, 1)) * tiny)
+    coupled = rng.integers(-4, 5, (300, k, k)) * tiny
+    coupled[:, np.arange(k), np.arange(k)] = rng.uniform(0.1, 1.0, (300, k))
+    out.append(coupled)
+    blocks = np.concatenate(out)
+    # the symmetric part, as _check_samples passes it
+    return 0.5 * blocks + 0.5 * blocks.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_certified_block_has_a_positive_computed_minimum(k):
+    # whenever the closed-form certificate passes a block, the block is
+    # positive definite in exact arithmetic and eigvalsh computes a
+    # smallest eigenvalue > 0, so that under the clamp at 0 it could not
+    # be the reported minimum; so no block with a smallest eigenvalue
+    # <= 0 is ever certified
+    sym = _certificate_blocks(np.random.default_rng(20 + k), k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        certified = _certified(sym)
+    low = np.linalg.eigvalsh(sym)[:, 0]
+    exact = np.array(list(map(_exactly_positive_definite, sym)))
+    # hundreds of the blocks are singular or indefinite in exact
+    # arithmetic, for the certificate to refuse
+    assert (~exact).sum() >= 300
+    assert exact[certified].all() and (low[certified] > 0).all()
+    # and it decides what it should: a block whose smallest eigenvalue
+    # is well above the margin, at a normal scale, passes
+    trace = np.trace(sym, axis1=1, axis2=2)
+    clear = (low > 1e-8 * trace) & (trace > 1e-290) & (trace < 1e290)
+    assert clear.sum() >= 500 and certified[clear].all()
+    # a pivot of sym - margin I must be > 0, not >= 0: the smallest
+    # normal double is its own margin, so its pivot is exactly 0
+    assert not _certified(np.full((1, 1, 1), np.finfo(float).tiny)).any()
+
+
+def test_the_certificate_changes_no_bit(space3, monkeypatch):
+    # every series, the diagnostics' extrema and the first violation past
+    # an unstable step are the same bits with the certificate as with
+    # every block sent to eigvalsh; psi, phi and werner are real in the
+    # gauge and leave basis states out of every block, so the
+    # certificate runs on their blocks of at most 3 basis states
+    certified = []
+    certify = dynamics._certified
+
+    def counting(sym):
+        ok = certify(sym)
+        certified.append(int(ok.sum()))
+        return ok
+
+    monkeypatch.setattr(dynamics, "_certified", counting)
+    times = np.linspace(0.0, 15.0, C + 151)
+    cases = [(init, SystemParams.symmetric(0.2), times, DEFAULT_STEP)
+             for init in _gauge_real_states(space3).values()]
+    psi = make_initial(InitialStateSpec("psi", 0.3), space3)
+    cases += [(psi, SystemParams.symmetric(2000.0),
+               np.linspace(0.0, 3.0, 3001), DEFAULT_STEP),
+              (psi, SystemParams.symmetric(6.0, gamma_cavity=4.0),
+               np.linspace(0.0, 2.0 * C, 2 * C + 1), 1.0)]
+    extrema = ("max_trace_error", "max_hermiticity_error", "min_eigenvalue",
+               "max_excitation_gain", "max_sector_leakage",
+               "real_block_samples", "step_count")
+
+    def outcomes():
+        seen = []
+        for init, params, grid, step in cases:
+            try:
+                traj = evolve(init, space3, params, grid, step_size=step)
+            except IntegrationError as err:
+                # repr tells -0.0 from 0.0, and is exact
+                seen.append((err.invariant, repr(err.time), repr(err.value),
+                             err.limit))
+                continue
+            seen.append([getattr(traj, f).tobytes() for f in (
+                "reduced", "expect_n", "trace_error", "hermiticity_error",
+                "min_eigenvalue", "sector_leakage")] + [
+                repr(getattr(traj.diagnostics, f)) for f in extrema])
+        return seen
+
+    checked = outcomes()
+    assert [c[0] for c in checked[-2:]] == ["positivity"] * 2
+    assert sum(certified) > 3 * (C + 140)
+    monkeypatch.setattr(dynamics, "_certified",
+                        lambda sym: np.zeros(len(sym), dtype=bool))
+    assert outcomes() == checked
+
+
+def test_lapack_takes_what_the_certificate_cannot_decide(space3,
+                                                         monkeypatch):
+    # psi real in the gauge: its 5-state block goes to eigvalsh whole in
+    # each run, its 3-state block only for the samples it cannot certify,
+    # the one-excitation block of the initial state, which is empty, and
+    # of the next few, whose smallest eigenvalue is still below the
+    # margin; every block of a complex run goes whole
+    stacks = _record_eigvalsh(monkeypatch)
+    params = SystemParams.symmetric(0.2)
+    times = np.linspace(0.0, 15.0, C + 151)
+    evolve(make_initial(InitialStateSpec("psi", 0.3), space3), space3,
+           params, times)
+    shapes = [a.shape for a in stacks]
+    assert shapes[::2] == [(C, 5, 5), (151, 5, 5)]
+    assert len(shapes) == 3 and shapes[1][1:] == (3, 3)
+    assert 1 <= shapes[1][0] <= 20
+    m = liouvillian_matrix(space3, params)
+    for name, init in _complex_states(space3).items():
+        stacks.clear()
+        evolve(init, space3, params, times)
+        sizes = [len(b) for b in diagonal_blocks(
+            reachable_entries(m, init.rho_tilde), space3.dim_total)]
+        assert [a.shape for a in stacks] == [(run, k, k) for run in (C, 151)
+                          for k in sizes], name
+
+
+def test_blocks_that_cover_every_basis_state_all_go_to_lapack(
+        space3, monkeypatch):
+    # a raw real state whose four 3-state blocks cover all 12 basis
+    # states: no exact 0 clamps the minimum, so the smallest block
+    # eigenvalue is reported itself and every sample of every block goes
+    # to eigvalsh, although each block is positive definite
+    dim, n = space3.dim_total, 40
+    triples = np.arange(dim).reshape(4, 3)
+    entries = np.sort(np.concatenate(
+        [(t[:, None] * dim + t).ravel() for t in triples]))
+    _, blocks = gauge_maps(entries, space3.n_fock)
+    assert sorted(map(len, blocks)) == [3] * 4
+    rng = np.random.default_rng(7)
+    pops = rng.uniform(0.5, 1.0, dim)
+    pops /= pops.sum()
+    rho = np.zeros((n, dim, dim))
+    for t in triples:
+        coupling = rng.uniform(-0.3, 0.3, (n, 3, 3))
+        coupling = 0.5 * (coupling + coupling.transpose(0, 2, 1))
+        coupling[:, np.arange(3), np.arange(3)] = 1.0
+        scale = np.sqrt(pops[t])
+        rho[:, t[:, None], t] = coupling * scale[:, None] * scale
+    sub = np.zeros((1, n, len(entries) + 1))
+    sub[0, :, :-1] = rho.reshape(n, -1)[:, entries]
+    diagonal, _ = gather_maps(entries, space3.n_fock)
+    stacks = _record_eigvalsh(monkeypatch)
+    weights = number_operator(space3).diagonal().real
+    min_eig = _check_samples(
+        sub, np.linspace(0.0, 1.0, n), weights, slice_maps(entries, dim),
+        blocks, diagonal, math.inf, IntegrationDiagnostics())[3]
+    assert [a.shape for a in stacks] == [(n, 3, 3)] * 4
+    # each block as _check_samples reads it: its symmetric part
+    expected = np.min([np.linalg.eigvalsh(
+        0.5 * b + 0.5 * b.transpose(0, 2, 1))[:, 0]
+        for b in (rho[:, t[:, None], t] for t in triples)], axis=0)
+    assert (min_eig > 0).all()
+    assert np.array_equal(min_eig, expected)
+
+
+def test_a_zero_pivot_is_refused_without_a_warning(space3, monkeypatch):
+    # a 2-state block of the smallest normal double in every entry is its
+    # own margin, so its first shifted pivot is exactly 0 and the
+    # certificate divides by it; _check_samples must refuse the block
+    # without a floating-point warning (the suite turns RuntimeWarning
+    # into an error) and send it to eigvalsh
+    dim, tiny = space3.dim_total, np.finfo(float).tiny
+    entries = np.array([0, dim + 1, dim + 2, 2 * dim + 1, 2 * dim + 2])
+    _, blocks = gauge_maps(entries, space3.n_fock)
+    diagonal, _ = gather_maps(entries, space3.n_fock)
+    sub = np.zeros((1, 2, len(entries) + 1))
+    sub[0, :, :-1] = [1.0 - 2 * tiny, tiny, tiny, tiny, tiny]
+    stacks = _record_eigvalsh(monkeypatch)
+    weights = number_operator(space3).diagonal().real
+    min_eig = _check_samples(
+        sub, np.array([0.0, 1.0]), weights, slice_maps(entries, dim),
+        blocks, diagonal, math.inf, IntegrationDiagnostics())[3]
+    assert [a.shape for a in stacks] == [(2, 2, 2)]
+    assert np.array_equal(min_eig, np.minimum(np.linalg.eigvalsh(
+        np.full((2, 2, 2), tiny))[:, 0], 0.0))
+
+
 def test_block_products_match_a_per_point_loop(space3):
     # each run of CHECK_CHUNK points is filled by doubling from the
     # squarings of P, and each run starts one step past the last point of
@@ -1005,9 +1214,9 @@ def test_chunked_checks_report_the_per_sample_first_violation(
     gauged = np.zeros((2, len(rho), len(entries) + 1))
     for part, out in zip(_photon_gauge(rho), gauged):
         out[:, :-1] = part.reshape(len(rho), -1)[:, entries]
-    kinds = _record_eigvalsh_kinds(monkeypatch)
+    stacks = _record_eigvalsh(monkeypatch)
     for fewest in (True, False):
-        kinds.clear()
+        stacks.clear()
         prev_expect_n = math.inf
         with pytest.raises(IntegrationError) as err:
             for lo in range(0, len(rho), C):
@@ -1018,6 +1227,7 @@ def test_chunked_checks_report_the_per_sample_first_violation(
                     run, times[lo:lo + C], weights, mirror, blocks,
                     diagonal, prev_expect_n, IntegrationDiagnostics())[0][-1]
         assert (err.value.invariant, err.value.time) == expected, fewest
+        kinds = [a.dtype.kind for a in stacks]
         if not fewest:
             assert set(kinds) == {"c"}
             continue
@@ -1030,19 +1240,19 @@ def test_chunked_checks_report_the_per_sample_first_violation(
             for plant in CHUNK_CASES[case].values()) else "c")
 
 
-def _record_eigvalsh_kinds(monkeypatch):
-    """The dtype kind, "f" (real) or "c" (complex), of every stack of
-    matrices eigvalsh is called on (FullState.validate takes one)."""
-    kinds = []
+def _record_eigvalsh(monkeypatch):
+    """Every stack of matrices eigvalsh is called on (FullState.validate
+    takes one matrix alone)."""
+    stacks = []
     eigvalsh = np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
         if a.ndim == 3:
-            kinds.append(a.dtype.kind)
+            stacks.append(a)
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    return kinds
+    return stacks
 
 
 def _generator(monkeypatch, m):
@@ -1352,14 +1562,14 @@ def test_overflow_past_an_unstable_step_reports_the_first_violation(
     params = SystemParams.symmetric(6.0, gamma_cavity=4.0)
     init = make_initial(InitialStateSpec("psi", 0.5), space3)
     times = np.linspace(0.0, 2.0 * C, 2 * C + 1)
-    kinds = _record_eigvalsh_kinds(monkeypatch)
+    stacks = _record_eigvalsh(monkeypatch)
     with pytest.raises(IntegrationError) as err:
         evolve(init, space3, params, times, step_size=1.0)
     assert (err.value.invariant, err.value.time) == ("positivity", 1.0)
     # the whole first run of CHECK_CHUNK samples is propagated, so it
     # holds the overflowed states; psi at theta = 0 is one real row-block,
     # so its violation is read on the real blocks of psi
-    assert kinds == ["f", "f"]
+    assert [a.dtype.kind for a in stacks] == ["f", "f"]
     # one step a sample at gamma_s = 2000: the last finite states of the
     # run come within a factor 2 of the largest float, where the checks'
     # own sums and the blocks' symmetric parts must not overflow into an

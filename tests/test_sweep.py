@@ -678,10 +678,15 @@ class TestCsv:
     def test_grid_bytes_match_the_value_by_value_layout(self, tmp_path):
         result = run_sweep(replace(SMALL, gamma_s_list=(0.2,),
                                    alpha2_grid=(0.0, 0.5, 1.0)))
+        # -0.0 in the header, the times and a concurrence column, next to
+        # the 0.0 of the alpha2 = 1 column
         zero = result.cells[0]
         zero.concurrence = np.where(zero.concurrence == 0.0, -0.0,
                                     zero.concurrence)
         assert (np.signbit(zero.concurrence) & (zero.concurrence == 0)).any()
+        zero.alpha2 = -0.0
+        zero.times = zero.times.copy()
+        zero.times[0] = -0.0
         lines = [f"# schema={GRID_SCHEMA}",
                  ",".join(["t_scaled"] + [f"{c.alpha2:.17g}"
                                           for c in result.cells])]
@@ -691,6 +696,8 @@ class TestCsv:
         path = tmp_path / "grid.csv"
         write_grid_csv(result, str(path))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+        assert lines[1].startswith("t_scaled,-0,") and lines[2][:3] == "-0,"
+        assert (result.cells[-1].concurrence == 0.0).any()
 
     def test_grid_output(self, tmp_path):
         result = run_sweep(replace(SMALL, gamma_s_list=(0.2,)))
