@@ -18,8 +18,9 @@ samples are evenly spaced, so every sample interval takes the same n
 substeps and is one matvec with P = S^n, built once (powered as
 S^k - I, so the small increment keeps its precision) and still exactly
 RK4 at step h up to rounding. M is a Lindblad generator, so it keeps the
-trace: e^T M = 0, e marking the diagonal entries of vec(rho); _builds
-checks this law once per generator build.
+trace: e^T M = 0, e marking the diagonal entries of vec(rho); make_build
+checks this law once per generator build, after checking that every entry
+of M is finite.
 
 The model conserves the excitation number up to losses (a weak U(1)
 symmetry of M), so a trajectory fills only the entries of vec(rho) that M
@@ -35,9 +36,9 @@ All of this arithmetic is real. In the photon-number gauge, which
 multiplies entry (r, c) of vec(rho) by i^(n_c - n_r), n the photon
 number of each basis state (see photon_turns), M is real: H only trades
 a photon for a qubit excitation and each jump operator moves at most one
-photon. _builds gauges M once per build, exactly, and stores the real
-gauged generator; a generator with any imaginary part left in the gauge
-fails there. A trajectory is propagated as the real part of the gauged
+photon. make_build gauges M once per build, exactly, and builds on the
+real gauged generator; a generator with any imaginary part left in the
+gauge fails there. A trajectory is propagated as the real part of the gauged
 slice, one real row-block, and also as its imaginary part, a second
 row-block filled by the same real products, when the gauged initial
 state is not real (theta not a quarter turn, raw states); a state that
@@ -47,17 +48,17 @@ theta = 0 the imaginary block would stay exactly 0 and is not kept.
 The invariants are checked at the sample times, one such run at a time
 as array operations, and each run is reduced to the two qubits and
 stored with one operation per series (the reduced states real for one
-row-block, complex for two). Every check reads the gauged
-slice itself through index maps built once: finiteness and hermiticity
-(each entry against its transpose's conjugate) through slice_maps,
-positivity (eigvalsh per diagonal block of rho, see diagonal_blocks;
-real symmetric blocks for one row-block, Hermitian ones for two; small
-real blocks that a closed-form certificate proves positive definite
-skip it where the minimum is clamped at 0, see _check_samples)
-through gauge_maps, and the trace, <N>, the sector leakage and the
-partial trace through gather_maps, which lay out the needed entries
-with exact zeros where they fall outside the slice, so each sum rounds
-as over the full matrix. Each row of a run ends in one pad entry, an
+row-block, complex for two). Every check reads the gauged slice itself
+through index maps built once, by slice_layout: finiteness and
+hermiticity (each entry against its transpose's conjugate) through the
+mirror map, positivity (eigvalsh per diagonal block of rho, see
+diagonal_blocks; real symmetric blocks for one row-block, Hermitian ones
+for two; small real blocks that a closed-form certificate proves
+positive definite skip it where the minimum is clamped at 0, see
+_check_samples) through the block maps, and the trace, <N>, the sector
+leakage and the partial trace through the diagonal and two-qubit
+gathers, which lay out the needed entries with exact zeros where they
+fall outside the slice, so each sum rounds as over the full matrix. Each row of a run ends in one pad entry, an
 exact +0.0, which the maps' -1 entries read, so every gather is one
 plain take. The gauge leaves these entries as they are: each has as
 many photons in its row as in its column. The gauge multiplies by +-1
@@ -66,12 +67,14 @@ store_full writes states back, ungauged and at full width. The initial
 state is checked as the first sample, and the earliest violating
 sample is reported.
 
-M, the reachable entries, their index and gather maps, S, P and
-its squarings depend only on (space, params, h, n) and the initial
-state's nonzero pattern, so calls that share these share one build:
-evolve takes a dict that keeps the builds of the last such key (a sweep
-passes one per run, so each gamma_s builds once), and a direct call
-builds into a fresh one. What depends on n_fock alone is built once per
+M, the reachable entries, their index maps, S, P and its squarings
+depend only on (space, params, h, n) and the initial state's nonzero
+pattern, so calls that share these share one Build, which holds the
+entries, their maps and the squarings, all read-only (make_build):
+evolve takes a dict that keeps the Build of the last such key (a sweep
+passes one per run, so each gamma_s builds once per run of cells whose
+initial states share a pattern), and a direct call builds into a fresh
+one. What depends on n_fock alone is built once per
 n_fock and kept for the process (operators.operator_tables): the
 excitation weight of each basis state, which evolve and
 check_fock_cutoff read, the three jump operators with their L^dag L, and
@@ -89,7 +92,7 @@ from typing import Iterator
 
 import numpy as np
 
-# evolve reduces to the two qubits itself (see gather_maps); the name stays
+# evolve reduces to the two qubits itself (see slice_layout); the name stays
 # a dynamics attribute for the benchmark harness, which wraps it here
 from .entanglement import partial_trace_cavity  # noqa: F401
 from .operators import (
@@ -180,11 +183,11 @@ class IntegrationDiagnostics:
     that the closed-form certificate proves positive definite is then
     not passed to LAPACK, since its value could not be the minimum (see
     _check_samples).
-    propagate_s is the time spent building the propagator and its
-    squarings and filling the runs of points with them, including the
-    generator build and its trace-law check; a run that
-    reused the builds of an earlier one (evolve's `shared`) records no
-    build time. check_s is the time spent on the per-sample checks, the
+    propagate_s is the time spent on the Build (the generator and its
+    checks, the entries and their index maps, the propagator and its
+    squarings; see make_build) and on filling the runs of points with the
+    squarings; a run that reused the Build of an earlier one (evolve's
+    `shared`) records no build time. check_s is the time spent on the per-sample checks, the
     reduction to the two qubits, the series stores and store_full, one
     CHECK_CHUNK run of points at a time (perf_counter seconds).
     """
@@ -344,26 +347,6 @@ def diagonal_blocks(entries: np.ndarray, dim: int) -> list[np.ndarray]:
     return blocks
 
 
-def _positions(entries: np.ndarray, dim: int) -> np.ndarray:
-    """Position in `entries` of each entry of vec(rho), -1 outside them."""
-    where = np.full(dim * dim, -1)
-    where[entries] = np.arange(len(entries))
-    return where
-
-
-def slice_maps(entries: np.ndarray, dim: int) -> np.ndarray:
-    """Position in `entries` of each entry's transpose, which lets the
-    hermiticity check read only `entries`.
-
-    entries must hold the transpose of each of its entries (see
-    reachable_entries).
-    """
-    mirror = _positions(entries, dim)[_transposed(dim)[entries]]
-    if (mirror < 0).any():
-        raise ValueError("entries must hold the transpose of each entry")
-    return mirror
-
-
 def photon_turns(n_fock: int) -> np.ndarray:
     """(n_c - n_r) % 4 for each entry (r, c) of the row-major vec(rho),
     n the photon number of each of the 4 n_fock basis states.
@@ -372,7 +355,7 @@ def photon_turns(n_fock: int) -> np.ndarray:
     multiplies entry (r, c) by i^(n_c - n_r): the entry's real and
     imaginary parts are swapped or negated (see _turn), exactly. It
     turns the generator M into D M D* with D = diag(i^turns), which is
-    real (see _builds), and keeps the eigenvalues of rho.
+    real (see make_build), and keeps the eigenvalues of rho.
     """
     photons = np.arange(4 * n_fock) % n_fock
     return ((photons - photons[:, None]) % 4).reshape(-1)
@@ -390,46 +373,45 @@ def _turn(re: np.ndarray, im: np.ndarray, turns: np.ndarray
             np.choose(turns, [im, re, -im, -re]))
 
 
-def gauge_maps(entries: np.ndarray, n_fock: int
-               ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Gauge turns of `entries`, and index maps of the diagonal blocks.
+def slice_layout(entries: np.ndarray, n_fock: int) -> tuple:
+    """Index maps that let the checks and the reduction read only `entries`
+    of vec(rho), read-only, in the order of the Build fields:
 
-    Returns the photon_turns of each entry, so the gauged slice is
-    i^turns times the slice, and, for each of the diagonal_blocks with k
-    basis states, the (k, k) positions in `entries` of the block's
-    entries, -1 for an entry outside them: it reads the pad entry, an
-    exact +0.0 kept after the slice (see _check_samples). The gauge is a
-    diagonal unitary similarity that multiplies by +-1 or +-i, so a block
-    read from the gauged slice has the eigenvalues of the block of rho;
-    it is real symmetric for a state real in the gauge.
+    - mirror, the position in `entries` of each entry's transpose, for the
+      hermiticity check; entries must hold the transpose of each of its
+      entries (see reachable_entries), or ValueError is raised;
+    - turns, the photon_turns of each entry: the gauged slice is i^turns
+      times the slice;
+    - blocks, for each of the diagonal_blocks with k basis states, the
+      (k, k) positions of the block's entries. The gauge is a diagonal
+      unitary similarity that multiplies by +-1 or +-i, so a block read
+      from the gauged slice has the eigenvalues of the block of rho; it is
+      real symmetric for a state real in the gauge;
+    - diagonal, the (dim,) positions of the diagonal of rho;
+    - qubits, the (4, 4, n_fock) positions of the entries whose sum over
+      the last axis is the two-qubit state, in partial_trace_cavity's
+      basis (index i_a + 2 i_b).
+
+    An entry outside `entries` is marked -1, which reads the pad entry, an
+    exact +0.0 kept after the slice (see _check_samples). Gathered with one
+    take, the sums add the same numbers in the same order as over the full
+    matrix.
     """
     dim = 4 * n_fock
-    where = _positions(entries, dim)
-    blocks = [where[blk[:, None] * dim + blk]
-              for blk in diagonal_blocks(entries, dim)]
-    return photon_turns(n_fock)[entries], blocks
-
-
-def gather_maps(entries: np.ndarray, n_fock: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Index maps that let the sums over rho read only `entries`.
-
-    Returns the (dim,) positions in `entries` of the diagonal of rho, and
-    the (4, 4, n_fock) positions of the entries whose sum over the last
-    axis is the two-qubit state, in partial_trace_cavity's basis
-    (index i_a + 2 i_b); an entry outside `entries` is marked -1, which
-    reads the pad entry, an exact +0.0 kept after the slice (see
-    _check_samples). Gathered with one take, the sums add the same
-    numbers in the same order as over the full matrix.
-    """
-    dim = 4 * n_fock
-    where = _positions(entries, dim)
+    where = np.full(dim * dim, -1)
+    where[entries] = np.arange(len(entries))
+    mirror = where[_transposed(dim)[entries]]
+    if (mirror < 0).any():
+        raise ValueError("entries must hold the transpose of each entry")
     qubits = np.arange(4)
     # basis state i_a + 2 i_b is row (2 i_a + i_b) n_fock + n of rho
     rows = (2 * (qubits % 2) + qubits // 2)[:, None] * n_fock + np.arange(
         n_fock)
-    return (where[np.arange(dim) * (dim + 1)],
-            where[rows[:, None, :] * dim + rows[None, :, :]])
+    blocks = tuple(_read_only(where[blk[:, None] * dim + blk])
+                   for blk in diagonal_blocks(entries, dim))
+    return (_read_only(mirror), _read_only(photon_turns(n_fock)[entries]),
+            blocks, _read_only(where[np.arange(dim) * (dim + 1)]),
+            _read_only(where[rows[:, None, :] * dim + rows[None, :, :]]))
 
 
 def _complex(parts) -> np.ndarray:
@@ -490,69 +472,75 @@ def interval_propagator(m: np.ndarray, h: float, n_sub: int,
             return eye + acc
 
 
-def _builds(space: CompositeSpace, params: SystemParams, h: float,
-            n_sub: int, initial: FullState, shared: dict
-            ) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """Reachable entries, their index maps (mirror, gauge maps, diagonal
-    and two-qubit gathers: see slice_maps, gauge_maps and gather_maps)
-    and the (CHECK_CHUNK.bit_length(), w, w) squarings X_j = P^(2^j) - I
-    of the propagator P over n_sub RK4 steps of size h, from `initial`.
+@dataclass(frozen=True, eq=False)
+class Build:
+    """What the fill and the checks of evolve read of one generator and
+    propagator build (see make_build). Every array is read-only.
 
-    The generator is gauged once per build, M_g = D M D* with
-    D = diag(i^photon_turns), and stored real: reachable_entries (M_g has
-    the pattern of M), P and its squarings are then real. A generator
-    with max|e^T M| above TRACE_LAW_TOL * eps * max|M| breaks the trace
-    law, and IntegrationError("trace", initial.time, that value and
-    bound) is raised; one with any imaginary part left in M_g breaks the
-    gauge law, and IntegrationError("gauge", initial.time, max|Im M_g|,
-    0.0) is raised. Both are raised before the generator is stored. The
-    builds depend only on (space, params, h, n_sub) and the nonzero
-    pattern of the initial state, so they are taken from `shared` when
-    an earlier call left them there. shared holds the builds of one
-    (space, params, h, n_sub): the gauged generator and, for the last
-    nonzero pattern, its entries, index maps, propagator and squarings.
-    A call with another key empties it first, and another pattern
-    replaces that pattern's builds. Each build is stored only once it is
-    complete, so a build that raises leaves `shared` as it was. Every
-    array is read-only.
+    key is (space, params, h, n_sub, the initial state's nonzero pattern
+    as bytes), on which the rest depends. entries are the reachable
+    entries of vec(rho) (see reachable_entries), and squarings the
+    (CHECK_CHUNK.bit_length(), w, w) increments X_j = P^(2^j) - I of the
+    propagator P over n_sub RK4 steps of size h on the gauged real slice
+    of the w entries. mirror, turns, blocks, diagonal and qubits are the
+    entries' index maps (see slice_layout).
     """
-    key = (space, params, h, n_sub)
-    if shared.get("key") != key:
-        m = liouvillian_matrix(space, params)
-        law = float(np.abs(m[::space.dim_total + 1].sum(axis=0)).max())
-        bound = TRACE_LAW_TOL * np.finfo(float).eps * float(np.abs(m).max())
-        if not law <= bound:  # NaN fails too
-            raise IntegrationError("trace", initial.time, law, bound)
-        phase = _PHASES[photon_turns(space.n_fock)]
-        m = phase[:, None] * m * phase.conj()
-        if m.imag.any():
-            raise IntegrationError("gauge", initial.time,
-                                   float(np.abs(m.imag).max()), 0.0)
-        shared.clear()
-        shared.update(key=key, m=_read_only(m.real.copy()))
-    m = shared["m"]
-    rho = initial.rho_tilde
-    pattern = (rho.reshape(-1) != 0).tobytes()
-    if shared.get("pattern") != pattern:
-        entries = _read_only(reachable_entries(m, rho))
-        turns, blocks = gauge_maps(entries, space.n_fock)
-        diagonal, qubits = gather_maps(entries, space.n_fock)
-        prop = interval_propagator(m, h, n_sub, entries)
-        # past an unstable step the squarings may overflow; the checks of
-        # the states catch that, so the floating-point warnings are noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            squarings = np.array(list(islice(
-                _squarings(prop - np.eye(len(entries))),
-                CHECK_CHUNK.bit_length())))
-        shared.update(pattern=pattern, entries=entries,
-                      mirror=_read_only(slice_maps(entries, space.dim_total)),
-                      gauge=(_read_only(turns),
-                             tuple(map(_read_only, blocks))),
-                      diagonal=_read_only(diagonal),
-                      qubits=_read_only(qubits), prop=_read_only(prop),
-                      squarings=_read_only(squarings))
-    maps = tuple(shared[k] for k in ("mirror", "gauge", "diagonal", "qubits"))
-    return shared["entries"], maps, shared["squarings"]
+
+    key: tuple
+    entries: np.ndarray
+    squarings: np.ndarray
+    mirror: np.ndarray
+    turns: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    diagonal: np.ndarray
+    qubits: np.ndarray
+
+
+# a generator that overflows fails its own check, and past an unstable
+# step P and its squarings may overflow, which the checks of the states
+# catch; either way the floating-point warnings are noise
+@np.errstate(over="ignore", invalid="ignore")
+def make_build(space: CompositeSpace, params: SystemParams, h: float,
+               n_sub: int, initial: FullState, last: Build | None = None
+               ) -> Build:
+    """The Build of (space, params, h, n_sub) from the nonzero pattern of
+    `initial`: `last` itself when its key is the same, else a new one.
+
+    The generator M is checked, then gauged, M_g = D M D* with
+    D = diag(i^photon_turns), and taken real: reachable_entries (M_g has
+    the pattern of M), P and its squarings are then real. A generator
+    with an entry that is not finite, or of a modulus beyond the largest
+    double, raises IntegrationError("generator", initial.time, max|M|,
+    the largest double); one with max|e^T M| above
+    TRACE_LAW_TOL * eps * max|M| breaks the trace law, and raises
+    IntegrationError("trace", initial.time, that value and bound); one
+    with any imaginary part left in M_g breaks the gauge law, and raises
+    IntegrationError("gauge", initial.time, max|Im M_g|, 0.0). All three
+    are raised before anything else is built. Neither M nor P is kept.
+    """
+    key = (space, params, h, n_sub,
+           (initial.rho_tilde.reshape(-1) != 0).tobytes())
+    if last is not None and last.key == key:
+        return last
+    m = liouvillian_matrix(space, params)
+    scale, largest = float(np.abs(m).max()), np.finfo(float).max
+    if not scale <= largest:  # NaN fails too
+        raise IntegrationError("generator", initial.time, scale, largest)
+    law = float(np.abs(m[::space.dim_total + 1].sum(axis=0)).max())
+    bound = TRACE_LAW_TOL * np.finfo(float).eps * scale
+    if not law <= bound:
+        raise IntegrationError("trace", initial.time, law, bound)
+    phase = _PHASES[photon_turns(space.n_fock)]
+    m = phase[:, None] * m * phase.conj()
+    if m.imag.any():
+        raise IntegrationError("gauge", initial.time,
+                               float(np.abs(m.imag).max()), 0.0)
+    entries = _read_only(reachable_entries(m.real, initial.rho_tilde))
+    prop = interval_propagator(m.real, h, n_sub, entries)
+    squarings = np.array(list(islice(_squarings(prop - np.eye(len(entries))),
+                                     CHECK_CHUNK.bit_length())))
+    return Build(key, entries, _read_only(squarings),
+                 *slice_layout(entries, space.n_fock))
 
 
 # Relative margin of the positivity certificate, and its absolute floor,
@@ -610,8 +598,7 @@ def _certified(sym: np.ndarray) -> np.ndarray:
 # 0.5 (B + B^H) unless an entry is subnormal.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
-                   mirror: np.ndarray, blocks: tuple, diagonal: np.ndarray,
-                   prev_expect_n: float,
+                   build: Build, prev_expect_n: float,
                    diag: IntegrationDiagnostics
                    ) -> tuple[np.ndarray, ...]:
     """Check a run of states sampled at `times`, in time order.
@@ -621,11 +608,11 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     k = 2 their imaginary parts (0 when k = 1), then one pad entry, an
     exact +0.0, which the -1 entries of the index maps read, so that each
     gather is one plain take. Every entry outside the slice is an exact 0.
-    mirror, blocks and diagonal are the slice's index maps (see
-    slice_maps, gauge_maps and gather_maps). The gauge multiplies each
-    entry by +-1 or +-i, and an entry and its transpose by conjugate
-    phases, so each check gives the full-width value of the ungauged
-    states bit for bit, whatever the run's length: the hermiticity error
+    build holds the slice's index maps mirror, blocks and diagonal (see
+    slice_layout). The gauge multiplies each entry by +-1 or +-i, and an
+    entry and its transpose by conjugate phases, so each check gives the
+    full-width value of the ungauged states bit for bit, whatever the
+    run's length: the hermiticity error
     is the modulus of (re_e - re_t) + i (im_e + im_t), entry against
     transpose; the finite check sees every nonzero entry; the trace,
     <N> and leakage add the gathered diagonal, which the gauge leaves as
@@ -667,8 +654,8 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
         finite = np.isfinite(sub).all(axis=(0, 2))
         n_ok = n_ok if finite.all() else int(finite.argmin())
     ok = sub[:, :n_ok]
-    body, mirrored = ok[..., :-1], ok.take(mirror, axis=2)
-    on_diagonal = ok.take(diagonal, axis=2)
+    body, mirrored = ok[..., :-1], ok.take(build.mirror, axis=2)
+    on_diagonal = ok.take(build.diagonal, axis=2)
     if len(ok) == 1:
         herm = np.abs(body[0] - mirrored[0])
     else:
@@ -680,8 +667,8 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     # real block cannot change the minimum, so only the samples it does
     # not certify go to eigvalsh
     min_eig = np.full(n_ok, math.inf)
-    clamped = sum(map(len, blocks)) < len(diagonal)
-    for index in blocks:
+    clamped = sum(map(len, build.blocks)) < len(build.diagonal)
+    for index in build.blocks:
         blk = ok.take(index, axis=2)
         blk = blk[0] if len(ok) == 1 else _complex(blk)
         sym = 0.5 * blk + 0.5 * blk.conj().transpose(0, 2, 1)
@@ -778,7 +765,8 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     reachable_entries); the others stay exactly 0, as they would at full
     width, so the results differ from full-width propagation by rounding
     only. A generator that breaks the trace law, or is not real in the
-    photon-number gauge, fails before any step (see _builds); the
+    photon-number gauge, fails before any step, as does one with an
+    entry that is not finite (see make_build); the
     trajectory is propagated and checked in that gauge, in real
     arithmetic, and only store_full writes states back ungauged. The
     hermiticity, trace, positivity and excitation-number invariants are
@@ -790,7 +778,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     trace and positivity with the same tolerances, and a violation raises
     IntegrationError("initial_state", initial.time, value, limit) with
     the failing check's value and limit, after the generator's own laws
-    (see _builds); a matrix that is not square raises it up front, with
+    (see make_build); a matrix that is not square raises it up front, with
     its entries per row against its rows. A Fock cutoff too small for
     the initial state's excitations is rejected up front with ValueError
     (see check_fock_cutoff).
@@ -801,14 +789,14 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     the gauge leaves them as they are. A run of two row-blocks stores
     them complex.
 
-    shared lets calls reuse one another's builds: pass the same dict to
-    calls that share space, params and grid spacing (a sweep's cells of
-    one gamma_s) and only the first builds the generator, the propagator
-    and its squarings. The dict holds the read-only builds of the last
-    (space, params, h, n_sub) and the last nonzero pattern of the initial
-    state: the generator, one propagator and CHECK_CHUNK.bit_length()
-    squarings of it, and lives as long as the caller keeps it; without it
-    each call builds into a fresh dict. It also keeps the last grid that
+    shared lets calls reuse one another's Build (see make_build): pass
+    the same dict to calls that share space, params, grid spacing and the
+    initial state's nonzero pattern (a sweep's cells of one gamma_s) and
+    only the first builds the generator, the propagator and its
+    squarings. The dict holds the Build of the last such key under
+    "build", replaced only by a complete one, so a build that fails
+    leaves the dict as it was; it lives as long as the caller keeps it,
+    and without it each call builds into a fresh dict. It also keeps the last grid that
     passed the checks of times, with the initial time it started from: a
     later call on a grid of the same bits from the same time skips those
     checks, whatever its parameters. The results are the same either way,
@@ -839,13 +827,12 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
 
     diag = IntegrationDiagnostics(step_count=(n - 1) * n_sub)
     clock = perf_counter()
-    entries, maps, squarings = _builds(space, params, h, n_sub, initial,
-                                       shared)
-    shared["grid"] = grid  # after _builds, which may empty the dict
-    mirror, (turns, blocks), diagonal, qubits = maps
+    build = make_build(space, params, h, n_sub, initial, shared.get("build"))
+    shared.update(build=build, grid=grid)
+    entries = build.entries
     # the gauged initial slice; M_g is real, so its imaginary part stays 0
     # when it starts at 0, and is kept as a second row-block otherwise
-    start = rho.reshape(-1)[entries] * _PHASES[turns]
+    start = rho.reshape(-1)[entries] * _PHASES[build.turns]
     k = 2 if start.imag.any() else 1
     diag.propagate_s = perf_counter() - clock
     # sub[:, lead:lead + size] holds the reachable entries at samples
@@ -873,7 +860,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         # past an unstable step the states may overflow; the checks catch
         # that, so the floating-point warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, x in enumerate(squarings[:(rows - 1).bit_length()]):
+            for j, x in enumerate(build.squarings[:(rows - 1).bit_length()]):
                 filled = sub[:, 1 << j:min(2 << j, rows)]
                 done = sub[:, :filled.shape[1]]
                 np.matmul(done[..., :-1], x.T, out=filled[..., :-1])
@@ -884,9 +871,8 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         states = sub[:, lead:rows]
         samples = slice(first, first + size)
         try:
-            checked = _check_samples(states, times[samples], weights,
-                                     mirror, blocks, diagonal, prev_expect_n,
-                                     diag)
+            checked = _check_samples(states, times[samples], weights, build,
+                                     prev_expect_n, diag)
         except IntegrationError as err:
             if first or err.time != times[0]:
                 raise
@@ -900,13 +886,14 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         # column, so the gauge leaves them as they are; the mode levels
         # are added in order onto 0, as partial_trace_cavity's einsum
         # adds them (0 + -0.0 is 0.0)
-        traced = sum(states.take(qubits, axis=-1).transpose(4, 0, 1, 2, 3))
+        traced = sum(states.take(build.qubits, axis=-1).transpose(
+            4, 0, 1, 2, 3))
         reduced[samples] = traced[0] if k == 1 else _complex(traced)
         if full_states is not None:
             gauged = _complex(states[..., :-1])
             full = np.zeros((size, dim * dim), dtype=complex)
             full[:, entries] = _complex(
-                _turn(gauged.real, gauged.imag, -turns % 4))
+                _turn(gauged.real, gauged.imag, -build.turns % 4))
             full_states.extend(map(FullState, full.reshape(-1, dim, dim),
                                    times[samples]))
         diag.check_s += perf_counter() - clock

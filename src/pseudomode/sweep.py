@@ -298,7 +298,7 @@ def _failed_cell(gamma_s: float, alpha2: float, error: str) -> CellResult:
 def _run_cell(config: SweepConfig, initial: FullState | str,
               params: SystemParams, times: np.ndarray,
               shared: dict) -> Trajectory | str:
-    """Evolve one cell from `initial`, reusing the builds in `shared` (see
+    """Evolve one cell from `initial`, reusing the Build in `shared` (see
     evolve); an initial state that could not be loaded arrives as its
     error text, and a failed evolution returns its own."""
     if isinstance(initial, str):
@@ -339,8 +339,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     failed (its error recorded, its rows omitted); the remaining cells
     still complete. Each alpha2's initial state is built once, or the raw
     state file loaded once, and serves every gamma_s; a raw file that
-    cannot be loaded fails every cell with its error. The cells of one
-    gamma_s share one generator and propagator build, through a dict that
+    cannot be loaded fails every cell with its error. Consecutive cells
+    of one gamma_s whose initial states share a nonzero pattern share one
+    generator and propagator Build (see evolve), through a dict that
     lives for this call only. The cells are evolved one at a time, and
     consecutive healthy cells share one concurrence pass (see
     _concurrences), as many as PASS_SAMPLES samples hold; a cell of more

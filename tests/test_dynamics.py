@@ -33,16 +33,16 @@ from pseudomode.dynamics import (
     HERM_TOL,
     TRACE_LAW_TOL,
     TRACE_TOL,
+    Build,
     IntegrationDiagnostics,
     _certified,
     _check_samples,
     diagonal_blocks,
-    gather_maps,
-    gauge_maps,
     interval_propagator,
+    interval_steps,
     reachable_entries,
     rk4_step_matrix,
-    slice_maps,
+    slice_layout,
 )
 from pseudomode.entanglement import partial_trace_cavity
 from pseudomode.states import InitialStateSpec
@@ -213,14 +213,14 @@ def test_reachable_entries_hold_every_transpose(space3):
             assert np.array_equal(np.sort(cols * dim + rows), entries), name
             outside = np.setdiff1d(np.arange(len(gen)), entries)
             assert not gen[np.ix_(outside, entries)].any(), name
-            mirror = slice_maps(entries, dim)
+            mirror = slice_layout(entries, space3.n_fock)[0]
             assert np.array_equal(entries[mirror], cols * dim + rows), name
             v = np.arange(dim * dim) * (1 + 2j)
             assert np.array_equal(
                 v[entries][mirror],
                 v.reshape(dim, dim).T.reshape(-1)[entries]), name
     with pytest.raises(ValueError, match="transpose"):
-        slice_maps(np.array([1]), dim)
+        slice_layout(np.array([1]), space3.n_fock)
 
 
 def _gauge_real_states(space):
@@ -409,7 +409,7 @@ def test_gauge_maps_index_the_diagonal_blocks(space3):
     for name, init in states.items():
         entries = reachable_entries(m, init.rho_tilde)
         position = {e: i for i, e in enumerate(entries.tolist())}
-        turns, maps = gauge_maps(entries, space3.n_fock)
+        _, turns, maps, _, _ = slice_layout(entries, space3.n_fock)
         assert np.array_equal(turns, _photon_turns(dim).reshape(-1)[entries])
         assert np.array_equal(dynamics.photon_turns(space3.n_fock),
                               _photon_turns(dim).reshape(-1))
@@ -429,8 +429,14 @@ def test_gauge_maps_index_the_diagonal_blocks(space3):
             assert np.array_equal(got, gauged[np.ix_(blk, blk)]), name
     # the diagonal of rho is left as it is
     entries = reachable_entries(m, states["psi"].rho_tilde)
-    turns, maps = gauge_maps(entries, space3.n_fock)
+    turns = slice_layout(entries, space3.n_fock)[1]
     assert not turns[np.isin(entries, np.arange(dim) * (dim + 1))].any()
+
+
+def _layout_build(entries, n_fock):
+    """A Build of `entries` and their index maps alone, as the checks
+    read it."""
+    return Build(None, entries, None, *slice_layout(entries, n_fock))
 
 
 def _same_bits(a, b):
@@ -495,7 +501,7 @@ def test_positivity_reads_entries_outside_the_slice_as_zero(space3):
     rho[top, top] = 1.0 - 3 * a
     m = liouvillian_matrix(space3, params)
     assert not m.any()
-    _, blocks = gauge_maps(reachable_entries(m, rho), space3.n_fock)
+    blocks = slice_layout(reachable_entries(m, rho), space3.n_fock)[2]
     assert (blocks[0] < 0).sum() == 2
     traj = evolve(FullState(rho), space3, params, np.linspace(0.0, 1.0, 3))
     low = np.linalg.eigvalsh(rho)[0]
@@ -703,8 +709,8 @@ def test_blocks_that_cover_every_basis_state_all_go_to_lapack(
     triples = np.arange(dim).reshape(4, 3)
     entries = np.sort(np.concatenate(
         [(t[:, None] * dim + t).ravel() for t in triples]))
-    _, blocks = gauge_maps(entries, space3.n_fock)
-    assert sorted(map(len, blocks)) == [3] * 4
+    build = _layout_build(entries, space3.n_fock)
+    assert sorted(map(len, build.blocks)) == [3] * 4
     rng = np.random.default_rng(7)
     pops = rng.uniform(0.5, 1.0, dim)
     pops /= pops.sum()
@@ -717,12 +723,11 @@ def test_blocks_that_cover_every_basis_state_all_go_to_lapack(
         rho[:, t[:, None], t] = coupling * scale[:, None] * scale
     sub = np.zeros((1, n, len(entries) + 1))
     sub[0, :, :-1] = rho.reshape(n, -1)[:, entries]
-    diagonal, _ = gather_maps(entries, space3.n_fock)
     stacks = _record_eigvalsh(monkeypatch)
     weights = number_operator(space3).diagonal().real
     min_eig = _check_samples(
-        sub, np.linspace(0.0, 1.0, n), weights, slice_maps(entries, dim),
-        blocks, diagonal, math.inf, IntegrationDiagnostics())[3]
+        sub, np.linspace(0.0, 1.0, n), weights, build, math.inf,
+        IntegrationDiagnostics())[3]
     assert [a.shape for a in stacks] == [(n, 3, 3)] * 4
     # each block as _check_samples reads it: its symmetric part
     expected = np.min([np.linalg.eigvalsh(
@@ -740,15 +745,14 @@ def test_a_zero_pivot_is_refused_without_a_warning(space3, monkeypatch):
     # into an error) and send it to eigvalsh
     dim, tiny = space3.dim_total, np.finfo(float).tiny
     entries = np.array([0, dim + 1, dim + 2, 2 * dim + 1, 2 * dim + 2])
-    _, blocks = gauge_maps(entries, space3.n_fock)
-    diagonal, _ = gather_maps(entries, space3.n_fock)
     sub = np.zeros((1, 2, len(entries) + 1))
     sub[0, :, :-1] = [1.0 - 2 * tiny, tiny, tiny, tiny, tiny]
     stacks = _record_eigvalsh(monkeypatch)
     weights = number_operator(space3).diagonal().real
     min_eig = _check_samples(
-        sub, np.array([0.0, 1.0]), weights, slice_maps(entries, dim),
-        blocks, diagonal, math.inf, IntegrationDiagnostics())[3]
+        sub, np.array([0.0, 1.0]), weights,
+        _layout_build(entries, space3.n_fock), math.inf,
+        IntegrationDiagnostics())[3]
     assert [a.shape for a in stacks] == [(2, 2, 2)]
     assert np.array_equal(min_eig, np.minimum(np.linalg.eigvalsh(
         np.full((2, 2, 2), tiny))[:, 0], 0.0))
@@ -795,9 +799,14 @@ def test_propagator_is_the_rounded_power_of_the_step(space3, gamma_s):
 @pytest.fixture()
 def builds(monkeypatch):
     """Step of every RK4 step matrix evolve builds, steps of every
-    propagator it builds."""
-    record = SimpleNamespace(steps=[], n_sub=[])
+    propagator it builds, params of every generator it builds."""
+    record = SimpleNamespace(steps=[], n_sub=[], generators=[])
     step, propagator = dynamics.rk4_step_matrix, dynamics.interval_propagator
+    generator = dynamics.liouvillian_matrix
+
+    def recording_generator(space, params):
+        record.generators.append(params)
+        return generator(space, params)
 
     def recording_step(m, h):
         record.steps.append(h)
@@ -809,6 +818,7 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(dynamics, "rk4_step_matrix", recording_step)
     monkeypatch.setattr(dynamics, "interval_propagator", recording_propagator)
+    monkeypatch.setattr(dynamics, "liouvillian_matrix", recording_generator)
     return record
 
 
@@ -818,11 +828,9 @@ def checked_slices(monkeypatch):
     calls = []
     check = dynamics._check_samples
 
-    def recording(sub, times, weights, mirror, blocks, diagonal,
-                  prev_expect_n, diag):
+    def recording(sub, times, weights, build, prev_expect_n, diag):
         calls.append((times.copy(), prev_expect_n))
-        return check(sub, times, weights, mirror, blocks, diagonal,
-                     prev_expect_n, diag)
+        return check(sub, times, weights, build, prev_expect_n, diag)
 
     monkeypatch.setattr(dynamics, "_check_samples", recording)
     return calls
@@ -858,7 +866,7 @@ def test_squarings_fill_runs_of_check_chunk_points(space3, checked_slices):
         checked_slices.clear()
         evolve(init, space, params, np.linspace(0.0, 1.0, 1001),
                shared=shared)
-        squarings = shared["squarings"]
+        squarings = shared["build"].squarings
         assert squarings.shape == (CHECK_CHUNK.bit_length(), width, width)
         with pytest.raises(ValueError, match="read-only"):
             squarings[0, 0, 0] = 0
@@ -872,7 +880,9 @@ def test_squarings_keep_the_increments_precision(space3):
     # X_j = P^(2^j) - I, squared as 2X + X^2, stays within 4 eps of the
     # exact power of the double P; powering P itself in double rounds the
     # increment against the diagonal's 1s, up to 5.8e-14 off at 1 step a
-    # sample (j = 9, 144 entries)
+    # sample (j = 9, 144 entries). The Build keeps no P: it is rebuilt
+    # from the real generator in the photon-number gauge at the Build's
+    # step, and X_0 is its increment, bit for bit
     psi = make_initial(InitialStateSpec("psi", 0.3), space3)
     space4 = build_space(4)
     for init, space, times in (
@@ -880,11 +890,24 @@ def test_squarings_keep_the_increments_precision(space3):
             (psi, space3, np.linspace(0.0, 200.0, 201)),
             (_raw_state(space4, 3), space4, np.linspace(0.0, 1.0, 1001))):
         shared = {}
-        evolve(init, space, SystemParams.symmetric(0.2, n_fock=space.n_fock),
-               times, shared=shared)
-        prop = shared["prop"].astype(np.clongdouble)
+        params = SystemParams.symmetric(0.2, n_fock=space.n_fock)
+        evolve(init, space, params, times, shared=shared)
+        build = shared["build"]
+        dt = (times[-1] - times[0]) / (len(times) - 1)
+        n_sub = interval_steps(dt, DEFAULT_STEP)
+        assert build.key[2:4] == (dt / n_sub, n_sub)
+        phase = np.array([1, 1j, -1, -1j])[dynamics.photon_turns(
+            space.n_fock)]
+        gauged = phase[:, None] * liouvillian_matrix(space, params) * (
+            phase.conj())
+        assert not gauged.imag.any()
+        prop = interval_propagator(gauged.real, dt / n_sub, n_sub,
+                                   build.entries)
         eye = np.eye(len(prop))
-        for j, x in enumerate(shared["squarings"]):
+        assert prop.dtype == np.float64
+        assert _same_bits(build.squarings[0], prop - eye)
+        prop = prop.astype(np.clongdouble)
+        for j, x in enumerate(build.squarings):
             exact = np.linalg.matrix_power(prop, 2**j) - eye
             assert np.abs(x - exact).max() <= 4 * np.finfo(float).eps, j
 
@@ -928,8 +951,10 @@ def _assert_same_trajectory(got, expected):
 
 def test_shared_builds_are_keyed_on_every_input(space3, builds):
     # one dict through calls that change one input at a time: every result
-    # equals a call without it, a call that changes nothing the builds
-    # depend on builds no propagator, and any other change builds one
+    # equals a call without it, a call that changes nothing the Build
+    # depends on builds no generator and no propagator, and any other
+    # change, the initial state's nonzero pattern alone among them, builds
+    # one of each
     psi = make_initial(InitialStateSpec("psi", 0.3, theta=0.4), space3)
     phi = make_initial(InitialStateSpec("phi", 0.3, theta=0.4), space3)
     short = np.linspace(0.0, 2.0, 21)    # 100 steps a sample
@@ -945,27 +970,33 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
     shared = {}
     for init, gamma_s, times, new, width in calls:
         params = SystemParams.symmetric(gamma_s)
-        before = len(builds.steps), len(builds.n_sub)
+        before = (len(builds.steps), len(builds.n_sub),
+                  len(builds.generators))
         got = evolve(init, space3, params, times, store_full=True,
                      shared=shared)
-        assert (len(builds.steps), len(builds.n_sub)) == (
-            before[0] + new, before[1] + new)
-        assert len(shared["entries"]) == width
+        assert (len(builds.steps), len(builds.n_sub),
+                len(builds.generators)) == tuple(b + new for b in before)
+        build = shared["build"]
+        assert build.key[:2] == (space3, params)
+        assert len(build.entries) == width
         _assert_same_trajectory(got, evolve(init, space3, params, times,
                                             store_full=True))
     nonzero = [np.count_nonzero(liouvillian_matrix(space3, p))
                for p in map(SystemParams.symmetric, (0.0, 0.2))]
     assert nonzero[0] < nonzero[1]
-    # the generator, entries, mirror, diagonal and two-qubit gathers,
-    # propagator and its squarings; the generator and the products are
-    # real, in the photon-number gauge
-    arrays = [v for v in shared.values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 7
-    for k in ("m", "prop", "squarings"):
-        assert shared[k].dtype == np.float64, k
-    # the gauge maps: the entries' turns, and a position map per block
-    turns, blocks = shared["gauge"]
-    for a in arrays + [turns, *blocks]:
+    # the dict holds one frozen Build and the grid memo. The Build holds
+    # the entries, the squarings, the mirror, the entries' turns, the
+    # diagonal and two-qubit gathers and a position map per block, and no
+    # generator or propagator (see test_squarings_keep_the_increments_
+    # precision for P); the squarings are real, in the photon-number gauge
+    assert shared.keys() == {"build", "grid"}
+    with pytest.raises(AttributeError):
+        build.entries = build.mirror
+    values = [getattr(build, f.name) for f in fields(build)]
+    arrays = [v for v in values if isinstance(v, np.ndarray)]
+    assert len(arrays) == 6
+    assert build.squarings.dtype == np.float64
+    for a in arrays + list(build.blocks):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
 
@@ -1207,9 +1238,7 @@ def test_chunked_checks_report_the_per_sample_first_violation(
     support = (flat != 0).any(axis=0)
     support |= support.reshape(space3.dim_total, -1).T.reshape(-1)
     entries = np.flatnonzero(support)
-    mirror = slice_maps(entries, space3.dim_total)
-    _, blocks = gauge_maps(entries, space3.n_fock)
-    diagonal, _ = gather_maps(entries, space3.n_fock)
+    build = _layout_build(entries, space3.n_fock)
     weights = number_operator(space3).diagonal().real
     gauged = np.zeros((2, len(rho), len(entries) + 1))
     for part, out in zip(_photon_gauge(rho), gauged):
@@ -1224,8 +1253,8 @@ def test_chunked_checks_report_the_per_sample_first_violation(
                 if fewest and not run[1].any():
                     run = run[:1]
                 prev_expect_n = _check_samples(
-                    run, times[lo:lo + C], weights, mirror, blocks,
-                    diagonal, prev_expect_n, IntegrationDiagnostics())[0][-1]
+                    run, times[lo:lo + C], weights, build, prev_expect_n,
+                    IntegrationDiagnostics())[0][-1]
         assert (err.value.invariant, err.value.time) == expected, fewest
         kinds = [a.dtype.kind for a in stacks]
         if not fewest:
@@ -1616,8 +1645,9 @@ def test_the_pad_entry_reads_an_exact_zero(space3, monkeypatch):
                 evolve(init, space, params, times, step_size=step,
                        shared=shared)
             assert (err.value.invariant, err.value.time) == expected
-        entries = shared["entries"]
-        maps = [*shared["gauge"][1], shared["diagonal"], shared["qubits"]]
+        build = shared["build"]
+        entries = build.entries
+        maps = [*build.blocks, build.diagonal, build.qubits]
         assert sum(int((index < 0).sum()) for index in maps) >= 20
         assert runs and all(sub.shape[0] == (1 if space is space3 else 2)
                             for sub, _ in runs)

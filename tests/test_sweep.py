@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,25 @@ def _raw_non_x_state(space, seed: int) -> FullState:
     rho[np.ix_(low, low)] += 0.2 * random_density_matrix(
         np.random.default_rng(seed), len(low))
     return FullState(rho)
+
+
+def _assert_cells_equal_fresh_evolves(cells, cfg):
+    """Each psi cell against its own evolve with no builds shared, and that
+    trajectory's concurrence pass: every series and the path, bit for
+    bit."""
+    space = build_space(cfg.n_fock)
+    for cell in cells:
+        init = make_initial(InitialStateSpec("psi", cell.alpha2), space)
+        traj = evolve(init, space, cfg.system_params(cell.gamma_s),
+                      cfg.times())
+        (conc, c1, c2, path), = _concurrences([traj.reduced])
+        assert cell.path == path
+        for got, expected in [(cell.times, traj.times),
+                              (cell.concurrence, conc), (cell.c1, c1),
+                              (cell.c2, c2),
+                              (cell.trace_error, traj.trace_error),
+                              (cell.min_eigenvalue, traj.min_eigenvalue)]:
+            assert np.array_equal(got, expected, equal_nan=True)
 
 
 def _real_non_x_state(space) -> FullState:
@@ -195,21 +215,68 @@ class TestRunSweep:
             assert [c.failed for c in result.cells] == [
                 g == 2000.0 for g in order for _ in range(3)]
             cells += result.cells
+        _assert_cells_equal_fresh_evolves(
+            [cell for cell in cells if not cell.failed], cfg)
+
+    def test_a_pattern_change_within_one_gamma_s_builds_again(
+            self, monkeypatch):
+        # psi at alpha2 = 0 and 1 is a product state with a nonzero pattern
+        # of its own, so within one gamma_s each run of cells whose initial
+        # states share a pattern builds one generator; every cell equals
+        # its own evolve with no builds shared
+        built = []
+        build = dynamics.liouvillian_matrix
+
+        def recording(space, params):
+            built.append(params.gamma_a)
+            return build(space, params)
+
+        monkeypatch.setattr(dynamics, "liouvillian_matrix", recording)
+        cfg = replace(SMALL, alpha2_grid=(0.0, 0.5, 1.0))
+        result = run_sweep(cfg)
+        assert len(result.cells) == 6 and not result.failed
         space = build_space(cfg.n_fock)
-        for cell in cells:
-            if cell.failed:
-                continue
-            init = make_initial(InitialStateSpec("psi", cell.alpha2), space)
-            traj = evolve(init, space, cfg.system_params(cell.gamma_s),
-                          cfg.times())
-            (conc, c1, c2, path), = _concurrences([traj.reduced])
-            assert cell.path == path
-            for got, expected in [(cell.times, traj.times),
-                                  (cell.concurrence, conc), (cell.c1, c1),
-                                  (cell.c2, c2),
-                                  (cell.trace_error, traj.trace_error),
-                                  (cell.min_eigenvalue, traj.min_eigenvalue)]:
-                assert np.array_equal(got, expected, equal_nan=True)
+        patterns = [(make_initial(InitialStateSpec("psi", a), space)
+                     .rho_tilde != 0).tobytes() for a in cfg.alpha2_grid]
+        runs = 1 + sum(a != b for a, b in zip(patterns, patterns[1:]))
+        assert runs == 3
+        assert built == [g for g in cfg.gamma_s_list for _ in range(runs)]
+        _assert_cells_equal_fresh_evolves(result.cells, cfg)
+
+    @pytest.mark.parametrize("rate", ["gamma_s", "gamma_cavity"])
+    def test_an_overflowing_generator_fails_its_own_check(self, rate):
+        # a rate of 1e308 overflows the generator's diagonal: the build
+        # fails on the 'generator' check at the initial time, before the
+        # trace law and with no floating-point warning, and leaves the
+        # shared dict as it was; a sweep fails those cells alone, each
+        # with evolve's own message
+        cfg = (replace(SMALL, gamma_s_list=(0.2, 1e308)) if rate == "gamma_s"
+               else replace(SMALL, gamma_cavity=1e308))
+        space = build_space(cfg.n_fock)
+        init = make_initial(InitialStateSpec("psi", 0.5), space)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            shared = {}
+            evolve(init, space, SystemParams.symmetric(0.2), cfg.times(),
+                   shared=shared)
+            before = dict(shared)
+            with pytest.raises(IntegrationError) as err:
+                evolve(init, space, cfg.system_params(cfg.gamma_s_list[-1]),
+                       cfg.times(), shared=shared)
+            result = run_sweep(cfg)
+        exc = err.value
+        assert (exc.invariant, exc.time, exc.value, exc.limit) == (
+            "generator", 0.0, math.inf, np.finfo(float).max)
+        assert shared.keys() == before.keys()
+        assert all(shared[k] is v for k, v in before.items())
+        bad = [g for g in cfg.gamma_s_list
+               if max(g, cfg.gamma_cavity) == 1e308]
+        assert [c.gamma_s for c in result.failed_cells] == [
+            g for g in bad for _ in cfg.alpha2_grid]
+        assert all(c.error == f"IntegrationError: {exc}"
+                   for c in result.failed_cells)
+        _assert_cells_equal_fresh_evolves(
+            [c for c in result.cells if not c.failed], cfg)
 
     def test_initial_states_are_made_once_per_sweep(self, monkeypatch,
                                                      tmp_path, space3):
