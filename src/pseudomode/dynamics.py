@@ -58,14 +58,14 @@ positive definite skip it where the minimum is clamped at 0, see
 _check_samples) through the block maps, and the trace, <N>, the sector
 leakage and the partial trace through the diagonal and two-qubit
 gathers, which lay out the needed entries with exact zeros where they
-fall outside the slice, so each sum rounds as over the full matrix. Each row of a run ends in one pad entry, an
-exact +0.0, which the maps' -1 entries read, so every gather is one
-plain take. The gauge leaves these entries as they are: each has as
-many photons in its row as in its column. The gauge multiplies by +-1
-or +-i, so the checked values are those of the ungauged states; only
-store_full writes states back, ungauged and at full width. The initial
-state is checked as the first sample, and the earliest violating
-sample is reported.
+fall outside the slice, so each sum rounds as over the full matrix.
+Each row of a run ends in one pad entry, an exact +0.0, which the maps'
+-1 entries read, so every gather is one plain take. The gauge leaves
+these entries as they are: each has as many photons in its row as in
+its column. The gauge multiplies by +-1 or +-i, so the checked values
+are those of the ungauged states; only store_full writes states back,
+ungauged and at full width. The initial state is checked as the first
+sample, and the earliest violating sample is reported.
 
 M, the reachable entries, their index maps, S, P and its squarings
 depend only on (space, params, h, n) and the initial state's nonzero
@@ -187,9 +187,10 @@ class IntegrationDiagnostics:
     checks, the entries and their index maps, the propagator and its
     squarings; see make_build) and on filling the runs of points with the
     squarings; a run that reused the Build of an earlier one (evolve's
-    `shared`) records no build time. check_s is the time spent on the per-sample checks, the
-    reduction to the two qubits, the series stores and store_full, one
-    CHECK_CHUNK run of points at a time (perf_counter seconds).
+    `shared`) records no build time. check_s is the time spent on the
+    per-sample checks, the reduction to the two qubits, the series stores
+    and store_full, one CHECK_CHUNK run of points at a time (perf_counter
+    seconds).
     """
 
     step_count: int = 0
@@ -501,10 +502,11 @@ class Build:
 # catch; either way the floating-point warnings are noise
 @np.errstate(over="ignore", invalid="ignore")
 def make_build(space: CompositeSpace, params: SystemParams, h: float,
-               n_sub: int, initial: FullState, last: Build | None = None
+               n_sub: int, initial: FullState, last: Build | None
                ) -> Build:
     """The Build of (space, params, h, n_sub) from the nonzero pattern of
-    `initial`: `last` itself when its key is the same, else a new one.
+    `initial`: `last` itself when its key is the same, else a new one
+    (`last` may be None).
 
     The generator M is checked, then gauged, M_g = D M D* with
     D = diag(i^photon_turns), and taken real: reachable_entries (M_g has
@@ -766,8 +768,8 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     width, so the results differ from full-width propagation by rounding
     only. A generator that breaks the trace law, or is not real in the
     photon-number gauge, fails before any step, as does one with an
-    entry that is not finite (see make_build); the
-    trajectory is propagated and checked in that gauge, in real
+    entry that is not finite (see make_build); the trajectory is
+    propagated and checked in that gauge, in real
     arithmetic, and only store_full writes states back ungauged. The
     hermiticity, trace, positivity and excitation-number invariants are
     monitored at every sample (not enforced); the earliest violation
@@ -796,11 +798,12 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     squarings. The dict holds the Build of the last such key under
     "build", replaced only by a complete one, so a build that fails
     leaves the dict as it was; it lives as long as the caller keeps it,
-    and without it each call builds into a fresh dict. It also keeps the last grid that
-    passed the checks of times, with the initial time it started from: a
-    later call on a grid of the same bits from the same time skips those
-    checks, whatever its parameters. The results are the same either way,
-    and every other check still runs on every call.
+    and without it each call builds into a fresh dict. It also keeps the
+    last grid that passed the checks of times, with the initial time it
+    started from: a later call on a grid of the same bits from the same
+    time skips those checks, whatever its parameters. The results are
+    the same either way, and every other check still runs on every
+    call.
     """
     if not (math.isfinite(step_size) and step_size > 0):
         raise ValueError("step_size must be finite and > 0")
