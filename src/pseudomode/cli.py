@@ -17,7 +17,8 @@ flag or the file.
 Exit codes: 0 success, 1 some grid cell failed integration (the healthy
 cells' rows are still written; with --emit-grid no grid is written), 2
 usage or configuration error (including a Fock cutoff too small for the
-chosen state family, and --emit-grid with more than one gamma_s);
+chosen state family, and --emit-grid with more than one --gamma-s
+entry, a value given twice included);
 configuration errors exit before any cell runs.
 """
 from __future__ import annotations
@@ -208,7 +209,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         config, out, emit_grid = _parse(argv)
-        if emit_grid and len(set(config.resolved_gamma_s())) != 1:
+        if emit_grid and len(config.gamma_s_list) != 1:
             raise ValueError("grid output requires exactly one gamma_s value")
         # run_sweep validates the config before any cell runs; a cell's
         # own errors fail that cell, not the sweep

@@ -36,14 +36,18 @@ All of this arithmetic is real. In the photon-number gauge, which
 multiplies entry (r, c) of vec(rho) by i^(n_c - n_r), n the photon
 number of each basis state (see photon_turns), M is real: H only trades
 a photon for a qubit excitation and each jump operator moves at most one
-photon. make_build gauges M once per build, exactly, and builds on the
-real gauged generator; a generator with any imaginary part left in the
-gauge fails there. A trajectory is propagated as the real part of the gauged
-slice, one real row-block, and also as its imaginary part, a second
-row-block filled by the same real products, when the gauged initial
-state is not real (theta not a quarter turn, raw states); a state that
-starts real in the gauge stays real, so for psi, phi and werner at
-theta = 0 the imaginary block would stay exactly 0 and is not kept.
+photon. M is linear in the rates, M = omega U_H + Gamma U_a +
+gamma_a U_A + gamma_b U_B, so the four unit generators are gauged once
+per n_fock, exactly and in real arithmetic, on their nonzero entries
+(unit_generators), and make_build forms each build's real gauged
+generator from them, one sum of four scaled units (gauged_generator); a
+generator with any imaginary part left in the gauge fails there. A
+trajectory is propagated as the real part of the gauged slice, one real
+row-block, and also as its imaginary part, a second row-block filled by
+the same real products, when the gauged initial state is not real
+(theta not a quarter turn, raw states); a state that starts real in the
+gauge stays real, so for psi, phi and werner at theta = 0 the imaginary
+block would stay exactly 0 and is not kept.
 
 The invariants are checked at the sample times, one such run at a time
 as array operations, and each run is reduced to the two qubits and
@@ -74,21 +78,28 @@ entries, their maps and the squarings, all read-only (make_build):
 evolve takes a dict that keeps the Build of the last such key (a sweep
 passes one per run, so each gamma_s builds once per run of cells whose
 initial states share a pattern), and a direct call builds into a fresh
-one. What depends on n_fock alone is built once per
-n_fock and kept for the process (operators.operator_tables): the
-excitation weight of each basis state, which evolve and
-check_fock_cutoff read, the three jump operators with their L^dag L, and
-the coupling (sp_A + sp_B) a that build_hamiltonian scales by omega. These
-arrays are read-only and shared by every caller; liouvillian_matrix builds
-no operator of its own.
+one. The entries and their maps depend only on the nonzero patterns of M
+and of the initial state, so a Build whose patterns are those of the
+last one takes its entries and maps and builds only P and its squarings
+(every gamma_s > 0 of a sweep at fixed omega and Gamma gives M one
+pattern). What depends on n_fock alone is built once per n_fock and kept
+for the process: the four unit generators (unit_generators), and
+(operators.operator_tables) the excitation weight of each basis state,
+which evolve and check_fock_cutoff read, the three jump operators with
+their L^dag L, and the coupling (sp_A + sp_B) a that build_hamiltonian
+scales by omega. These arrays are read-only and shared by every caller.
+liouvillian_matrix, the complex generator at full width, builds no
+operator of its own either; it is the public reference for the units,
+and no build calls it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import islice
 from time import perf_counter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -183,14 +194,16 @@ class IntegrationDiagnostics:
     that the closed-form certificate proves positive definite is then
     not passed to LAPACK, since its value could not be the minimum (see
     _check_samples).
-    propagate_s is the time spent on the Build (the generator and its
-    checks, the entries and their index maps, the propagator and its
+    propagate_s is the time spent on the Build (the generator formed from
+    the unit generators and its checks; the entries and their index maps,
+    unless the Build takes those of the last one; the propagator and its
     squarings; see make_build) and on filling the runs of points with the
     squarings; a run that reused the Build of an earlier one (evolve's
-    `shared`) records no build time. check_s is the time spent on the
-    per-sample checks, the reduction to the two qubits, the series stores
-    and store_full, one CHECK_CHUNK run of points at a time (perf_counter
-    seconds).
+    `shared`) records no build time, and the first Build of an n_fock in
+    the process also records the unit generators' own build. check_s is
+    the time spent on the per-sample checks, the reduction to the two
+    qubits, the series stores and store_full, one CHECK_CHUNK run of
+    points at a time (perf_counter seconds).
     """
 
     step_count: int = 0
@@ -263,6 +276,94 @@ def liouvillian_matrix(space: CompositeSpace,
     return m.reshape(d * d, d * d)
 
 
+class GeneratorEntries(NamedTuple):
+    """Generators in the photon-number gauge on one set of their entries.
+
+    rows, cols  (k,) row and column of each entry, in row-major order
+    values      (k,) for one generator, (4, k) for the four units; real,
+                or complex where the gauge leaves an imaginary part
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+# each unit is i^turns times a real Kronecker sum: -i for the Hamiltonian's
+# unit, 1 for each dissipator's
+_UNIT_TURNS = np.array([3, 0, 0, 0])[:, None]
+
+
+@lru_cache(maxsize=8)
+def unit_generators(n_fock: int) -> GeneratorEntries:
+    """The four unit generators U_H, U_a, U_A, U_B of n_fock in the
+    photon-number gauge, on the union of their nonzero patterns, built once
+    per n_fock and shared by every caller, so every array is read-only.
+
+    liouvillian_matrix is omega U_H + Gamma U_a + gamma_a U_A + gamma_b U_B
+    before the gauge, with U_H = -i (H x I - I x H^T) / omega and, for each
+    jump operator L, U_L = L x L* - (L^dag L x I + I x (L^dag L)^T) / 2.
+    Every operator is real, so each unit is i^s times a real Kronecker sum
+    R, and the gauge multiplies entry (r, c) by i^(t_r - t_c), t the
+    photon_turns: gauged, the entry is i^(t_r - t_c + s) R[r, c], +-R[r, c]
+    or +-i R[r, c], exactly. This is where the gauge law is checked: the
+    units are real (float64) when no entry is left imaginary, and complex
+    otherwise (make_build then fails the generator).
+    """
+    tables = operator_tables(n_fock)
+    dim = 4 * n_fock
+    eye = np.eye(dim)
+    h = tables.coupling.real + tables.coupling.real.T
+    # each unit is the sum of its terms factor A x B: (unit, factor, A, B)
+    terms = [(0, 1.0, h, eye), (0, -1.0, eye, h)]
+    for unit, (op, ld) in enumerate(tables.jumps, 1):
+        terms += [(unit, 1.0, op.real, op.real), (unit, -0.5, ld.real, eye),
+                  (unit, -0.5, eye, ld.real)]
+    units, rows, cols, values = [], [], [], []
+    for unit, factor, a, b in terms:
+        # entry (i dim + j, k dim + l) of A x B is A[i, k] B[j, l]
+        (i, k), (j, l) = np.nonzero(a), np.nonzero(b)
+        units.append(np.full(len(i) * len(j), unit))
+        rows.append(np.add.outer(i * dim, j).reshape(-1))
+        cols.append(np.add.outer(k * dim, l).reshape(-1))
+        values.append(factor * np.multiply.outer(a[i, k], b[j, l]).reshape(-1))
+    # the terms of a unit add up in their order; they overlap only on the
+    # diagonal, where two of them of one sign meet
+    positions, at = np.unique(np.concatenate(rows) * dim * dim
+                              + np.concatenate(cols), return_inverse=True)
+    summed = np.zeros((4, len(positions)))
+    np.add.at(summed, (np.concatenate(units), at), np.concatenate(values))
+    keep = summed.any(axis=0)
+    rows, cols = np.divmod(positions[keep], dim * dim)
+    values = summed[:, keep]
+    t = photon_turns(n_fock)
+    turns = (t[rows] - t[cols] + _UNIT_TURNS) % 4
+    real = values * np.array([1.0, 0.0, -1.0, 0.0])[turns]
+    imag = values * np.array([0.0, 1.0, 0.0, -1.0])[turns]
+    values = _complex((real, imag)) if imag.any() else real
+    return GeneratorEntries(_read_only(rows), _read_only(cols),
+                            _read_only(values))
+
+
+def gauged_generator(space: CompositeSpace,
+                     params: SystemParams) -> GeneratorEntries:
+    """The generator M_g = D M D* of liouvillian_matrix in the
+    photon-number gauge, formed as omega U_H + Gamma U_a + gamma_a U_A +
+    gamma_b U_B on the entries of the unit generators (unit_generators),
+    summed in that order. An entry of at most one nonzero unit, every entry
+    off the diagonal, keeps the bits of liouvillian_matrix's; a diagonal
+    entry, where the dissipators' units overlap, all of one sign, differs
+    from it by rounding only.
+    """
+    if params.n_fock != space.n_fock:
+        raise ValueError("params.n_fock does not match the space")
+    units = unit_generators(space.n_fock)
+    m_h, m_a, m_qa, m_qb = units.values
+    return units._replace(values=params.omega * m_h
+                          + params.gamma_cavity * m_a
+                          + params.gamma_a * m_qa + params.gamma_b * m_qb)
+
+
 def rk4_step_matrix(m: np.ndarray, h: float) -> np.ndarray:
     """One-step propagator I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24.
 
@@ -294,20 +395,22 @@ def check_fock_cutoff(initial: FullState, space: CompositeSpace) -> None:
             f"n_fock >= {top + 1}; got n_fock = {space.n_fock}")
 
 
-def _closure(linked: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Sorted indices reached from the True entries of seed by following
-    linked[i, j] from j to i until nothing new is reached."""
-    reached = seed
-    while True:
-        grown = reached | linked[:, reached].any(axis=1)
-        if (grown == reached).all():
-            return np.flatnonzero(reached)
-        reached = grown
-
-
 def _transposed(dim: int) -> np.ndarray:
     """Position in the row-major vec(rho) of each entry's transpose."""
     return np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
+
+
+def _reachable(rows: np.ndarray, cols: np.ndarray, seed: np.ndarray,
+               t: np.ndarray) -> np.ndarray:
+    """Sorted indices of vec(rho) reached from the True entries of seed and
+    of its transpose, t[k] the position of entry k's transpose, by
+    following each nonzero entry (rows[k], cols[k]) of M from its column
+    to its row, and each transposed entry likewise."""
+    src, dst = np.concatenate((cols, t[cols])), np.concatenate((rows, t[rows]))
+    reached, count = seed | seed[t], 0
+    while count != (count := np.count_nonzero(reached)):
+        reached[dst[reached[src]]] = True
+    return np.flatnonzero(reached)
 
 
 def reachable_entries(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -322,10 +425,8 @@ def reachable_entries(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
     preserve hermiticity. (A Lindblad generator preserves it, so there the
     transposed pattern adds nothing.)
     """
-    t = _transposed(rho.shape[0])
-    linked = m != 0
-    seed = rho.reshape(-1) != 0
-    return _closure(linked | linked[np.ix_(t, t)], seed | seed[t])
+    return _reachable(*np.nonzero(m), rho.reshape(-1) != 0,
+                      _transposed(rho.shape[0]))
 
 
 def diagonal_blocks(entries: np.ndarray, dim: int) -> list[np.ndarray]:
@@ -339,13 +440,14 @@ def diagonal_blocks(entries: np.ndarray, dim: int) -> list[np.ndarray]:
     linked = np.zeros((dim, dim), dtype=bool)
     rows, cols = np.divmod(entries, dim)
     linked[rows, cols] = linked[cols, rows] = True
-    left = linked.any(axis=0)
-    blocks = []
-    while left.any():
-        block = _closure(linked, np.arange(dim) == np.argmax(left))
-        blocks.append(block)
-        left[block] = False
-    return blocks
+    touched = linked.any(axis=0)
+    # k squarings join the states of paths of up to 2^k links
+    joined = linked | np.eye(dim, dtype=bool)
+    for _ in range(max(dim - 1, 1).bit_length()):
+        joined = joined @ joined
+    # each block, in the order of its first basis state
+    heads = touched & (joined.argmax(axis=1) == np.arange(dim))
+    return [np.flatnonzero(joined[head]) for head in np.flatnonzero(heads)]
 
 
 def photon_turns(n_fock: int) -> np.ndarray:
@@ -399,20 +501,32 @@ def slice_layout(entries: np.ndarray, n_fock: int) -> tuple:
     matrix.
     """
     dim = 4 * n_fock
+    transposed, turns, diagonal, qubits = _vec_maps(n_fock)
     where = np.full(dim * dim, -1)
     where[entries] = np.arange(len(entries))
-    mirror = where[_transposed(dim)[entries]]
+    mirror = where[transposed[entries]]
     if (mirror < 0).any():
         raise ValueError("entries must hold the transpose of each entry")
+    blocks = tuple(_read_only(where[blk[:, None] * dim + blk])
+                   for blk in diagonal_blocks(entries, dim))
+    return (_read_only(mirror), _read_only(turns[entries]), blocks,
+            _read_only(where[diagonal]), _read_only(where[qubits]))
+
+
+@lru_cache(maxsize=8)
+def _vec_maps(n_fock: int) -> tuple[np.ndarray, ...]:
+    """Positions in the row-major vec(rho) of n_fock, built once per n_fock
+    and read-only: the transpose of each entry, the photon_turns of each
+    entry, the diagonal of rho, and the (4, 4, n_fock) entries whose sum
+    over the last axis is the two-qubit state (see slice_layout)."""
+    dim = 4 * n_fock
     qubits = np.arange(4)
     # basis state i_a + 2 i_b is row (2 i_a + i_b) n_fock + n of rho
     rows = (2 * (qubits % 2) + qubits // 2)[:, None] * n_fock + np.arange(
         n_fock)
-    blocks = tuple(_read_only(where[blk[:, None] * dim + blk])
-                   for blk in diagonal_blocks(entries, dim))
-    return (_read_only(mirror), _read_only(photon_turns(n_fock)[entries]),
-            blocks, _read_only(where[np.arange(dim) * (dim + 1)]),
-            _read_only(where[rows[:, None, :] * dim + rows[None, :, :]]))
+    return tuple(map(_read_only, (
+        _transposed(dim), photon_turns(n_fock), np.arange(dim) * (dim + 1),
+        rows[:, None, :] * dim + rows[None, :, :])))
 
 
 def _complex(parts) -> np.ndarray:
@@ -438,23 +552,29 @@ def _squarings(x: np.ndarray) -> Iterator[np.ndarray]:
     raw states at n_fock 3 and 4, gamma_s 0.02 to 2, sample intervals
     1e-3 to 10).
     """
+    # the diagonal of a fresh, contiguous square matrix as a strided view
+    step = len(x) + 1
     while True:
         yield x
         diagonal = x.diagonal()
         off = x.copy()
-        np.fill_diagonal(off, 0.0)
-        square = off @ off + (diagonal[:, None] * off + off * diagonal)
-        # the diagonal of the fresh, contiguous square as a strided view
-        square.reshape(-1)[::len(square) + 1] += diagonal * diagonal
-        x = 2 * x + square
+        off.reshape(-1)[::step] = 0.0
+        cross = diagonal[:, None] * off
+        cross += off * diagonal
+        square = off @ off
+        square += cross
+        square.reshape(-1)[::step] += diagonal * diagonal
+        square += 2 * x
+        x = square
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def interval_propagator(m: np.ndarray, h: float, n_sub: int,
-                        entries: np.ndarray) -> np.ndarray:
+                        entries: np.ndarray | None = None) -> np.ndarray:
     """Propagator P = S^n_sub over n_sub >= 1 RK4 steps of size h on
     `entries` of vec(rho), with S = rk4_step_matrix(M[entries][:, entries],
     h); M must map the entries into themselves (see reachable_entries).
+    Without entries, M is the matrix on the entries already.
 
     S is the identity plus a small increment, so P is powered by squaring
     as S^k - I (see _squarings), with (I + A)(I + B) - I = A + B + A B,
@@ -462,10 +582,11 @@ def interval_propagator(m: np.ndarray, h: float, n_sub: int,
     step, P may overflow; the checks of the states it gives catch that,
     so the floating-point warnings are noise.
     """
-    eye = np.eye(len(entries))
+    if entries is not None:
+        m = m[np.ix_(entries, entries)]
+    eye = np.eye(len(m))
     acc = None
-    for base in _squarings(
-            rk4_step_matrix(m[np.ix_(entries, entries)], h) - eye):
+    for base in _squarings(rk4_step_matrix(m, h) - eye):
         if n_sub & 1:
             acc = base if acc is None else acc + base + acc @ base
         n_sub >>= 1
@@ -479,15 +600,18 @@ class Build:
     propagator build (see make_build). Every array is read-only.
 
     key is (space, params, h, n_sub, the initial state's nonzero pattern
-    as bytes), on which the rest depends. entries are the reachable
-    entries of vec(rho) (see reachable_entries), and squarings the
-    (CHECK_CHUNK.bit_length(), w, w) increments X_j = P^(2^j) - I of the
-    propagator P over n_sub RK4 steps of size h on the gauged real slice
-    of the w entries. mirror, turns, blocks, diagonal and qubits are the
-    entries' index maps (see slice_layout).
+    as bytes), on which the rest depends. pattern is (space, the rows and
+    the columns of the generator's nonzero entries as bytes, the initial
+    state's pattern), on which the entries and their index maps depend.
+    entries are the reachable entries of vec(rho) (see reachable_entries),
+    and squarings the (CHECK_CHUNK.bit_length(), w, w) increments
+    X_j = P^(2^j) - I of the propagator P over n_sub RK4 steps of size h
+    on the gauged real slice of the w entries. mirror, turns, blocks,
+    diagonal and qubits are the entries' index maps (see slice_layout).
     """
 
     key: tuple
+    pattern: tuple
     entries: np.ndarray
     squarings: np.ndarray
     mirror: np.ndarray
@@ -506,43 +630,75 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
                ) -> Build:
     """The Build of (space, params, h, n_sub) from the nonzero pattern of
     `initial`: `last` itself when its key is the same, else a new one
-    (`last` may be None).
+    (`last` may be None), which takes the entries and index maps of `last`
+    when its pattern is the same.
 
-    The generator M is checked, then gauged, M_g = D M D* with
-    D = diag(i^photon_turns), and taken real: reachable_entries (M_g has
-    the pattern of M), P and its squarings are then real. A generator
-    with an entry that is not finite, or of a modulus beyond the largest
+    The generator comes in the photon-number gauge, M_g = D M D* with
+    D = diag(i^photon_turns), on the entries of the unit generators (see
+    gauged_generator): one sum of four scaled units, with no complex
+    generator and nothing of full width. It is checked: a generator with
+    an entry that is not finite, or of a modulus beyond the largest
     double, raises IntegrationError("generator", initial.time, max|M|,
     the largest double); one with max|e^T M| above
     TRACE_LAW_TOL * eps * max|M| breaks the trace law, and raises
     IntegrationError("trace", initial.time, that value and bound); one
     with any imaginary part left in M_g breaks the gauge law, and raises
     IntegrationError("gauge", initial.time, max|Im M_g|, 0.0). All three
-    are raised before anything else is built. Neither M nor P is kept.
+    are raised before anything else is built. The gauge multiplies each
+    entry by +-1 or +-i, so |M| = |M_g| entry by entry, and each column of
+    e^T M by one phase, since the diagonal of rho takes no turn: the
+    checks read M_g. Then M_g is real, and so are reachable_entries (M_g
+    has the pattern of M), the slice of M_g on them, P and its squarings.
+    Neither M_g nor P is kept.
     """
-    key = (space, params, h, n_sub,
-           (initial.rho_tilde.reshape(-1) != 0).tobytes())
+    seed = initial.rho_tilde.reshape(-1) != 0
+    key = (space, params, h, n_sub, seed.tobytes())
     if last is not None and last.key == key:
         return last
-    m = liouvillian_matrix(space, params)
-    scale, largest = float(np.abs(m).max()), np.finfo(float).max
+    generator = gauged_generator(space, params)
+    values = generator.values
+    scale = float(np.abs(values).max(initial=0.0))
+    largest = np.finfo(float).max
     if not scale <= largest:  # NaN fails too
         raise IntegrationError("generator", initial.time, scale, largest)
-    law = float(np.abs(m[::space.dim_total + 1].sum(axis=0)).max())
+    # the column sums over the rows of the diagonal of rho, in row order
+    dim = space.dim_total
+    on_trace = generator.rows % (dim + 1) == 0
+    sums = [np.bincount(generator.cols[on_trace], part[on_trace], dim * dim)
+            for part in ((values.real, values.imag)
+                         if np.iscomplexobj(values) else (values,))]
+    law = float(np.abs(_complex(sums)).max(initial=0.0))
     bound = TRACE_LAW_TOL * np.finfo(float).eps * scale
     if not law <= bound:
         raise IntegrationError("trace", initial.time, law, bound)
-    phase = _PHASES[photon_turns(space.n_fock)]
-    m = phase[:, None] * m * phase.conj()
-    if m.imag.any():
-        raise IntegrationError("gauge", initial.time,
-                               float(np.abs(m.imag).max()), 0.0)
-    entries = _read_only(reachable_entries(m.real, initial.rho_tilde))
-    prop = interval_propagator(m.real, h, n_sub, entries)
+    if np.iscomplexobj(values):
+        if values.imag.any():
+            raise IntegrationError("gauge", initial.time,
+                                   float(np.abs(values.imag).max()), 0.0)
+        values = values.real
+    nonzero = values != 0
+    rows, cols = generator.rows[nonzero], generator.cols[nonzero]
+    pattern = (space, rows.tobytes(), cols.tobytes(), key[-1])
+    # a Build of the same patterns, or one of the entries and maps alone
+    if last is not None and last.pattern == pattern:
+        maps = last
+    else:
+        entries = _read_only(_reachable(rows, cols, seed,
+                                        _vec_maps(space.n_fock)[0]))
+        maps = Build(None, pattern, entries, None,
+                     *slice_layout(entries, space.n_fock))
+    entries = maps.entries
+    where = np.full(dim * dim, -1)
+    where[entries] = np.arange(len(entries))
+    # M_g maps the entries into themselves: the rows of the entries in
+    # their columns are entries too
+    inside = where[cols] >= 0
+    m_slice = np.zeros((len(entries),) * 2)
+    m_slice[where[rows[inside]], where[cols[inside]]] = values[nonzero][inside]
+    prop = interval_propagator(m_slice, h, n_sub)
     squarings = np.array(list(islice(_squarings(prop - np.eye(len(entries))),
                                      CHECK_CHUNK.bit_length())))
-    return Build(key, entries, _read_only(squarings),
-                 *slice_layout(entries, space.n_fock))
+    return replace(maps, key=key, squarings=_read_only(squarings))
 
 
 # Relative margin of the positivity certificate, and its absolute floor,
@@ -795,7 +951,10 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     the same dict to calls that share space, params, grid spacing and the
     initial state's nonzero pattern (a sweep's cells of one gamma_s) and
     only the first builds the generator, the propagator and its
-    squarings. The dict holds the Build of the last such key under
+    squarings; a call that changes only what the patterns of the
+    generator and of the initial state do not show (a sweep's next
+    gamma_s > 0) builds those and takes the entries and their maps. The
+    dict holds the Build of the last such key under
     "build", replaced only by a complete one, so a build that fails
     leaves the dict as it was; it lives as long as the caller keeps it,
     and without it each call builds into a fresh dict. It also keeps the

@@ -462,14 +462,15 @@ def write_rows_csv(result: SweepResult, path: str) -> None:
 
 
 def write_grid_csv(result: SweepResult, path: str) -> None:
-    """Dense (time, alpha2) concurrence matrix; single gamma_s runs only.
+    """Dense (time, alpha2) concurrence matrix; runs of one gamma_s entry
+    only (a value given twice is two entries, whose cells would repeat
+    every alpha2 column).
 
     Formatted in one pass, %.17g on each value: nearly every grid value
     is distinct, so the rows writer's reuse of repeated strings would not
     pay here.
     """
-    gammas = {c.gamma_s for c in result.cells}
-    if len(gammas) != 1:
+    if len(result.config.gamma_s_list) != 1:
         raise ValueError("grid output requires exactly one gamma_s value")
     if result.failed:
         bad = result.failed_cells[0]

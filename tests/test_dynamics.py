@@ -436,7 +436,7 @@ def test_gauge_maps_index_the_diagonal_blocks(space3):
 def _layout_build(entries, n_fock):
     """A Build of `entries` and their index maps alone, as the checks
     read it."""
-    return Build(None, entries, None, *slice_layout(entries, n_fock))
+    return Build(None, None, entries, None, *slice_layout(entries, n_fock))
 
 
 def _same_bits(a, b):
@@ -802,7 +802,7 @@ def builds(monkeypatch):
     propagator it builds, params of every generator it builds."""
     record = SimpleNamespace(steps=[], n_sub=[], generators=[])
     step, propagator = dynamics.rk4_step_matrix, dynamics.interval_propagator
-    generator = dynamics.liouvillian_matrix
+    generator = dynamics.gauged_generator
 
     def recording_generator(space, params):
         record.generators.append(params)
@@ -812,13 +812,13 @@ def builds(monkeypatch):
         record.steps.append(h)
         return step(m, h)
 
-    def recording_propagator(m, h, n_sub, entries):
+    def recording_propagator(m, h, n_sub, entries=None):
         record.n_sub.append(n_sub)
         return propagator(m, h, n_sub, entries)
 
     monkeypatch.setattr(dynamics, "rk4_step_matrix", recording_step)
     monkeypatch.setattr(dynamics, "interval_propagator", recording_propagator)
-    monkeypatch.setattr(dynamics, "liouvillian_matrix", recording_generator)
+    monkeypatch.setattr(dynamics, "gauged_generator", recording_generator)
     return record
 
 
@@ -881,8 +881,9 @@ def test_squarings_keep_the_increments_precision(space3):
     # exact power of the double P; powering P itself in double rounds the
     # increment against the diagonal's 1s, up to 5.8e-14 off at 1 step a
     # sample (j = 9, 144 entries). The Build keeps no P: it is rebuilt
-    # from the real generator in the photon-number gauge at the Build's
-    # step, and X_0 is its increment, bit for bit
+    # from the build's real generator in the photon-number gauge
+    # (gauged_generator) at the Build's step, and X_0 is its increment,
+    # bit for bit
     psi = make_initial(InitialStateSpec("psi", 0.3), space3)
     space4 = build_space(4)
     for init, space, times in (
@@ -896,13 +897,11 @@ def test_squarings_keep_the_increments_precision(space3):
         dt = (times[-1] - times[0]) / (len(times) - 1)
         n_sub = interval_steps(dt, DEFAULT_STEP)
         assert build.key[2:4] == (dt / n_sub, n_sub)
-        phase = np.array([1, 1j, -1, -1j])[dynamics.photon_turns(
-            space.n_fock)]
-        gauged = phase[:, None] * liouvillian_matrix(space, params) * (
-            phase.conj())
-        assert not gauged.imag.any()
-        prop = interval_propagator(gauged.real, dt / n_sub, n_sub,
-                                   build.entries)
+        generator = dynamics.gauged_generator(space, params)
+        assert generator.values.dtype == np.float64
+        gauged = np.zeros((space.dim_total ** 2,) * 2)
+        gauged[generator.rows, generator.cols] = generator.values
+        prop = interval_propagator(gauged, dt / n_sub, n_sub, build.entries)
         eye = np.eye(len(prop))
         assert prop.dtype == np.float64
         assert _same_bits(build.squarings[0], prop - eye)
@@ -981,7 +980,7 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
         assert len(build.entries) == width
         _assert_same_trajectory(got, evolve(init, space3, params, times,
                                             store_full=True))
-    nonzero = [np.count_nonzero(liouvillian_matrix(space3, p))
+    nonzero = [np.count_nonzero(dynamics.gauged_generator(space3, p).values)
                for p in map(SystemParams.symmetric, (0.0, 0.2))]
     assert nonzero[0] < nonzero[1]
     # the dict holds one frozen Build and the grid memo. The Build holds
@@ -1001,6 +1000,48 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
             a[(0,) * a.ndim] = 0
 
 
+def test_a_build_of_the_same_patterns_takes_the_last_ones_maps(space3,
+                                                               builds):
+    # the entries and their index maps depend only on the nonzero patterns
+    # of the generator and of the initial state: a new Build whose
+    # patterns are those of the last one takes its entries and maps, the
+    # same objects, with a generator, a propagator and squarings of its
+    # own; a zero rate, which thins out the generator, or another initial
+    # pattern builds them afresh. Every result equals a call without the
+    # dict
+    psi = make_initial(InitialStateSpec("psi", 0.3), space3)
+    phi = make_initial(InitialStateSpec("phi", 0.3), space3)
+    short = np.linspace(0.0, 2.0, 21)
+    fine = np.linspace(0.0, 2.0, 41)
+    calls = [(psi, 0.2, short, False),
+             (psi, 2.0, short, True),    # another gamma_s
+             (psi, 2.0, fine, True),     # another step
+             (psi, 0.0, fine, False),    # a zero rate thins out M
+             (phi, 0.0, fine, False),    # another initial pattern
+             (phi, 0.02, fine, False),
+             (phi, 20.0, fine, True)]
+    shared, last = {}, None
+    for init, gamma_s, times, same in calls:
+        params = SystemParams.symmetric(gamma_s)
+        before = len(builds.generators), len(builds.n_sub)
+        got = evolve(init, space3, params, times, store_full=True,
+                     shared=shared)
+        assert (len(builds.generators), len(builds.n_sub)) == tuple(
+            b + 1 for b in before)
+        build = shared["build"]
+        maps = [build.entries, build.mirror, build.turns, build.blocks,
+                build.diagonal, build.qubits]
+        if last is not None:
+            assert build.squarings is not last.squarings
+            assert [a is b for a, b in zip(maps, [
+                last.entries, last.mirror, last.turns, last.blocks,
+                last.diagonal, last.qubits])] == [same] * len(maps)
+            assert (build.pattern == last.pattern) == same
+        _assert_same_trajectory(got, evolve(init, space3, params, times,
+                                            store_full=True))
+        last = build
+
+
 def test_a_failing_trace_law_leaves_shared_as_it_was(space3, monkeypatch):
     # the law is checked before the generator is stored, so a generator
     # that breaks it leaves the dict untouched, fails again on a repeat of
@@ -1010,9 +1051,9 @@ def test_a_failing_trace_law_leaves_shared_as_it_was(space3, monkeypatch):
     shared = {}
     evolve(psi, space3, SystemParams.symmetric(0.2), times, shared=shared)
     before = dict(shared)
-    healthy = dynamics.liouvillian_matrix
-    monkeypatch.setattr(dynamics, "liouvillian_matrix", lambda space, params:
-                        healthy(space, params) - 1e-3 * np.eye(144))
+    monkeypatch.setattr(dynamics, "gauged_generator", lambda space, params:
+                        _gauged_entries(liouvillian_matrix(space, params)
+                                        - 1e-3 * np.eye(144), space.n_fock))
     broken = SystemParams.symmetric(0.3)
     for _ in range(2):
         with pytest.raises(IntegrationError) as err:
@@ -1058,6 +1099,19 @@ def test_a_generator_bent_off_the_gauge_fails_at_the_initial_time(
     assert builds.steps == []
 
 
+# Largest distance, in ulps of the reference entry, of an entry of the
+# generator a build forms from the unit generators (gauged_generator) from
+# the gauged liouvillian_matrix and the gauged sum of the 11 Kronecker
+# products; measured on the grid below: 1 ulp at n_fock 2-4, 2 at 5 and 6
+# against liouvillian_matrix, 0 against the 11 products
+UNIT_ULPS = 2
+
+
+def _within_ulps(values, reference, ulps):
+    return bool((np.abs(values - reference)
+                 <= ulps * np.spacing(np.abs(reference))).all())
+
+
 @pytest.mark.parametrize("n_fock", [1, 2, 3, 4, 5, 6])
 def test_every_generator_is_real_in_the_gauge(n_fock):
     # H only trades a photon for a qubit excitation and each jump operator
@@ -1066,7 +1120,11 @@ def test_every_generator_is_real_in_the_gauge(n_fock):
     # of rates and couplings, symmetric and asymmetric, at every n_fock.
     # The generator built from the effective Hamiltonian stays within
     # 1e-15 max|M| of the sum of its 11 Kronecker products (n_fock <= 4),
-    # and its trace-law measure within 1 unit of eps max|M|
+    # and its trace-law measure within 1 unit of eps max|M|. The
+    # generator a build forms from the unit generators has the nonzero
+    # pattern of the gauged M, every entry within UNIT_ULPS of it and of
+    # the gauged 11 products (n_fock <= 4), and its trace-law measure
+    # within the TRACE_LAW_TOL units the build allows
     space = build_space(n_fock)
     turns = _photon_turns(space.dim_total).reshape(-1)
     phase = np.array([1, 1j, -1, -1j])[turns]
@@ -1078,13 +1136,51 @@ def test_every_generator_is_real_in_the_gauge(n_fock):
                               gamma_a=gamma_s, gamma_b=ratio * gamma_s,
                               n_fock=n_fock)
         m = liouvillian_matrix(space, params)
-        assert not (phase[:, None] * m * phase.conj()).imag.any(), params
+        gauged = phase[:, None] * m * phase.conj()
+        assert not gauged.imag.any(), params
         scale = np.abs(m).max()
         law = np.abs(m[::space.dim_total + 1].sum(axis=0)).max()
         assert law <= eps * scale, params
+        units = dynamics.gauged_generator(space, params)
+        assert units.values.dtype == np.float64
+        at = (units.rows, units.cols)
+        assert np.array_equal(units.values != 0, gauged.real[at] != 0)
+        assert np.count_nonzero(units.values) == np.count_nonzero(gauged)
+        assert _within_ulps(units.values, gauged.real[at], UNIT_ULPS), params
+        on_trace = units.rows % (space.dim_total + 1) == 0
+        law = np.abs(np.bincount(units.cols[on_trace], units.values[on_trace],
+                                 len(m))).max()
+        assert law <= TRACE_LAW_TOL * eps * np.abs(units.values).max(), params
         if n_fock <= 4:
             oracle = eleven_kron_liouvillian(space, params)
             assert np.abs(m - oracle).max() <= 1e-15 * scale, params
+            oracle = (phase[:, None] * oracle * phase.conj()).real[at]
+            assert _within_ulps(units.values, oracle, UNIT_ULPS), params
+
+
+@pytest.mark.parametrize("n_fock", range(1, 7))
+def test_unit_generators_are_real_in_the_gauge(n_fock):
+    # the four units of an n_fock are built once, read-only and real in the
+    # photon-number gauge, on the union of their nonzero patterns in
+    # row-major order; the Hamiltonian's unit shares no entry with a
+    # dissipator's, and the dissipators' units overlap only where all
+    # have one sign, so the build's sum of four scaled units rounds each
+    # entry at most twice per overlap (9 to 534 such entries at n_fock
+    # 1-6)
+    units = dynamics.unit_generators(n_fock)
+    assert dynamics.unit_generators(n_fock) is units
+    dim = (4 * n_fock) ** 2
+    assert units.values.dtype == np.float64
+    assert units.values.shape == (4, len(units.rows))
+    assert (np.diff(units.rows * dim + units.cols) > 0).all()
+    assert units.values.any(axis=0).all()
+    for a in units:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
+    hamiltonian, dissipators = units.values[0], units.values[1:]
+    assert not (hamiltonian != 0)[(dissipators != 0).any(axis=0)].any()
+    signs = np.sign(dissipators)
+    assert ((signs.min(axis=0) >= 0) | (signs.max(axis=0) <= 0)).all()
 
 
 @pytest.mark.parametrize("n_fock", range(1, 7))
@@ -1284,9 +1380,22 @@ def _record_eigvalsh(monkeypatch):
     return stacks
 
 
+def _gauged_entries(m, n_fock):
+    """The full-width generator m as gauged_generator gives one: its
+    nonzero entries in the photon-number gauge, real unless the gauge
+    leaves an imaginary part."""
+    phase = np.array([1, 1j, -1, -1j])[dynamics.photon_turns(n_fock)]
+    gauged = phase[:, None] * m * phase.conj()
+    rows, cols = np.nonzero(gauged)
+    values = gauged[rows, cols]
+    return dynamics.GeneratorEntries(
+        rows, cols, values if values.imag.any() else values.real)
+
+
 def _generator(monkeypatch, m):
-    monkeypatch.setattr(dynamics, "liouvillian_matrix",
-                        lambda space, params: m)
+    """Every build takes m as its generator, gauged as the build's own."""
+    monkeypatch.setattr(dynamics, "gauged_generator",
+                        lambda space, params: _gauged_entries(m, space.n_fock))
 
 
 def test_trace_failure_waits_for_earlier_samples(space3, monkeypatch,

@@ -198,13 +198,13 @@ class TestRunSweep:
         # its own evolve with no builds shared, also next to a failed
         # gamma_s
         built = []
-        build = dynamics.liouvillian_matrix
+        build = dynamics.gauged_generator
 
         def recording(space, params):
             built.append(params.gamma_a)
             return build(space, params)
 
-        monkeypatch.setattr(dynamics, "liouvillian_matrix", recording)
+        monkeypatch.setattr(dynamics, "gauged_generator", recording)
         cfg = replace(SMALL, gamma_s_list=gamma_s_list, t_max=0.1,
                       n_steps=10)
         cells = []
@@ -225,13 +225,13 @@ class TestRunSweep:
         # states share a pattern builds one generator; every cell equals
         # its own evolve with no builds shared
         built = []
-        build = dynamics.liouvillian_matrix
+        build = dynamics.gauged_generator
 
         def recording(space, params):
             built.append(params.gamma_a)
             return build(space, params)
 
-        monkeypatch.setattr(dynamics, "liouvillian_matrix", recording)
+        monkeypatch.setattr(dynamics, "gauged_generator", recording)
         cfg = replace(SMALL, alpha2_grid=(0.0, 0.5, 1.0))
         result = run_sweep(cfg)
         assert len(result.cells) == 6 and not result.failed
@@ -778,9 +778,13 @@ class TestCsv:
         assert len(lines) == 2 + 11
 
     def test_grid_requires_single_gamma(self, tmp_path):
-        result = run_sweep(SMALL)
-        with pytest.raises(ValueError):
-            write_grid_csv(result, str(tmp_path / "grid.csv"))
+        # entries are counted, not values: a gamma_s given twice would
+        # repeat every alpha2 column
+        for gamma_s_list in ((0.1, 0.2), (0.2, 0.2)):
+            result = run_sweep(replace(SMALL, gamma_s_list=gamma_s_list))
+            with pytest.raises(ValueError, match="exactly one gamma_s"):
+                write_grid_csv(result, str(tmp_path / "grid.csv"))
+            assert not (tmp_path / "grid.csv").exists()
 
 
 class TestRawState:
@@ -982,14 +986,16 @@ class TestCli:
             raise AssertionError("run_sweep was called")
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
-        rc = main(["--alpha2", "0.5", "--gamma-s", "0.1,0.2",
-                   "--rate-unit", "gamma0", "--t-max", "1", "--steps", "4",
-                   "--emit-grid", "--out", str(tmp_path / "g.csv")])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "gamma_s=" not in captured.out
-        assert "exactly one gamma_s" in captured.err
-        assert not (tmp_path / "g.csv").exists()
+        # a value given twice is two entries, as on the rows path
+        for gamma_s in ("0.1,0.2", "0.2,0.2"):
+            rc = main(["--alpha2", "0.5", "--gamma-s", gamma_s,
+                       "--rate-unit", "gamma0", "--t-max", "1", "--steps",
+                       "4", "--emit-grid", "--out", str(tmp_path / "g.csv")])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert "gamma_s=" not in captured.out
+            assert "exactly one gamma_s" in captured.err
+            assert not (tmp_path / "g.csv").exists()
 
     def test_emit_grid_with_a_failed_cell_exits_1(self, tmp_path, capsys):
         # as on the rows path: exit 1 with each failed cell on stderr, but
