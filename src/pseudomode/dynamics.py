@@ -121,7 +121,8 @@ EIG_FLOOR = -1e-8
 EXCITATION_GAIN_TOL = 1e-8
 # Largest max|e^T M| a generator may show, in units of eps * max|M|: a
 # Lindblad generator has e^T M = 0, and its column sums round to at most
-# 1.0 of these units (n_fock 1-6, rates 0-2000, Gamma 0-100, omega 0-3.3).
+# 1.0 of these units (n_fock 1-6, rates 0-2000, Gamma 0-100, omega 0-3.3),
+# built by liouvillian_matrix or as the sum of the unit generators.
 TRACE_LAW_TOL = 4
 # Population above which an excitation sector of the initial state counts
 # as occupied when the Fock cutoff is checked.
