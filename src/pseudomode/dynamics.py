@@ -78,11 +78,7 @@ entries, their maps and the squarings, all read-only (make_build):
 evolve takes a dict that keeps the Build of the last such key (a sweep
 passes one per run, so each gamma_s builds once per run of cells whose
 initial states share a pattern), and a direct call builds into a fresh
-one. The entries and their maps depend only on the nonzero patterns of M
-and of the initial state, so a Build whose patterns are those of the
-last one takes its entries and maps and builds only P and its squarings
-(every gamma_s > 0 of a sweep at fixed omega and Gamma gives M one
-pattern). What depends on n_fock alone is built once per n_fock and kept
+one. What depends on n_fock alone is built once per n_fock and kept
 for the process: the four unit generators (unit_generators), and
 (operators.operator_tables) the excitation weight of each basis state,
 which evolve and check_fock_cutoff read, the three jump operators with
@@ -95,7 +91,7 @@ and no build calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from time import perf_counter
@@ -196,15 +192,14 @@ class IntegrationDiagnostics:
     not passed to LAPACK, since its value could not be the minimum (see
     _check_samples).
     propagate_s is the time spent on the Build (the generator formed from
-    the unit generators and its checks; the entries and their index maps,
-    unless the Build takes those of the last one; the propagator and its
-    squarings; see make_build) and on filling the runs of points with the
-    squarings; a run that reused the Build of an earlier one (evolve's
-    `shared`) records no build time, and the first Build of an n_fock in
-    the process also records the unit generators' own build. check_s is
-    the time spent on the per-sample checks, the reduction to the two
-    qubits, the series stores and store_full, one CHECK_CHUNK run of
-    points at a time (perf_counter seconds).
+    the unit generators and its checks, the entries and their index maps,
+    the propagator and its squarings; see make_build) and on filling the
+    runs of points with the squarings; a run that reused the Build of an
+    earlier one (evolve's `shared`) records no build time, and the first
+    Build of an n_fock in the process also records the unit generators'
+    own build. check_s is the time spent on the per-sample checks, the
+    reduction to the two qubits, the series stores and store_full, one
+    CHECK_CHUNK run of points at a time (perf_counter seconds).
     """
 
     step_count: int = 0
@@ -396,6 +391,17 @@ def check_fock_cutoff(initial: FullState, space: CompositeSpace) -> None:
             f"n_fock >= {top + 1}; got n_fock = {space.n_fock}")
 
 
+def _closure(linked: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Sorted indices reached from the True entries of seed by following
+    linked[i, j] from j to i until nothing new is reached."""
+    reached = seed
+    while True:
+        grown = reached | linked[:, reached].any(axis=1)
+        if (grown == reached).all():
+            return np.flatnonzero(reached)
+        reached = grown
+
+
 def _transposed(dim: int) -> np.ndarray:
     """Position in the row-major vec(rho) of each entry's transpose."""
     return np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
@@ -441,14 +447,13 @@ def diagonal_blocks(entries: np.ndarray, dim: int) -> list[np.ndarray]:
     linked = np.zeros((dim, dim), dtype=bool)
     rows, cols = np.divmod(entries, dim)
     linked[rows, cols] = linked[cols, rows] = True
-    touched = linked.any(axis=0)
-    # k squarings join the states of paths of up to 2^k links
-    joined = linked | np.eye(dim, dtype=bool)
-    for _ in range(max(dim - 1, 1).bit_length()):
-        joined = joined @ joined
-    # each block, in the order of its first basis state
-    heads = touched & (joined.argmax(axis=1) == np.arange(dim))
-    return [np.flatnonzero(joined[head]) for head in np.flatnonzero(heads)]
+    left = linked.any(axis=0)
+    blocks = []
+    while left.any():
+        block = _closure(linked, np.arange(dim) == np.argmax(left))
+        blocks.append(block)
+        left[block] = False
+    return blocks
 
 
 def photon_turns(n_fock: int) -> np.ndarray:
@@ -502,32 +507,20 @@ def slice_layout(entries: np.ndarray, n_fock: int) -> tuple:
     matrix.
     """
     dim = 4 * n_fock
-    transposed, turns, diagonal, qubits = _vec_maps(n_fock)
     where = np.full(dim * dim, -1)
     where[entries] = np.arange(len(entries))
-    mirror = where[transposed[entries]]
+    mirror = where[_transposed(dim)[entries]]
     if (mirror < 0).any():
         raise ValueError("entries must hold the transpose of each entry")
-    blocks = tuple(_read_only(where[blk[:, None] * dim + blk])
-                   for blk in diagonal_blocks(entries, dim))
-    return (_read_only(mirror), _read_only(turns[entries]), blocks,
-            _read_only(where[diagonal]), _read_only(where[qubits]))
-
-
-@lru_cache(maxsize=8)
-def _vec_maps(n_fock: int) -> tuple[np.ndarray, ...]:
-    """Positions in the row-major vec(rho) of n_fock, built once per n_fock
-    and read-only: the transpose of each entry, the photon_turns of each
-    entry, the diagonal of rho, and the (4, 4, n_fock) entries whose sum
-    over the last axis is the two-qubit state (see slice_layout)."""
-    dim = 4 * n_fock
     qubits = np.arange(4)
     # basis state i_a + 2 i_b is row (2 i_a + i_b) n_fock + n of rho
     rows = (2 * (qubits % 2) + qubits // 2)[:, None] * n_fock + np.arange(
         n_fock)
-    return tuple(map(_read_only, (
-        _transposed(dim), photon_turns(n_fock), np.arange(dim) * (dim + 1),
-        rows[:, None, :] * dim + rows[None, :, :])))
+    blocks = tuple(_read_only(where[blk[:, None] * dim + blk])
+                   for blk in diagonal_blocks(entries, dim))
+    return (_read_only(mirror), _read_only(photon_turns(n_fock)[entries]),
+            blocks, _read_only(where[np.arange(dim) * (dim + 1)]),
+            _read_only(where[rows[:, None, :] * dim + rows[None, :, :]]))
 
 
 def _complex(parts) -> np.ndarray:
@@ -553,29 +546,22 @@ def _squarings(x: np.ndarray) -> Iterator[np.ndarray]:
     raw states at n_fock 3 and 4, gamma_s 0.02 to 2, sample intervals
     1e-3 to 10).
     """
-    # the diagonal of a fresh, contiguous square matrix as a strided view
-    step = len(x) + 1
     while True:
         yield x
         diagonal = x.diagonal()
         off = x.copy()
-        off.reshape(-1)[::step] = 0.0
-        cross = diagonal[:, None] * off
-        cross += off * diagonal
-        square = off @ off
-        square += cross
-        square.reshape(-1)[::step] += diagonal * diagonal
-        square += 2 * x
-        x = square
+        np.fill_diagonal(off, 0.0)
+        square = off @ off + (diagonal[:, None] * off + off * diagonal)
+        # the diagonal of the fresh, contiguous square as a strided view
+        square.reshape(-1)[::len(square) + 1] += diagonal * diagonal
+        x = 2 * x + square
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def interval_propagator(m: np.ndarray, h: float, n_sub: int,
-                        entries: np.ndarray | None = None) -> np.ndarray:
-    """Propagator P = S^n_sub over n_sub >= 1 RK4 steps of size h on
-    `entries` of vec(rho), with S = rk4_step_matrix(M[entries][:, entries],
-    h); M must map the entries into themselves (see reachable_entries).
-    Without entries, M is the matrix on the entries already.
+def interval_propagator(m: np.ndarray, h: float, n_sub: int) -> np.ndarray:
+    """Propagator P = S^n_sub over n_sub >= 1 RK4 steps of size h, with
+    S = rk4_step_matrix(m, h) and m the generator on a set of entries of
+    vec(rho) that it maps into themselves (see reachable_entries).
 
     S is the identity plus a small increment, so P is powered by squaring
     as S^k - I (see _squarings), with (I + A)(I + B) - I = A + B + A B,
@@ -583,8 +569,6 @@ def interval_propagator(m: np.ndarray, h: float, n_sub: int,
     step, P may overflow; the checks of the states it gives catch that,
     so the floating-point warnings are noise.
     """
-    if entries is not None:
-        m = m[np.ix_(entries, entries)]
     eye = np.eye(len(m))
     acc = None
     for base in _squarings(rk4_step_matrix(m, h) - eye):
@@ -601,18 +585,15 @@ class Build:
     propagator build (see make_build). Every array is read-only.
 
     key is (space, params, h, n_sub, the initial state's nonzero pattern
-    as bytes), on which the rest depends. pattern is (space, the rows and
-    the columns of the generator's nonzero entries as bytes, the initial
-    state's pattern), on which the entries and their index maps depend.
-    entries are the reachable entries of vec(rho) (see reachable_entries),
-    and squarings the (CHECK_CHUNK.bit_length(), w, w) increments
-    X_j = P^(2^j) - I of the propagator P over n_sub RK4 steps of size h
-    on the gauged real slice of the w entries. mirror, turns, blocks,
-    diagonal and qubits are the entries' index maps (see slice_layout).
+    as bytes), on which the rest depends. entries are the reachable
+    entries of vec(rho) (see reachable_entries), and squarings the
+    (CHECK_CHUNK.bit_length(), w, w) increments X_j = P^(2^j) - I of the
+    propagator P over n_sub RK4 steps of size h on the gauged real slice
+    of the w entries. mirror, turns, blocks, diagonal and qubits are the
+    entries' index maps (see slice_layout).
     """
 
     key: tuple
-    pattern: tuple
     entries: np.ndarray
     squarings: np.ndarray
     mirror: np.ndarray
@@ -631,8 +612,7 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
                ) -> Build:
     """The Build of (space, params, h, n_sub) from the nonzero pattern of
     `initial`: `last` itself when its key is the same, else a new one
-    (`last` may be None), which takes the entries and index maps of `last`
-    when its pattern is the same.
+    (`last` may be None).
 
     The generator comes in the photon-number gauge, M_g = D M D* with
     D = diag(i^photon_turns), on the entries of the unit generators (see
@@ -679,16 +659,7 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
         values = values.real
     nonzero = values != 0
     rows, cols = generator.rows[nonzero], generator.cols[nonzero]
-    pattern = (space, rows.tobytes(), cols.tobytes(), key[-1])
-    # a Build of the same patterns, or one of the entries and maps alone
-    if last is not None and last.pattern == pattern:
-        maps = last
-    else:
-        entries = _read_only(_reachable(rows, cols, seed,
-                                        _vec_maps(space.n_fock)[0]))
-        maps = Build(None, pattern, entries, None,
-                     *slice_layout(entries, space.n_fock))
-    entries = maps.entries
+    entries = _read_only(_reachable(rows, cols, seed, _transposed(dim)))
     where = np.full(dim * dim, -1)
     where[entries] = np.arange(len(entries))
     # M_g maps the entries into themselves: the rows of the entries in
@@ -699,7 +670,8 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
     prop = interval_propagator(m_slice, h, n_sub)
     squarings = np.array(list(islice(_squarings(prop - np.eye(len(entries))),
                                      CHECK_CHUNK.bit_length())))
-    return replace(maps, key=key, squarings=_read_only(squarings))
+    return Build(key, entries, _read_only(squarings),
+                 *slice_layout(entries, space.n_fock))
 
 
 # Relative margin of the positivity certificate, and its absolute floor,
@@ -952,10 +924,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     the same dict to calls that share space, params, grid spacing and the
     initial state's nonzero pattern (a sweep's cells of one gamma_s) and
     only the first builds the generator, the propagator and its
-    squarings; a call that changes only what the patterns of the
-    generator and of the initial state do not show (a sweep's next
-    gamma_s > 0) builds those and takes the entries and their maps. The
-    dict holds the Build of the last such key under
+    squarings. The dict holds the Build of the last such key under
     "build", replaced only by a complete one, so a build that fails
     leaves the dict as it was; it lives as long as the caller keeps it,
     and without it each call builds into a fresh dict. It also keeps the

@@ -436,7 +436,7 @@ def test_gauge_maps_index_the_diagonal_blocks(space3):
 def _layout_build(entries, n_fock):
     """A Build of `entries` and their index maps alone, as the checks
     read it."""
-    return Build(None, None, entries, None, *slice_layout(entries, n_fock))
+    return Build(None, entries, None, *slice_layout(entries, n_fock))
 
 
 def _same_bits(a, b):
@@ -768,7 +768,8 @@ def test_block_products_match_a_per_point_loop(space3):
     times = np.linspace(0.0, 10.0, 10001)
     m = liouvillian_matrix(space3, params)
     entries = reachable_entries(m, init.rho_tilde)
-    prop = interval_propagator(m, times[1] - times[0], 1, entries)
+    prop = interval_propagator(m[np.ix_(entries, entries)],
+                               times[1] - times[0], 1)
     traj = evolve(init, space3, params, times, store_full=True)
     v = init.rho_tilde.reshape(-1)[entries]
     worst = 0.0
@@ -789,9 +790,10 @@ def test_propagator_is_the_rounded_power_of_the_step(space3, gamma_s):
     for family in ("psi", "phi"):
         init = make_initial(InitialStateSpec(family, 0.3), space3)
         entries = reachable_entries(m, init.rho_tilde)
-        step = rk4_step_matrix(m[np.ix_(entries, entries)], 1e-3)
+        sliced = m[np.ix_(entries, entries)]
+        step = rk4_step_matrix(sliced, 1e-3)
         for n_sub in (37, 100):
-            prop = interval_propagator(m, 1e-3, n_sub, entries)
+            prop = interval_propagator(sliced, 1e-3, n_sub)
             exact = np.linalg.matrix_power(step.astype(np.clongdouble), n_sub)
             assert np.abs(prop - exact).max() <= np.finfo(float).eps
 
@@ -812,9 +814,9 @@ def builds(monkeypatch):
         record.steps.append(h)
         return step(m, h)
 
-    def recording_propagator(m, h, n_sub, entries=None):
+    def recording_propagator(m, h, n_sub):
         record.n_sub.append(n_sub)
-        return propagator(m, h, n_sub, entries)
+        return propagator(m, h, n_sub)
 
     monkeypatch.setattr(dynamics, "rk4_step_matrix", recording_step)
     monkeypatch.setattr(dynamics, "interval_propagator", recording_propagator)
@@ -901,7 +903,8 @@ def test_squarings_keep_the_increments_precision(space3):
         assert generator.values.dtype == np.float64
         gauged = np.zeros((space.dim_total ** 2,) * 2)
         gauged[generator.rows, generator.cols] = generator.values
-        prop = interval_propagator(gauged, dt / n_sub, n_sub, build.entries)
+        prop = interval_propagator(
+            gauged[np.ix_(build.entries, build.entries)], dt / n_sub, n_sub)
         eye = np.eye(len(prop))
         assert prop.dtype == np.float64
         assert _same_bits(build.squarings[0], prop - eye)
@@ -998,48 +1001,6 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
     for a in arrays + list(build.blocks):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
-
-
-def test_a_build_of_the_same_patterns_takes_the_last_ones_maps(space3,
-                                                               builds):
-    # the entries and their index maps depend only on the nonzero patterns
-    # of the generator and of the initial state: a new Build whose
-    # patterns are those of the last one takes its entries and maps, the
-    # same objects, with a generator, a propagator and squarings of its
-    # own; a zero rate, which thins out the generator, or another initial
-    # pattern builds them afresh. Every result equals a call without the
-    # dict
-    psi = make_initial(InitialStateSpec("psi", 0.3), space3)
-    phi = make_initial(InitialStateSpec("phi", 0.3), space3)
-    short = np.linspace(0.0, 2.0, 21)
-    fine = np.linspace(0.0, 2.0, 41)
-    calls = [(psi, 0.2, short, False),
-             (psi, 2.0, short, True),    # another gamma_s
-             (psi, 2.0, fine, True),     # another step
-             (psi, 0.0, fine, False),    # a zero rate thins out M
-             (phi, 0.0, fine, False),    # another initial pattern
-             (phi, 0.02, fine, False),
-             (phi, 20.0, fine, True)]
-    shared, last = {}, None
-    for init, gamma_s, times, same in calls:
-        params = SystemParams.symmetric(gamma_s)
-        before = len(builds.generators), len(builds.n_sub)
-        got = evolve(init, space3, params, times, store_full=True,
-                     shared=shared)
-        assert (len(builds.generators), len(builds.n_sub)) == tuple(
-            b + 1 for b in before)
-        build = shared["build"]
-        maps = [build.entries, build.mirror, build.turns, build.blocks,
-                build.diagonal, build.qubits]
-        if last is not None:
-            assert build.squarings is not last.squarings
-            assert [a is b for a, b in zip(maps, [
-                last.entries, last.mirror, last.turns, last.blocks,
-                last.diagonal, last.qubits])] == [same] * len(maps)
-            assert (build.pattern == last.pattern) == same
-        _assert_same_trajectory(got, evolve(init, space3, params, times,
-                                            store_full=True))
-        last = build
 
 
 def test_a_failing_trace_law_leaves_shared_as_it_was(space3, monkeypatch):
@@ -1211,7 +1172,7 @@ def test_interval_propagator_matches_a_generic_step_loop():
     m = (rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144))) / 12
     v = rng.normal(size=144) + 1j * rng.normal(size=144)
     h, n_sub = 1e-2, 37
-    prop = interval_propagator(m, h, n_sub, np.arange(144))
+    prop = interval_propagator(m, h, n_sub)
     step = rk4_step_matrix(m, h)
     w = v
     for _ in range(n_sub):
