@@ -6,7 +6,8 @@ Usage example:
         --rate-unit gamma0 --t-max 150 --steps 1500 --out rows.csv
 
 Every flag can also be supplied through --config FILE as flat key=value
-lines (keys are the flag names with dashes or underscores). Each line
+lines (keys are the flag names with dashes or underscores; a # that
+opens a line or follows whitespace starts a comment). Each line
 becomes a --flag=value token (emit_grid = true|false becomes the bare
 --emit-grid switch or nothing), parsed by the same parser ahead of the
 command line, so flags given on the command line override the file. An
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -147,7 +149,9 @@ def _config_tokens(path: str, parser: argparse.ArgumentParser) -> list[str]:
              - {"-h", "--help", "--config"})
     tokens = []
     for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        # a comment starts at a # that opens the line or follows
+        # whitespace, so a value may hold a #
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -84,9 +84,9 @@ for the process: the four unit generators (unit_generators), and
 which evolve and check_fock_cutoff read, the three jump operators with
 their L^dag L, and the coupling (sp_A + sp_B) a that build_hamiltonian
 scales by omega. These arrays are read-only and shared by every caller.
-liouvillian_matrix, the complex generator at full width, builds no
-operator of its own either; it is the public reference for the units,
-and no build calls it.
+liouvillian_matrix, the complex generator at full width, is the same sum
+of the units taken out of the gauge; no build calls it. One edge walk,
+_reachable, finds both the reachable entries and the diagonal blocks.
 """
 from __future__ import annotations
 
@@ -106,7 +106,6 @@ from .operators import (
     CompositeSpace,
     SystemParams,
     _read_only,
-    build_hamiltonian,
     operator_tables,
 )
 
@@ -118,7 +117,7 @@ EXCITATION_GAIN_TOL = 1e-8
 # Largest max|e^T M| a generator may show, in units of eps * max|M|: a
 # Lindblad generator has e^T M = 0, and its column sums round to at most
 # 1.0 of these units (n_fock 1-6, rates 0-2000, Gamma 0-100, omega 0-3.3),
-# built by liouvillian_matrix or as the sum of the unit generators.
+# formed as the sum of the unit generators.
 TRACE_LAW_TOL = 4
 # Population above which an excitation sector of the initial state counts
 # as occupied when the Fock cutoff is checked.
@@ -239,39 +238,6 @@ class Trajectory:
         return len(self.times)
 
 
-def liouvillian_matrix(space: CompositeSpace,
-                       params: SystemParams) -> np.ndarray:
-    """Generator M with vec(d rho/dt) = M vec(rho), row-major vectorization.
-
-    With vec(A rho B) = (A kron B^T) vec(rho) and the non-Hermitian
-    effective Hamiltonian K = -i H - 1/2 sum_L rate L^dag L, so that
-    d rho/dt = K rho + rho K^dag + sum_L rate L rho L^dag,
-    M = K kron I + I kron K* + sum_L rate L kron L*. Each Kronecker product
-    A kron B is formed as the broadcast product A[i, k] B[j, l] at entry
-    (i d + j, k d + l), which is how np.kron forms it, into one buffer.
-    """
-    d = space.dim_total
-    rates = (params.gamma_cavity, params.gamma_a, params.gamma_b)
-    jumps = [(op, ld, rate) for (op, ld), rate
-             in zip(operator_tables(space.n_fock).jumps, rates) if rate != 0.0]
-    k = -1j * build_hamiltonian(space, params)
-    for _, ld, rate in jumps:
-        k -= 0.5 * rate * ld
-    eye = np.eye(d)
-
-    def kron(a, b, out=None):
-        return np.multiply(a[:, None, :, None], b[None, :, None, :], out=out)
-
-    m = kron(k, eye)
-    term = kron(eye, k.conj())
-    m += term
-    for op, _, rate in jumps:
-        kron(op, op.conj(), out=term)
-        term *= rate
-        m += term
-    return m.reshape(d * d, d * d)
-
-
 class GeneratorEntries(NamedTuple):
     """Generators in the photon-number gauge on one set of their entries.
 
@@ -285,11 +251,6 @@ class GeneratorEntries(NamedTuple):
     values: np.ndarray
 
 
-# each unit is i^turns times a real Kronecker sum: -i for the Hamiltonian's
-# unit, 1 for each dissipator's
-_UNIT_TURNS = np.array([3, 0, 0, 0])[:, None]
-
-
 @lru_cache(maxsize=8)
 def unit_generators(n_fock: int) -> GeneratorEntries:
     """The four unit generators U_H, U_a, U_A, U_B of n_fock in the
@@ -299,10 +260,10 @@ def unit_generators(n_fock: int) -> GeneratorEntries:
     liouvillian_matrix is omega U_H + Gamma U_a + gamma_a U_A + gamma_b U_B
     before the gauge, with U_H = -i (H x I - I x H^T) / omega and, for each
     jump operator L, U_L = L x L* - (L^dag L x I + I x (L^dag L)^T) / 2.
-    Every operator is real, so each unit is i^s times a real Kronecker sum
-    R, and the gauge multiplies entry (r, c) by i^(t_r - t_c), t the
-    photon_turns: gauged, the entry is i^(t_r - t_c + s) R[r, c], +-R[r, c]
-    or +-i R[r, c], exactly. This is where the gauge law is checked: the
+    Every operator is real, so each term of a unit is a real Kronecker
+    product times +-1, -1/2 or +-i, and the gauge turns its entry (r, c)
+    by i^(t_r - t_c), t the photon_turns, exactly (see _turn); the gauged
+    terms are then summed. This is where the gauge law is checked: the
     units are real (float64) when no entry is left imaginary, and complex
     otherwise (make_build then fails the generator).
     """
@@ -311,7 +272,7 @@ def unit_generators(n_fock: int) -> GeneratorEntries:
     eye = np.eye(dim)
     h = tables.coupling.real + tables.coupling.real.T
     # each unit is the sum of its terms factor A x B: (unit, factor, A, B)
-    terms = [(0, 1.0, h, eye), (0, -1.0, eye, h)]
+    terms = [(0, -1j, h, eye), (0, 1j, eye, h)]
     for unit, (op, ld) in enumerate(tables.jumps, 1):
         terms += [(unit, 1.0, op.real, op.real), (unit, -0.5, ld.real, eye),
                   (unit, -0.5, eye, ld.real)]
@@ -323,34 +284,27 @@ def unit_generators(n_fock: int) -> GeneratorEntries:
         rows.append(np.add.outer(i * dim, j).reshape(-1))
         cols.append(np.add.outer(k * dim, l).reshape(-1))
         values.append(factor * np.multiply.outer(a[i, k], b[j, l]).reshape(-1))
+    units, rows, cols, values = map(np.concatenate,
+                                    (units, rows, cols, values))
+    t = photon_turns(n_fock)
+    values = _complex(_turn(values.real, values.imag, (t[rows] - t[cols]) % 4))
     # the terms of a unit add up in their order; they overlap only on the
     # diagonal, where two of them of one sign meet
-    positions, at = np.unique(np.concatenate(rows) * dim * dim
-                              + np.concatenate(cols), return_inverse=True)
-    summed = np.zeros((4, len(positions)))
-    np.add.at(summed, (np.concatenate(units), at), np.concatenate(values))
+    positions, at = np.unique(rows * dim * dim + cols, return_inverse=True)
+    summed = np.zeros((4, len(positions)), dtype=complex)
+    np.add.at(summed, (units, at), values)
     keep = summed.any(axis=0)
     rows, cols = np.divmod(positions[keep], dim * dim)
     values = summed[:, keep]
-    t = photon_turns(n_fock)
-    turns = (t[rows] - t[cols] + _UNIT_TURNS) % 4
-    real = values * np.array([1.0, 0.0, -1.0, 0.0])[turns]
-    imag = values * np.array([0.0, 1.0, 0.0, -1.0])[turns]
-    values = _complex((real, imag)) if imag.any() else real
+    values = values if values.imag.any() else values.real.copy()
     return GeneratorEntries(_read_only(rows), _read_only(cols),
                             _read_only(values))
 
 
-def gauged_generator(space: CompositeSpace,
-                     params: SystemParams) -> GeneratorEntries:
-    """The generator M_g = D M D* of liouvillian_matrix in the
-    photon-number gauge, formed as omega U_H + Gamma U_a + gamma_a U_A +
-    gamma_b U_B on the entries of the unit generators (unit_generators),
-    summed in that order. An entry of at most one nonzero unit, every entry
-    off the diagonal, keeps the bits of liouvillian_matrix's; a diagonal
-    entry, where the dissipators' units overlap, all of one sign, differs
-    from it by rounding only.
-    """
+def _unit_sum(space: CompositeSpace,
+              params: SystemParams) -> GeneratorEntries:
+    """omega U_H + Gamma U_a + gamma_a U_A + gamma_b U_B on the entries of
+    the unit generators (unit_generators), summed in that order."""
     if params.n_fock != space.n_fock:
         raise ValueError("params.n_fock does not match the space")
     units = unit_generators(space.n_fock)
@@ -358,6 +312,37 @@ def gauged_generator(space: CompositeSpace,
     return units._replace(values=params.omega * m_h
                           + params.gamma_cavity * m_a
                           + params.gamma_a * m_qa + params.gamma_b * m_qb)
+
+
+def gauged_generator(space: CompositeSpace,
+                     params: SystemParams) -> GeneratorEntries:
+    """The generator M_g = D M D* of liouvillian_matrix in the
+    photon-number gauge, which each build takes (make_build): the sum of
+    the scaled unit generators (_unit_sum). liouvillian_matrix forms the
+    same sum, not through this function.
+    """
+    return _unit_sum(space, params)
+
+
+def liouvillian_matrix(space: CompositeSpace,
+                       params: SystemParams) -> np.ndarray:
+    """Generator M with vec(d rho/dt) = M vec(rho), row-major vectorization.
+
+    M = omega U_H + Gamma U_a + gamma_a U_A + gamma_b U_B: the sum of the
+    unit generators in the photon-number gauge (see unit_generators), as
+    a build forms it, taken out of the gauge exactly (see _turn) and
+    scattered to full width. It equals the sum of the 11 Kronecker
+    products of its terms in value, -i (H x I - I x H^T) and, for each
+    jump operator L, rate (L x L* - (L^dag L x I + I x (L^dag L)^T) / 2);
+    only the signs of some zeros may differ.
+    """
+    rows, cols, values = _unit_sum(space, params)
+    t = photon_turns(space.n_fock)
+    d2 = space.dim_total ** 2
+    m = np.zeros((d2, d2), dtype=complex)
+    m[rows, cols] = _complex(_turn(values.real, values.imag,
+                                   (t[cols] - t[rows]) % 4))
+    return m
 
 
 def rk4_step_matrix(m: np.ndarray, h: float) -> np.ndarray:
@@ -389,17 +374,6 @@ def check_fock_cutoff(initial: FullState, space: CompositeSpace) -> None:
         raise ValueError(
             f"initial state occupies {top} excitations, which needs "
             f"n_fock >= {top + 1}; got n_fock = {space.n_fock}")
-
-
-def _closure(linked: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Sorted indices reached from the True entries of seed by following
-    linked[i, j] from j to i until nothing new is reached."""
-    reached = seed
-    while True:
-        grown = reached | linked[:, reached].any(axis=1)
-        if (grown == reached).all():
-            return np.flatnonzero(reached)
-        reached = grown
 
 
 def _transposed(dim: int) -> np.ndarray:
@@ -444,13 +418,15 @@ def diagonal_blocks(entries: np.ndarray, dim: int) -> list[np.ndarray]:
     eigenvalues are those of the blocks plus an exact 0 for each basis
     state that no entry touches.
     """
-    linked = np.zeros((dim, dim), dtype=bool)
+    # _reachable follows a link from column to row: take each both ways
     rows, cols = np.divmod(entries, dim)
-    linked[rows, cols] = linked[cols, rows] = True
-    left = linked.any(axis=0)
+    ends, starts = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    left = np.zeros(dim, dtype=bool)
+    left[ends] = True
     blocks = []
     while left.any():
-        block = _closure(linked, np.arange(dim) == np.argmax(left))
+        block = _reachable(ends, starts, np.arange(dim) == np.argmax(left),
+                           np.arange(dim))
         blocks.append(block)
         left[block] = False
     return blocks

@@ -79,7 +79,7 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def lindblad_rhs(space, params, rho: np.ndarray) -> np.ndarray:
     """Right-hand side d rho / dt in matrix form: the oracle for
-    liouvillian_matrix, which builds the same terms as Kronecker products.
+    liouvillian_matrix, which sums the same terms as unit generators.
     """
     h = build_hamiltonian(space, params)
     out = -1j * (h @ rho - rho @ h)
@@ -97,7 +97,7 @@ def eleven_kron_liouvillian(space, params) -> np.ndarray:
     """The generator as the sum of the 11 Kronecker products of its terms,
     row-major: -i (H x I - I x H^T), and for each nonzero rate
     rate (L x L* - (L^dag L x I + I x (L^dag L)^T) / 2). The oracle for
-    liouvillian_matrix, which builds it from the effective Hamiltonian.
+    liouvillian_matrix, which sums the unit generators instead.
     """
     h = build_hamiltonian(space, params)
     eye = np.eye(space.dim_total, dtype=complex)
@@ -112,24 +112,3 @@ def eleven_kron_liouvillian(space, params) -> np.ndarray:
                      - 0.5 * (np.kron(ld, eye) + np.kron(eye, ld.T)))
     return m
 
-
-def _collapse_ops(space, params):
-    yield annihilation(space), params.gamma_cavity
-    yield sigma(space, "A", "lower"), params.gamma_a
-    yield sigma(space, "B", "lower"), params.gamma_b
-
-
-def kron_liouvillian(space, params) -> np.ndarray:
-    """The generator as the np.kron sum of liouvillian_matrix's terms, on
-    operators made afresh: the reference whose every bit the broadcast
-    build from the operator tables must keep."""
-    jumps = [(op, rate) for op, rate in _collapse_ops(space, params)
-             if rate != 0.0]
-    k = -1j * build_hamiltonian(space, params)
-    for op, rate in jumps:
-        k -= 0.5 * rate * (op.conj().T @ op)
-    eye = np.eye(space.dim_total)
-    m = np.kron(k, eye) + np.kron(eye, k.conj())
-    for op, rate in jumps:
-        m += rate * np.kron(op, op.conj())
-    return m

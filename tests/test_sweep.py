@@ -935,6 +935,16 @@ class TestCli:
         cfg.write_text("emit_grid = off\nrate_unit = gamma0\n")
         assert _parse(["--config", str(cfg)])[2] is False
         assert _parse(["--config", str(cfg), "--emit-grid"])[2] is True
+        # a # starts a comment only where it opens a line or follows
+        # whitespace, so a value keeps its #
+        cfg.write_text("# a comment line\n"
+                       "  # an indented one\n"
+                       "out = run#3.csv\n"
+                       "steps = 10  # ten\n"
+                       "rate_unit = gamma0\t# tab\n")
+        config, out, _ = _parse(["--config", str(cfg)])
+        assert out == "run#3.csv"
+        assert config == SweepConfig(n_steps=10, rate_unit="gamma0")
 
     @pytest.mark.parametrize("flags", [
         ["--step-size", "0"], ["--step-size", "-1"], ["--step-size", "nan"],
