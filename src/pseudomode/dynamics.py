@@ -37,17 +37,17 @@ multiplies entry (r, c) of vec(rho) by i^(n_c - n_r), n the photon
 number of each basis state (see photon_turns), M is real: H only trades
 a photon for a qubit excitation and each jump operator moves at most one
 photon. M is linear in the rates, M = omega U_H + Gamma U_a +
-gamma_a U_A + gamma_b U_B, so the four unit generators are gauged once
-per n_fock, exactly and in real arithmetic, on their nonzero entries
-(unit_generators), and make_build forms each build's real gauged
-generator from them, one sum of four scaled units (gauged_generator); a
-generator with any imaginary part left in the gauge fails there. A
-trajectory is propagated as the real part of the gauged slice, one real
-row-block, and also as its imaginary part, a second row-block filled by
-the same real products, when the gauged initial state is not real
-(theta not a quarter turn, raw states); a state that starts real in the
-gauge stays real, so for psi, phi and werner at theta = 0 the imaginary
-block would stay exactly 0 and is not kept.
+gamma_a U_A + gamma_b U_B, so the four unit generators are formed once
+per n_fock in the gauge, as real Kronecker products (unit_generators),
+and make_build forms each build's gauged generator from them, one sum of
+four units scaled by the rates, which SystemParams holds to real numbers
+(gauged_generator): no build has a complex case. A trajectory is
+propagated as the real part of the gauged slice, one real row-block, and
+also as its imaginary part, a second row-block filled by the same real
+products, when the gauged initial state is not real (theta not a
+quarter turn, raw states); a state that starts real in the gauge stays
+real, so for psi, phi and werner at theta = 0 the imaginary block would
+stay exactly 0 and is not kept.
 
 The invariants are checked at the sample times, one such run at a time
 as array operations, and each run is reduced to the two qubits and
@@ -242,8 +242,8 @@ class GeneratorEntries(NamedTuple):
     """Generators in the photon-number gauge on one set of their entries.
 
     rows, cols  (k,) row and column of each entry, in row-major order
-    values      (k,) for one generator, (4, k) for the four units; real,
-                or complex where the gauge leaves an imaginary part
+    values      (k,) for one generator, (4, k) for the four units; float64,
+                since the gauged generators of the model are real
     """
 
     rows: np.ndarray
@@ -254,25 +254,28 @@ class GeneratorEntries(NamedTuple):
 @lru_cache(maxsize=8)
 def unit_generators(n_fock: int) -> GeneratorEntries:
     """The four unit generators U_H, U_a, U_A, U_B of n_fock in the
-    photon-number gauge, on the union of their nonzero patterns, built once
-    per n_fock and shared by every caller, so every array is read-only.
+    photon-number gauge, on the union of their nonzero patterns, in float64,
+    built once per n_fock and shared by every caller, so every array is
+    read-only.
 
     liouvillian_matrix is omega U_H + Gamma U_a + gamma_a U_A + gamma_b U_B
     before the gauge, with U_H = -i (H x I - I x H^T) / omega and, for each
     jump operator L, U_L = L x L* - (L^dag L x I + I x (L^dag L)^T) / 2.
-    Every operator is real, so each term of a unit is a real Kronecker
-    product times +-1, -1/2 or +-i, and the gauge turns its entry (r, c)
-    by i^(t_r - t_c), t the photon_turns, exactly (see _turn); the gauged
-    terms are then summed. This is where the gauge law is checked: the
-    units are real (float64) when no entry is left imaginary, and complex
-    otherwise (make_build then fails the generator).
+    Every operator is real. The gauge multiplies entry (r, c) of a unit by
+    i^(t_r - t_c), t the photon_turns: with C = (sp_A + sp_B) a, the half
+    of H / omega that absorbs a photon, it turns -i H / omega into K and
+    i H^T / omega into K^T = -K, with K = C - C^T, so U_H = K x I + I x K;
+    and it leaves each L x L, whose two factors move a photon the same way,
+    and the diagonal L^dag L terms as they are. So every unit is a sum of
+    real Kronecker products, formed in real arithmetic; tests pin it to the
+    gauged sum of the 11 Kronecker products of liouvillian_matrix's terms.
     """
     tables = operator_tables(n_fock)
     dim = 4 * n_fock
     eye = np.eye(dim)
-    h = tables.coupling.real + tables.coupling.real.T
+    skew = tables.coupling.real - tables.coupling.real.T
     # each unit is the sum of its terms factor A x B: (unit, factor, A, B)
-    terms = [(0, -1j, h, eye), (0, 1j, eye, h)]
+    terms = [(0, 1.0, skew, eye), (0, 1.0, eye, skew)]
     for unit, (op, ld) in enumerate(tables.jumps, 1):
         terms += [(unit, 1.0, op.real, op.real), (unit, -0.5, ld.real, eye),
                   (unit, -0.5, eye, ld.real)]
@@ -286,19 +289,15 @@ def unit_generators(n_fock: int) -> GeneratorEntries:
         values.append(factor * np.multiply.outer(a[i, k], b[j, l]).reshape(-1))
     units, rows, cols, values = map(np.concatenate,
                                     (units, rows, cols, values))
-    t = photon_turns(n_fock)
-    values = _complex(_turn(values.real, values.imag, (t[rows] - t[cols]) % 4))
     # the terms of a unit add up in their order; they overlap only on the
     # diagonal, where two of them of one sign meet
     positions, at = np.unique(rows * dim * dim + cols, return_inverse=True)
-    summed = np.zeros((4, len(positions)), dtype=complex)
+    summed = np.zeros((4, len(positions)))
     np.add.at(summed, (units, at), values)
     keep = summed.any(axis=0)
     rows, cols = np.divmod(positions[keep], dim * dim)
-    values = summed[:, keep]
-    values = values if values.imag.any() else values.real.copy()
     return GeneratorEntries(_read_only(rows), _read_only(cols),
-                            _read_only(values))
+                            _read_only(summed[:, keep]))
 
 
 def _unit_sum(space: CompositeSpace,
@@ -440,7 +439,7 @@ def photon_turns(n_fock: int) -> np.ndarray:
     multiplies entry (r, c) by i^(n_c - n_r): the entry's real and
     imaginary parts are swapped or negated (see _turn), exactly. It
     turns the generator M into D M D* with D = diag(i^turns), which is
-    real (see make_build), and keeps the eigenvalues of rho.
+    real (see unit_generators), and keeps the eigenvalues of rho.
     """
     photons = np.arange(4 * n_fock) % n_fock
     return ((photons - photons[:, None]) % 4).reshape(-1)
@@ -592,21 +591,19 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
 
     The generator comes in the photon-number gauge, M_g = D M D* with
     D = diag(i^photon_turns), on the entries of the unit generators (see
-    gauged_generator): one sum of four scaled units, with no complex
-    generator and nothing of full width. It is checked: a generator with
-    an entry that is not finite, or of a modulus beyond the largest
-    double, raises IntegrationError("generator", initial.time, max|M|,
-    the largest double); one with max|e^T M| above
+    gauged_generator): one sum of four real units scaled by the real rates
+    of params, so M_g is real, with nothing of full width. It is checked:
+    a generator with an entry that is not finite, or of a modulus beyond
+    the largest double, raises IntegrationError("generator", initial.time,
+    max|M|, the largest double); one with max|e^T M| above
     TRACE_LAW_TOL * eps * max|M| breaks the trace law, and raises
-    IntegrationError("trace", initial.time, that value and bound); one
-    with any imaginary part left in M_g breaks the gauge law, and raises
-    IntegrationError("gauge", initial.time, max|Im M_g|, 0.0). All three
+    IntegrationError("trace", initial.time, that value and bound). Both
     are raised before anything else is built. The gauge multiplies each
     entry by +-1 or +-i, so |M| = |M_g| entry by entry, and each column of
     e^T M by one phase, since the diagonal of rho takes no turn: the
-    checks read M_g. Then M_g is real, and so are reachable_entries (M_g
-    has the pattern of M), the slice of M_g on them, P and its squarings.
-    Neither M_g nor P is kept.
+    checks read M_g, and the column sums are one real bincount.
+    reachable_entries (M_g has the pattern of M), the slice of M_g on
+    them, P and its squarings are real too. Neither M_g nor P is kept.
     """
     seed = initial.rho_tilde.reshape(-1) != 0
     key = (space, params, h, n_sub, seed.tobytes())
@@ -621,18 +618,11 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
     # the column sums over the rows of the diagonal of rho, in row order
     dim = space.dim_total
     on_trace = generator.rows % (dim + 1) == 0
-    sums = [np.bincount(generator.cols[on_trace], part[on_trace], dim * dim)
-            for part in ((values.real, values.imag)
-                         if np.iscomplexobj(values) else (values,))]
-    law = float(np.abs(_complex(sums)).max(initial=0.0))
+    sums = np.bincount(generator.cols[on_trace], values[on_trace], dim * dim)
+    law = float(np.abs(sums).max(initial=0.0))
     bound = TRACE_LAW_TOL * np.finfo(float).eps * scale
     if not law <= bound:
         raise IntegrationError("trace", initial.time, law, bound)
-    if np.iscomplexobj(values):
-        if values.imag.any():
-            raise IntegrationError("gauge", initial.time,
-                                   float(np.abs(values.imag).max()), 0.0)
-        values = values.real
     nonzero = values != 0
     rows, cols = generator.rows[nonzero], generator.cols[nonzero]
     entries = _read_only(_reachable(rows, cols, seed, _transposed(dim)))
@@ -871,11 +861,10 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
     reach from the initial state's nonzero entries are propagated (see
     reachable_entries); the others stay exactly 0, as they would at full
     width, so the results differ from full-width propagation by rounding
-    only. A generator that breaks the trace law, or is not real in the
-    photon-number gauge, fails before any step, as does one with an
-    entry that is not finite (see make_build); the trajectory is
-    propagated and checked in that gauge, in real
-    arithmetic, and only store_full writes states back ungauged. The
+    only. A generator that breaks the trace law fails before any step,
+    as does one with an entry that is not finite (see make_build); the
+    trajectory is propagated and checked in the photon-number gauge, in
+    real arithmetic, and only store_full writes states back ungauged. The
     hermiticity, trace, positivity and excitation-number invariants are
     monitored at every sample (not enforced); the earliest violation
     aborts with IntegrationError so a too-coarse step cannot silently

@@ -12,6 +12,7 @@ states (see the sweep module's raw-state format) use this ordering.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -35,6 +36,11 @@ class SystemParams:
     gamma_a        spontaneous emission rate of qubit A
     gamma_b        spontaneous emission rate of qubit B
     n_fock         mode truncation; Fock levels 0 .. n_fock-1 are kept
+
+    The rates must be real numbers (numbers.Real) and n_fock an integer
+    (numbers.Integral); anything else, a complex rate among them, raises
+    ValueError before it is read as a number, so every generator of the
+    model is real in the photon-number gauge (see dynamics).
     """
 
     omega: float
@@ -44,14 +50,17 @@ class SystemParams:
     n_fock: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("omega", "gamma_cavity", "gamma_a", "gamma_b"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(self.omega):
             raise ValueError("omega must be finite")
         for name in ("gamma_cavity", "gamma_a", "gamma_b"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0")
-        if self.n_fock < 1:
-            raise ValueError("n_fock must be >= 1")
+        build_space(self.n_fock)  # checks n_fock
 
     @classmethod
     def symmetric(
@@ -96,7 +105,10 @@ class CompositeSpace:
 
 
 def build_space(n_fock: int) -> CompositeSpace:
-    """Construct the composite space for a given mode truncation."""
+    """Construct the composite space for a given mode truncation; n_fock
+    must be an integer >= 1, or ValueError is raised."""
+    if not isinstance(n_fock, numbers.Integral):
+        raise ValueError(f"n_fock must be an integer, got {n_fock!r}")
     if n_fock < 1:
         raise ValueError("n_fock must be >= 1")
     return CompositeSpace(n_fock=n_fock, dim_total=4 * n_fock)
@@ -107,7 +119,7 @@ def _qubit_lower() -> np.ndarray:
     return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
-def _embed(space: CompositeSpace, op_a: np.ndarray, op_b: np.ndarray,
+def _embed(op_a: np.ndarray, op_b: np.ndarray,
            op_mode: np.ndarray) -> OperatorMatrix:
     return np.kron(np.kron(op_a, op_b), op_mode)
 
@@ -116,7 +128,7 @@ def annihilation(space: CompositeSpace) -> OperatorMatrix:
     """Mode lowering operator: identity (x) identity (x) a, a|n> = sqrt(n)|n-1>."""
     nf = space.n_fock
     a = np.diag(np.sqrt(np.arange(1, nf, dtype=float)), k=1).astype(complex)
-    return _embed(space, np.eye(2, dtype=complex), np.eye(2, dtype=complex), a)
+    return _embed(np.eye(2, dtype=complex), np.eye(2, dtype=complex), a)
 
 
 def creation(space: CompositeSpace) -> OperatorMatrix:
@@ -138,14 +150,8 @@ def sigma(space: CompositeSpace, which_qubit: str, direction: str) -> OperatorMa
     eye2 = np.eye(2, dtype=complex)
     eye_mode = np.eye(space.n_fock, dtype=complex)
     if which_qubit == "A":
-        return _embed(space, op, eye2, eye_mode)
-    return _embed(space, eye2, op, eye_mode)
-
-
-def pauli_y(space: CompositeSpace, which_qubit: str) -> OperatorMatrix:
-    """sigma_y on one qubit, identity on the other qubit and the mode."""
-    raise_op = sigma(space, which_qubit, "raise")
-    return 1j * (raise_op - raise_op.conj().T)
+        return _embed(op, eye2, eye_mode)
+    return _embed(eye2, op, eye_mode)
 
 
 def number_operator(space: CompositeSpace) -> OperatorMatrix:

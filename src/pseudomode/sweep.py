@@ -23,6 +23,7 @@ row-major order over the composite-space flat index.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -125,6 +126,9 @@ class SweepConfig:
             raise ValueError(f"rate_unit must be one of {RATE_UNITS}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError("t_max must be finite and > 0")
+        if not isinstance(self.n_steps, numbers.Integral):
+            raise ValueError(f"n_steps must be an integer, got "
+                             f"{self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
@@ -134,6 +138,10 @@ class SweepConfig:
         # detect_esd_intervals rejects the same thresholds
         if not (math.isfinite(self.esd_threshold) and self.esd_threshold >= 0):
             raise ValueError("esd_threshold must be finite and >= 0")
+        # resolving gamma_s may multiply it by omega: both must be real
+        for rate in (self.omega, *self.gamma_s_list):
+            if not isinstance(rate, numbers.Real):
+                raise ValueError(f"omega and gamma_s must be real, got {rate!r}")
         params = []
         for gamma_s in self.resolved_gamma_s():
             if not (math.isfinite(gamma_s) and gamma_s >= 0):

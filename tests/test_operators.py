@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from pseudomode.operators import (
     creation,
     number_operator,
     operator_tables,
-    pauli_y,
     sigma,
 )
 
@@ -82,14 +82,6 @@ def test_sigma_rejects_bad_labels(space3):
         sigma(space3, "C", "lower")
     with pytest.raises(ValueError):
         sigma(space3, "A", "down")
-
-
-def test_pauli_y_block(space3):
-    py = pauli_y(space3, "A")
-    ket = space3.flat_index
-    assert py[ket(0, 0, 0), ket(1, 0, 0)] == -1j
-    assert py[ket(1, 0, 0), ket(0, 0, 0)] == 1j
-    assert np.abs(py - py.conj().T).max() == 0.0
 
 
 def test_number_operator(space3):
@@ -182,6 +174,37 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SystemParams(omega=0.2, gamma_cavity=0.1, gamma_a=0, gamma_b=0,
                      n_fock=0)
+
+
+def test_params_reject_rates_that_are_not_real_numbers():
+    # a complex rate, also one with a zero imaginary part, or a string is
+    # rejected by its type, before it is read as a float: no ComplexWarning
+    # and no TypeError, and no generator of the model can be complex
+    rates = dict(omega=0.2, gamma_cavity=0.1, gamma_a=0.1, gamma_b=0.1)
+    for name in rates:
+        for rate in (0.2 + 0.1j, np.complex128(0.2 + 0.1j),
+                     np.complex128(0.2), "0.2"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError,
+                                   match=f"{name} must be a real number"):
+                    SystemParams(**{**rates, name: rate})
+    # numpy's real and integer scalars are real numbers
+    SystemParams(omega=np.float64(0.2), gamma_cavity=np.float32(0.1),
+                 gamma_a=np.int64(0), gamma_b=True)
+
+
+def test_cutoff_must_be_an_integer():
+    # a cutoff that is not an integer is rejected with ValueError, also
+    # one that holds an integral value
+    for n_fock in (3.5, np.float64(3), 3.0, "3"):
+        with pytest.raises(ValueError, match="n_fock must be an integer"):
+            build_space(n_fock)
+        with pytest.raises(ValueError, match="n_fock must be an integer"):
+            SystemParams.symmetric(0.1, n_fock=n_fock)
+    assert build_space(np.int64(3)) == build_space(3)
+    assert SystemParams.symmetric(0.1, n_fock=np.int64(3)) == \
+        SystemParams.symmetric(0.1)
 
 
 def test_symmetric_defaults():

@@ -123,6 +123,30 @@ class TestConfig:
         replace(SMALL, family="phi", n_fock=2).validate()
         SMALL.validate()
 
+    def test_rates_must_be_real_and_counts_integers(self, monkeypatch):
+        # a complex omega or gamma_s, in either rate unit, and a cutoff or
+        # step count that is not an integer are rejected by type with
+        # ValueError, by validate() and by run_sweep before any cell
+        # runs, and before a complex value is read as a float (no warning)
+        monkeypatch.setattr(sweep, "_run_cell", None)  # must not be reached
+        complex_rate = np.complex128(0.2 + 0.1j)
+        changes = [dict(omega=0.2 + 0.1j), dict(omega=np.complex128(0.2)),
+                   dict(omega=complex_rate, rate_unit="omega"),
+                   dict(gamma_s_list=(0.1, 0.2 + 0.1j)),
+                   dict(gamma_s_list=(complex_rate,)),
+                   dict(gamma_s_list=(np.complex128(0.2),)),
+                   dict(gamma_s_list=(complex_rate,), rate_unit="omega"),
+                   dict(n_fock=3.5), dict(n_fock=np.float64(3)),
+                   dict(n_fock=3.5, initial_state_path="state.txt"),
+                   dict(n_steps=2.5), dict(n_steps=np.float64(10))]
+        for change in changes:
+            cfg = replace(SMALL, **change)
+            for call in (cfg.validate, lambda: run_sweep(cfg)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="real|integer"):
+                        call()
+
     def test_rate_unit_conversion(self):
         cfg = replace(SMALL, gamma_s_list=(0.1, 1.0, 10.0), rate_unit="omega",
                       omega=0.2)
