@@ -57,9 +57,10 @@ through index maps built once, by slice_layout: finiteness and
 hermiticity (each entry against its transpose's conjugate) through the
 mirror map, positivity (eigvalsh per diagonal block of rho, see
 diagonal_blocks; real symmetric blocks for one row-block, Hermitian ones
-for two; small real blocks that a closed-form certificate proves
-positive definite skip it where the minimum is clamped at 0, see
-_check_samples) through the block maps, and the trace, <N>, the sector
+for two; where the minimum is clamped at 0, a real block that a
+closed-form certificate proves positive semidefinite to within a margin
+of CERT_MARGIN times its trace skips it and reads 0, see _check_samples)
+through the block maps, and the trace, <N>, the sector
 leakage and the partial trace through the diagonal and two-qubit
 gathers, which lay out the needed entries with exact zeros where they
 fall outside the slice, so each sum rounds as over the full matrix.
@@ -186,10 +187,10 @@ class IntegrationDiagnostics:
     real in the gauge. The others take two row-blocks and Hermitian
     blocks. min_eigenvalue is the smallest eigenvalue LAPACK computes
     for a block, or 0.0 when the blocks leave a basis state out and no
-    block's is lower; a real block of at most CERT_BLOCK basis states
-    that the closed-form certificate proves positive definite is then
-    not passed to LAPACK, since its value could not be the minimum (see
-    _check_samples).
+    block's is lower; there a real block that _certified proves positive
+    semidefinite to within its margin is not passed to LAPACK and counts
+    as 0, which lies less than about 1.01e-12 tr(block) above LAPACK's
+    value for it (see _check_samples).
     propagate_s is the time spent on the Build (the generator formed from
     the unit generators and its checks, the entries and their index maps,
     the propagator and its squarings; see make_build) and on filling the
@@ -220,8 +221,9 @@ class Trajectory:
     sample time, as an (n, 4, 4) array: float64 when the run was one real
     row-block (every sample real in the photon-number gauge, see
     IntegrationDiagnostics.real_block_samples), whose traced entries are
-    then all real, and complex otherwise. full composite states are kept
-    only when requested.
+    then all real, and complex otherwise. min_eigenvalue holds each
+    sample's value as IntegrationDiagnostics defines it: 0 for a certified
+    block. full composite states are kept only when requested.
     """
 
     times: np.ndarray
@@ -642,31 +644,29 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
 
 # Relative margin of the positivity certificate, and its absolute floor,
 # the smallest normal double (see _certified)
-CERT_MARGIN = 1e-9
+CERT_MARGIN = 1e-12
 _CERT_FLOOR = np.finfo(float).tiny
-# Largest block, in basis states, that _certified takes
-CERT_BLOCK = 3
 
 
 def _certified(sym: np.ndarray) -> np.ndarray:
-    """Which of the real symmetric (n, k, k) blocks sym, k <= CERT_BLOCK,
-    are certified to have a strictly positive smallest eigenvalue, as
-    np.linalg.eigvalsh computes it.
+    """Which of the real symmetric (n, k, k) blocks sym are certified
+    positive semidefinite to within a margin: sym + 2 margin I is positive
+    definite, with margin = max(CERT_MARGIN tr(sym), the smallest normal
+    double).
 
-    A block is certified when the LDL^T pivots of sym - margin I, with
-    margin = max(CERT_MARGIN tr(sym), the smallest normal double), are all
+    A block is certified when the LDL^T pivots of sym + margin I are all
     > 0 in floating point; they are read from the lower triangle, which
     eigvalsh reads too. A NaN pivot fails. Why this is sound: an LDL^T
     (Cholesky) factorisation that succeeds in floating point is the exact
-    factorisation of sym - margin I + E with ||E|| <= gamma_(k+1) tr(sym)
-    up to terms of order eps^2 (gamma_4 < 4.5e-16). So sym is positive
-    definite, its smallest eigenvalue > margin - ||E||, and its norm is at
-    most its trace. LAPACK's dsyevd, which eigvalsh calls, is backward
-    stable: its smallest eigenvalue is off by a small multiple of
-    eps ||sym||, far below the margin, so it is > 0 too. The floor keeps
-    the margin above the absolute error of a product that underflows:
-    without it, blocks of subnormal entries pass whose computed smallest
-    eigenvalue is 0.0.
+    factorisation of sym + margin I + E with ||E|| <= gamma_(k+1)
+    tr(sym + margin I) up to terms of order eps^2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10). So sym's smallest
+    eigenvalue is > -margin - ||E||, and ||E|| < margin while (k + 1) eps
+    is far below CERT_MARGIN. LAPACK's dsyevd, which eigvalsh calls, is
+    backward stable: its smallest eigenvalue of a certified block is above
+    about -1.01e-12 tr(sym), far above EIG_FLOOR. The floor keeps the
+    margin above the absolute error of a product that underflows, and
+    certifies an empty block.
     """
     n, k, _ = sym.shape
     # entry (i, j) of every block, contiguous: row i k + j
@@ -675,7 +675,7 @@ def _certified(sym: np.ndarray) -> np.ndarray:
                         _CERT_FLOOR)
     low = {(i, j): flat[i * k + j] for i in range(k) for j in range(i)}
     for i in range(k):
-        low[i, i] = flat[i * (k + 1)] - margin
+        low[i, i] = flat[i * (k + 1)] + margin
     # right-looking elimination on the lower triangle; its diagonal ends
     # as the pivots
     for j in range(k):
@@ -722,16 +722,15 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     the routine's rounding. The slice holds every nonzero entry of the
     states and the transpose of each, so these are the checks of the
     full matrices. When the blocks leave a basis state out, the reported
-    minimum is clamped at the exact 0 of that state, so a block whose
-    computed smallest eigenvalue is > 0 cannot change it: with k = 1, a
-    block of at most CERT_BLOCK basis states goes to eigvalsh only for
-    the samples that _certified does not prove positive definite (an
-    empty block, the first samples after it while its smallest
-    eigenvalue is below the margin, a block past an unstable step), and
-    their minima are scattered back. Every
-    sample of a larger block, of a complex run or of a run whose blocks
-    cover every basis state goes to eigvalsh, as the value itself is
-    reported there. The results are the same bits either way.
+    minimum is clamped at the exact 0 of that state: with k = 1, a block
+    goes to eigvalsh only for the samples that _certified does not prove
+    positive semidefinite to within its margin (a block below -margin,
+    as past an unstable step), and their minima are scattered back; a
+    certified block counts as 0, less than about 1.01e-12 tr(block) above
+    LAPACK's value, far inside EIG_FLOOR, so every violation is reported
+    as it would be with every block sent to eigvalsh. Every sample of a
+    complex run or of a run whose blocks cover every basis state goes to
+    eigvalsh, as the value itself is reported there.
 
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, trace, positivity,
@@ -761,8 +760,8 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     tr_err = np.abs(_complex(on_diagonal).sum(axis=1) - 1.0)
     # block by block, then an exact 0 for a basis state that no block
     # holds; inf is the minimum's identity. Under that clamp a certified
-    # real block cannot change the minimum, so only the samples it does
-    # not certify go to eigvalsh
+    # real block counts as 0, so only the samples it does not certify go
+    # to eigvalsh
     min_eig = np.full(n_ok, math.inf)
     clamped = sum(map(len, build.blocks)) < len(build.diagonal)
     for index in build.blocks:
@@ -770,7 +769,7 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
         blk = blk[0] if len(ok) == 1 else _complex(blk)
         sym = 0.5 * blk + 0.5 * blk.conj().transpose(0, 2, 1)
         todo = slice(None)
-        if clamped and len(ok) == 1 and len(index) <= CERT_BLOCK:
+        if clamped and len(ok) == 1:
             todo = np.flatnonzero(~_certified(sym))
             sym = sym[todo]
         if len(sym):

@@ -98,11 +98,6 @@ class CompositeSpace:
         i_b, n_photon = divmod(rest, self.n_fock)
         return i_a, i_b, n_photon
 
-    def basis_vector(self, i_a: int, i_b: int, n_photon: int) -> np.ndarray:
-        v = np.zeros(self.dim_total, dtype=complex)
-        v[self.flat_index(i_a, i_b, n_photon)] = 1.0
-        return v
-
 
 def build_space(n_fock: int) -> CompositeSpace:
     """Construct the composite space for a given mode truncation; n_fock

@@ -6,12 +6,14 @@ repeated run writes identical bytes.
 
 File formats
 ------------
-Row CSV: line 1 is "# schema=pseudomode-sweep-rows-1", line 2 the column
+Row CSV: line 1 is "# schema=pseudomode-sweep-rows-2", line 2 the column
 header "gamma_s,alpha2,t_scaled,concurrence,c1,c2,trace_error,
 min_eigenvalue,path", then one row per (cell, time) with floats at 17
 significant digits. gamma_s is always written in gamma0 units, whatever
 unit it was entered in. c1/c2 are nan when the general concurrence path was
-used.
+used. min_eigenvalue is Trajectory.min_eigenvalue: since rows-2, a block
+certified positive semidefinite to within its margin reads 0 (see
+dynamics._certified).
 
 Grid CSV (single gamma_s only): line 1 "# schema=pseudomode-sweep-grid-1",
 header "t_scaled,<alpha2>,...", one row per time with the concurrence of
@@ -59,7 +61,7 @@ from .operators import (
 )
 from .states import InitialStateSpec, make_initial
 
-ROWS_SCHEMA = "pseudomode-sweep-rows-1"
+ROWS_SCHEMA = "pseudomode-sweep-rows-2"
 GRID_SCHEMA = "pseudomode-sweep-grid-1"
 CSV_COLUMNS = ("gamma_s", "alpha2", "t_scaled", "concurrence", "c1", "c2",
                "trace_error", "min_eigenvalue", "path")
@@ -124,6 +126,19 @@ class SweepConfig:
             raise ValueError("gamma_s_list must be non-empty")
         if self.rate_unit not in RATE_UNITS:
             raise ValueError(f"rate_unit must be one of {RATE_UNITS}")
+        # checked by type before any is compared or read as a float, which
+        # raises TypeError for a complex value (resolving gamma_s may
+        # multiply it by omega)
+        for name, value in (("t_max", self.t_max),
+                            ("step_size", self.step_size),
+                            ("esd_threshold", self.esd_threshold),
+                            ("theta", self.theta), ("r", self.r),
+                            ("omega", self.omega),
+                            *(("alpha2", a) for a in self.alpha2_grid),
+                            *(("gamma_s", g) for g in self.gamma_s_list)):
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got "
+                                 f"{value!r}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError("t_max must be finite and > 0")
         if not isinstance(self.n_steps, numbers.Integral):
@@ -138,10 +153,6 @@ class SweepConfig:
         # detect_esd_intervals rejects the same thresholds
         if not (math.isfinite(self.esd_threshold) and self.esd_threshold >= 0):
             raise ValueError("esd_threshold must be finite and >= 0")
-        # resolving gamma_s may multiply it by omega: both must be real
-        for rate in (self.omega, *self.gamma_s_list):
-            if not isinstance(rate, numbers.Real):
-                raise ValueError(f"omega and gamma_s must be real, got {rate!r}")
         params = []
         for gamma_s in self.resolved_gamma_s():
             if not (math.isfinite(gamma_s) and gamma_s >= 0):

@@ -27,6 +27,7 @@ from pseudomode import (
 )
 from pseudomode import dynamics
 from pseudomode.dynamics import (
+    CERT_MARGIN,
     CHECK_CHUNK,
     DEFAULT_STEP,
     EIG_FLOOR,
@@ -305,25 +306,47 @@ def _hermitian(re, im):
     return out
 
 
-def _block_minima(rho, blocks, real):
+def _block_minima(rho, blocks, real, certify=False):
     """Smallest eigenvalue over the diagonal blocks of each of the full
-    states rho, with the exact 0 of the basis states no block holds."""
+    states rho, with the exact 0 of the basis states no block holds. With
+    certify, a real block that _certified accepts is left out where such
+    an exact 0 clamps the minimum: the checks' definition."""
     mins = [np.zeros(len(rho))]
+    clamped = sum(map(len, blocks)) < rho.shape[-1]
     for blk in blocks:
         sub = rho[:, blk[:, None], blk]
-        mins.append(np.linalg.eigvalsh(
-            0.5 * (sub + (sub if real else sub.conj()).transpose(0, 2, 1))
-        )[:, 0])
+        sym = 0.5 * (sub + (sub if real else sub.conj()).transpose(0, 2, 1))
+        low = np.linalg.eigvalsh(sym)[:, 0]
+        if certify and real and clamped:
+            low[_certified(sym)] = math.inf
+        mins.append(low)
     return np.min(mins, axis=0)
 
 
-def _gauged_block_minima(rho, blocks):
+def _gauged_block_minima(rho, blocks, certify=False):
     """_block_minima of rho in the photon-number gauge: on real symmetric
     blocks if the gauged states are real, else on Hermitian ones."""
     re, im = _photon_gauge(rho)
     if not im.any():
-        return _block_minima(re, blocks, real=True)
-    return _block_minima(_hermitian(re, im), blocks, real=False)
+        return _block_minima(re, blocks, True, certify)
+    return _block_minima(_hermitian(re, im), blocks, False, certify)
+
+
+def _assert_within_the_margin(got, every):
+    """got, the smallest eigenvalues the checks report, against `every`,
+    those of every block of the same states: equal, or an exact 0 where
+    a certified block's value lay in (-1.01e-12, 0); the states have
+    unit trace, so this is the certificate's bound."""
+    moved = got != every
+    assert (got[moved] == 0.0).all()
+    assert ((every[moved] < 0.0) & (every[moved] > -1.01e-12)).all()
+
+
+def _assert_checked_minima(got, rho, blocks):
+    """got against the checks' definition on the full states rho, bit
+    for bit, and against the minima of every block within the margin."""
+    assert np.array_equal(got, _gauged_block_minima(rho, blocks, True))
+    _assert_within_the_margin(got, _gauged_block_minima(rho, blocks))
 
 
 def test_slice_checks_equal_the_full_width_values(space3):
@@ -331,8 +354,8 @@ def test_slice_checks_equal_the_full_width_values(space3):
     # the full-width matrices give the same bits for hermiticity, and the
     # same bits as their own gauged blocks for the smallest eigenvalue:
     # real symmetric blocks for states real in the photon-number gauge,
-    # Hermitian ones for the others. Both agree with the complex blocks
-    # of rho to rounding
+    # those the certificate accepts left out, and Hermitian ones for the
+    # others. Both agree with the complex blocks of rho to rounding
     params = SystemParams.symmetric(0.2)
     times = np.linspace(0.0, 5.0, 301)
     states = {**_gauge_real_states(space3), **_complex_states(space3)}
@@ -348,27 +371,29 @@ def test_slice_checks_equal_the_full_width_values(space3):
         assert sum(map(len, blocks)) < space3.dim_total, name
         real = name.endswith("real")
         assert bool(_photon_gauge(rho)[1].any()) != real, name
-        assert np.array_equal(traj.min_eigenvalue,
-                              _gauged_block_minima(rho, blocks)), name
+        _assert_checked_minima(traj.min_eigenvalue, rho, blocks)
         complex_mins = _block_minima(rho, blocks, real=False)
-        assert np.abs(traj.min_eigenvalue - complex_mins).max() <= 1e-15
+        every = _gauged_block_minima(rho, blocks)
+        assert np.abs(every - complex_mins).max() <= 1e-15, name
         assert traj.diagnostics.real_block_samples == (
             len(times) if real else 0), name
 
 
 def _assert_min_eigenvalues(traj, init, space, params):
-    """The smallest eigenvalue of each sample against two oracles: within
-    1e-15 of eigvalsh of the full matrix, and bit for bit that of the
-    diagonal blocks of the full matrix in the photon-number gauge."""
+    """The smallest eigenvalue of each sample against two oracles: bit
+    for bit that of the diagonal blocks of the full matrix in the
+    photon-number gauge, those the certificate accepts left out, and
+    within the margin of every block's (see _assert_checked_minima), whose
+    minima are within 1e-15 of eigvalsh of the full matrix."""
     rho = np.array([s.rho_tilde for s in traj.full_states])
     full = np.linalg.eigvalsh(
         0.5 * (rho + rho.conj().transpose(0, 2, 1)))[:, 0]
-    assert np.abs(traj.min_eigenvalue - full).max() <= 1e-15
     entries = reachable_entries(liouvillian_matrix(space, params),
                                 init.rho_tilde)
     blocks = diagonal_blocks(entries, space.dim_total)
-    assert np.array_equal(traj.min_eigenvalue,
-                          _gauged_block_minima(rho, blocks))
+    _assert_checked_minima(traj.min_eigenvalue, rho, blocks)
+    every = _gauged_block_minima(rho, blocks)
+    assert np.abs(every - full).max() <= 1e-15
 
 
 def _rates(rates, n_fock):
@@ -591,11 +616,14 @@ def test_positivity_per_block_matches_full_eigvalsh(space3):
         assert np.abs(traj.min_eigenvalue - full).max() <= 1e-14, name
 
 
-def _exactly_positive_definite(block):
-    """Whether the float matrix block is positive definite, decided by
-    symmetric elimination in exact rational arithmetic: every pivot > 0.
+def _exactly_positive_definite(block, shift=0.0):
+    """Whether the float matrix block + shift I is positive definite,
+    decided by symmetric elimination in exact rational arithmetic, the
+    float shift added exactly: every pivot > 0.
     """
     a = [[Fraction(x) for x in row] for row in block.tolist()]
+    for i in range(len(a)):
+        a[i][i] += Fraction(float(shift))
     for j in range(len(a)):
         if a[j][j] <= 0:
             return False
@@ -634,44 +662,74 @@ def _certificate_blocks(rng, k):
     return 0.5 * blocks + 0.5 * blocks.transpose(0, 2, 1)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_a_certified_block_has_a_positive_computed_minimum(k):
-    # whenever the closed-form certificate passes a block, the block is
-    # positive definite in exact arithmetic and eigvalsh computes a
-    # smallest eigenvalue > 0, so that under the clamp at 0 it could not
-    # be the reported minimum; so no block with a smallest eigenvalue
-    # <= 0 is ever certified
-    sym = _certificate_blocks(np.random.default_rng(20 + k), k)
+def _shifted_rank_deficient(rng, k, n, shift):
+    """n random positive semidefinite k x k blocks of unit trace and rank
+    1 .. k - 1, each shifted by shift CERT_MARGIN I: a smallest eigenvalue
+    of shift times the certificate's margin, up to rounding."""
+    rank = rng.integers(1, k, n)
+    g = rng.standard_normal((n, k, k)) * (np.arange(k) < rank[:, None])[
+        :, None, :]
+    blocks = g @ g.transpose(0, 2, 1)
+    blocks /= np.trace(blocks, axis1=1, axis2=2)[:, None, None]
+    blocks = 0.5 * blocks + 0.5 * blocks.transpose(0, 2, 1)
+    return blocks + shift * CERT_MARGIN * np.eye(k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_a_certified_block_is_positive_semidefinite_within_its_margin(k):
+    # whenever the closed-form certificate passes a block, sym + 2 margin I
+    # is positive definite in exact arithmetic, with margin =
+    # max(CERT_MARGIN tr(sym), the smallest normal double), and eigvalsh
+    # computes a smallest eigenvalue above -1.01 margin, so that under the
+    # clamp at 0 leaving the block out moves the minimum by less than that
+    rng = np.random.default_rng(20 + k)
+    sym = _certificate_blocks(rng, k)
+    if k > 1:
+        # rank-deficient blocks within the margin and past it
+        sym = np.concatenate([sym] + [_shifted_rank_deficient(
+            rng, k, 300, shift) for shift in (-0.5, -4.0)])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         certified = _certified(sym)
+    trace = np.trace(sym, axis1=1, axis2=2)
+    margin = np.maximum(CERT_MARGIN * trace, np.finfo(float).tiny)
     low = np.linalg.eigvalsh(sym)[:, 0]
-    exact = np.array(list(map(_exactly_positive_definite, sym)))
-    # hundreds of the blocks are singular or indefinite in exact
+    exact = np.array([_exactly_positive_definite(b, 2.0 * m)
+                      for b, m in zip(sym, margin)])
+    # hundreds of the blocks lie past twice the margin in exact
     # arithmetic, for the certificate to refuse
     assert (~exact).sum() >= 300
-    assert exact[certified].all() and (low[certified] > 0).all()
-    # and it decides what it should: a block whose smallest eigenvalue
-    # is well above the margin, at a normal scale, passes
-    trace = np.trace(sym, axis1=1, axis2=2)
-    clear = (low > 1e-8 * trace) & (trace > 1e-290) & (trace < 1e290)
+    assert exact[certified].all()
+    assert (low[certified] > -1.01 * margin[certified]).all()
+    # and it decides what it should: a block whose smallest eigenvalue is
+    # above -0.4 margin, at a normal scale, passes; so does every
+    # rank-deficient block shifted by -0.5 margin, and none shifted by -4
+    clear = (low > -0.4 * margin) & (trace > 1e-290) & (trace < 1e290)
     assert clear.sum() >= 500 and certified[clear].all()
-    # a pivot of sym - margin I must be > 0, not >= 0: the smallest
-    # normal double is its own margin, so its pivot is exactly 0
-    assert not _certified(np.full((1, 1, 1), np.finfo(float).tiny)).any()
+    if k > 1:
+        assert certified[-600:-300].all() and not certified[-300:].any()
+    # a pivot of sym + margin I must be > 0, not >= 0: the block of minus
+    # the smallest normal double has it as its margin, so its pivot is
+    # exactly 0; the empty block's pivots are the margin itself
+    tiny = np.finfo(float).tiny
+    assert not _certified(np.full((1, 1, 1), -tiny)).any()
+    assert _certified(np.zeros((1, k, k))).all()
 
 
-def test_the_certificate_changes_no_bit(space3, monkeypatch):
+def test_the_certificate_moves_only_minima_within_its_margin(space3,
+                                                            monkeypatch):
     # every series, the diagnostics' extrema and the first violation past
     # an unstable step are the same bits with the certificate as with
-    # every block sent to eigvalsh; psi, phi and werner are real in the
-    # gauge and leave basis states out of every block, so the
-    # certificate runs on their blocks of at most 3 basis states
+    # every block sent to eigvalsh, but for the smallest eigenvalue, which
+    # reads 0 where a certified block's computed value lay in
+    # (-1.01e-12, 0). psi, phi and werner are real in the gauge and leave
+    # basis states out of every block, so the certificate runs on all
+    # their blocks, and at gamma_s 0.2 it takes every block of every sample
     certified = []
     certify = dynamics._certified
 
     def counting(sym):
         ok = certify(sym)
-        certified.append(int(ok.sum()))
+        certified.append((int(ok.sum()), len(ok)))
         return ok
 
     monkeypatch.setattr(dynamics, "_certified", counting)
@@ -683,7 +741,7 @@ def test_the_certificate_changes_no_bit(space3, monkeypatch):
                np.linspace(0.0, 3.0, 3001), DEFAULT_STEP),
               (psi, SystemParams.symmetric(6.0, gamma_cavity=4.0),
                np.linspace(0.0, 2.0 * C, 2 * C + 1), 1.0)]
-    extrema = ("max_trace_error", "max_hermiticity_error", "min_eigenvalue",
+    extrema = ("max_trace_error", "max_hermiticity_error",
                "max_excitation_gain", "max_sector_leakage",
                "real_block_samples", "step_count")
 
@@ -697,36 +755,63 @@ def test_the_certificate_changes_no_bit(space3, monkeypatch):
                 seen.append((err.invariant, repr(err.time), repr(err.value),
                              err.limit))
                 continue
-            seen.append([getattr(traj, f).tobytes() for f in (
+            seen.append(([getattr(traj, f).tobytes() for f in (
                 "reduced", "expect_n", "trace_error", "hermiticity_error",
-                "min_eigenvalue", "sector_leakage")] + [
-                repr(getattr(traj.diagnostics, f)) for f in extrema])
+                "sector_leakage")] + [
+                repr(getattr(traj.diagnostics, f)) for f in extrema],
+                traj.min_eigenvalue, traj.diagnostics.min_eigenvalue))
         return seen
 
     checked = outcomes()
     assert [c[0] for c in checked[-2:]] == ["positivity"] * 2
-    assert sum(certified) > 3 * (C + 140)
+    # two blocks a sample, psi's and werner's of 5 and 3 states, phi's
+    # of 1 and 3; the runs that fail are refused some of their blocks
+    healthy = certified[:3 * 2 * 2]
+    assert [total for _, total in healthy] == [C, C, 151, 151] * 3
+    assert all(ok == total for ok, total in healthy)
     monkeypatch.setattr(dynamics, "_certified",
                         lambda sym: np.zeros(len(sym), dtype=bool))
-    assert outcomes() == checked
+    every = outcomes()
+    assert every[-2:] == checked[-2:]
+    for (bits, got, least), (bits_every, mins, least_every) in zip(
+            checked[:3], every[:3]):
+        assert bits == bits_every
+        assert (mins < 0.0).sum() > 100
+        _assert_within_the_margin(got, mins)
+        assert least == got.min() and least_every == mins.min()
 
 
 def test_lapack_takes_what_the_certificate_cannot_decide(space3,
                                                          monkeypatch):
-    # psi real in the gauge: its 5-state block goes to eigvalsh whole in
-    # each run, its 3-state block only for the samples it cannot certify,
-    # the one-excitation block of the initial state, which is empty, and
-    # of the next few, whose smallest eigenvalue is still below the
-    # margin; every block of a complex run goes whole
+    # psi real in the gauge: at gamma_s 0.2 the certificate takes every
+    # block of every sample, and eigvalsh runs on none; at gamma_s 20 RK4
+    # error leaves four samples of its 3-state block below -margin, and
+    # eigvalsh runs on exactly those, whose minima the series reports;
+    # every block of a complex run goes whole
     stacks = _record_eigvalsh(monkeypatch)
-    params = SystemParams.symmetric(0.2)
+    refused = []
+    certify = dynamics._certified
+
+    def recording(sym):
+        ok = certify(sym)
+        refused.append(sym[~ok])
+        return ok
+
+    monkeypatch.setattr(dynamics, "_certified", recording)
     times = np.linspace(0.0, 15.0, C + 151)
-    evolve(make_initial(InitialStateSpec("psi", 0.3), space3), space3,
-           params, times)
-    shapes = [a.shape for a in stacks]
-    assert shapes[::2] == [(C, 5, 5), (151, 5, 5)]
-    assert len(shapes) == 3 and shapes[1][1:] == (3, 3)
-    assert 1 <= shapes[1][0] <= 20
+    psi = make_initial(InitialStateSpec("psi", 0.3), space3)
+    evolve(psi, space3, SystemParams.symmetric(0.2), times)
+    assert stacks == [] and len(refused) == 4
+    refused.clear()
+    traj = evolve(psi, space3, SystemParams.symmetric(20.0), times)
+    assert [a.shape for a in stacks] == [(4, 3, 3)]
+    assert np.array_equal(stacks[0], np.concatenate(
+        [sym for sym in refused if len(sym)]))
+    lows = np.linalg.eigvalsh(stacks[0])[:, 0]
+    assert (lows < -1e-12).all()
+    assert np.array_equal(np.sort(traj.min_eigenvalue[
+        traj.min_eigenvalue != 0]), np.sort(lows))
+    params = SystemParams.symmetric(0.2)
     m = liouvillian_matrix(space3, params)
     for name, init in _complex_states(space3).items():
         stacks.clear()
@@ -776,24 +861,69 @@ def test_blocks_that_cover_every_basis_state_all_go_to_lapack(
 
 
 def test_a_zero_pivot_is_refused_without_a_warning(space3, monkeypatch):
-    # a 2-state block of the smallest normal double in every entry is its
-    # own margin, so its first shifted pivot is exactly 0 and the
-    # certificate divides by it; _check_samples must refuse the block
-    # without a floating-point warning (the suite turns RuntimeWarning
-    # into an error) and send it to eigvalsh
+    # the 2-state block [[-t, t], [t, 2 t]], t the smallest normal double,
+    # has trace t and so margin t, so its first shifted pivot is exactly 0
+    # and the certificate divides by it; _check_samples must refuse the
+    # block without a floating-point warning (the suite turns
+    # RuntimeWarning into an error) and send it to eigvalsh, while the
+    # 1-state block beside it is certified
     dim, tiny = space3.dim_total, np.finfo(float).tiny
     entries = np.array([0, dim + 1, dim + 2, 2 * dim + 1, 2 * dim + 2])
     sub = np.zeros((1, 2, len(entries) + 1))
-    sub[0, :, :-1] = [1.0 - 2 * tiny, tiny, tiny, tiny, tiny]
+    sub[0, :, :-1] = [1.0, -tiny, tiny, tiny, 2 * tiny]
     stacks = _record_eigvalsh(monkeypatch)
     weights = number_operator(space3).diagonal().real
     min_eig = _check_samples(
         sub, np.array([0.0, 1.0]), weights,
         _layout_build(entries, space3.n_fock), math.inf,
         IntegrationDiagnostics())[3]
+    block = np.array([[-tiny, tiny], [tiny, 2 * tiny]])
     assert [a.shape for a in stacks] == [(2, 2, 2)]
-    assert np.array_equal(min_eig, np.minimum(np.linalg.eigvalsh(
-        np.full((2, 2, 2), tiny))[:, 0], 0.0))
+    assert np.array_equal(stacks[0], [block, block])
+    low = np.linalg.eigvalsh(stacks[0])[:, 0]
+    assert (low < 0.0).all() and np.array_equal(min_eig, low)
+
+
+def test_planted_blocks_past_the_margin_keep_lapacks_minimum(space3,
+                                                            monkeypatch):
+    # psi's slice, its 5-state block planted with rank-deficient blocks of
+    # trace 0.9 shifted by -0.5 and by -4 times the certificate's margin,
+    # beside a positive definite 3-state block: the certificate takes the
+    # first, which read 0, and refuses the second, which go to eigvalsh as
+    # one stack and keep its minima bit for bit
+    rng = np.random.default_rng(26)
+    params = SystemParams.symmetric(0.2)
+    psi = make_initial(InitialStateSpec("psi", 0.3), space3)
+    build = _layout_build(reachable_entries(
+        liouvillian_matrix(space3, params), psi.rho_tilde), space3.n_fock)
+    five, three = sorted(build.blocks, key=len, reverse=True)
+    assert five.shape == (5, 5) and three.shape == (3, 3)
+    assert (five >= 0).all() and (three >= 0).all()
+    n = 200
+    planted = 0.9 * np.concatenate([_shifted_rank_deficient(
+        rng, 5, n, shift) for shift in (-0.5, -4.0)])
+    q = np.linalg.qr(rng.standard_normal((2 * n, 3, 3)))[0]
+    w = rng.uniform(0.1, 1.0, (2 * n, 3))
+    w *= 0.1 / w.sum(axis=1, keepdims=True)
+    sub = np.zeros((1, 2 * n, len(build.entries) + 1))
+    sub[0][:, five] = planted
+    sub[0][:, three] = (q * w[:, None, :]) @ q.transpose(0, 2, 1)
+    # no sample gains excitations on the one before it
+    weights = number_operator(space3).diagonal().real
+    order = np.argsort(-(sub[0].take(build.diagonal, axis=1) @ weights))
+    sub = sub[:, order]
+    stacks = _record_eigvalsh(monkeypatch)
+    min_eig = _check_samples(
+        sub, np.linspace(0.0, 1.0, 2 * n), weights, build, math.inf,
+        IntegrationDiagnostics())[3]
+    past = order >= n
+    assert [a.shape for a in stacks] == [(n, 5, 5)]
+    assert np.array_equal(stacks[0], planted[order[past]])
+    low = np.linalg.eigvalsh(planted[order[past]])[:, 0]
+    assert (low < -3.9 * CERT_MARGIN * 0.9).all()
+    assert (np.linalg.eigvalsh(planted[:n])[:, 0] < 0.0).all()
+    assert np.array_equal(min_eig[past], low)
+    assert not min_eig[~past].view(np.int64).any()
 
 
 def test_block_products_match_a_per_point_loop(space3):
@@ -1300,11 +1430,15 @@ def test_chunked_checks_report_the_per_sample_first_violation(
     for part, out in zip(_photon_gauge(rho), gauged):
         out[:, :-1] = part.reshape(len(rho), -1)[:, entries]
     stacks = _record_eigvalsh(monkeypatch)
+    blocks = len(build.blocks)
+    clamped = sum(map(len, build.blocks)) < space3.dim_total
     for fewest in (True, False):
         stacks.clear()
+        starts = []  # where each run's eigvalsh stacks begin
         prev_expect_n = math.inf
         with pytest.raises(IntegrationError) as err:
             for lo in range(0, len(rho), C):
+                starts.append(len(stacks))
                 run = gauged[:, lo:lo + C]
                 if fewest and not run[1].any():
                     run = run[:1]
@@ -1312,17 +1446,30 @@ def test_chunked_checks_report_the_per_sample_first_violation(
                     run, times[lo:lo + C], weights, build, prev_expect_n,
                     IntegrationDiagnostics())[0][-1]
         assert (err.value.invariant, err.value.time) == expected, fewest
-        kinds = [a.dtype.kind for a in stacks]
+        runs = [[a.dtype.kind for a in stacks[lo:hi]]
+                for lo, hi in zip(starts, starts[1:] + [len(stacks)])]
         if not fewest:
-            assert set(kinds) == {"c"}
+            assert runs == [["c"] * blocks] * len(runs)
             continue
-        # the first run holds no plant and is real in the gauge; the run
-        # that fails is real there unless a plant moved it off
-        assert kinds[0] == "f"
+        # the runs before the one that fails hold no plant and are real in
+        # the gauge: where the blocks leave a basis state out, the
+        # certificate takes every block of every sample, and otherwise
+        # every block goes to eigvalsh. The run that fails is real there
+        # unless a plant moved it off, and then takes every block complex;
+        # a real one sends only the blocks the certificate refuses, among
+        # them the one that fails positivity
+        *clean, failing = runs
+        assert clean and clean == [[] if clamped else ["f"] * blocks] * len(
+            clean)
         real = (_negative_gauge_real, _short_trace, _nan, _huge)
-        assert kinds[-1] == ("f" if all(
-            isinstance(plant, int) or plant in real
-            for plant in CHUNK_CASES[case].values()) else "c")
+        if not all(isinstance(plant, int) or plant in real
+                   for plant in CHUNK_CASES[case].values()):
+            assert failing == ["c"] * blocks
+        elif not clamped:
+            assert failing == ["f"] * blocks
+        else:
+            assert set(failing) <= {"f"}
+            assert failing or expected[0] != "positivity"
 
 
 def _record_eigvalsh(monkeypatch):
@@ -1674,6 +1821,28 @@ def test_overflow_past_an_unstable_step_reports_the_first_violation(
         evolve(make_initial(InitialStateSpec("psi", 0.3), space3), space3,
                SystemParams.symmetric(2000.0), np.linspace(0.0, 3.0, 3001))
     assert (err.value.invariant, err.value.time) == ("positivity", 1e-3)
+
+
+@pytest.mark.parametrize("alpha2,value", [
+    (0.1, float.fromhex("-0x1.3bb07521b2523p-21")),   # -5.88017e-07
+    (0.3, float.fromhex("-0x1.eb127d50dc7fbp-22")),   # -4.57347e-07
+    (0.5, float.fromhex("-0x1.5ec4105e545b9p-22")),   # -3.26676e-07
+])
+def test_a_stiff_psi_cell_fails_positivity_at_its_first_step(space3, alpha2,
+                                                              value):
+    # psi at gamma_s 1000 gamma0, t_max 1 in 1000 steps: the default RK4
+    # step is unstable there, and the first step leaves a block eigenvalue
+    # far below EIG_FLOOR, which the certificate refuses; the cell fails
+    # 'positivity' at t = 0.001 with the value bits of every block sent to
+    # eigvalsh. An exact interval propagator (ROADMAP item 4) turns these
+    # cells healthy, and must restate this test
+    init = make_initial(InitialStateSpec("psi", alpha2), space3)
+    with pytest.raises(IntegrationError) as err:
+        evolve(init, space3, SystemParams.symmetric(1000.0),
+               np.linspace(0.0, 1.0, 1001))
+    assert (err.value.invariant, err.value.time, err.value.limit) == (
+        "positivity", 0.001, EIG_FLOOR)
+    assert err.value.value.hex() == value.hex()
 
 
 def test_the_pad_entry_reads_an_exact_zero(space3, monkeypatch):

@@ -47,12 +47,6 @@ def test_build_space_rejects_zero_cutoff():
         build_space(-1)
 
 
-def test_basis_vector(space3):
-    v = space3.basis_vector(1, 1, 0)
-    assert v[9] == 1.0
-    assert np.count_nonzero(v) == 1
-
-
 def test_annihilation_matrix_elements(space3):
     a = annihilation(space3)
     ket = space3.flat_index

@@ -147,6 +147,23 @@ class TestConfig:
                     with pytest.raises(ValueError, match="real|integer"):
                         call()
 
+    @pytest.mark.parametrize("change", [
+        dict(t_max=1.0 + 0.5j), dict(step_size=np.complex128(1e-3)),
+        dict(esd_threshold=1e-6 + 0j), dict(theta=np.complex128(0.4 + 0.1j)),
+        dict(alpha2_grid=(0.2, 0.5 + 0.1j)), dict(r=np.complex128(0.6))],
+        ids=lambda change: next(iter(change)))
+    def test_real_fields_must_be_real(self, monkeypatch, change):
+        # a complex value of a real field is rejected by type with
+        # ValueError, by validate() and by run_sweep before any cell runs,
+        # and before it is compared or read as a float (TypeError there)
+        monkeypatch.setattr(sweep, "_run_cell", None)  # must not be reached
+        cfg = replace(SMALL, **change)
+        for call in (cfg.validate, lambda: run_sweep(cfg)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="must be a real number"):
+                    call()
+
     def test_rate_unit_conversion(self):
         cfg = replace(SMALL, gamma_s_list=(0.1, 1.0, 10.0), rate_unit="omega",
                       omega=0.2)
