@@ -13,11 +13,14 @@ linear, so the equation is integrated in vectorized form v = vec(rho) with
 v' = M v for a constant matrix M.
 
 The integrator is classic fixed-step RK4. For a linear autonomous system the
-four stages collapse into a single degree-4 polynomial S in (h M). The
-samples are evenly spaced, so every sample interval takes the same n
-substeps and is one matvec with P = S^n, built once (powered as
-S^k - I, so the small increment keeps its precision) and still exactly
-RK4 at step h up to rounding. M is a Lindblad generator, so it keeps the
+four stages collapse into a single degree-4 polynomial S = I + X in (h M).
+The samples are evenly spaced, so every sample interval takes the same n
+substeps and is one matvec with P = S^n, built once and still exactly
+RK4 at step h up to rounding. P is carried as its increment from the
+step to the fill: X is formed without the identity (rk4_step_matrix),
+powered as S^k - I (interval_increment) and squared as P^(2^j) - I, so
+no product rounds the increment against the 1s of the diagonal, however
+small h is. M is a Lindblad generator, so it keeps the
 trace: e^T M = 0, e marking the diagonal entries of vec(rho); make_build
 checks this law once per generator build, after checking that every entry
 of M is finite.
@@ -346,17 +349,20 @@ def liouvillian_matrix(space: CompositeSpace,
     return m
 
 
+# the name stays: the benchmark's tracer wraps it, and
+# benchmarks/tests/test_perfbench.py pins it (ROADMAP item 1)
 def rk4_step_matrix(m: np.ndarray, h: float) -> np.ndarray:
-    """One-step propagator I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24.
+    """Increment X = hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 of one RK4 step.
 
-    Applying it is identical to one classic RK4 step of v' = M v.
+    Applying I + X is identical to one classic RK4 step of v' = M v; the
+    identity is left out, so X keeps its own relative precision (see
+    _squarings).
     """
-    p = np.eye(m.shape[0], dtype=m.dtype)
-    term = p
-    for k in (1, 2, 3, 4):
+    x = term = h * m
+    for k in (2, 3, 4):
         term = (h / k) * (m @ term)
-        p = p + term
-    return p
+        x = x + term
+    return x
 
 
 def check_fock_cutoff(initial: FullState, space: CompositeSpace) -> None:
@@ -535,25 +541,26 @@ def _squarings(x: np.ndarray) -> Iterator[np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def interval_propagator(m: np.ndarray, h: float, n_sub: int) -> np.ndarray:
-    """Propagator P = S^n_sub over n_sub >= 1 RK4 steps of size h, with
-    S = rk4_step_matrix(m, h) and m the generator on a set of entries of
-    vec(rho) that it maps into themselves (see reachable_entries).
+def interval_increment(m: np.ndarray, h: float, n_sub: int) -> np.ndarray:
+    """Increment P - I of the propagator P = S^n_sub over n_sub >= 1 RK4
+    steps of size h, with S = I + rk4_step_matrix(m, h) and m the
+    generator on a set of entries of vec(rho) that it maps into themselves
+    (see reachable_entries).
 
-    S is the identity plus a small increment, so P is powered by squaring
-    as S^k - I (see _squarings), with (I + A)(I + B) - I = A + B + A B,
-    and the 1s are added back once, at the end. Powered over an unstable
-    step, P may overflow; the checks of the states it gives catch that,
-    so the floating-point warnings are noise.
+    P is powered by squaring as S^k - I (see _squarings), with
+    (I + A)(I + B) - I = A + B + A B, and the identity is never formed,
+    so the increment keeps its own relative precision however small the
+    step. Powered over an unstable step, it may overflow; the checks of
+    the states it gives catch that, so the floating-point warnings are
+    noise.
     """
-    eye = np.eye(len(m))
     acc = None
-    for base in _squarings(rk4_step_matrix(m, h) - eye):
+    for base in _squarings(rk4_step_matrix(m, h)):
         if n_sub & 1:
             acc = base if acc is None else acc + base + acc @ base
         n_sub >>= 1
         if not n_sub:
-            return eye + acc
+            return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,7 +573,8 @@ class Build:
     entries of vec(rho) (see reachable_entries), and squarings the
     (CHECK_CHUNK.bit_length(), w, w) increments X_j = P^(2^j) - I of the
     propagator P over n_sub RK4 steps of size h on the gauged real slice
-    of the w entries. mirror, turns, blocks, diagonal and qubits are the
+    of the w entries, X_0 being interval_increment's P - I; P itself is
+    never formed. mirror, turns, blocks, diagonal and qubits are the
     entries' index maps (see slice_layout).
     """
 
@@ -605,7 +613,8 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
     e^T M by one phase, since the diagonal of rho takes no turn: the
     checks read M_g, and the column sums are one real bincount.
     reachable_entries (M_g has the pattern of M), the slice of M_g on
-    them, P and its squarings are real too. Neither M_g nor P is kept.
+    them, the increment P - I (interval_increment) and its squarings are
+    real too. P itself is never formed, and M_g is not kept.
     """
     seed = initial.rho_tilde.reshape(-1) != 0
     key = (space, params, h, n_sub, seed.tobytes())
@@ -635,9 +644,9 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
     inside = where[cols] >= 0
     m_slice = np.zeros((len(entries),) * 2)
     m_slice[where[rows[inside]], where[cols[inside]]] = values[nonzero][inside]
-    prop = interval_propagator(m_slice, h, n_sub)
-    squarings = np.array(list(islice(_squarings(prop - np.eye(len(entries))),
-                                     CHECK_CHUNK.bit_length())))
+    squarings = np.array(list(islice(
+        _squarings(interval_increment(m_slice, h, n_sub)),
+        CHECK_CHUNK.bit_length())))
     return Build(key, entries, _read_only(squarings),
                  *slice_layout(entries, space.n_fock))
 

@@ -314,14 +314,11 @@ def _failed_cell(gamma_s: float, alpha2: float, error: str) -> CellResult:
                       error=error)
 
 
-def _run_cell(config: SweepConfig, initial: FullState | str,
+def _run_cell(config: SweepConfig, initial: FullState,
               params: SystemParams, times: np.ndarray,
               shared: dict) -> Trajectory | str:
     """Evolve one cell from `initial`, reusing the Build in `shared` (see
-    evolve); an initial state that could not be loaded arrives as its
-    error text, and a failed evolution returns its own."""
-    if isinstance(initial, str):
-        return initial
+    evolve); a failed evolution returns its error text."""
     try:
         return evolve(initial, build_space(config.n_fock), params, times,
                       step_size=config.step_size, shared=shared)
@@ -373,7 +370,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         try:
             initials = [load_raw_state(config.initial_state_path)]
         except CELL_ERRORS as exc:
-            initials = [_error_text(exc)]
+            return SweepResult(config=config, cells=[
+                _failed_cell(gamma_s, math.nan, _error_text(exc))
+                for gamma_s in config.resolved_gamma_s()])
     else:
         alpha2_values = config.alpha2_grid
     times = config.times()

@@ -40,7 +40,7 @@ from pseudomode.dynamics import (
     _certified,
     _check_samples,
     diagonal_blocks,
-    interval_propagator,
+    interval_increment,
     interval_steps,
     reachable_entries,
     rk4_step_matrix,
@@ -93,6 +93,11 @@ class TestRhs:
         assert np.abs(direct - vectorized).max() <= 1e-12
 
 
+def _step(m, h):
+    """The RK4 step matrix S = I + rk4_step_matrix(m, h)."""
+    return np.eye(len(m)) + rk4_step_matrix(m, h)
+
+
 def test_rk4_polynomial_equals_stage_form(space3):
     # the cached one-matrix step must be bit-for-bit the classic 4-stage update
     params = SystemParams.symmetric(0.4)
@@ -105,7 +110,7 @@ def test_rk4_polynomial_equals_stage_form(space3):
     k3 = m @ (v + 0.5 * h * k2)
     k4 = m @ (v + h * k3)
     staged = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert np.abs(rk4_step_matrix(m, h) @ v - staged).max() <= 1e-12
+    assert np.abs(_step(m, h) @ v - staged).max() <= 1e-12
 
 
 def test_expm_cross_check(space3):
@@ -135,7 +140,7 @@ def test_interval_propagator_matches_substep_loop(space3, gamma_s):
     times = np.linspace(0.0, 150.0, 1501)
     n_sub = 100
     h = (times[1] - times[0]) / n_sub
-    step = rk4_step_matrix(m, h)
+    step = _step(m, h)
     for spec in (InitialStateSpec("psi", 0.3, theta=0.4),
                  InitialStateSpec("phi", 0.3),
                  InitialStateSpec("werner_psi", 0.3, r=0.6)):
@@ -579,7 +584,7 @@ def _assert_matches_the_full_width_loop(init, space, params, name):
     m = liouvillian_matrix(space, params)
     times = np.linspace(0.0, 4.0, 41)
     n_sub = 100
-    step = rk4_step_matrix(m, (times[1] - times[0]) / n_sub)
+    step = _step(m, (times[1] - times[0]) / n_sub)
     outside = np.setdiff1d(np.arange(len(m)),
                            reachable_entries(m, init.rho_tilde))
     sampled = evolve(init, space, params, times, store_full=True).full_states
@@ -936,8 +941,8 @@ def test_block_products_match_a_per_point_loop(space3):
     times = np.linspace(0.0, 10.0, 10001)
     m = liouvillian_matrix(space3, params)
     entries = reachable_entries(m, init.rho_tilde)
-    prop = interval_propagator(m[np.ix_(entries, entries)],
-                               times[1] - times[0], 1)
+    prop = np.eye(len(entries)) + interval_increment(
+        m[np.ix_(entries, entries)], times[1] - times[0], 1)
     traj = evolve(init, space3, params, times, store_full=True)
     v = init.rho_tilde.reshape(-1)[entries]
     worst = 0.0
@@ -952,26 +957,41 @@ def test_block_products_match_a_per_point_loop(space3):
                     reason="needs an extended-precision long double")
 @pytest.mark.parametrize("gamma_s", [0.02, 2.0])
 def test_propagator_is_the_rounded_power_of_the_step(space3, gamma_s):
-    # S^n is powered as S^k - I, so P is the exact n-th power of the double
-    # step matrix rounded once, up to about one ulp of the diagonal's 1s
+    # S^n is powered as S^k - I from the step's increment X, and the
+    # identity is never formed, so P - I is the exact n-th power of the
+    # double step matrix I + X, less I, rounded once: within one ulp of
+    # the diagonal's 1s, and within a few ulps of its own largest entry,
+    # also at a step so small that the increment is far below the 1s.
+    # The reference powers the increment in long double as
+    # (I + A)(I + X) - I = A + X + A X, one step at a time
+    eps = np.finfo(float).eps
     m = liouvillian_matrix(space3, SystemParams.symmetric(gamma_s))
     for family in ("psi", "phi"):
         init = make_initial(InitialStateSpec(family, 0.3), space3)
         entries = reachable_entries(m, init.rho_tilde)
         sliced = m[np.ix_(entries, entries)]
-        step = rk4_step_matrix(sliced, 1e-3)
-        for n_sub in (37, 100):
-            prop = interval_propagator(sliced, 1e-3, n_sub)
-            exact = np.linalg.matrix_power(step.astype(np.clongdouble), n_sub)
-            assert np.abs(prop - exact).max() <= np.finfo(float).eps
+        for h in (1e-3, 1e-9):
+            step = rk4_step_matrix(sliced, h).astype(np.clongdouble)
+            exact = {}
+            acc = step
+            for n in range(2, 101):
+                acc = acc + step + acc @ step
+                exact[n] = acc
+            for n_sub in (37, 100):
+                err = np.abs(interval_increment(sliced, h, n_sub)
+                             - exact[n_sub]).max()
+                assert err <= eps, (family, h, n_sub)
+                assert err <= 3 * eps * np.abs(exact[n_sub]).max(), (
+                    family, h, n_sub)
 
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """Step of every RK4 step matrix evolve builds, steps of every
-    propagator it builds, params of every generator it builds."""
+    """Step of every RK4 step increment evolve builds, substep count of
+    every interval increment it builds, params of every generator it
+    builds."""
     record = SimpleNamespace(steps=[], n_sub=[], generators=[])
-    step, propagator = dynamics.rk4_step_matrix, dynamics.interval_propagator
+    step, increment = dynamics.rk4_step_matrix, dynamics.interval_increment
     generator = dynamics.gauged_generator
 
     def recording_generator(space, params):
@@ -982,12 +1002,12 @@ def builds(monkeypatch):
         record.steps.append(h)
         return step(m, h)
 
-    def recording_propagator(m, h, n_sub):
+    def recording_increment(m, h, n_sub):
         record.n_sub.append(n_sub)
-        return propagator(m, h, n_sub)
+        return increment(m, h, n_sub)
 
     monkeypatch.setattr(dynamics, "rk4_step_matrix", recording_step)
-    monkeypatch.setattr(dynamics, "interval_propagator", recording_propagator)
+    monkeypatch.setattr(dynamics, "interval_increment", recording_increment)
     monkeypatch.setattr(dynamics, "gauged_generator", recording_generator)
     return record
 
@@ -1048,12 +1068,12 @@ def test_squarings_fill_runs_of_check_chunk_points(space3, checked_slices):
                     reason="needs an extended-precision long double")
 def test_squarings_keep_the_increments_precision(space3):
     # X_j = P^(2^j) - I, squared as 2X + X^2, stays within 4 eps of the
-    # exact power of the double P; powering P itself in double rounds the
-    # increment against the diagonal's 1s, up to 5.8e-14 off at 1 step a
-    # sample (j = 9, 144 entries). The Build keeps no P: it is rebuilt
-    # from the build's real generator in the photon-number gauge
-    # (gauged_generator) at the Build's step, and X_0 is its increment,
-    # bit for bit
+    # exact power of P = I + X_0, X_0 in double; powering P itself in
+    # double rounds the increment against the diagonal's 1s, up to 5.8e-14
+    # off at 1 step a sample (j = 9, 144 entries). The Build keeps no P:
+    # its increment is rebuilt from the build's real generator in the
+    # photon-number gauge (gauged_generator) at the Build's step, and X_0
+    # is that increment, bit for bit
     psi = make_initial(InitialStateSpec("psi", 0.3), space3)
     space4 = build_space(4)
     for init, space, times in (
@@ -1071,12 +1091,12 @@ def test_squarings_keep_the_increments_precision(space3):
         assert generator.values.dtype == np.float64
         gauged = np.zeros((space.dim_total ** 2,) * 2)
         gauged[generator.rows, generator.cols] = generator.values
-        prop = interval_propagator(
+        increment = interval_increment(
             gauged[np.ix_(build.entries, build.entries)], dt / n_sub, n_sub)
-        eye = np.eye(len(prop))
-        assert prop.dtype == np.float64
-        assert _same_bits(build.squarings[0], prop - eye)
-        prop = prop.astype(np.clongdouble)
+        eye = np.eye(len(increment))
+        assert increment.dtype == np.float64
+        assert _same_bits(build.squarings[0], increment)
+        prop = eye + increment.astype(np.clongdouble)
         for j, x in enumerate(build.squarings):
             exact = np.linalg.matrix_power(prop, 2**j) - eye
             assert np.abs(x - exact).max() <= 4 * np.finfo(float).eps, j
@@ -1301,8 +1321,8 @@ def test_interval_propagator_matches_a_generic_step_loop():
     m = (rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144))) / 12
     v = rng.normal(size=144) + 1j * rng.normal(size=144)
     h, n_sub = 1e-2, 37
-    prop = interval_propagator(m, h, n_sub)
-    step = rk4_step_matrix(m, h)
+    prop = np.eye(len(m)) + interval_increment(m, h, n_sub)
+    step = _step(m, h)
     w = v
     for _ in range(n_sub):
         w = step @ w
@@ -1551,7 +1571,7 @@ def test_trace_failure_time_across_blocks_and_segments(space3, monkeypatch,
     ground = space3.flat_index(0, 0, 0) * (space3.dim_total + 1)
     m = np.zeros((space3.dim_total ** 2,) * 2)
     m[ground, ground] = 0.1 / h
-    r = rk4_step_matrix(m, h)[ground, ground].real
+    r = _step(m, h)[ground, ground].real
     eps = TRACE_TOL / (r ** (step - 0.5) - 1.0)
     rho = np.zeros((space3.dim_total,) * 2, dtype=complex)
     rho[0, 0], rho[1, 1] = eps, 1.0 - eps
@@ -1580,7 +1600,7 @@ def test_sample_violation_wins_over_a_later_block_of_its_slice(
     coherence = 1 * dim + 2
     m = np.zeros((dim ** 2,) * 2)
     m[coherence, coherence] = 0.0077 / h
-    grow = rk4_step_matrix(m, h)[coherence, coherence].real
+    grow = _step(m, h)[coherence, coherence].real
     rho = np.zeros((dim, dim), dtype=complex)
     rho[1, 1] = rho[2, 2] = 0.5
     rho[1, 2] = rho[2, 1] = HERM_TOL / (grow ** 595 - 1.0)

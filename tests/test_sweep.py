@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import random_density_matrix
 from pseudomode import (
@@ -14,7 +15,9 @@ from pseudomode import (
     concurrence_general,
     concurrence_x_state,
     evolve,
+    liouvillian_matrix,
     make_initial,
+    partial_trace_cavity,
     x_form_deviation,
 )
 from pseudomode import cli, dynamics, sweep
@@ -373,6 +376,29 @@ class TestRunSweep:
         assert err == [f"failed cell gamma_s={g} alpha2=nan: {expected}"
                        for g in ("0", "0.2")]
         assert out.read_text().splitlines()[2:] == []
+
+    def test_small_steps_reach_the_matrix_exponential(self):
+        # the propagator is carried as its increment P - I from the step
+        # to the fill, so a step far below the default loses nothing
+        # against the diagonal's 1s: down to 1e-10, the cell stays healthy
+        # and its concurrence is that of scipy's expm to within rounding
+        space = build_space(3)
+        cfg = SweepConfig(family="psi", alpha2_grid=(0.3,),
+                          gamma_s_list=(0.2,), t_max=1.0, n_steps=10)
+        init = make_initial(InitialStateSpec("psi", 0.3), space)
+        step = expm(liouvillian_matrix(space, cfg.system_params(0.2)) * 0.1)
+        states = [init.rho_tilde.reshape(-1)]
+        for _ in range(cfg.n_steps):
+            states.append(step @ states[-1])
+        reduced = np.array([partial_trace_cavity(v.reshape(12, 12), space)
+                            for v in states])
+        expected = concurrence_general(reduced).c
+        for step_size in (1e-4, 1e-6, 1e-8, 1e-10):
+            result = run_sweep(replace(cfg, step_size=step_size))
+            cell, = result.cells
+            assert cell.error is None, (step_size, cell.error)
+            err = np.abs(cell.concurrence - expected).max()
+            assert err <= 1e-14, (step_size, err)
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
