@@ -181,14 +181,18 @@ class FullState:
 class IntegrationDiagnostics:
     """Health and cost record of one integration run.
 
-    The extrema, max_trace_error among them, are tracked at sample times,
-    read from the reachable slice of each state. step_count is the number
-    of RK4 steps taken. real_block_samples counts the samples propagated
+    The extrema, max_trace_error among them, are set once per trajectory
+    by evolve, each the max (or min) of its Trajectory series, read at
+    the sample times from the reachable slice of each state;
+    max_sector_leakage is the max of |sector_leakage|, max_excitation_gain
+    the largest step of expect_n, and each max is at least 0.0 (the
+    min_eigenvalue at most 1.0). step_count is the number of RK4 steps
+    taken. real_block_samples is the sample count of a run propagated
     and checked as one real row-block, the real part of the state in the
     photon-number gauge (see photon_turns), with the smallest eigenvalue
-    taken on real symmetric blocks: every sample of a state that starts
-    real in the gauge. The others take two row-blocks and Hermitian
-    blocks. min_eigenvalue is the smallest eigenvalue LAPACK computes
+    taken on real symmetric blocks: a state that starts real in the
+    gauge. A run of two row-blocks, checked on Hermitian blocks, reads 0.
+    min_eigenvalue is the smallest eigenvalue LAPACK computes
     for a block, or 0.0 when the blocks leave a basis state out and no
     block's is lower; there a real block that _certified proves positive
     semidefinite to within its margin is not passed to LAPACK and counts
@@ -665,7 +669,11 @@ def _certified(sym: np.ndarray) -> np.ndarray:
 
     A block is certified when the LDL^T pivots of sym + margin I are all
     > 0 in floating point; they are read from the lower triangle, which
-    eigvalsh reads too. A NaN pivot fails. Why this is sound: an LDL^T
+    eigvalsh reads too. The elimination runs on one (k, k, n) copy of the
+    stack as k - 1 rank-one updates of its trailing block; each entry of
+    the lower triangle takes the division, product and difference of the
+    scalar elimination, in its order, so the pivots are those of each
+    block factorised alone. A NaN pivot fails. Why this is sound: an LDL^T
     (Cholesky) factorisation that succeeds in floating point is the exact
     factorisation of sym + margin I + E with ||E|| <= gamma_(k+1)
     tr(sym + margin I) up to terms of order eps^2 (Higham, Accuracy and
@@ -677,25 +685,17 @@ def _certified(sym: np.ndarray) -> np.ndarray:
     margin above the absolute error of a product that underflows, and
     certifies an empty block.
     """
-    n, k, _ = sym.shape
-    # entry (i, j) of every block, contiguous: row i k + j
-    flat = np.ascontiguousarray(sym.reshape(n, k * k).T)
-    margin = np.maximum(CERT_MARGIN * flat[::k + 1].sum(axis=0),
-                        _CERT_FLOOR)
-    low = {(i, j): flat[i * k + j] for i in range(k) for j in range(i)}
-    for i in range(k):
-        low[i, i] = flat[i * (k + 1)] + margin
-    # right-looking elimination on the lower triangle; its diagonal ends
-    # as the pivots
-    for j in range(k):
-        for i in range(j + 1, k):
-            ratio = low[i, j] / low[j, j]
-            for c in range(j + 1, i + 1):
-                low[i, c] = low[i, c] - ratio * low[c, j]
-    least = low[0, 0]
-    for i in range(1, k):
-        least = np.minimum(least, low[i, i])  # NaN stays NaN
-    return least > 0
+    k = sym.shape[1]
+    # low[i, j] holds entry (i, j) of every block, contiguous; its
+    # diagonal, pivots, ends as the LDL^T pivots
+    low = sym.transpose(1, 2, 0).copy()
+    pivots = low.reshape(k * k, len(sym))[::k + 1]
+    pivots += np.maximum(CERT_MARGIN * pivots.sum(axis=0), _CERT_FLOOR)
+    # right-looking elimination, one rank-one update of the trailing block
+    # per column; only its lower triangle is read
+    for j in range(1, k):
+        low[j:, j:] -= low[j:, j - 1, None] / pivots[j - 1] * low[j:, j - 1]
+    return np.minimum.reduce(pivots) > 0  # NaN stays NaN
 
 
 # past an unstable step a finite state may still overflow these sums; the
@@ -704,8 +704,7 @@ def _certified(sym: np.ndarray) -> np.ndarray:
 # 0.5 (B + B^H) unless an entry is subnormal.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
-                   build: Build, prev_expect_n: float,
-                   diag: IntegrationDiagnostics
+                   build: Build, prev_expect_n: float
                    ) -> tuple[np.ndarray, ...]:
     """Check a run of states sampled at `times`, in time order.
 
@@ -744,11 +743,10 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, trace, positivity,
     excitation_monotone. prev_expect_n is <N> at the sample before the
-    run (inf for none). Otherwise the run's extrema are folded into diag,
-    its samples counted in real_block_samples if k = 1, and the
-    per-sample <N>, trace error, hermiticity error, smallest eigenvalue
-    and sector leakage are returned, in the order of the Trajectory
-    fields.
+    run (inf for none). Otherwise the per-sample <N>, trace error,
+    hermiticity error, smallest eigenvalue and sector leakage are
+    returned, in the order of the Trajectory fields; nothing else is
+    written (evolve sets the diagnostics from these series).
     """
     # eigvalsh rejects non-finite input, so check only up to the first
     # non-finite sample; it raises below unless an earlier one does. A
@@ -806,15 +804,6 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
         raise IntegrationError("finite", float(times[n_ok]), math.inf, 0.0)
 
     leak = pops[:, weights > 2].sum(axis=1)
-    d = diag
-    d.max_trace_error = float(tr_err.max(initial=d.max_trace_error))
-    d.max_hermiticity_error = float(herm.max(initial=d.max_hermiticity_error))
-    d.min_eigenvalue = float(min_eig.min(initial=d.min_eigenvalue))
-    d.max_excitation_gain = float(gain.max(initial=d.max_excitation_gain))
-    d.max_sector_leakage = float(np.abs(leak).max(
-        initial=d.max_sector_leakage))
-    if len(sub) == 1:
-        d.real_block_samples += n_ok
     return expn, tr_err, herm, min_eig, leak
 
 
@@ -977,7 +966,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         samples = slice(first, first + size)
         try:
             checked = _check_samples(states, times[samples], weights, build,
-                                     prev_expect_n, diag)
+                                     prev_expect_n)
         except IntegrationError as err:
             if first or err.time != times[0]:
                 raise
@@ -1005,5 +994,12 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
         sub[:, 0] = sub[:, rows - 1]
         first, lead = first + size, 1
 
+    expect_n, tr_err, herm, min_eig, leak = series
+    diag.max_trace_error = float(tr_err.max(initial=0.0))
+    diag.max_hermiticity_error = float(herm.max(initial=0.0))
+    diag.min_eigenvalue = float(min_eig.min(initial=1.0))
+    diag.max_excitation_gain = float(np.diff(expect_n).max(initial=0.0))
+    diag.max_sector_leakage = float(np.abs(leak).max(initial=0.0))
+    diag.real_block_samples = n if k == 1 else 0
     return Trajectory(times.copy(), reduced, *series, diagnostics=diag,
                       full_states=full_states)

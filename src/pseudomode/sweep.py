@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -424,26 +425,17 @@ def detect_esd_intervals(times, concurrence,
             for i, j in zip(starts, ends)]
 
 
-def _formatted(columns) -> np.ndarray:
-    """(k, n) strings of k equal-length float columns, at 17 significant
-    digits (%.17g).
+def _formatted(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """%.17g strings of the distinct values of a float array, and the
+    index of each value's string, in the array's shape.
 
-    Each distinct value is formatted once, and its string is reused
-    wherever the value recurs. Values are told apart by their bits, so
-    -0.0 and 0.0 keep their own strings.
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own
+    strings.
     """
-    floats = np.array(columns, dtype=float)
-    bits, where = np.unique(floats.view(np.int64), return_inverse=True)
-    values = bits.view(float).tolist()
-    text = ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
-    return np.array(text, dtype=object)[where.reshape(floats.shape)]
-
-
-def _write_table(fh, table: np.ndarray) -> None:
-    """Write a (rows, k) array of strings as comma-separated lines."""
-    rows, k = table.shape
-    line = ",".join(["%s"] * k) + "\n"
-    fh.write(line * rows % tuple(table.ravel().tolist()))
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(float).tolist()
+    text = "\n".join(["%.17g"] * len(distinct)) % tuple(distinct)
+    return text.split("\n"), where.reshape(values.shape)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -454,8 +446,9 @@ def write_rows_csv(result: SweepResult, path: str) -> None:
     """Rows of the healthy cells, written cell by cell and WRITE_ROWS rows
     at a time; the same bytes as %.17g applied to each value of iter_rows.
 
-    A cell whose times have the same bits as the previous healthy cell's
-    (every cell of a sweep samples one grid) reuses their strings.
+    Each distinct value of a slice of rows is formatted once. A cell whose
+    times have the same bits as the previous healthy cell's (every cell
+    of a sweep samples one grid) reuses their strings.
     """
     times = times_text = None
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -465,18 +458,20 @@ def write_rows_csv(result: SweepResult, path: str) -> None:
                 continue
             cell_times = np.asarray(cell.times, dtype=float)
             if times is None or not _same_bits(times, cell_times):
-                times, times_text = cell_times, _formatted([cell_times])[0]
-            head = _formatted([[cell.gamma_s], [cell.alpha2]])[:, 0]
-            columns = (cell.concurrence, cell.c1, cell.c2, cell.trace_error,
-                       cell.min_eigenvalue)
+                text, where = _formatted(cell_times)
+                times, times_text = cell_times, [text[i] for i in
+                                                 where.tolist()]
+            head = "%.17g,%.17g" % (cell.gamma_s, cell.alpha2)
+            tail = cell.path + "\n"
+            columns = np.array([cell.concurrence, cell.c1, cell.c2,
+                                cell.trace_error, cell.min_eigenvalue],
+                               dtype=float)
             for lo in range(0, len(cell.times), WRITE_ROWS):
-                text = _formatted([c[lo:lo + WRITE_ROWS] for c in columns])
-                table = np.empty((text.shape[1], 9), dtype=object)
-                table[:, :2] = head
-                table[:, 2] = times_text[lo:lo + WRITE_ROWS]
-                table[:, 3:8] = text.T
-                table[:, 8] = cell.path
-                _write_table(fh, table)
+                text, where = _formatted(columns[:, lo:lo + WRITE_ROWS])
+                fh.writelines(map(",".join, zip(
+                    repeat(head), times_text[lo:lo + WRITE_ROWS],
+                    *(map(text.__getitem__, w) for w in where.tolist()),
+                    repeat(tail))))
 
 
 def write_grid_csv(result: SweepResult, path: str) -> None:

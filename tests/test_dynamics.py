@@ -36,7 +36,6 @@ from pseudomode.dynamics import (
     TRACE_LAW_TOL,
     TRACE_TOL,
     Build,
-    IntegrationDiagnostics,
     _certified,
     _check_samples,
     diagonal_blocks,
@@ -720,6 +719,155 @@ def test_a_certified_block_is_positive_semidefinite_within_its_margin(k):
     assert _certified(np.zeros((1, k, k))).all()
 
 
+def _quotient(a: float, b: float) -> float:
+    """a / b in IEEE 754 double arithmetic, also at b = +-0, where Python
+    raises instead."""
+    if b != 0.0:  # NaN != 0.0 as well
+        return a / b
+    if a == 0.0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _scalar_certified(block) -> bool:
+    """The certificate over Python floats, one block at a time: the margin
+    max(CERT_MARGIN tr, smallest normal double) with the trace added in
+    row order and NaN kept, then the right-looking LDL^T elimination on
+    the lower triangle, entry by entry; certified when every pivot is
+    > 0 (a NaN pivot is not)."""
+    a = block.tolist()
+    k = len(a)
+    trace = a[0][0]
+    for i in range(1, k):
+        trace = trace + a[i][i]
+    margin = CERT_MARGIN * trace
+    tiny = float(np.finfo(float).tiny)
+    if not (math.isnan(margin) or margin > tiny):
+        margin = tiny
+    for i in range(k):
+        a[i][i] = a[i][i] + margin
+    for j in range(k):
+        for i in range(j + 1, k):
+            ratio = _quotient(a[i][j], a[j][j])
+            for c in range(j + 1, i + 1):
+                a[i][c] = a[i][c] - ratio * a[c][j]
+    return all(a[i][i] > 0 for i in range(k))
+
+
+def _oracle_blocks(rng, k, n):
+    """n real k x k blocks of each of nine kinds: positive definite,
+    rank one, positive semidefinite of unit trace shifted by -3 .. 1
+    times the trace margin (with k = 1, a scalar within a few smallest
+    normal doubles of 0), all zero, with a NaN, with an inf and with a
+    -inf pair of entries, and of subnormal couplings on a normal diagonal
+    or on one within two smallest normal doubles of 0, and singular once
+    the margin is added (with k = 1, within 3 subnormal steps of it);
+    symmetric, as _check_samples passes them."""
+    tiny = np.finfo(float).tiny
+    scale = 10.0 ** rng.uniform(-300, 300, (n, 1, 1))
+    g = rng.standard_normal((n, k, k))
+    spd = g @ g.transpose(0, 2, 1) * scale
+    v = rng.standard_normal((n, k, 1))
+    rank_one = v @ v.transpose(0, 2, 1) * scale
+    if k == 1:
+        straddling = rng.uniform(-3.0, 2.0, (n, 1, 1)) * tiny
+        singular = -tiny + rng.integers(-3, 4, (n, 1, 1)) * np.finfo(
+            float).smallest_subnormal
+    else:
+        rank = rng.integers(1, k, n)
+        g = g * (np.arange(k) < rank[:, None])[:, None, :]
+        psd = g @ g.transpose(0, 2, 1)
+        psd /= np.trace(psd, axis1=1, axis2=2)[:, None, None]
+        shift = rng.uniform(-3.0, 1.0, (n, 1, 1)) * CERT_MARGIN
+        straddling = psd + shift * np.eye(k)
+        # P - s I with s = CERT_MARGIN tr(P - s I): adding the margin
+        # leaves P, singular, so rounding alone signs its last pivots
+        singular = psd - CERT_MARGIN / (1 + k * CERT_MARGIN) * np.eye(k)
+    poisoned = []
+    for bad in (math.nan, math.inf, -math.inf):
+        blocks = rng.standard_normal((n, k, k))
+        blocks = blocks @ blocks.transpose(0, 2, 1)
+        i, j = rng.integers(0, k, (2, n))
+        blocks[np.arange(n), i, j] = blocks[np.arange(n), j, i] = bad
+        poisoned.append(blocks)
+    subnormal = rng.integers(-4, 5, (n, k, k)) * np.finfo(
+        float).smallest_subnormal
+    subnormal = subnormal + subnormal.transpose(0, 2, 1)
+    diagonal = np.where(rng.random((n, 1)) < 0.5,
+                        rng.uniform(0.1, 1.0, (n, k)),
+                        rng.integers(-8, 9, (n, k)) * tiny / 4)
+    subnormal[:, np.arange(k), np.arange(k)] = diagonal
+    blocks = np.concatenate([spd, rank_one, straddling, np.zeros((n, k, k)),
+                             *poisoned, subnormal, singular])
+    return 0.5 * blocks + 0.5 * blocks.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_the_certificate_decides_as_the_scalar_elimination(k):
+    # 14 400 blocks for each k = 1 .. 8, 115 200 in all: the array form
+    # certifies exactly the blocks that the same elimination certifies
+    # entry by entry over Python floats, under _check_samples' errstate.
+    # The singular blocks are decided by rounding, so they hold the
+    # elimination to its order of operations
+    rng = np.random.default_rng(900 + k)
+    n = 1600
+    sym = _oracle_blocks(rng, k, n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        certified = _certified(sym)
+    expected = np.array([_scalar_certified(b) for b in sym])
+    assert len(sym) == 9 * n
+    assert np.array_equal(certified, expected)
+    # positive definite, rank-one and zero blocks pass, a NaN or a -inf
+    # pair fails, and the straddling, subnormal and singular blocks go
+    # both ways
+    kinds = expected.reshape(9, n)
+    assert kinds[:4:3].all() and kinds[1].all()
+    assert not kinds[4].any() and not kinds[6].any()
+    for kind in (kinds[2], kinds[7], kinds[8]):
+        assert 0.02 * n < kind.sum() < 0.98 * n
+
+
+def test_diagnostics_are_the_extrema_of_their_series(space3):
+    # two runs of CHECK_CHUNK points and three more: each extremum is the
+    # max or min of its series over the whole trajectory, bit for bit, and
+    # the excitation gain is the largest step of <N>, the steps across
+    # the run boundaries included. Without losses <N> steps up by
+    # rounding, and the raw state at n_fock 4 holds population above two
+    # excitations, so the gain and the leakage are not 0 throughout
+    times = np.linspace(0.0, 15.0, 2 * C + 3)
+    space4 = build_space(4)
+    real = _gauge_real_states(space3)
+    cases = [(name, init, space3)
+             for name, init in {**real, **_complex_states(space3)}.items()]
+    cases.append(("raw n_fock 4", _raw_state(space4, 3), space4))
+    gains, leaks = [], []
+    for name, init, space in cases:
+        for rates in ({}, {"gamma_cavity": 0.0}):
+            gamma_s = 0.0 if rates else 0.2
+            traj = evolve(init, space, SystemParams.symmetric(
+                gamma_s, n_fock=space.n_fock, **rates), times)
+            d = traj.diagnostics
+            expect_n = traj.expect_n.tolist()
+            steps = [b - a for a, b in zip(expect_n, expect_n[1:])]
+            assert len(steps) == len(times) - 1 > 2 * C
+            for value, expected in (
+                    (d.max_trace_error, max([0.0, *traj.trace_error])),
+                    (d.max_hermiticity_error,
+                     max([0.0, *traj.hermiticity_error])),
+                    (d.min_eigenvalue, min([1.0, *traj.min_eigenvalue])),
+                    (d.max_excitation_gain, max([0.0, *steps])),
+                    (d.max_sector_leakage,
+                     max([0.0, *np.abs(traj.sector_leakage)]))):
+                assert repr(value) == repr(float(expected)), (name, rates)
+            one_block = name in real
+            assert d.real_block_samples == (len(times) if one_block else 0)
+            assert traj.reduced.dtype == (float if one_block else complex)
+            gains.append(d.max_excitation_gain)
+            leaks.append(d.max_sector_leakage)
+    assert all(gain > 0.0 for gain in gains[1::2])
+    assert leaks[-1] > 0.0 and leaks[-2] > 0.0
+
+
 def test_the_certificate_moves_only_minima_within_its_margin(space3,
                                                             monkeypatch):
     # every series, the diagnostics' extrema and the first violation past
@@ -854,8 +1002,7 @@ def test_blocks_that_cover_every_basis_state_all_go_to_lapack(
     stacks = _record_eigvalsh(monkeypatch)
     weights = number_operator(space3).diagonal().real
     min_eig = _check_samples(
-        sub, np.linspace(0.0, 1.0, n), weights, build, math.inf,
-        IntegrationDiagnostics())[3]
+        sub, np.linspace(0.0, 1.0, n), weights, build, math.inf)[3]
     assert [a.shape for a in stacks] == [(n, 3, 3)] * 4
     # each block as _check_samples reads it: its symmetric part
     expected = np.min([np.linalg.eigvalsh(
@@ -880,8 +1027,7 @@ def test_a_zero_pivot_is_refused_without_a_warning(space3, monkeypatch):
     weights = number_operator(space3).diagonal().real
     min_eig = _check_samples(
         sub, np.array([0.0, 1.0]), weights,
-        _layout_build(entries, space3.n_fock), math.inf,
-        IntegrationDiagnostics())[3]
+        _layout_build(entries, space3.n_fock), math.inf)[3]
     block = np.array([[-tiny, tiny], [tiny, 2 * tiny]])
     assert [a.shape for a in stacks] == [(2, 2, 2)]
     assert np.array_equal(stacks[0], [block, block])
@@ -919,8 +1065,7 @@ def test_planted_blocks_past_the_margin_keep_lapacks_minimum(space3,
     sub = sub[:, order]
     stacks = _record_eigvalsh(monkeypatch)
     min_eig = _check_samples(
-        sub, np.linspace(0.0, 1.0, 2 * n), weights, build, math.inf,
-        IntegrationDiagnostics())[3]
+        sub, np.linspace(0.0, 1.0, 2 * n), weights, build, math.inf)[3]
     past = order >= n
     assert [a.shape for a in stacks] == [(n, 5, 5)]
     assert np.array_equal(stacks[0], planted[order[past]])
@@ -1018,9 +1163,9 @@ def checked_slices(monkeypatch):
     calls = []
     check = dynamics._check_samples
 
-    def recording(sub, times, weights, build, prev_expect_n, diag):
+    def recording(sub, times, weights, build, prev_expect_n):
         calls.append((times.copy(), prev_expect_n))
-        return check(sub, times, weights, build, prev_expect_n, diag)
+        return check(sub, times, weights, build, prev_expect_n)
 
     monkeypatch.setattr(dynamics, "_check_samples", recording)
     return calls
@@ -1463,8 +1608,8 @@ def test_chunked_checks_report_the_per_sample_first_violation(
                 if fewest and not run[1].any():
                     run = run[:1]
                 prev_expect_n = _check_samples(
-                    run, times[lo:lo + C], weights, build, prev_expect_n,
-                    IntegrationDiagnostics())[0][-1]
+                    run, times[lo:lo + C], weights, build,
+                    prev_expect_n)[0][-1]
         assert (err.value.invariant, err.value.time) == expected, fewest
         runs = [[a.dtype.kind for a in stacks[lo:hi]]
                 for lo, hi in zip(starts, starts[1:] + [len(stacks)])]

@@ -796,9 +796,9 @@ class TestCsv:
         formats = []
         formatted = sweep._formatted
 
-        def counting(columns):
-            formats.append(len(columns))
-            return formatted(columns)
+        def counting(values):
+            formats.append(values.ndim)
+            return formatted(values)
 
         monkeypatch.setattr(sweep, "_formatted", counting)
         result = SweepResult(SMALL, cells)
@@ -806,7 +806,7 @@ class TestCsv:
         write_rows_csv(result, str(path))
         assert path.read_bytes() == _rows_by_value(result)
         assert b",0.5,-0," in path.read_bytes()
-        # one column: the times; grid, signed, grid, ulp, grid[:-1]
+        # one dimension: the times; grid, signed, grid, ulp, grid[:-1]
         assert formats.count(1) == 5
 
     def test_grid_bytes_match_the_value_by_value_layout(self, tmp_path):
