@@ -56,14 +56,17 @@ The invariants are checked at the sample times, one such run at a time
 as array operations, and each run is reduced to the two qubits and
 stored with one operation per series (the reduced states real for one
 row-block, complex for two). Every check reads the gauged slice itself
-through index maps built once, by slice_layout: finiteness and
-hermiticity (each entry against its transpose's conjugate) through the
-mirror map, positivity (eigvalsh per diagonal block of rho, see
-diagonal_blocks; real symmetric blocks for one row-block, Hermitian ones
-for two; where the minimum is clamped at 0, a real block that a
+through index maps built once, by slice_layout: finiteness, and
+hermiticity (each entry against its transpose's conjugate, once per
+pair, reduced across the pairs for every sample of the run at once)
+through the pair map; positivity (eigvalsh per diagonal block of rho,
+see diagonal_blocks; real symmetric blocks for one row-block, Hermitian
+ones for two; where the minimum is clamped at 0, a real block that a
 closed-form certificate proves positive semidefinite to within a margin
 of CERT_MARGIN times its trace skips it and reads 0, see _check_samples)
-through the block maps, and the trace, <N>, the sector
+through one block map that pads every block with zeros to the largest
+one's size, so that a run's blocks are gathered, symmetrised and
+certified as one stack; and the trace, <N>, the sector
 leakage and the partial trace through the diagonal and two-qubit
 gathers, which lay out the needed entries with exact zeros where they
 fall outside the slice, so each sum rounds as over the full matrix.
@@ -473,16 +476,23 @@ def slice_layout(entries: np.ndarray, n_fock: int) -> tuple:
     """Index maps that let the checks and the reduction read only `entries`
     of vec(rho), read-only, in the order of the Build fields:
 
-    - mirror, the position in `entries` of each entry's transpose, for the
-      hermiticity check; entries must hold the transpose of each of its
-      entries (see reachable_entries), or ValueError is raised;
+    - pairs, a (2, p) array: the positions in `entries` of the entries
+      (r, c) with r <= c in row-major order, that is each entry that
+      comes no later than its transpose, diagonal entries included, and
+      the position of that transpose, for the hermiticity check, which
+      so reads each entry pair once; entries must hold the transpose of
+      each of its entries (see reachable_entries), or ValueError is
+      raised;
     - turns, the photon_turns of each entry: the gauged slice is i^turns
       times the slice;
-    - blocks, for each of the diagonal_blocks with k basis states, the
-      (k, k) positions of the block's entries. The gauge is a diagonal
-      unitary similarity that multiplies by +-1 or +-i, so a block read
-      from the gauged slice has the eigenvalues of the block of rho; it is
-      real symmetric for a state real in the gauge;
+    - block_map, the (n_blocks, size, size) positions of the entries of
+      the diagonal_blocks, size the largest block's basis states: block b
+      of k basis states fills block_map[b, :k, :k] and its padding is -1.
+      The gauge is a diagonal unitary similarity that multiplies by +-1
+      or +-i, so a block read from the gauged slice has the eigenvalues
+      of the block of rho; it is real symmetric for a state real in the
+      gauge;
+    - block_sizes, the number of basis states of each block, in order;
     - diagonal, the (dim,) positions of the diagonal of rho;
     - qubits, the (4, 4, n_fock) positions of the entries whose sum over
       the last axis is the two-qubit state, in partial_trace_cavity's
@@ -499,14 +509,19 @@ def slice_layout(entries: np.ndarray, n_fock: int) -> tuple:
     mirror = where[_transposed(dim)[entries]]
     if (mirror < 0).any():
         raise ValueError("entries must hold the transpose of each entry")
+    first = np.flatnonzero(np.arange(len(entries)) <= mirror)
     qubits = np.arange(4)
     # basis state i_a + 2 i_b is row (2 i_a + i_b) n_fock + n of rho
     rows = (2 * (qubits % 2) + qubits // 2)[:, None] * n_fock + np.arange(
         n_fock)
-    blocks = tuple(_read_only(where[blk[:, None] * dim + blk])
-                   for blk in diagonal_blocks(entries, dim))
-    return (_read_only(mirror), _read_only(photon_turns(n_fock)[entries]),
-            blocks, _read_only(where[np.arange(dim) * (dim + 1)]),
+    blocks = diagonal_blocks(entries, dim)
+    sizes = tuple(map(len, blocks))
+    block_map = np.full((len(blocks),) + (max(sizes, default=0),) * 2, -1)
+    for index, blk in zip(block_map, blocks):
+        index[:len(blk), :len(blk)] = where[blk[:, None] * dim + blk]
+    return (_read_only(np.stack((first, mirror[first]))),
+            _read_only(photon_turns(n_fock)[entries]), _read_only(block_map),
+            sizes, _read_only(where[np.arange(dim) * (dim + 1)]),
             _read_only(where[rows[:, None, :] * dim + rows[None, :, :]]))
 
 
@@ -578,16 +593,18 @@ class Build:
     (CHECK_CHUNK.bit_length(), w, w) increments X_j = P^(2^j) - I of the
     propagator P over n_sub RK4 steps of size h on the gauged real slice
     of the w entries, X_0 being interval_increment's P - I; P itself is
-    never formed. mirror, turns, blocks, diagonal and qubits are the
-    entries' index maps (see slice_layout).
+    never formed. pairs, turns, block_map, diagonal and qubits are the
+    entries' index maps, and block_sizes the basis states of each of
+    block_map's blocks (see slice_layout).
     """
 
     key: tuple
     entries: np.ndarray
     squarings: np.ndarray
-    mirror: np.ndarray
+    pairs: np.ndarray
     turns: np.ndarray
-    blocks: tuple[np.ndarray, ...]
+    block_map: np.ndarray
+    block_sizes: tuple[int, ...]
     diagonal: np.ndarray
     qubits: np.ndarray
 
@@ -713,32 +730,42 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     k = 2 their imaginary parts (0 when k = 1), then one pad entry, an
     exact +0.0, which the -1 entries of the index maps read, so that each
     gather is one plain take. Every entry outside the slice is an exact 0.
-    build holds the slice's index maps mirror, blocks and diagonal (see
-    slice_layout). The gauge multiplies each entry by +-1 or +-i, and an
-    entry and its transpose by conjugate phases, so each check gives the
-    full-width value of the ungauged states bit for bit, whatever the
-    run's length: the hermiticity error
-    is the modulus of (re_e - re_t) + i (im_e + im_t), entry against
-    transpose; the finite check sees every nonzero entry; the trace,
-    <N> and leakage add the gathered diagonal, which the gauge leaves as
-    it is, with its zeros, row by row in the full matrix's order (the
-    trace as a complex sum, whose order differs from a real one's). The
-    smallest eigenvalue is taken block by block, on real symmetric
-    blocks with k = 1 (LAPACK dsyevd, about half the cost of zheevd) and
-    on Hermitian re + i im blocks with k = 2; the gauge is a unitary
-    similarity, so these have the eigenvalues of the blocks of rho up to
-    the routine's rounding. The slice holds every nonzero entry of the
-    states and the transpose of each, so these are the checks of the
-    full matrices. When the blocks leave a basis state out, the reported
-    minimum is clamped at the exact 0 of that state: with k = 1, a block
-    goes to eigvalsh only for the samples that _certified does not prove
-    positive semidefinite to within its margin (a block below -margin,
-    as past an unstable step), and their minima are scattered back; a
-    certified block counts as 0, less than about 1.01e-12 tr(block) above
-    LAPACK's value, far inside EIG_FLOOR, so every violation is reported
-    as it would be with every block sent to eigvalsh. Every sample of a
-    complex run or of a run whose blocks cover every basis state goes to
-    eigvalsh, as the value itself is reported there.
+    build holds the slice's index maps pairs, block_map and diagonal, and
+    the block_sizes (see slice_layout). The gauge multiplies each entry by
+    +-1 or +-i, and an entry and its transpose by conjugate phases, so
+    each check gives the full-width value of the ungauged states bit for
+    bit, whatever the run's length: the hermiticity error is the modulus
+    of (re_e - re_t) + i (im_e + im_t), entry against transpose, read
+    once per pair (an entry on the diagonal is its own transpose and
+    gives 2 |im_e|) and reduced across the pairs for all samples at
+    once; it is the full matrix's max, as |a - b| = |b - a| and the
+    modulus ignores the sign of the real part, exactly. The finite check
+    sees every nonzero entry; the trace, <N> and leakage add the gathered
+    diagonal, which the gauge leaves as it is, with its zeros, row by row
+    in the full matrix's order (the trace as a complex sum, whose order
+    differs from a real one's). The smallest eigenvalue is taken block by
+    block, on real symmetric blocks with k = 1 (LAPACK dsyevd, about half
+    the cost of zheevd) and on Hermitian re + i im blocks with k = 2; the
+    gauge is a unitary similarity, so these have the eigenvalues of the
+    blocks of rho up to the routine's rounding. The slice holds every
+    nonzero entry of the states and the transpose of each, so these are
+    the checks of the full matrices. When the blocks leave a basis state
+    out, the reported minimum is clamped at the exact 0 of that state:
+    with k = 1, a block goes to eigvalsh only for the samples that
+    _certified does not prove positive semidefinite to within its margin
+    (a block below -margin, as past an unstable step), and their minima
+    are scattered back; a certified block counts as 0, less than about
+    1.01e-12 tr(block) above LAPACK's value, far inside EIG_FLOOR, so
+    every violation is reported as it would be with every block sent to
+    eigvalsh. Every sample of a complex run or of a run whose blocks
+    cover every basis state goes to eigvalsh, as the value itself is
+    reported there. Every block of the run is gathered, symmetrised and
+    certified at once, zero-padded to the largest block's size; eigvalsh
+    takes each block alone, cut to its own size. The padding adds +0.0
+    to a block's trace and nothing to any update of its own entries,
+    whose pivots come first, and its own pivots stay the margin (> 0)
+    unless one of the block's own pivots already fails, so every block
+    is certified, and its minimum taken, as if it stood alone.
 
     The earliest violating sample raises IntegrationError; within one
     sample the order is finite, hermiticity, trace, positivity,
@@ -757,31 +784,55 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
         finite = np.isfinite(sub).all(axis=(0, 2))
         n_ok = n_ok if finite.all() else int(finite.argmin())
     ok = sub[:, :n_ok]
-    body, mirrored = ok[..., :-1], ok.take(build.mirror, axis=2)
+    # entry-major, (k, w + 1, n): each gather below copies whole rows of
+    # samples, and each check reduces across the samples. Each large
+    # temporary is dropped once used, and halved in place where that keeps
+    # the bits, so a run's peak memory stays near that of checking one
+    # block at a time; past it, malloc can return the memory to the system
+    # after every run and page it in again
+    ends = np.ascontiguousarray(ok.transpose(0, 2, 1))
+    first, second = build.pairs
+    diff = ends[0].take(first, axis=0)
+    diff -= ends[0].take(second, axis=0)
+    if len(ok) == 2:
+        total = ends[1].take(first, axis=0)
+        total += ends[1].take(second, axis=0)
+        diff = _complex((diff, total))
+        del total
+    herm = np.abs(diff).max(axis=0)
+    del diff
     on_diagonal = ok.take(build.diagonal, axis=2)
-    if len(ok) == 1:
-        herm = np.abs(body[0] - mirrored[0])
-    else:
-        herm = np.abs(_complex((body[0] - mirrored[0], body[1] + mirrored[1])))
-    herm = herm.max(axis=1)
     tr_err = np.abs(_complex(on_diagonal).sum(axis=1) - 1.0)
     # block by block, then an exact 0 for a basis state that no block
     # holds; inf is the minimum's identity. Under that clamp a certified
     # real block counts as 0, so only the samples it does not certify go
     # to eigvalsh
+    n_blocks, size = build.block_map.shape[:2]
+    # (size, size, n_blocks, n), then the (n_blocks n, size, size) stack,
+    # block-major, whose entries (i, j) lie contiguous as _certified reads
+    blk = ends.take(build.block_map.transpose(1, 2, 0), axis=1)
+    del ends
+    blk = blk[0] if len(ok) == 1 else _complex(blk)
+    # 0.5 B^H + 0.5 B: each product and the sum as in 0.5 B + 0.5 B^H
+    sym = np.multiply(blk.conj().swapaxes(0, 1), 0.5, order="C")
+    blk *= 0.5
+    sym += blk
+    del blk
+    stack = sym.reshape(size, size, -1).transpose(2, 0, 1)
     min_eig = np.full(n_ok, math.inf)
-    clamped = sum(map(len, build.blocks)) < len(build.diagonal)
-    for index in build.blocks:
-        blk = ok.take(index, axis=2)
-        blk = blk[0] if len(ok) == 1 else _complex(blk)
-        sym = 0.5 * blk + 0.5 * blk.conj().transpose(0, 2, 1)
+    clamped = sum(build.block_sizes) < len(build.diagonal)
+    certify = clamped and len(ok) == 1
+    if certify:
+        refused = ~_certified(stack).reshape(n_blocks, n_ok)
+    for b, k in enumerate(build.block_sizes):
+        block = stack[b * n_ok:(b + 1) * n_ok, :k, :k]
         todo = slice(None)
-        if clamped and len(ok) == 1:
-            todo = np.flatnonzero(~_certified(sym))
-            sym = sym[todo]
-        if len(sym):
+        if certify:
+            todo = np.flatnonzero(refused[b])
+            block = block[todo]
+        if len(block):
             min_eig[todo] = np.minimum(min_eig[todo],
-                                       np.linalg.eigvalsh(sym)[:, 0])
+                                       np.linalg.eigvalsh(block)[:, 0])
     if clamped:
         min_eig = np.minimum(min_eig, 0.0)
     pops = on_diagonal[0]

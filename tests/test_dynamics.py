@@ -256,12 +256,15 @@ def test_reachable_entries_hold_every_transpose(space3):
             assert np.array_equal(np.sort(cols * dim + rows), entries), name
             outside = np.setdiff1d(np.arange(len(gen)), entries)
             assert not gen[np.ix_(outside, entries)].any(), name
-            mirror = slice_layout(entries, space3.n_fock)[0]
-            assert np.array_equal(entries[mirror], cols * dim + rows), name
+            # each pair, an entry (r, c) with r <= c and its transpose, once
+            first, mirror = slice_layout(entries, space3.n_fock)[0]
+            assert np.array_equal(first, np.flatnonzero(rows <= cols)), name
+            assert np.array_equal(entries[mirror],
+                                  (cols * dim + rows)[first]), name
             v = np.arange(dim * dim) * (1 + 2j)
             assert np.array_equal(
                 v[entries][mirror],
-                v.reshape(dim, dim).T.reshape(-1)[entries]), name
+                v.reshape(dim, dim).T.reshape(-1)[entries][first]), name
     with pytest.raises(ValueError, match="transpose"):
         slice_layout(np.array([1]), space3.n_fock)
 
@@ -476,12 +479,18 @@ def test_gauge_maps_index_the_diagonal_blocks(space3):
     for name, init in states.items():
         entries = reachable_entries(m, init.rho_tilde)
         position = {e: i for i, e in enumerate(entries.tolist())}
-        _, turns, maps, _, _ = slice_layout(entries, space3.n_fock)
+        _, turns, maps, sizes, _, _ = slice_layout(entries, space3.n_fock)
         assert np.array_equal(turns, _photon_turns(dim).reshape(-1)[entries])
         assert np.array_equal(dynamics.photon_turns(space3.n_fock),
                               _photon_turns(dim).reshape(-1))
         blocks = diagonal_blocks(entries, dim)
         assert len(maps) == len(blocks), name
+        # one map padded to the largest block, -1 past each block's size
+        assert sizes == tuple(map(len, blocks)), name
+        assert maps.shape[1:] == (max(sizes),) * 2, name
+        for index, k in zip(maps, sizes):
+            assert (index[k:] == -1).all() and (index[:, k:] == -1).all()
+        maps = [index[:k, :k] for index, k in zip(maps, sizes)]
         # a generic vec(rho) on the slice, not real in any gauge
         v = np.zeros(dim * dim, dtype=complex)
         v[entries] = rng.normal(size=len(entries)) + 1j * rng.normal(
@@ -806,7 +815,8 @@ def _oracle_blocks(rng, k, n):
 def test_the_certificate_decides_as_the_scalar_elimination(k):
     # 14 400 blocks for each k = 1 .. 8, 115 200 in all: the array form
     # certifies exactly the blocks that the same elimination certifies
-    # entry by entry over Python floats, under _check_samples' errstate.
+    # entry by entry over Python floats, under _check_samples' errstate,
+    # also with the blocks of k <= 5 states zero-padded to 5.
     # The singular blocks are decided by rounding, so they hold the
     # elimination to its order of operations
     rng = np.random.default_rng(900 + k)
@@ -817,6 +827,13 @@ def test_the_certificate_decides_as_the_scalar_elimination(k):
     expected = np.array([_scalar_certified(b) for b in sym])
     assert len(sym) == 9 * n
     assert np.array_equal(certified, expected)
+    if k <= 5:
+        # zero-padded to 5 states, as _check_samples stacks its blocks,
+        # each block decides as it does alone
+        padded = np.zeros((len(sym), 5, 5))
+        padded[:, :k, :k] = sym
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert np.array_equal(_certified(padded), expected)
     # positive definite, rank-one and zero blocks pass, a NaN or a -inf
     # pair fails, and the straddling, subnormal and singular blocks go
     # both ways
@@ -875,8 +892,9 @@ def test_the_certificate_moves_only_minima_within_its_margin(space3,
     # every block sent to eigvalsh, but for the smallest eigenvalue, which
     # reads 0 where a certified block's computed value lay in
     # (-1.01e-12, 0). psi, phi and werner are real in the gauge and leave
-    # basis states out of every block, so the certificate runs on all
-    # their blocks, and at gamma_s 0.2 it takes every block of every sample
+    # basis states out of every block, so the certificate runs once per
+    # run of points, on all their blocks stacked, and at gamma_s 0.2 it
+    # takes every block of every sample
     certified = []
     certify = dynamics._certified
 
@@ -918,9 +936,10 @@ def test_the_certificate_moves_only_minima_within_its_margin(space3,
     checked = outcomes()
     assert [c[0] for c in checked[-2:]] == ["positivity"] * 2
     # two blocks a sample, psi's and werner's of 5 and 3 states, phi's
-    # of 1 and 3; the runs that fail are refused some of their blocks
-    healthy = certified[:3 * 2 * 2]
-    assert [total for _, total in healthy] == [C, C, 151, 151] * 3
+    # of 1 and 3, in one stack a run; the runs that fail are refused some
+    # of their blocks
+    healthy = certified[:3 * 2]
+    assert [total for _, total in healthy] == [2 * C, 2 * 151] * 3
     assert all(ok == total for ok, total in healthy)
     monkeypatch.setattr(dynamics, "_certified",
                         lambda sym: np.zeros(len(sym), dtype=bool))
@@ -937,10 +956,11 @@ def test_the_certificate_moves_only_minima_within_its_margin(space3,
 def test_lapack_takes_what_the_certificate_cannot_decide(space3,
                                                          monkeypatch):
     # psi real in the gauge: at gamma_s 0.2 the certificate takes every
-    # block of every sample, and eigvalsh runs on none; at gamma_s 20 RK4
-    # error leaves four samples of its 3-state block below -margin, and
-    # eigvalsh runs on exactly those, whose minima the series reports;
-    # every block of a complex run goes whole
+    # block of every sample, one stack a run, and eigvalsh runs on none;
+    # at gamma_s 20 RK4 error leaves four samples of its 3-state block
+    # below -margin, and eigvalsh runs on exactly those, cut from the
+    # stack's zero padding to their own size, whose minima the series
+    # reports; every block of a complex run goes whole
     stacks = _record_eigvalsh(monkeypatch)
     refused = []
     certify = dynamics._certified
@@ -954,12 +974,14 @@ def test_lapack_takes_what_the_certificate_cannot_decide(space3,
     times = np.linspace(0.0, 15.0, C + 151)
     psi = make_initial(InitialStateSpec("psi", 0.3), space3)
     evolve(psi, space3, SystemParams.symmetric(0.2), times)
-    assert stacks == [] and len(refused) == 4
+    assert stacks == [] and len(refused) == 2
     refused.clear()
     traj = evolve(psi, space3, SystemParams.symmetric(20.0), times)
     assert [a.shape for a in stacks] == [(4, 3, 3)]
-    assert np.array_equal(stacks[0], np.concatenate(
-        [sym for sym in refused if len(sym)]))
+    refused = np.concatenate(refused)
+    assert refused.shape == (4, 5, 5)
+    assert not refused[:, 3:].any() and not refused[:, :, 3:].any()
+    assert np.array_equal(stacks[0], refused[:, :3, :3])
     lows = np.linalg.eigvalsh(stacks[0])[:, 0]
     assert (lows < -1e-12).all()
     assert np.array_equal(np.sort(traj.min_eigenvalue[
@@ -986,7 +1008,7 @@ def test_blocks_that_cover_every_basis_state_all_go_to_lapack(
     entries = np.sort(np.concatenate(
         [(t[:, None] * dim + t).ravel() for t in triples]))
     build = _layout_build(entries, space3.n_fock)
-    assert sorted(map(len, build.blocks)) == [3] * 4
+    assert build.block_sizes == (3,) * 4
     rng = np.random.default_rng(7)
     pops = rng.uniform(0.5, 1.0, dim)
     pops /= pops.sum()
@@ -1012,22 +1034,28 @@ def test_blocks_that_cover_every_basis_state_all_go_to_lapack(
     assert np.array_equal(min_eig, expected)
 
 
-def test_a_zero_pivot_is_refused_without_a_warning(space3, monkeypatch):
-    # the 2-state block [[-t, t], [t, 2 t]], t the smallest normal double,
-    # has trace t and so margin t, so its first shifted pivot is exactly 0
-    # and the certificate divides by it; _check_samples must refuse the
-    # block without a floating-point warning (the suite turns
-    # RuntimeWarning into an error) and send it to eigvalsh, while the
-    # 1-state block beside it is certified
-    dim, tiny = space3.dim_total, np.finfo(float).tiny
+def _zero_pivot_run(space):
+    """Two samples on a slice of a 1-state block and the 2-state block
+    [[-t, t], [t, 2 t]], t the smallest normal double, whose trace t is
+    its margin, so that its first shifted pivot is exactly 0: the
+    arguments of _check_samples."""
+    dim, tiny = space.dim_total, np.finfo(float).tiny
     entries = np.array([0, dim + 1, dim + 2, 2 * dim + 1, 2 * dim + 2])
     sub = np.zeros((1, 2, len(entries) + 1))
     sub[0, :, :-1] = [1.0, -tiny, tiny, tiny, 2 * tiny]
+    return (sub, np.array([0.0, 1.0]), number_operator(space).diagonal().real,
+            _layout_build(entries, space.n_fock), math.inf)
+
+
+def test_a_zero_pivot_is_refused_without_a_warning(space3, monkeypatch):
+    # the certificate divides by the exact 0 pivot of the 2-state block;
+    # _check_samples must refuse the block without a floating-point
+    # warning (the suite turns RuntimeWarning into an error) and send it
+    # to eigvalsh, cut from the stack to its own size, while the 1-state
+    # block beside it is certified
+    tiny = np.finfo(float).tiny
     stacks = _record_eigvalsh(monkeypatch)
-    weights = number_operator(space3).diagonal().real
-    min_eig = _check_samples(
-        sub, np.array([0.0, 1.0]), weights,
-        _layout_build(entries, space3.n_fock), math.inf)[3]
+    min_eig = _check_samples(*_zero_pivot_run(space3))[3]
     block = np.array([[-tiny, tiny], [tiny, 2 * tiny]])
     assert [a.shape for a in stacks] == [(2, 2, 2)]
     assert np.array_equal(stacks[0], [block, block])
@@ -1035,22 +1063,22 @@ def test_a_zero_pivot_is_refused_without_a_warning(space3, monkeypatch):
     assert (low < 0.0).all() and np.array_equal(min_eig, low)
 
 
-def test_planted_blocks_past_the_margin_keep_lapacks_minimum(space3,
-                                                            monkeypatch):
-    # psi's slice, its 5-state block planted with rank-deficient blocks of
-    # trace 0.9 shifted by -0.5 and by -4 times the certificate's margin,
-    # beside a positive definite 3-state block: the certificate takes the
-    # first, which read 0, and refuses the second, which go to eigvalsh as
-    # one stack and keep its minima bit for bit
+def _margin_run(space, n):
+    """psi's slice, its 5-state block planted with n rank-deficient blocks
+    of trace 0.9 shifted by -0.5 and n by -4 times the certificate's
+    margin, beside a positive definite 3-state block of trace 0.1, the
+    2 n samples ordered so that none gains excitations on the one before
+    it: the arguments of _check_samples, the planted blocks and the
+    planted block of each sample."""
     rng = np.random.default_rng(26)
     params = SystemParams.symmetric(0.2)
-    psi = make_initial(InitialStateSpec("psi", 0.3), space3)
+    psi = make_initial(InitialStateSpec("psi", 0.3), space)
     build = _layout_build(reachable_entries(
-        liouvillian_matrix(space3, params), psi.rho_tilde), space3.n_fock)
-    five, three = sorted(build.blocks, key=len, reverse=True)
-    assert five.shape == (5, 5) and three.shape == (3, 3)
+        liouvillian_matrix(space, params), psi.rho_tilde), space.n_fock)
+    assert build.block_sizes == (5, 3)
+    five, three = build.block_map
+    three = three[:3, :3]
     assert (five >= 0).all() and (three >= 0).all()
-    n = 200
     planted = 0.9 * np.concatenate([_shifted_rank_deficient(
         rng, 5, n, shift) for shift in (-0.5, -4.0)])
     q = np.linalg.qr(rng.standard_normal((2 * n, 3, 3)))[0]
@@ -1059,13 +1087,21 @@ def test_planted_blocks_past_the_margin_keep_lapacks_minimum(space3,
     sub = np.zeros((1, 2 * n, len(build.entries) + 1))
     sub[0][:, five] = planted
     sub[0][:, three] = (q * w[:, None, :]) @ q.transpose(0, 2, 1)
-    # no sample gains excitations on the one before it
-    weights = number_operator(space3).diagonal().real
+    weights = number_operator(space).diagonal().real
     order = np.argsort(-(sub[0].take(build.diagonal, axis=1) @ weights))
-    sub = sub[:, order]
+    return ((sub[:, order], np.linspace(0.0, 1.0, 2 * n), weights, build,
+             math.inf), planted, order)
+
+
+def test_planted_blocks_past_the_margin_keep_lapacks_minimum(space3,
+                                                            monkeypatch):
+    # the certificate takes the blocks within the margin, which read 0,
+    # and refuses those past it, which go to eigvalsh as one stack and
+    # keep its minima bit for bit
+    n = 200
+    run, planted, order = _margin_run(space3, n)
     stacks = _record_eigvalsh(monkeypatch)
-    min_eig = _check_samples(
-        sub, np.linspace(0.0, 1.0, 2 * n), weights, build, math.inf)[3]
+    min_eig = _check_samples(*run)[3]
     past = order >= n
     assert [a.shape for a in stacks] == [(n, 5, 5)]
     assert np.array_equal(stacks[0], planted[order[past]])
@@ -1074,6 +1110,140 @@ def test_planted_blocks_past_the_margin_keep_lapacks_minimum(space3,
     assert (np.linalg.eigvalsh(planted[:n])[:, 0] < 0.0).all()
     assert np.array_equal(min_eig[past], low)
     assert not min_eig[~past].view(np.int64).any()
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _per_block_checks(sub, times, weights, build, prev_expect_n):
+    """_check_samples as it was before its checks reduced across the
+    samples, the reference they must match bit for bit: each sample's
+    hermiticity error is the max along its row of every entry against its
+    transpose, and each diagonal block is gathered, symmetrised and
+    certified on its own, one block at a time."""
+    entries, dim = build.entries, len(build.diagonal)
+    where = np.full(dim * dim, -1)
+    where[entries] = np.arange(len(entries))
+    rows, cols = np.divmod(entries, dim)
+    mirror = where[cols * dim + rows]
+    blocks = [where[blk[:, None] * dim + blk]
+              for blk in diagonal_blocks(entries, dim)]
+    n_ok = sub.shape[1]
+    if not np.isfinite(sub.sum()):
+        finite = np.isfinite(sub).all(axis=(0, 2))
+        n_ok = n_ok if finite.all() else int(finite.argmin())
+    ok = sub[:, :n_ok]
+    body, mirrored = ok[..., :-1], ok.take(mirror, axis=2)
+    on_diagonal = ok.take(build.diagonal, axis=2)
+    if len(ok) == 1:
+        herm = np.abs(body[0] - mirrored[0])
+    else:
+        herm = np.abs(dynamics._complex((body[0] - mirrored[0],
+                                         body[1] + mirrored[1])))
+    herm = herm.max(axis=1)
+    tr_err = np.abs(dynamics._complex(on_diagonal).sum(axis=1) - 1.0)
+    min_eig = np.full(n_ok, math.inf)
+    clamped = sum(map(len, blocks)) < dim
+    for index in blocks:
+        blk = ok.take(index, axis=2)
+        blk = blk[0] if len(ok) == 1 else dynamics._complex(blk)
+        sym = 0.5 * blk + 0.5 * blk.conj().transpose(0, 2, 1)
+        todo = slice(None)
+        if clamped and len(ok) == 1:
+            todo = np.flatnonzero(~_certified(sym))
+            sym = sym[todo]
+        if len(sym):
+            min_eig[todo] = np.minimum(min_eig[todo],
+                                       np.linalg.eigvalsh(sym)[:, 0])
+    if clamped:
+        min_eig = np.minimum(min_eig, 0.0)
+    pops = on_diagonal[0]
+    expn = (pops * weights).sum(axis=1)
+    gain = expn - np.concatenate(([prev_expect_n], expn[:-1]))
+    checks = (("hermiticity", herm, herm > HERM_TOL, HERM_TOL),
+              ("trace", tr_err, tr_err > TRACE_TOL, TRACE_TOL),
+              ("positivity", min_eig, min_eig < EIG_FLOOR, EIG_FLOOR),
+              ("excitation_monotone", gain, gain > EXCITATION_GAIN_TOL,
+               EXCITATION_GAIN_TOL))
+    bad = checks[0][2] | checks[1][2] | checks[2][2] | checks[3][2]
+    if bad.any():
+        i = int(bad.argmax())
+        for invariant, values, flags, limit in checks:
+            if flags[i]:
+                raise IntegrationError(invariant, float(times[i]),
+                                       float(values[i]), limit)
+    if n_ok < sub.shape[1]:
+        raise IntegrationError("finite", float(times[n_ok]), math.inf, 0.0)
+    leak = pops[:, weights > 2].sum(axis=1)
+    return expn, tr_err, herm, min_eig, leak
+
+
+def _check_outcome(check, args):
+    """The five series check returns on args, by dtype, shape and bytes,
+    or the invariant, time, value and limit of the IntegrationError it
+    raises (repr tells -0.0 from 0.0, and is exact)."""
+    try:
+        series = check(*args)
+    except IntegrationError as err:
+        return err.invariant, repr(err.time), repr(err.value), repr(err.limit)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in series]
+
+
+def test_checks_across_samples_match_the_per_block_reference(space3,
+                                                             monkeypatch):
+    # every run of points that evolve checks, on psi, phi at theta = 0.4
+    # (two row-blocks), werner at n_fock 4 and a complex raw state that is
+    # no X-state (every block to eigvalsh); on psi at gamma_s 20, where
+    # the certificate refuses some 3-state blocks, and at 1000 and 2000,
+    # whose cells fail; and planted runs, with NaN and inf entries, a zero
+    # pivot and blocks at -0.5 and -4 times the certificate's margin, each
+    # also as two row-blocks: the five series, or the IntegrationError
+    # with its time, value and limit, are the reference's bit for bit
+    runs = []
+    check = dynamics._check_samples
+
+    def recording(sub, times, *args):
+        # evolve fills its next run into the same buffer
+        runs.append((sub.copy(), times.copy(), *args))
+        return check(sub, times, *args)
+
+    monkeypatch.setattr(dynamics, "_check_samples", recording)
+    space4 = build_space(4)
+    psi = make_initial(InitialStateSpec("psi", 0.3), space3)
+    times = np.linspace(0.0, 15.0, C + 151)
+    cases = [
+        (psi, space3, 0.2, times),
+        (make_initial(InitialStateSpec("phi", 0.3, theta=0.4), space3),
+         space3, 0.2, times),
+        (make_initial(InitialStateSpec("werner_psi", 0.3, r=0.6), space4),
+         space4, 0.2, times),
+        (_raw_state(space3, 2), space3, 0.2, times),
+        (psi, space3, 20.0, times),
+        (psi, space3, 1000.0, np.linspace(0.0, 1.0, 1001)),
+        (psi, space3, 2000.0, np.linspace(0.0, 3.0, 3001)),
+        (psi, space3, 2000.0, np.linspace(0.0, 4.0, 2))]
+    failed = []
+    for init, space, gamma_s, grid in cases:
+        params = SystemParams.symmetric(gamma_s, n_fock=space.n_fock)
+        try:
+            evolve(init, space, params, grid)
+        except IntegrationError as err:
+            failed.append(err.invariant)
+    assert failed == ["positivity", "positivity", "finite"]
+    assert [len(run[0]) for run in runs[:8]] == [1, 1, 2, 2, 1, 1, 2, 2]
+    sub, grid, *rest = runs[0]
+    for sample, entry, value in ((0, 3, math.nan), (77, 0, math.nan),
+                                 (C - 1, 20, math.inf),
+                                 (300, 5, -math.inf)):
+        planted = sub.copy()
+        planted[0, sample, entry] = value
+        runs.append((planted, grid, *rest))
+    runs += [_zero_pivot_run(space3), _margin_run(space3, 100)[0]]
+    for sub, *rest in runs[-6:]:
+        runs.append((np.concatenate((sub, np.zeros_like(sub))), *rest))
+    outcomes = [_check_outcome(_per_block_checks, run) for run in runs]
+    assert {o[0] for o in outcomes if isinstance(o, tuple)} == {
+        "positivity", "finite"}
+    for run, expected in zip(runs, outcomes):
+        assert _check_outcome(check, run) == expected
 
 
 def test_block_products_match_a_per_point_loop(space3):
@@ -1320,18 +1490,20 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
                for p in map(SystemParams.symmetric, (0.0, 0.2))]
     assert nonzero[0] < nonzero[1]
     # the dict holds one frozen Build and the grid memo. The Build holds
-    # the entries, the squarings, the mirror, the entries' turns, the
-    # diagonal and two-qubit gathers and a position map per block, and no
-    # generator or propagator (see test_squarings_keep_the_increments_
-    # precision for P); the squarings are real, in the photon-number gauge
+    # the entries, the squarings, the hermiticity pairs, the entries'
+    # turns, one padded position map for the blocks with their sizes, the
+    # diagonal and two-qubit gathers, and no generator or propagator (see
+    # test_squarings_keep_the_increments_precision for P); the squarings
+    # are real, in the photon-number gauge
     assert shared.keys() == {"build", "grid"}
     with pytest.raises(AttributeError):
-        build.entries = build.mirror
+        build.entries = build.pairs
     values = [getattr(build, f.name) for f in fields(build)]
     arrays = [v for v in values if isinstance(v, np.ndarray)]
-    assert len(arrays) == 6
+    assert len(arrays) == 7
+    assert all(type(k) is int for k in build.block_sizes)
     assert build.squarings.dtype == np.float64
-    for a in arrays + list(build.blocks):
+    for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
 
@@ -1595,8 +1767,8 @@ def test_chunked_checks_report_the_per_sample_first_violation(
     for part, out in zip(_photon_gauge(rho), gauged):
         out[:, :-1] = part.reshape(len(rho), -1)[:, entries]
     stacks = _record_eigvalsh(monkeypatch)
-    blocks = len(build.blocks)
-    clamped = sum(map(len, build.blocks)) < space3.dim_total
+    blocks = len(build.block_sizes)
+    clamped = sum(build.block_sizes) < space3.dim_total
     for fewest in (True, False):
         stacks.clear()
         starts = []  # where each run's eigvalsh stacks begin
@@ -2048,8 +2220,12 @@ def test_the_pad_entry_reads_an_exact_zero(space3, monkeypatch):
             assert (err.value.invariant, err.value.time) == expected
         build = shared["build"]
         entries = build.entries
-        maps = [*build.blocks, build.diagonal, build.qubits]
+        # the entries outside the slice, without the blocks' zero padding
+        maps = [index[:k, :k] for index, k in zip(build.block_map,
+                                                   build.block_sizes)]
+        maps += [build.diagonal, build.qubits]
         assert sum(int((index < 0).sum()) for index in maps) >= 20
+        maps.append(build.block_map)
         assert runs and all(sub.shape[0] == (1 if space is space3 else 2)
                             for sub, _ in runs)
         states = []
