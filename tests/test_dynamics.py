@@ -577,7 +577,8 @@ def test_positivity_reads_entries_outside_the_slice_as_zero(space3):
     rho[top, top] = 1.0 - 3 * a
     m = liouvillian_matrix(space3, params)
     assert not m.any()
-    blocks = slice_layout(reachable_entries(m, rho), space3.n_fock)[2]
+    blocks, sizes = slice_layout(reachable_entries(m, rho), space3.n_fock)[2:4]
+    assert sizes == (3, 1)
     assert (blocks[0] < 0).sum() == 2
     traj = evolve(FullState(rho), space3, params, np.linspace(0.0, 1.0, 3))
     low = np.linalg.eigvalsh(rho)[0]
