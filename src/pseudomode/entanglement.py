@@ -51,6 +51,11 @@ _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 # the diagonal and the anti-diagonal.
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
+# Positions in a flattened 4 x 4 matrix of the entries (i, j) with i <= j,
+# and of their transposes.
+_UPPER = np.flatnonzero(np.triu(np.ones((4, 4), dtype=bool)))
+_LOWER = np.arange(16).reshape(4, 4).T.reshape(-1)[_UPPER]
+
 
 @dataclass
 class ConcurrenceReport:
@@ -93,18 +98,18 @@ def _input_errors(rho: np.ndarray) -> np.ndarray:
 
     A finite sum has only finite terms, so the per-matrix finite flags
     are taken only when the sum is not finite. The hermiticity deviation
-    is max |rho - rho^H| over the 16 entries, read entry-major, a slice of
-    matrices at a time, so that each reduction runs across matrices.
+    is max |rho - rho^H| over the 10 entries (i, j) with i <= j, each
+    against its transpose: |a - b*| = |b - a*| exactly, so this is the max
+    over all 16. It is read entry-major, a slice of matrices at a time, so
+    that each reduction runs across matrices.
     """
     flat = rho.reshape(-1, 16)
     errors = np.zeros((3, len(flat)))
     if not np.isfinite(flat.sum()):
         errors[0] = ~np.isfinite(flat.T).all(axis=0)
-    # position of each entry's transpose in a flattened 4 x 4 matrix
-    transposed = np.arange(16).reshape(4, 4).T.reshape(-1)
     for lo in range(0, len(flat), _CHECK_SLICE):
         part = flat[lo:lo + _CHECK_SLICE].T
-        np.abs(part - part[transposed].conj()).max(
+        np.abs(part[_UPPER] - part[_LOWER].conj()).max(
             axis=0, out=errors[1, lo:lo + _CHECK_SLICE])
     errors[2] = np.abs(rho.trace(axis1=1, axis2=2) - 1.0)
     return errors

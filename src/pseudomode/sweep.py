@@ -250,8 +250,10 @@ def _concurrences(reduced: list[np.ndarray]) -> list:
     and each cell is judged on its own maxima, so it takes the path, or
     fails with the message, that it would alone; the closed form runs once
     on the stack, and concurrence_general once on the spots of all
-    closed-form cells. concurrence_general is handed complex matrices, so
-    its LAPACK calls see the same input whatever the stored dtype; the
+    closed-form cells, which are all judged in one array comparison
+    (only a joint call that raises is repeated cell by cell, to find the
+    cells that fail it). concurrence_general is handed complex matrices,
+    so its LAPACK calls see the same input whatever the stored dtype; the
     closed form gives the same bits on real and complex input.
     """
     stack = reduced[0] if len(reduced) == 1 else np.concatenate(reduced)
@@ -284,16 +286,21 @@ def _concurrences(reduced: list[np.ndarray]) -> list:
         n = bounds[np.add(x_cells, 1)] - first
         spots = np.stack((first, first + n // 2, first + n - 1), axis=1)
         spot_c = general(spots)
-        for row, (i, where) in enumerate(zip(x_cells, spots)):
+        if isinstance(spot_c, Exception):
             # a failed joint check is repeated cell by cell to find the
-            # cells that fail it
-            ref = (general(where) if isinstance(spot_c, Exception)
-                   else spot_c[row])
-            if isinstance(ref, Exception):
-                results[i] = ref
-            elif (np.abs(c[where] - ref) <= DUAL_PATH_TOL).all():  # NaN fails
-                cell = slice(bounds[i], bounds[i + 1])
-                results[i] = (c[cell], c1[cell], c2[cell], "x_state")
+            # cells that fail it; their spots read NaN, which fails below
+            spot_c = np.full(spots.shape, math.nan)
+            for row, (i, where) in enumerate(zip(x_cells, spots)):
+                ref = general(where)
+                if isinstance(ref, Exception):
+                    results[i] = ref
+                else:
+                    spot_c[row] = ref
+        # every cell is judged at once on its spots; NaN fails
+        agree = (np.abs(c[spots] - spot_c) <= DUAL_PATH_TOL).all(axis=1)
+        for i in np.compress(agree, x_cells):
+            cell = slice(bounds[i], bounds[i + 1])
+            results[i] = (c[cell], c1[cell], c2[cell], "x_state")
     for i, result in enumerate(results):
         if result is None:
             conc = general(slice(bounds[i], bounds[i + 1]))

@@ -9,6 +9,7 @@ from pseudomode.dynamics import evolve
 from pseudomode.entanglement import (
     _CHECK_SLICE,
     X_TOLERANCE,
+    _input_errors,
     concurrence_general,
     concurrence_x_state,
     independent_decay_concurrence,
@@ -279,6 +280,52 @@ def test_long_stack_reports_its_largest_hermiticity_gap():
         with pytest.raises(ValueError, match=f"deviation {gap:.3g}$"):
             concurrence(stack)
         concurrence(stack[_CHECK_SLICE + 1:n - 1])  # no planted gap
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _input_errors_all_entries(rho: np.ndarray) -> np.ndarray:
+    """_input_errors with every one of the 16 entries read against its
+    transpose: the reference the entry pairs must match bit for bit."""
+    flat = rho.reshape(-1, 16)
+    errors = np.zeros((3, len(flat)))
+    if not np.isfinite(flat.sum()):
+        errors[0] = ~np.isfinite(flat.T).all(axis=0)
+    transposed = np.arange(16).reshape(4, 4).T.reshape(-1)
+    for lo in range(0, len(flat), _CHECK_SLICE):
+        part = flat[lo:lo + _CHECK_SLICE].T
+        np.abs(part - part[transposed].conj()).max(
+            axis=0, out=errors[1, lo:lo + _CHECK_SLICE])
+    errors[2] = np.abs(rho.trace(axis1=1, axis2=2) - 1.0)
+    return errors
+
+
+def test_input_errors_read_each_entry_pair_once():
+    # the hermiticity deviation taken over the 10 entries (i, j), i <= j,
+    # against their transposes is that over all 16, bit for bit, as are
+    # the other two rows: on real and complex stacks longer than one check
+    # slice, with gaps of either sign, imaginary diagonals, and NaN, +inf
+    # and -inf in real and imaginary parts, alone or facing each other
+    rng = np.random.default_rng(31)
+    n = _CHECK_SLICE + 8
+    stack = np.stack([random_density_matrix(rng, 4) for _ in range(n)])
+    stack += 1e-9 * (rng.standard_normal((n, 4, 4))
+                     + 1j * rng.standard_normal((n, 4, 4)))
+    plants = [(math.nan, 0), (math.inf, 0), (-math.inf, 0), (math.nan, 1),
+              (math.inf, 1), (-math.inf, 1)]
+    for where in rng.choice(n, 60, replace=False):
+        i, j = rng.integers(4, size=2)
+        for _ in range(rng.integers(1, 3)):  # sometimes its transpose too
+            value, imag = plants[rng.integers(len(plants))]
+            if imag:
+                stack[where, i, j] = stack[where, i, j].real + 1j * value
+            else:
+                stack[where, i, j] = value + 1j * stack[where, i, j].imag
+            i, j = j, i
+    assert np.isnan(_input_errors_all_entries(stack)[1]).sum() > 10
+    for rho in (stack, stack.real.copy()):
+        expected = _input_errors_all_entries(rho)
+        assert expected[1, -1] > 0 and np.isinf(expected[1]).any()
+        assert _input_errors(rho).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("concurrence",

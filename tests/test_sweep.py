@@ -562,6 +562,38 @@ class TestConcurrenceGroups:
         assert [c.failed for c in result.cells] == [
             g == 2000.0 for g in gamma_s_list for _ in cfg.alpha2_grid]
 
+    def test_a_cell_the_spot_check_refutes_alone_takes_the_general_path(
+            self, monkeypatch, space3):
+        # an X-form cell whose first sample is (1 - p)|00><00| + p|v><v|,
+        # v = (1, 1, 1, -1) / 2: its off-X entries, p / 4, are within
+        # X_TOLERANCE, but the closed form reads 0 there and the general
+        # algorithm about p. The joint spot check succeeds, and only that
+        # cell disagrees with it: it alone takes the general path, and its
+        # neighbours keep the closed form
+        trajs = self._trajectories(space3)
+        p = 3.6e-9
+        v = np.array([1.0, 1.0, 1.0, -1.0]) / 2
+        planted = trajs["psi"].reduced.copy()
+        planted[0] = p * np.outer(v, v)
+        planted[0, 0, 0] += 1.0 - p
+        assert x_form_deviation(planted) <= X_TOLERANCE
+        assert abs(concurrence_x_state(planted[0]).c
+                   - concurrence_general(planted[0]).c) > DUAL_PATH_TOL
+        calls = []
+        general = sweep.concurrence_general
+
+        def checking(rho):
+            calls.append(rho.shape)
+            return general(rho)
+
+        monkeypatch.setattr(sweep, "concurrence_general", checking)
+        cells = [trajs["psi"].reduced, planted, trajs["werner"].reduced]
+        results = _concurrences(cells)
+        assert calls == [(3, 3, 4, 4), (len(planted), 4, 4)]
+        assert [r[3] for r in results] == ["x_state", "general", "x_state"]
+        for reduced, result in zip(cells, results):
+            assert _same_cell(result, _alone(reduced))
+
     def _recording_evolve(self, monkeypatch) -> list:
         """Patch the sweep's evolve to collect each cell's reduced states."""
         evolved = []
@@ -719,6 +751,52 @@ class TestCsv:
         last = body[-1].split(",")
         assert float(last[2]) == rows[-1][2]
         assert float(last[3]) == rows[-1][3]
+
+    def test_certified_samples_write_zero(self, tmp_path, monkeypatch):
+        # psi at gamma_s 0.2: the certificate takes every block of every
+        # sample, so min_eigenvalue is +0.0 throughout and the rows read
+        # 0; at 20, RK4 error leaves some samples uncertified, and exactly
+        # those carry LAPACK's minimum, across two runs of points
+        refused, stacks = [], []
+        certify, eigvalsh = dynamics._certified, np.linalg.eigvalsh
+
+        def recording(sym):
+            ok = certify(sym)
+            refused.append((~ok).reshape(2, -1).any(axis=0))  # 2 blocks
+            return ok
+
+        def lapack(a, *args, **kwargs):
+            stacks.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_certified", recording)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lapack)
+        n_steps = dynamics.CHECK_CHUNK + 150
+        for gamma_s in (0.2, 20.0):
+            refused.clear()
+            stacks.clear()
+            result = run_sweep(replace(SMALL, alpha2_grid=(0.3,),
+                                       gamma_s_list=(gamma_s,), t_max=15.0,
+                                       n_steps=n_steps))
+            path = tmp_path / "rows.csv"
+            write_rows_csv(result, str(path))
+            column = [line.split(",")[7]
+                      for line in path.read_text().splitlines()[2:]]
+            low = result.cells[0].min_eigenvalue
+            mask = np.concatenate(refused)
+            assert len(refused) == 2 and len(mask) == len(low)
+            if gamma_s == 0.2:
+                assert stacks == [] and not mask.any()
+            else:
+                # one block a refused sample
+                assert mask.sum() == sum(map(len, stacks)) > 0
+                assert np.array_equal(low[mask], np.concatenate(
+                    [eigvalsh(a)[:, 0] for a in stacks]))
+                assert (low[mask] < 0).all()
+            assert not low[~mask].view(np.int64).any()  # +0.0 only
+            assert column == ["%.17g" % x for x in low]
+            assert set(column) - {"0"} == {
+                "%.17g" % x for x in low[mask]}
 
     def test_rows_bytes_match_the_line_by_line_writer(self, tmp_path,
                                                       space3):
