@@ -98,7 +98,7 @@ _reachable, finds both the reachable entries and the diagonal blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from time import perf_counter
@@ -134,7 +134,7 @@ DEFAULT_STEP = 1e-3
 
 # Points filled by doubling, checked, reduced to the two qubits and stored
 # together; the fill takes the squarings P^(2^j) - I for
-# j < CHECK_CHUNK.bit_length() at most.
+# j < CHECK_CHUNK.bit_length().
 CHECK_CHUNK = 512
 
 
@@ -528,6 +528,8 @@ def slice_layout(entries: np.ndarray, n_fock: int) -> tuple:
 def _complex(parts) -> np.ndarray:
     """parts[0] + i parts[1], or parts[0] + 0i for one part, exactly,
     signed zeros included."""
+    if len(parts) == 1:
+        return parts[0].astype(complex)
     out = np.zeros(parts[0].shape, dtype=complex)
     for part, values in zip((out.real, out.imag), parts):
         part[...] = values
@@ -557,14 +559,6 @@ def _squarings(x: np.ndarray) -> Iterator[np.ndarray]:
         # the diagonal of the fresh, contiguous square as a strided view
         square.reshape(-1)[::len(square) + 1] += diagonal * diagonal
         x = 2 * x + square
-
-
-def _deepened(squarings, depth: int) -> np.ndarray:
-    """The squarings X_0 .. X_(m-1), read-only and extended to depth >= m
-    by _squarings from the last of them: the recurrence reads only the
-    last, so these are the bits of depth squarings from X_0."""
-    more = islice(_squarings(squarings[-1]), 1, depth - len(squarings) + 1)
-    return _read_only(np.array([*squarings, *more]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -598,10 +592,9 @@ class Build:
     key is (space, params, h, n_sub, the initial state's nonzero pattern
     as bytes), on which the rest depends. entries are the reachable
     entries of vec(rho) (see reachable_entries), and squarings the
-    (depth, w, w) increments X_j = P^(2^j) - I of the propagator P over
-    n_sub RK4 steps of size h on the gauged real slice of the w entries,
-    X_0 being interval_increment's P - I, for as many doublings as the
-    runs of points that used the Build take (see make_build); P itself is
+    (CHECK_CHUNK.bit_length(), w, w) increments X_j = P^(2^j) - I of the
+    propagator P over n_sub RK4 steps of size h on the gauged real slice
+    of the w entries, X_0 being interval_increment's P - I; P itself is
     never formed. pairs, turns, block_map, diagonal and qubits are the
     entries' index maps, and block_sizes the basis states of each of
     block_map's blocks (see slice_layout).
@@ -623,13 +616,11 @@ class Build:
 # catch; either way the floating-point warnings are noise
 @np.errstate(over="ignore", invalid="ignore")
 def make_build(space: CompositeSpace, params: SystemParams, h: float,
-               n_sub: int, depth: int, initial: FullState,
-               last: Build | None) -> Build:
+               n_sub: int, initial: FullState, last: Build | None
+               ) -> Build:
     """The Build of (space, params, h, n_sub) from the nonzero pattern of
-    `initial`, with at least `depth` >= 1 squarings: `last` itself when
-    its key is the same and it holds that many, `last` with its squarings
-    extended to depth (see _deepened) when it holds fewer, else a new one
-    with depth squarings (`last` may be None).
+    `initial`: `last` itself when its key is the same, else a new one
+    (`last` may be None).
 
     The generator comes in the photon-number gauge, M_g = D M D* with
     D = diag(i^photon_turns), on the entries of the unit generators (see
@@ -651,9 +642,7 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
     seed = initial.rho_tilde.reshape(-1) != 0
     key = (space, params, h, n_sub, seed.tobytes())
     if last is not None and last.key == key:
-        if len(last.squarings) >= depth:
-            return last
-        return replace(last, squarings=_deepened(last.squarings, depth))
+        return last
     generator = gauged_generator(space, params)
     values = generator.values
     scale = float(np.abs(values).max(initial=0.0))
@@ -678,8 +667,11 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
     inside = where[cols] >= 0
     m_slice = np.zeros((len(entries),) * 2)
     m_slice[where[rows[inside]], where[cols[inside]]] = values[nonzero][inside]
-    squarings = _deepened([interval_increment(m_slice, h, n_sub)], depth)
-    return Build(key, entries, squarings, *slice_layout(entries, space.n_fock))
+    squarings = np.array(list(islice(
+        _squarings(interval_increment(m_slice, h, n_sub)),
+        CHECK_CHUNK.bit_length())))
+    return Build(key, entries, _read_only(squarings),
+                 *slice_layout(entries, space.n_fock))
 
 
 # Relative margin of the positivity certificate, and its absolute floor,
@@ -753,8 +745,7 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     sees every nonzero entry; the trace, <N> and leakage add the gathered
     diagonal, which the gauge leaves as it is, with its zeros, row by row
     in the full matrix's order (the trace as a complex sum, whose order
-    differs from a real one's; with k = 1 of the diagonal cast to complex,
-    with +0.0 imaginary parts). The smallest eigenvalue is taken block by
+    differs from a real one's). The smallest eigenvalue is taken block by
     block, on real symmetric blocks with k = 1 (LAPACK dsyevd, about half
     the cost of zheevd) and on Hermitian re + i im blocks with k = 2; the
     gauge is a unitary similarity, so these have the eigenvalues of the
@@ -814,9 +805,7 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     herm = np.abs(diff).max(axis=0)
     del diff
     on_diagonal = ok.take(build.diagonal, axis=2)
-    trace = (on_diagonal[0].astype(complex) if len(ok) == 1
-             else _complex(on_diagonal)).sum(axis=1)
-    tr_err = np.abs(trace - 1.0)
+    tr_err = np.abs(_complex(on_diagonal).sum(axis=1) - 1.0)
     # block by block, then an exact 0 for a basis state that no block
     # holds; inf is the minimum's identity. Under that clamp a certified
     # real block counts as 0, so only the samples it does not certify go
@@ -989,11 +978,7 @@ def evolve(initial: FullState, space: CompositeSpace, params: SystemParams,
 
     diag = IntegrationDiagnostics(step_count=(n - 1) * n_sub)
     clock = perf_counter()
-    # a run of rows <= min(n, CHECK_CHUNK + 1) points reads the squarings
-    # j < (rows - 1).bit_length()
-    depth = max(1, (min(n, CHECK_CHUNK + 1) - 1).bit_length())
-    build = make_build(space, params, h, n_sub, depth, initial,
-                       shared.get("build"))
+    build = make_build(space, params, h, n_sub, initial, shared.get("build"))
     shared.update(build=build, grid=grid)
     entries = build.entries
     # the gauged initial slice; M_g is real, so its imaginary part stays 0
