@@ -40,7 +40,6 @@ from .sweep import (
     write_rows_csv,
 )
 
-_STATE_CHOICES = ("phi", "psi", "werner")
 _FAMILY_BY_STATE = {"phi": "phi", "psi": "psi", "werner": "werner_psi"}
 
 
@@ -91,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         argument_default=argparse.SUPPRESS)
     p.add_argument("--config", metavar="FILE",
                    help="flat key=value file; flags override it")
-    p.add_argument("--state", choices=_STATE_CHOICES,
+    p.add_argument("--state", choices=tuple(_FAMILY_BY_STATE),
                    help=f"initial state family (default {d.family})")
     p.add_argument("--alpha2", type=float,
                    help=f"single alpha^2 value (default {d.alpha2_grid[0]:g})")

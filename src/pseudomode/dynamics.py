@@ -28,8 +28,10 @@ of M is finite.
 The model conserves the excitation number up to losses (a weak U(1)
 symmetry of M), so a trajectory fills only the entries of vec(rho) that M
 can reach from the initial state's nonzero entries (reachable_entries):
-34 of 144 for psi at n_fock = 3. The slice holds the transpose of each of
-its entries. S and P are built on M restricted to those entries; every
+34 of 144 for psi at n_fock = 3. The walk starts from these entries and
+their transposes; M preserves hermiticity, so its nonzero pattern is
+transpose-invariant, and the slice holds the transpose of each of its
+entries. S and P are built on M restricted to those entries; every
 other entry stays exactly 0. With the squarings X_j = P^(2^j) - I, built
 once too, a run of up to CHECK_CHUNK points is filled by doubling: the
 rows done .. 2 done - 1 are v + v X_j^T of the rows 0 .. done - 1, one
@@ -56,17 +58,18 @@ The invariants are checked at the sample times, one such run at a time
 as array operations, and each run is reduced to the two qubits and
 stored with one operation per series (the reduced states real for one
 row-block, complex for two). Every check reads the gauged slice itself
-through index maps built once, by slice_layout: finiteness, and
-hermiticity (each entry against its transpose's conjugate, once per
-pair, reduced across the pairs for every sample of the run at once)
-through the pair map; positivity (eigvalsh per diagonal block of rho,
-see diagonal_blocks; real symmetric blocks for one row-block, Hermitian
+through index maps built once, by slice_layout: finiteness on the
+slice itself; positivity (eigvalsh per diagonal block of rho, see
+diagonal_blocks; real symmetric blocks for one row-block, Hermitian
 ones for two; where the minimum is clamped at 0, a real block that a
 closed-form certificate proves positive semidefinite to within a margin
 of CERT_MARGIN times its trace skips it and reads 0, see _check_samples)
-through one block map that pads every block with zeros to the largest
-one's size, so that a run's blocks are gathered, symmetrised and
-certified as one stack; and the trace, <N>, the sector
+and hermiticity (the max of |B - B^H| over the same blocks B, which
+hold every entry with its transpose, for every sample of the run at
+once) through one block map that pads every block with zeros to the
+largest one's size, so that a run's blocks are gathered, compared with
+their conjugate transposes, symmetrised and certified as one stack;
+and the trace, <N>, the sector
 leakage and the partial trace through the diagonal and two-qubit
 gathers, which lay out the needed entries with exact zeros where they
 fall outside the slice, so each sum rounds as over the full matrix.
@@ -395,16 +398,14 @@ def _transposed(dim: int) -> np.ndarray:
     return np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
 
 
-def _reachable(rows: np.ndarray, cols: np.ndarray, seed: np.ndarray,
-               t: np.ndarray) -> np.ndarray:
-    """Sorted indices of vec(rho) reached from the True entries of seed and
-    of its transpose, t[k] the position of entry k's transpose, by
-    following each nonzero entry (rows[k], cols[k]) of M from its column
-    to its row, and each transposed entry likewise."""
-    src, dst = np.concatenate((cols, t[cols])), np.concatenate((rows, t[rows]))
-    reached, count = seed | seed[t], 0
+def _reachable(rows: np.ndarray, cols: np.ndarray,
+               seed: np.ndarray) -> np.ndarray:
+    """Sorted indices of vec(rho) reached from the True entries of seed,
+    which it fills in, by following each nonzero entry (rows[k], cols[k])
+    of M from its column to its row."""
+    reached, count = seed, 0
     while count != (count := np.count_nonzero(reached)):
-        reached[dst[reached[src]]] = True
+        reached[rows[reached[cols]]] = True
     return np.flatnonzero(reached)
 
 
@@ -412,16 +413,16 @@ def reachable_entries(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Indices of the entries of vec(rho) that v' = M v can make nonzero.
 
     Starts from the nonzero entries of the row-major vec(rho) and of its
-    transpose, and grows the set by the nonzero pattern of M, and of M with
-    rows and columns transposed, until nothing new is reached. So M maps
-    the set into itself, and every other entry stays exactly 0 under RK4,
-    which only multiplies by polynomials in M; and the set holds the
-    transpose of each of its entries, even for a rho or an M that does not
-    preserve hermiticity. (A Lindblad generator preserves it, so there the
-    transposed pattern adds nothing.)
+    transpose, and grows the set by the nonzero pattern of M until nothing
+    new is reached. So M maps the set into itself, and every other entry
+    stays exactly 0 under RK4, which only multiplies by polynomials in M.
+    A Lindblad generator preserves hermiticity, so its nonzero pattern is
+    invariant under transposing rows and columns, and the set it reaches
+    from the transpose-closed start holds the transpose of each of its
+    entries; for an M that does not preserve hermiticity it need not.
     """
-    return _reachable(*np.nonzero(m), rho.reshape(-1) != 0,
-                      _transposed(rho.shape[0]))
+    seed = rho.reshape(-1) != 0
+    return _reachable(*np.nonzero(m), seed | seed[_transposed(len(rho))])
 
 
 def diagonal_blocks(entries: np.ndarray, dim: int) -> list[np.ndarray]:
@@ -439,8 +440,7 @@ def diagonal_blocks(entries: np.ndarray, dim: int) -> list[np.ndarray]:
     left[ends] = True
     blocks = []
     while left.any():
-        block = _reachable(ends, starts, np.arange(dim) == np.argmax(left),
-                           np.arange(dim))
+        block = _reachable(ends, starts, np.arange(dim) == np.argmax(left))
         blocks.append(block)
         left[block] = False
     return blocks
@@ -476,22 +476,17 @@ def slice_layout(entries: np.ndarray, n_fock: int) -> tuple:
     """Index maps that let the checks and the reduction read only `entries`
     of vec(rho), read-only, in the order of the Build fields:
 
-    - pairs, a (2, p) array: the positions in `entries` of the entries
-      (r, c) with r <= c in row-major order, that is each entry that
-      comes no later than its transpose, diagonal entries included, and
-      the position of that transpose, for the hermiticity check, which
-      so reads each entry pair once; entries must hold the transpose of
-      each of its entries (see reachable_entries), or ValueError is
-      raised;
     - turns, the photon_turns of each entry: the gauged slice is i^turns
       times the slice;
     - block_map, the (n_blocks, size, size) positions of the entries of
       the diagonal_blocks, size the largest block's basis states: block b
       of k basis states fills block_map[b, :k, :k] and its padding is -1.
-      The gauge is a diagonal unitary similarity that multiplies by +-1
-      or +-i, so a block read from the gauged slice has the eigenvalues
-      of the block of rho; it is real symmetric for a state real in the
-      gauge;
+      Each entry (r, c) links r and c, which so lie in one block, so
+      the block map holds every entry and the position of its
+      transpose, -1 where that lies outside `entries`. The gauge is a
+      diagonal unitary similarity that multiplies by +-1 or +-i, so a
+      block read from the gauged slice has the eigenvalues of the block
+      of rho; it is real symmetric for a state real in the gauge;
     - block_sizes, the number of basis states of each block, in order;
     - diagonal, the (dim,) positions of the diagonal of rho;
     - qubits, the (4, 4, n_fock) positions of the entries whose sum over
@@ -506,10 +501,6 @@ def slice_layout(entries: np.ndarray, n_fock: int) -> tuple:
     dim = 4 * n_fock
     where = np.full(dim * dim, -1)
     where[entries] = np.arange(len(entries))
-    mirror = where[_transposed(dim)[entries]]
-    if (mirror < 0).any():
-        raise ValueError("entries must hold the transpose of each entry")
-    first = np.flatnonzero(np.arange(len(entries)) <= mirror)
     qubits = np.arange(4)
     # basis state i_a + 2 i_b is row (2 i_a + i_b) n_fock + n of rho
     rows = (2 * (qubits % 2) + qubits // 2)[:, None] * n_fock + np.arange(
@@ -519,8 +510,7 @@ def slice_layout(entries: np.ndarray, n_fock: int) -> tuple:
     block_map = np.full((len(blocks),) + (max(sizes, default=0),) * 2, -1)
     for index, blk in zip(block_map, blocks):
         index[:len(blk), :len(blk)] = where[blk[:, None] * dim + blk]
-    return (_read_only(np.stack((first, mirror[first]))),
-            _read_only(photon_turns(n_fock)[entries]), _read_only(block_map),
+    return (_read_only(photon_turns(n_fock)[entries]), _read_only(block_map),
             sizes, _read_only(where[np.arange(dim) * (dim + 1)]),
             _read_only(where[rows[:, None, :] * dim + rows[None, :, :]]))
 
@@ -595,15 +585,14 @@ class Build:
     (CHECK_CHUNK.bit_length(), w, w) increments X_j = P^(2^j) - I of the
     propagator P over n_sub RK4 steps of size h on the gauged real slice
     of the w entries, X_0 being interval_increment's P - I; P itself is
-    never formed. pairs, turns, block_map, diagonal and qubits are the
-    entries' index maps, and block_sizes the basis states of each of
+    never formed. turns, block_map, diagonal and qubits are the entries'
+    index maps, and block_sizes the basis states of each of
     block_map's blocks (see slice_layout).
     """
 
     key: tuple
     entries: np.ndarray
     squarings: np.ndarray
-    pairs: np.ndarray
     turns: np.ndarray
     block_map: np.ndarray
     block_sizes: tuple[int, ...]
@@ -659,7 +648,7 @@ def make_build(space: CompositeSpace, params: SystemParams, h: float,
         raise IntegrationError("trace", initial.time, law, bound)
     nonzero = values != 0
     rows, cols = generator.rows[nonzero], generator.cols[nonzero]
-    entries = _read_only(_reachable(rows, cols, seed, _transposed(dim)))
+    entries = _read_only(_reachable(rows, cols, seed | seed[_transposed(dim)]))
     where = np.full(dim * dim, -1)
     where[entries] = np.arange(len(entries))
     # M_g maps the entries into themselves: the rows of the entries in
@@ -732,32 +721,35 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     k = 2 their imaginary parts (0 when k = 1), then one pad entry, an
     exact +0.0, which the -1 entries of the index maps read, so that each
     gather is one plain take. Every entry outside the slice is an exact 0.
-    build holds the slice's index maps pairs, block_map and diagonal, and
-    the block_sizes (see slice_layout). The gauge multiplies each entry by
+    build holds the slice's index maps block_map and diagonal, and the
+    block_sizes (see slice_layout). The gauge multiplies each entry by
     +-1 or +-i, and an entry and its transpose by conjugate phases, so
     each check gives the full-width value of the ungauged states bit for
-    bit, whatever the run's length: the hermiticity error is the modulus
-    of (re_e - re_t) + i (im_e + im_t), entry against transpose, read
-    once per pair (an entry on the diagonal is its own transpose and
-    gives 2 |im_e|) and reduced across the pairs for all samples at
-    once; it is the full matrix's max, as |a - b| = |b - a| and the
-    modulus ignores the sign of the real part, exactly. The finite check
-    sees every nonzero entry; the trace, <N> and leakage add the gathered
-    diagonal, which the gauge leaves as it is, with its zeros, row by row
-    in the full matrix's order (the trace as a complex sum, whose order
-    differs from a real one's). The smallest eigenvalue is taken block by
-    block, on real symmetric blocks with k = 1 (LAPACK dsyevd, about half
-    the cost of zheevd) and on Hermitian re + i im blocks with k = 2; the
-    gauge is a unitary similarity, so these have the eigenvalues of the
-    blocks of rho up to the routine's rounding. The slice holds every
-    nonzero entry of the states and the transpose of each, so these are
-    the checks of the full matrices. When the blocks leave a basis state
-    out, the reported minimum is clamped at the exact 0 of that state:
-    with k = 1, a block goes to eigvalsh only for the samples that
-    _certified does not prove positive semidefinite to within its margin
-    (a block below -margin, as past an unstable step), and their minima
-    are scattered back, a step skipped when every block of every sample
-    is certified; a certified block counts as 0, less than about
+    bit, whatever the run's length: the hermiticity error is the max of
+    |B^H - B| over the stack of diagonal blocks B that the positivity
+    check gathers, for all samples at once. Each entry of the slice lies
+    in its block's square, as does its transpose, which reads the pad's
+    +0.0 where it lies outside the slice; entry e against transpose t,
+    B^H - B is (re_t - re_e) - i (im_t + im_e), whose modulus is that of
+    rho_e - conj(rho_t) exactly, as |a - b| = |b - a| and the modulus
+    ignores the signs of both parts. So it is the full matrix's max of
+    |rho - rho^H|. The finite check sees every nonzero entry; the trace,
+    <N> and leakage add the gathered diagonal, which the gauge leaves as
+    it is, with its zeros, row by row in the full matrix's order (the
+    trace as a complex sum, whose order differs from a real one's). The
+    smallest eigenvalue is taken block by block, on real symmetric blocks
+    with k = 1 (LAPACK dsyevd, about half the cost of zheevd) and on
+    Hermitian re + i im blocks with k = 2; the gauge is a unitary
+    similarity, so these have the eigenvalues of the blocks of rho up to
+    the routine's rounding. The slice holds every nonzero entry of the
+    states, so these are the checks of the full matrices. When the blocks
+    leave a basis state out, the reported minimum is clamped at the exact
+    0 of that state: with k = 1, a block goes to eigvalsh only for the
+    samples that _certified does not prove positive semidefinite to
+    within its margin (a block below -margin, as past an unstable step),
+    and their minima are scattered back, a step skipped when every block
+    of every sample is certified; a certified block counts as 0, less
+    than about
     1.01e-12 tr(block) above LAPACK's value, far inside EIG_FLOOR, so
     every violation is reported as it would be with every block sent to
     eigvalsh. Every sample of a complex run or of a run whose blocks
@@ -794,18 +786,6 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     # block at a time; past it, malloc can return the memory to the system
     # after every run and page it in again
     ends = np.ascontiguousarray(ok.transpose(0, 2, 1))
-    first, second = build.pairs
-    diff = ends[0].take(first, axis=0)
-    diff -= ends[0].take(second, axis=0)
-    if len(ok) == 2:
-        total = ends[1].take(first, axis=0)
-        total += ends[1].take(second, axis=0)
-        diff = _complex((diff, total))
-        del total
-    herm = np.abs(diff).max(axis=0)
-    del diff
-    on_diagonal = ok.take(build.diagonal, axis=2)
-    tr_err = np.abs(_complex(on_diagonal).sum(axis=1) - 1.0)
     # block by block, then an exact 0 for a basis state that no block
     # holds; inf is the minimum's identity. Under that clamp a certified
     # real block counts as 0, so only the samples it does not certify go
@@ -816,11 +796,19 @@ def _check_samples(sub: np.ndarray, times: np.ndarray, weights: np.ndarray,
     blk = ends.take(build.block_map.transpose(1, 2, 0), axis=1)
     del ends
     blk = blk[0] if len(ok) == 1 else _complex(blk)
+    # |B^H - B| over the stack, in the buffer of the symmetrised stack; the
+    # 2-D reduction, with its row count for n_ok = 0, allocates no buffer
+    sym = np.subtract(blk.conj().swapaxes(0, 1), blk, order="C")
+    herm = np.abs(sym, out=sym if len(ok) == 1 else None).reshape(
+        size * size * n_blocks, n_ok).max(axis=0)
     # 0.5 B^H + 0.5 B: each product and the sum as in 0.5 B + 0.5 B^H
-    sym = np.multiply(blk.conj().swapaxes(0, 1), 0.5, order="C")
+    np.multiply(blk.conj().swapaxes(0, 1), 0.5, out=sym)
     blk *= 0.5
     sym += blk
     del blk
+    # the diagonal and its complex copy fit in the memory blk leaves
+    on_diagonal = ok.take(build.diagonal, axis=2)
+    tr_err = np.abs(_complex(on_diagonal).sum(axis=1) - 1.0)
     stack = sym.reshape(size, size, -1).transpose(2, 0, 1)
     min_eig = np.full(n_ok, math.inf)
     clamped = sum(build.block_sizes) < len(build.diagonal)

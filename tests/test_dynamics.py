@@ -236,37 +236,40 @@ def test_diagonal_blocks_are_the_connected_components(space3):
 
 
 def test_reachable_entries_hold_every_transpose(space3):
-    # the checks read an entry's transpose inside the slice, so the slice
-    # must hold it, also for a state whose nonzero pattern is not
-    # symmetric and for a generator that does not preserve hermiticity
+    # the checks read an entry's transpose inside its diagonal block, and
+    # a physical slice holds it: a Lindblad generator preserves
+    # hermiticity, so its nonzero pattern is invariant under transposing
+    # rows and columns, and what it reaches from the nonzero entries and
+    # their transposes holds the transpose of each entry, also for a state
+    # whose nonzero pattern is not symmetric; the Build's slice is the
+    # same. The walk follows only the generator's own edges, so one that
+    # does not preserve hermiticity may leave a transpose out
     dim = space3.dim_total
-    m = liouvillian_matrix(space3, SystemParams.symmetric(0.2))
-    states = {name: init.rho_tilde for name, init in
-              _test_states(space3).items() if name != "raw"}
+    states = {name: init.rho_tilde
+              for name, init in _test_states(space3).items()}
     skew = np.zeros((dim, dim), dtype=complex)
     skew[0, 0] = 1.0
     skew[space3.flat_index(1, 0, 0), space3.flat_index(0, 1, 1)] = 1e-3
     states["asymmetric"] = skew
+    for gamma_s in (0.0, 0.2, 20.0):
+        params = SystemParams.symmetric(gamma_s)
+        m = liouvillian_matrix(space3, params)
+        for name, rho in states.items():
+            entries = reachable_entries(m, rho)
+            rows, cols = np.divmod(entries, dim)
+            assert np.array_equal(np.sort(cols * dim + rows), entries), (
+                name, gamma_s)
+            outside = np.setdiff1d(np.arange(len(m)), entries)
+            assert not m[np.ix_(outside, entries)].any(), (name, gamma_s)
+            build = dynamics.make_build(space3, params, DEFAULT_STEP, 1,
+                                        FullState(rho), None)
+            assert np.array_equal(build.entries, entries), (name, gamma_s)
     one_way = np.zeros_like(m)
     one_way[5, 0] = 1.0  # links entry (0, 0) to (0, 5) only
-    for name, rho in states.items():
-        for gen in (m, one_way):
-            entries = reachable_entries(gen, rho)
-            rows, cols = np.divmod(entries, dim)
-            assert np.array_equal(np.sort(cols * dim + rows), entries), name
-            outside = np.setdiff1d(np.arange(len(gen)), entries)
-            assert not gen[np.ix_(outside, entries)].any(), name
-            # each pair, an entry (r, c) with r <= c and its transpose, once
-            first, mirror = slice_layout(entries, space3.n_fock)[0]
-            assert np.array_equal(first, np.flatnonzero(rows <= cols)), name
-            assert np.array_equal(entries[mirror],
-                                  (cols * dim + rows)[first]), name
-            v = np.arange(dim * dim) * (1 + 2j)
-            assert np.array_equal(
-                v[entries][mirror],
-                v.reshape(dim, dim).T.reshape(-1)[entries][first]), name
-    with pytest.raises(ValueError, match="transpose"):
-        slice_layout(np.array([1]), space3.n_fock)
+    a, b = space3.flat_index(1, 0, 0), space3.flat_index(0, 1, 1)
+    # skew's entries with their transposes, and (0, 5) without (5, 0)
+    assert reachable_entries(one_way, skew).tolist() == sorted(
+        [0, a * dim + b, b * dim + a, 5])
 
 
 def _gauge_real_states(space):
@@ -479,7 +482,7 @@ def test_gauge_maps_index_the_diagonal_blocks(space3):
     for name, init in states.items():
         entries = reachable_entries(m, init.rho_tilde)
         position = {e: i for i, e in enumerate(entries.tolist())}
-        _, turns, maps, sizes, _, _ = slice_layout(entries, space3.n_fock)
+        turns, maps, sizes, _, _ = slice_layout(entries, space3.n_fock)
         assert np.array_equal(turns, _photon_turns(dim).reshape(-1)[entries])
         assert np.array_equal(dynamics.photon_turns(space3.n_fock),
                               _photon_turns(dim).reshape(-1))
@@ -505,7 +508,7 @@ def test_gauge_maps_index_the_diagonal_blocks(space3):
             assert np.array_equal(got, gauged[np.ix_(blk, blk)]), name
     # the diagonal of rho is left as it is
     entries = reachable_entries(m, states["psi"].rho_tilde)
-    turns = slice_layout(entries, space3.n_fock)[1]
+    turns = slice_layout(entries, space3.n_fock)[0]
     assert not turns[np.isin(entries, np.arange(dim) * (dim + 1))].any()
 
 
@@ -577,7 +580,7 @@ def test_positivity_reads_entries_outside_the_slice_as_zero(space3):
     rho[top, top] = 1.0 - 3 * a
     m = liouvillian_matrix(space3, params)
     assert not m.any()
-    blocks, sizes = slice_layout(reachable_entries(m, rho), space3.n_fock)[2:4]
+    blocks, sizes = slice_layout(reachable_entries(m, rho), space3.n_fock)[1:3]
     assert sizes == (3, 1)
     assert (blocks[0] < 0).sum() == 2
     traj = evolve(FullState(rho), space3, params, np.linspace(0.0, 1.0, 3))
@@ -1194,10 +1197,12 @@ def test_checks_across_samples_match_the_per_block_reference(space3,
     # (two row-blocks), werner at n_fock 4 and a complex raw state that is
     # no X-state (every block to eigvalsh); on psi at gamma_s 20, where
     # the certificate refuses some 3-state blocks, and at 1000 and 2000,
-    # whose cells fail; and planted runs, with NaN and inf entries, a zero
-    # pivot and blocks at -0.5 and -4 times the certificate's margin, each
-    # also as two row-blocks: the five series, or the IntegrationError
-    # with its time, value and limit, are the reference's bit for bit
+    # whose cells fail; on a generator whose slice lacks a transpose (see
+    # _one_way); and planted runs, with NaN and inf entries, a zero pivot
+    # and blocks at -0.5 and -4 times the certificate's margin; the
+    # one-way run and each planted one also as two row-blocks: the five
+    # series, or the IntegrationError with its time, value and limit, are
+    # the reference's bit for bit
     runs = []
     check = dynamics._check_samples
 
@@ -1230,6 +1235,12 @@ def test_checks_across_samples_match_the_per_block_reference(space3,
             failed.append(err.invariant)
     assert failed == ["positivity", "positivity", "finite"]
     assert [len(run[0]) for run in runs[:8]] == [1, 1, 2, 2, 1, 1, 2, 2]
+    # a generator that does not preserve hermiticity: the slice lacks the
+    # transpose of the entry it feeds (see _one_way)
+    with monkeypatch.context() as patch:
+        init, m, _ = _one_way(space3, False, 1e-11)
+        _generator(patch, m)
+        evolve(init, space3, SystemParams.symmetric(0.2), times[:C])
     sub, grid, *rest = runs[0]
     for sample, entry, value in ((0, 3, math.nan), (77, 0, math.nan),
                                  (C - 1, 20, math.inf),
@@ -1238,7 +1249,7 @@ def test_checks_across_samples_match_the_per_block_reference(space3,
         planted[0, sample, entry] = value
         runs.append((planted, grid, *rest))
     runs += [_zero_pivot_run(space3), _margin_run(space3, 100)[0]]
-    for sub, *rest in runs[-6:]:
+    for sub, *rest in runs[-7:]:
         runs.append((np.concatenate((sub, np.zeros_like(sub))), *rest))
     outcomes = [_check_outcome(_per_block_checks, run) for run in runs]
     assert {o[0] for o in outcomes if isinstance(o, tuple)} == {
@@ -1491,17 +1502,17 @@ def test_shared_builds_are_keyed_on_every_input(space3, builds):
                for p in map(SystemParams.symmetric, (0.0, 0.2))]
     assert nonzero[0] < nonzero[1]
     # the dict holds one frozen Build and the grid memo. The Build holds
-    # the entries, the squarings, the hermiticity pairs, the entries'
-    # turns, one padded position map for the blocks with their sizes, the
-    # diagonal and two-qubit gathers, and no generator or propagator (see
+    # the entries, the squarings, the entries' turns, one padded position
+    # map for the blocks with their sizes, the diagonal and two-qubit
+    # gathers, and no generator or propagator (see
     # test_squarings_keep_the_increments_precision for P); the squarings
     # are real, in the photon-number gauge
     assert shared.keys() == {"build", "grid"}
     with pytest.raises(AttributeError):
-        build.entries = build.pairs
+        build.entries = build.turns
     values = [getattr(build, f.name) for f in fields(build)]
     arrays = [v for v in values if isinstance(v, np.ndarray)]
-    assert len(arrays) == 7
+    assert len(arrays) == 6
     assert all(type(k) is int for k in build.block_sizes)
     assert build.squarings.dtype == np.float64
     for a in arrays:
@@ -1927,6 +1938,66 @@ def test_sample_violation_wins_over_a_later_block_of_its_slice(
         evolve(FullState(rho), space3, SystemParams.symmetric(0.1), times)
     assert (err.value.invariant, err.value.time) == ("hermiticity", times[60])
     assert err.value.value > HERM_TOL
+
+
+def _one_way(space, two_blocks, rate):
+    """A state and a generator that does not preserve hermiticity: the
+    coherence (r, c) of r = |01,0> and c = |10,0> is fed at `rate` from
+    the population (r, r), and its transpose (c, r) from nothing, so the
+    slice holds (r, c) alone. The state has 1/4 at |00,0>, r, c and
+    |11,0>, and with two_blocks the Hermitian coherence 0.1i at
+    (|00,0>, |11,0>), which also feeds (r, c) at `rate`: imaginary in the
+    photon-number gauge, so the run takes two row-blocks and the fed
+    entry is complex. Every basis state here has no photon, so the gauge
+    leaves these entries as they are and the gauged generator is real."""
+    dim = space.dim_total
+    ground, r, c, top = (space.flat_index(a, b, 0)
+                         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[[ground, r, c, top], [ground, r, c, top]] = 0.25
+    m = np.zeros((dim * dim,) * 2)
+    m[r * dim + c, r * dim + r] = rate
+    if two_blocks:
+        rho[ground, top], rho[top, ground] = 0.1j, -0.1j
+        m[r * dim + c, ground * dim + top] = rate
+    return FullState(rho), m, (r * dim + c, c * dim + r)
+
+
+@pytest.mark.parametrize("two_blocks", [False, True])
+def test_hermiticity_reads_an_absent_transpose_as_zero(space3, monkeypatch,
+                                                       two_blocks):
+    # the hermiticity error is read from the diagonal blocks, where the
+    # transpose of an entry that the slice lacks reads the pad's +0.0:
+    # with a generator that feeds (r, c) and never (c, r), the error of
+    # each sample is that of its full state bit for bit, over two runs of
+    # points, with HERM_TOL lifted so that the run completes. Checked, the
+    # run fails at the first sample past HERM_TOL, in the second run, with
+    # that sample's value
+    times = np.linspace(0.0, 2.0, C + 101)
+    amplitude = abs(0.25 + (0.1j if two_blocks else 0.0))
+    init, m, (fed, transpose) = _one_way(space3, two_blocks,
+                                         HERM_TOL / (1.8 * amplitude))
+    params = SystemParams.symmetric(0.1)
+    _generator(monkeypatch, m)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "HERM_TOL", math.inf)
+        shared = {}
+        traj = evolve(init, space3, params, times, store_full=True,
+                      shared=shared)
+    entries = shared["build"].entries
+    assert fed in entries and transpose not in entries
+    assert traj.diagnostics.real_block_samples == (
+        0 if two_blocks else len(times))
+    rho = np.array([s.rho_tilde for s in traj.full_states])
+    herm = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    assert _same_bits(traj.hermiticity_error, herm)
+    first = int(np.argmax(herm > HERM_TOL))
+    assert C < first < len(times) - 1 and herm[first - 1] <= HERM_TOL
+    with pytest.raises(IntegrationError) as err:
+        evolve(init, space3, params, times)
+    assert (err.value.invariant, err.value.time, err.value.value,
+            err.value.limit) == ("hermiticity", times[first], herm[first],
+                                 HERM_TOL)
 
 
 def _damping_kraus(p: float):
